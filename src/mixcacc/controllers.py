@@ -13,8 +13,9 @@ for human-driven baseline traffic:
   machine (cruise/override) retunes the reference during hard braking.
 
 The raw control laws are plain arithmetic and accept scalars or numpy arrays
-interchangeably; the ``*_control`` wrappers implement the per-vehicle
-interface used by the single-platoon engine.
+interchangeably; the simulation engines call them on arrays.  The per-vehicle
+``*_control`` wrappers and :func:`gsbl_mode_update` are the reference
+specification the vectorized code is tested against.
 """
 
 from __future__ import annotations
@@ -332,6 +333,34 @@ def gsbl_mode_update(
             r = min(p.r_max, max(p.r_min, abs(a_des / dv)))
         return replace(p, mode=mode, v_r=v_des, r=r)
     return replace(p, mode=mode, v_r=v_l, r=p.r_default)
+
+
+def gsbl_mode_arrays(override, v_l, u_l, v, v_pred, gap, p: GsblParams):
+    """Vectorized :func:`gsbl_mode_update`, float for float.
+
+    ``override`` holds the latched modes (True for override); ``v_l``/``u_l``
+    are the leader beacons, ``v``/``v_pred`` the ego and predecessor speeds
+    and ``gap`` the ego's front bumper gap.  Returns the new override flags,
+    speed references and tracking gains.
+    """
+    trigger = (u_l <= p.delta_a) | (
+        (gap <= GSBL_OVERRIDE_GAP) & ((v - v_pred) > GSBL_CLOSING_SPEED)
+    )
+    override = ~(u_l >= 0.0) & (override | trigger)
+    v_des = v_l + u_l * p.delta_t
+    dv = v - v_des
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain = np.abs(u_l / dv)
+    # Python's max/min return their first argument unless the second is
+    # strictly larger/smaller; np.where keeps that rule, NaN included
+    gain = np.where(gain > p.r_min, gain, p.r_min)
+    gain = np.where(gain < p.r_max, gain, p.r_max)
+    gain = np.where(np.abs(dv) < GSBL_SPEED_GUARD, p.r_max, gain)
+    return (
+        override,
+        np.where(override, v_des, v_l),
+        np.where(override, gain, p.r_default),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -111,7 +111,9 @@ def step_arrays(
     """
     if tau is None:
         tau = params.tau
-    np.clip(u_cmd, params.emergency_u_min, params.u_max, out=u_cmd)
+    # maximum then minimum is np.clip without its dispatch overhead
+    np.maximum(u_cmd, params.emergency_u_min, out=u_cmd)
+    np.minimum(u_cmd, params.u_max, out=u_cmd)
     accel += (params.dt / tau) * (u_cmd - accel)
     speed += accel * params.dt
     stopped = speed <= 0.0

@@ -18,7 +18,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .config import Config, spec_hash
 from .metrics import (
@@ -36,12 +35,17 @@ from .metrics import (
     volatility,
 )
 from .ring import BASELINES, DEVICES, PLATOON_POLICIES, RingSpec, run_ring
-from .scenarios import BRAKING, SINUSOIDAL, SingleScenario, run_single_platoon
+from .scenarios import BRAKING, SINUSOIDAL, SingleScenario, run_platoon_batch
+
+# Not called here since sweeps run batches; kept bound in this module for
+# layer-tracing tools that look the single-run entry point up here.
+from .scenarios import run_single_platoon  # noqa: E402,F401
 
 MIX_LETTERS = "GLP"          # follower alphabet, kept in lexicographic order
 BASELINE_LETTERS = "AGLP"
 FULL_ENUMERATION_MAX = 8     # platoon sizes enumerated exhaustively
 SAMPLED_CONFIG_COUNT = 1000
+BATCH_ROWS = 256             # mixes per simulated batch; bounds record memory
 
 
 def mixed_configs(n: int) -> list[str]:
@@ -105,13 +109,13 @@ def _speed_floor(kind: str) -> float | None:
     return SPEED_FLOOR if kind == BRAKING else None
 
 
-def build_reference(kind: str, n: int, cfg: Config, duration: float | None = None):
-    """Run the four homogeneous platoons and collect the reference curves."""
-    traces = {}
-    for letter in BASELINE_LETTERS:
-        scn = scenario_for(kind, "-" + letter * (n - 1), duration)
-        traces[letter] = (run_single_platoon(scn, cfg.dynamics, cfg.controllers), scn)
-    acc_trace, acc_scn = traces["A"]
+def build_reference(kind: str, baselines: dict) -> ReferenceData:
+    """Collect the reference curves from the four homogeneous platoons.
+
+    ``baselines`` maps each letter of :data:`BASELINE_LETTERS` to the
+    ``(trace, scenario)`` of its homogeneous run.
+    """
+    acc_trace, acc_scn = baselines["A"]
     if acc_trace.terminated_by_collision:
         raise MetricsError("reference ACC platoon collided; cannot build references")
     acc_window = analysis_window(acc_trace, acc_scn)
@@ -121,11 +125,11 @@ def build_reference(kind: str, n: int, cfg: Config, duration: float | None = Non
         acc_peaks=peak_abs_accel(acc_trace, acc_window, floor),
         acc_occupancy=max_platoon_occupancy(acc_trace, acc_window),
     )
-    for letter, (trace, scn) in traces.items():
+    for letter, (trace, scn) in baselines.items():
         if trace.terminated_by_collision:
             raise MetricsError(f"homogeneous {letter} reference platoon collided")
         ref.min_gaps[letter] = min_gap(trace, analysis_window(trace, scn))
-    return ref, traces
+    return ref
 
 
 def build_report(trace, scn: SingleScenario, ref: ReferenceData) -> MetricReport:
@@ -159,11 +163,31 @@ def build_report(trace, scn: SingleScenario, ref: ReferenceData) -> MetricReport
     )
 
 
-def _single_worker(args):
-    config, kind, duration, ref, cfg = args
-    scn = scenario_for(kind, config, duration)
-    trace = run_single_platoon(scn, cfg.dynamics, cfg.controllers)
-    return config, build_report(trace, scn, ref)
+def _sweep_batch(args) -> dict[str, tuple[dict | None, str | None]]:
+    """Simulate one batch of a sweep and score each of its rows.
+
+    The batch starts with the four baseline scenarios, in the order of
+    :data:`BASELINE_LETTERS`; the reference comes from those rows, which are
+    the same in every batch.  Returns ``config -> (report fields, None)``, or
+    ``(None, error)`` for a row that failed to simulate or to score.
+    """
+    kind, scns, cfg = args
+    traces = run_platoon_batch(scns, cfg.dynamics, cfg.controllers)
+    baselines = dict(zip(BASELINE_LETTERS, zip(traces, scns)))
+    for letter, (trace, _) in baselines.items():
+        if isinstance(trace, Exception):
+            raise MetricsError(f"homogeneous {letter} reference platoon failed: {trace}")
+    ref = build_reference(kind, baselines)
+    out = {}
+    for scn, trace in zip(scns, traces):
+        if isinstance(trace, Exception):
+            out[scn.config] = (None, str(trace))
+            continue
+        try:
+            out[scn.config] = (build_report(trace, scn, ref).to_json_dict(), None)
+        except Exception as exc:  # keep scoring the other rows
+            out[scn.config] = (None, str(exc))
+    return out
 
 
 def _atomic_write_json(path: str, payload: dict) -> None:
@@ -210,39 +234,42 @@ def sweep_single(
         kind_dir = os.path.join(out_dir, "single", kind)
         os.makedirs(os.path.join(kind_dir, "mixed"), exist_ok=True)
         os.makedirs(os.path.join(kind_dir, "baseline"), exist_ok=True)
-        ref, base_traces = build_reference(kind, n, cfg, duration)
-
         reports: dict[str, dict] = {}
-        for bcfg in baseline_configs(n):
-            path = os.path.join(kind_dir, "baseline", f"{bcfg}.json")
-            cached = _load_if_current(path, h)
-            if cached is None:
-                trace, scn = base_traces[bcfg[1]]
-                rep = build_report(trace, scn, ref)
-                cached = {"spec_hash": h, "role": "baseline", **rep.to_json_dict()}
-                _atomic_write_json(path, cached)
-            reports[f"baseline/{bcfg}"] = cached
-
         todo = []
-        for mcfg in configs:
-            path = os.path.join(kind_dir, "mixed", f"{mcfg}.json")
-            cached = _load_if_current(path, h)
-            if cached is not None:
-                reports[f"mixed/{mcfg}"] = cached
-            else:
-                todo.append(mcfg)
+        for role, names in (("baseline", baseline_configs(n)), ("mixed", configs)):
+            for config in names:
+                cached = _load_if_current(
+                    os.path.join(kind_dir, role, f"{config}.json"), h)
+                if cached is None:
+                    todo.append((role, config))
+                else:
+                    reports[f"{role}/{config}"] = cached
 
-        jobs_args = [(c, kind, duration, ref, cfg) for c in todo]
-        if jobs > 1 and len(jobs_args) > 1:
-            with multiprocessing.Pool(jobs) as pool:
-                results = pool.map(_single_worker, jobs_args)
-        else:
-            results = [_single_worker(a) for a in jobs_args]
-        for mcfg, rep in results:
-            path = os.path.join(kind_dir, "mixed", f"{mcfg}.json")
-            payload = {"spec_hash": h, "role": "mixed", **rep.to_json_dict()}
-            _atomic_write_json(path, payload)
-            reports[f"mixed/{mcfg}"] = payload
+        if todo:
+            mixes = [c for role, c in todo if role == "mixed"]
+            size = max(1, min(BATCH_ROWS, -(-len(mixes) // max(jobs, 1))))
+            # every batch carries the baselines, which its reference needs
+            batches = []
+            for i in range(0, max(len(mixes), 1), size):
+                rows = dict.fromkeys(baseline_configs(n) + mixes[i:i + size])
+                batches.append((kind, [scenario_for(kind, c, duration) for c in rows], cfg))
+            scored: dict = {}
+            if jobs > 1 and len(batches) > 1:
+                with multiprocessing.Pool(jobs) as pool:
+                    for part in pool.map(_sweep_batch, batches):
+                        scored.update(part)
+            else:
+                for batch in batches:
+                    scored.update(_sweep_batch(batch))
+            for role, config in todo:
+                report, error = scored[config]
+                if error is not None:
+                    summary["failed"].append(
+                        {"scenario": kind, "config": config, "error": error})
+                    continue
+                payload = {"spec_hash": h, "role": role, **report}
+                _atomic_write_json(os.path.join(kind_dir, role, f"{config}.json"), payload)
+                reports[f"{role}/{config}"] = payload
 
         mixed = {k: v for k, v in reports.items() if v["role"] == "mixed"
                  and not v["collided"]}
@@ -386,6 +413,8 @@ def _ring_worker(args):
 
 def confidence_halfwidth(values, level: float = 0.95) -> float:
     """Half-width of the Student-t confidence interval of the mean."""
+    from scipy import stats  # imported here: it costs most of the package's import time
+
     vals = np.asarray(values, dtype=float)
     if vals.size < 2:
         return float("nan")

@@ -4,6 +4,12 @@ The platoon head is driven by a commanded speed profile (sinusoidal speed
 perturbation or an emergency braking ramp) and does not react to the platoon.
 Followers run the controller given by the composition string.  Controllers and
 beacons run on a 10 Hz grid while the vehicle dynamics integrate at 100 Hz.
+
+One engine steps a whole batch of platoons of the same scenario and size as a
+(rows x vehicles) state; a single run is a batch of one.  Every float
+operation keeps the order of the per-vehicle laws in :mod:`controllers` and
+:func:`dynamics.step_vehicle`, so a row's trace does not depend on the batch
+it ran in.
 """
 
 from __future__ import annotations
@@ -11,38 +17,42 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .controllers import (
-    Beacon,
     ControllerSet,
     GsblMode,
-    acc_control,
-    cruise_accel,
+    acc_accel,
+    gsbl_accel,
     gsbl_accel_head,
-    gsbl_control,
-    gsbl_mode_update,
-    idm_control,
-    path_control,
-    ploeg_control,
+    gsbl_accel_tail,
+    gsbl_mode_arrays,
+    path_accel,
+    ploeg_target,
 )
 from .dynamics import (
     DynamicsParams,
     STANDSTILL_BRAKE,
     STANDSTILL_GAP,
     STANDSTILL_SPEED,
-    VehicleState,
-    step_vehicle,
+    VEHICLE_LENGTH,
+    step_arrays,
 )
-from .topology import (
-    EXTERNAL_REF,
-    INDEPENDENT,
-    PlatoonConfig,
-    elect_ego_leaders,
-    parse_config,
+from .topology import EXTERNAL_REF, PlatoonConfig, elect_ego_leaders, parse_config
+
+# The per-vehicle laws below are the reference specification of the batched
+# engine; they stay importable from this module, where layer-tracing tools
+# look them up, although the engine itself no longer calls them.
+from .controllers import (  # noqa: E402,F401
+    acc_control,
+    gsbl_control,
+    gsbl_mode_update,
+    path_control,
+    ploeg_control,
 )
+from .dynamics import step_vehicle  # noqa: E402,F401
 
 CONTROL_DT = 0.1       # controller and beacon period [s]
 PROFILE_GAIN = 0.5     # speed correction gain of the profile-driven head [1/s]
@@ -107,7 +117,7 @@ def leader_target_accel(scn: SingleScenario, t: float) -> float:
 @dataclass
 class TraceEvent:
     time: float
-    kind: str               # collision, mode_switch, lane_change, stale_beacon
+    kind: str               # collision, mode_switch, lane_change
     veh_a: int
     veh_b: int | None = None
     detail: str = ""
@@ -195,179 +205,253 @@ def _validate_supported(cfg: PlatoonConfig, leaders: dict[int, int | None]) -> N
             )
 
 
+def _timeline(scn: SingleScenario) -> tuple:
+    """Every scenario field except the platoon and its start offsets."""
+    return tuple(
+        getattr(scn, f.name) for f in fields(scn)
+        if f.name not in ("config", "initial_gap_offsets")
+    )
+
+
+def _start_positions(cfg: PlatoonConfig, scn: SingleScenario, ctrl: ControllerSet) -> list[float]:
+    """Front bumpers at each follower's equilibrium gap plus its offset."""
+    offsets = scn.initial_gap_offsets or {}
+    pos = [0.0]
+    for i in range(1, cfg.size):
+        gap = ctrl.equilibrium_gap(cfg[i], scn.base_speed) + offsets.get(i, 0.0)
+        pos.append(pos[-1] - VEHICLE_LENGTH - gap)
+    return pos
+
+
+class _Rows:
+    """Controller masks of the live rows; follower masks skip column 0."""
+
+    def __init__(self, letters: np.ndarray, lead: np.ndarray):
+        self.letters = letters
+        self.lead = lead                  # elected leader, -1 for external
+        followers = letters[:, 1:]
+        self.acc = followers == "A"
+        self.path = followers == "P"
+        self.gsbl = followers == "G"
+        self.ploeg = np.zeros(letters.shape, dtype=bool)   # full width
+        self.ploeg[:, 1:] = followers == "L"
+        self.head_gsbl = letters[:, 0] == "G"
+        self.gsbl_led = self.gsbl & (lead >= 0)
+        self.lead_at = (np.arange(len(letters))[:, None], np.maximum(lead, 0))
+        self.mode_base = np.where(letters == "G", 0, -1).astype(np.int8)
+        self.any_acc = bool(self.acc.any())
+        self.any_ploeg = bool(self.ploeg.any())
+        self.any_path = bool(self.path.any())
+        self.any_gsbl = bool(self.gsbl.any())
+        self.any_led = bool(self.gsbl_led.any())
+        self.any_head_gsbl = bool(self.head_gsbl.any())
+        self.any_mode = self.any_gsbl or self.any_head_gsbl
+
+    def __getitem__(self, keep: np.ndarray) -> "_Rows":
+        return _Rows(self.letters[keep], self.lead[keep])
+
+
+def run_platoon_batch(
+    scns: list[SingleScenario],
+    dyn: DynamicsParams | None = None,
+    ctrl: ControllerSet | None = None,
+    control_dt: float = CONTROL_DT,
+) -> list[Trace | Exception]:
+    """Simulate platoons of one scenario and size in a single time loop.
+
+    Row r of the (rows x vehicles) state runs ``scns[r]``.  All rows share
+    the scenario's timeline and the platoon size; composition and initial
+    gap offsets are per row.  Vehicles start at their own controller's
+    equilibrium gap at the base speed, and a row ends at its first
+    collision.  A row whose setup is rejected, or whose control command goes
+    non-finite, gets the exception in place of its trace; no row reads
+    another's state, so the other rows run on unchanged.
+    """
+    dyn = dyn or DynamicsParams()
+    ctrl = ctrl or ControllerSet()
+    sub = round(control_dt / dyn.dt)
+    if abs(sub * dyn.dt - control_dt) > 1e-9 or sub < 1:
+        raise ScenarioError("control_dt must be a multiple of the dynamics dt")
+
+    results: list = [None] * len(scns)
+    setups = {}
+    for r, scn in enumerate(scns):
+        try:
+            cfg = parse_config(scn.config) if isinstance(scn.config, str) else scn.config
+            leaders = elect_ego_leaders(cfg)
+            _validate_supported(cfg, leaders)
+        except ValueError as exc:
+            results[r] = exc
+        else:
+            setups[r] = (cfg, leaders)
+    if not setups:
+        return results
+    rows = list(setups)
+    scn = scns[rows[0]]
+    n = setups[rows[0]][0].size
+    for r in rows:
+        if setups[r][0].size != n or _timeline(scns[r]) != _timeline(scn):
+            raise ScenarioError("a batch runs one scenario and one platoon size")
+
+    m = len(rows)
+    ticks = round(scn.duration / control_dt) + 1
+    times = np.arange(ticks) * control_dt
+    # record blocks are (rows, ticks, vehicles): each row's trace is a view
+    shape = (m, ticks, n)
+    record = tuple(np.zeros(shape) for _ in range(4)) + (
+        np.full(shape, np.nan),
+        np.zeros(shape, dtype=np.int8),
+        np.full(shape, -1, dtype=np.int8),
+    )
+    rec_pos, rec_speed, rec_accel, rec_u, rec_gap, _, rec_mode = record
+    events: list[list[TraceEvent]] = [[] for _ in rows]
+
+    live = np.arange(m)                       # block row of each state row
+    fam = _Rows(
+        np.array([setups[r][0].controllers for r in rows]),
+        np.array([[-1 if setups[r][1][i] is EXTERNAL_REF else setups[r][1][i]
+                   for i in range(1, n)] for r in rows]).reshape(m, n - 1),
+    )
+    pos = np.array([_start_positions(setups[r][0], scns[r], ctrl) for r in rows])
+    spd = np.full((m, n), scn.base_speed)
+    acc = np.zeros((m, n))
+    uin = np.zeros((m, n))                    # last clamped commands
+    ufilt = np.zeros((m, n))                  # Ploeg actuation filter states
+    over = np.zeros((m, n), dtype=bool)       # spring-damper override latch
+    gap = (pos[:, :-1] - VEHICLE_LENGTH) - pos[:, 1:]
+    cg = ctrl.gsbl
+    c_ploeg = dyn.dt / ctrl.ploeg.H
+
+    for k in range(ticks):
+        at = slice(None) if len(live) == m else live
+        rec_pos[at, k] = pos
+        rec_speed[at, k] = spd
+        rec_accel[at, k] = acc
+        rec_u[at, k] = uin
+        rec_gap[at, k, 1:] = gap
+        if fam.any_mode:
+            rec_mode[at, k] = fam.mode_base + over
+        ended = np.zeros(len(live), dtype=bool)
+        hit = gap <= 0.0
+        if k > 0 and hit.any():
+            ended = hit.any(axis=1)
+            for j in np.flatnonzero(ended):
+                crash = int(np.argmax(hit[j])) + 1
+                events[live[j]].append(TraceEvent(
+                    times[k], "collision", crash, crash - 1,
+                    f"gap={gap[j, crash - 1]:.3f}",
+                ))
+        if k == ticks - 1 or ended.any():
+            for j in range(len(live)) if k == ticks - 1 else np.flatnonzero(ended):
+                b = live[j]
+                cfg = setups[rows[b]][0]
+                results[rows[b]] = Trace(
+                    times[:k + 1], cfg.controllers, *(block[b, :k + 1] for block in record),
+                    events=events[b], scenario_kind=scn.kind, config=str(cfg),
+                    terminated_by_collision=bool(ended[j]),
+                )
+            if k == ticks - 1:
+                break
+
+        # control tick: every law on its family's cells, leaders gathered
+        t = times[k]
+        v_t = leader_target_speed(scn, t)
+        v, v_pred = spd[:, 1:], spd[:, :-1]
+        u = np.empty_like(spd)
+        u[:, 0] = leader_target_accel(scn, t) + PROFILE_GAIN * (v_t - spd[:, 0])
+        if fam.any_head_gsbl:
+            np.copyto(u[:, 0], gsbl_accel_head(
+                gap[:, 0], spd[:, 1], spd[:, 0], v_t, cg.k, cg.h, cg.r_default, cg.d,
+            ), where=fam.head_gsbl)
+        uf = u[:, 1:]
+        if fam.any_acc:
+            np.copyto(uf, acc_accel(v, v_pred, gap, ctrl.acc.H, ctrl.acc.lam),
+                      where=fam.acc)
+        if fam.any_ploeg:
+            p = ctrl.ploeg
+            np.copyto(uf, ploeg_target(gap, v, acc[:, 1:], v_pred, uin[:, :-1],
+                                       p.H, p.kp, p.kd), where=fam.ploeg[:, 1:])
+        if fam.any_path or fam.any_led:
+            v_lead, u_lead = spd[fam.lead_at], uin[fam.lead_at]
+        if fam.any_path:
+            np.copyto(uf, path_accel(uin[:, :-1], u_lead, v, v_pred, v_lead, gap,
+                                     ctrl.path.dd, ctrl.path.gains), where=fam.path)
+        if fam.any_gsbl:
+            v_r = np.full(v.shape, v_t)
+            r = np.full(v.shape, cg.r_default)
+            if fam.any_led:
+                was = over[:, 1:]
+                new, v_r_led, r_led = gsbl_mode_arrays(was, v_lead, u_lead, v, v_pred, gap, cg)
+                new &= fam.gsbl_led
+                for j, c in zip(*np.nonzero(new != was)):
+                    if not ended[j]:
+                        events[live[j]].append(TraceEvent(
+                            t, "mode_switch", int(c) + 1, int(fam.lead[j, c]),
+                            f"{_MODE_NAME[was[j, c]]}->{_MODE_NAME[new[j, c]]}",
+                        ))
+                over[:, 1:] = new
+                np.copyto(v_r, v_r_led, where=fam.gsbl_led)
+                np.copyto(r, r_led, where=fam.gsbl_led)
+            spring = np.empty_like(v)
+            spring[:, -1] = gsbl_accel_tail(gap[:, -1], v_pred[:, -1], v[:, -1],
+                                            v_r[:, -1], cg.k, cg.h, r[:, -1], cg.d)
+            spring[:, :-1] = gsbl_accel(gap[:, :-1], v_pred[:, :-1], gap[:, 1:], spd[:, 2:],
+                                        v[:, :-1], v_r[:, :-1], cg.k, cg.h, r[:, :-1], cg.d)
+            np.copyto(uf, spring, where=fam.gsbl)
+
+        # rows that collided or whose command is not finite leave the batch
+        finite = np.isfinite(u)
+        if not finite.all():
+            for j in np.flatnonzero(~finite.all(axis=1) & ~ended):
+                bad = float(u[j, np.argmin(finite[j])])
+                results[rows[live[j]]] = ValueError(f"non-finite control input: {bad!r}")
+                ended[j] = True
+        if ended.any():
+            keep = ~ended
+            live, fam = live[keep], fam[keep]
+            pos, spd, acc, uin, ufilt, over, gap, u = (
+                a[keep] for a in (pos, spd, acc, uin, ufilt, over, gap, u)
+            )
+            if not len(live):
+                break
+            v, v_pred = spd[:, 1:], spd[:, :-1]
+
+        # physics substeps; the head is never allowed the emergency floor
+        np.maximum(u[:, 0], dyn.u_min, out=u[:, 0])
+        any_hold = spd.min() < STANDSTILL_SPEED
+        if any_hold:
+            hold = np.zeros(spd.shape, dtype=bool)
+            hold[:, 1:] = (v < STANDSTILL_SPEED) & (v_pred < STANDSTILL_SPEED) & (gap < STANDSTILL_GAP)
+        cmd = u
+        for _ in range(sub):
+            if fam.any_ploeg:
+                # the filter runs at the physics rate towards the held target
+                ufilt += c_ploeg * (u - ufilt)
+                cmd = np.where(fam.ploeg, ufilt, u)
+            if any_hold:
+                cmd = np.where(hold, np.minimum(cmd, STANDSTILL_BRAKE), cmd)
+            step_arrays(pos, spd, acc, cmd, dyn)
+        uin = cmd
+        gap = (pos[:, :-1] - VEHICLE_LENGTH) - pos[:, 1:]
+    return results
+
+
+_MODE_NAME = {False: GsblMode.CRUISE.value, True: GsblMode.OVERRIDE.value}
+
+
 def run_single_platoon(
     scn: SingleScenario,
     dyn: DynamicsParams | None = None,
     ctrl: ControllerSet | None = None,
     control_dt: float = CONTROL_DT,
 ) -> Trace:
-    """Simulate one scenario and return the full trace.
+    """Simulate one scenario and return the full trace (a batch of one).
 
     Vehicles start at their own controller's equilibrium gap at the base
     speed (optionally offset per follower for perturbation studies).  The run
     is truncated at the first collision.
     """
-    dyn = dyn or DynamicsParams()
-    ctrl = ctrl or ControllerSet()
-    cfg = parse_config(scn.config) if isinstance(scn.config, str) else scn.config
-    leaders = elect_ego_leaders(cfg)
-    _validate_supported(cfg, leaders)
-    n = cfg.size
-    sub = round(control_dt / dyn.dt)
-    if abs(sub * dyn.dt - control_dt) > 1e-9 or sub < 1:
-        raise ScenarioError("control_dt must be a multiple of the dynamics dt")
-
-    offsets = scn.initial_gap_offsets or {}
-    states: list[VehicleState] = []
-    for i, letter in enumerate(cfg):
-        if i == 0:
-            pos = 0.0
-        else:
-            gap = ctrl.equilibrium_gap(letter, scn.base_speed) + offsets.get(i, 0.0)
-            pos = states[i - 1].rear - gap
-        states.append(VehicleState(position=pos, speed=scn.base_speed))
-
-    ploeg_state = {
-        i: replace(ctrl.ploeg, u_state=states[i].accel)
-        for i in range(1, n) if cfg[i] == "L"
-    }
-    path_state = {i: replace(ctrl.path) for i in range(1, n) if cfg[i] == "P"}
-    gsbl_state = {
-        i: replace(ctrl.gsbl, v_r=scn.base_speed, r=ctrl.gsbl.r_default)
-        for i in range(n) if cfg[i] == "G"
-    }
-
-    ticks = round(scn.duration / control_dt) + 1
-    times = np.arange(ticks) * control_dt
-    shape = (ticks, n)
-    position = np.zeros(shape)
-    speed = np.zeros(shape)
-    accel = np.zeros(shape)
-    ctrl_input = np.zeros(shape)
-    gap = np.full(shape, np.nan)
-    lane = np.zeros(shape, dtype=np.int8)
-    mode = np.full(shape, -1, dtype=np.int8)
-    events: list[TraceEvent] = []
-    collided = False
-    last_k = ticks - 1
-
-    def record(k: int) -> None:
-        for i, s in enumerate(states):
-            position[k, i] = s.position
-            speed[k, i] = s.speed
-            accel[k, i] = s.accel
-            ctrl_input[k, i] = s.ctrl_input
-            if i > 0:
-                gap[k, i] = states[i - 1].rear - s.position
-            if i in gsbl_state:
-                mode[k, i] = 1 if gsbl_state[i].mode is GsblMode.OVERRIDE else 0
-
-    for k in range(ticks):
-        t = times[k]
-        record(k)
-        if k == ticks - 1:
-            break
-
-        beacons = [
-            Beacon(i, s.position, s.speed, s.accel, s.ctrl_input, t, s.length)
-            for i, s in enumerate(states)
-        ]
-        u = np.zeros(n)
-        v_t = leader_target_speed(scn, t)
-        for i, letter in enumerate(cfg):
-            ego = states[i]
-            if i == 0:
-                if letter == "G":
-                    gap_rear = ego.rear - states[1].position
-                    u[i] = gsbl_accel_head(
-                        gap_rear, states[1].speed, ego.speed, v_t,
-                        ctrl.gsbl.k, ctrl.gsbl.h, ctrl.gsbl.r_default, ctrl.gsbl.d,
-                    )
-                else:
-                    u[i] = leader_target_accel(scn, t) + PROFILE_GAIN * (v_t - ego.speed)
-                continue
-            pred_b = beacons[i - 1]
-            if letter == "A":
-                u[i] = acc_control(ego, states[i - 1], ctrl.acc)
-            elif letter == "L":
-                u[i] = ploeg_control(ego, pred_b, ploeg_state[i], now=t)
-                if ploeg_state[i].stale_held:
-                    events.append(TraceEvent(t, "stale_beacon", i, i - 1))
-            elif letter == "P":
-                lead = leaders[i]
-                u[i] = path_control(ego, pred_b, beacons[lead], path_state[i], now=t)
-                if path_state[i].stale_held:
-                    events.append(TraceEvent(t, "stale_beacon", i, lead))
-            elif letter == "G":
-                p = gsbl_state[i]
-                lead = leaders[i]
-                if lead is EXTERNAL_REF:
-                    p = replace(p, mode=GsblMode.CRUISE, v_r=v_t, r=p.r_default)
-                else:
-                    new_p = gsbl_mode_update(p, beacons[lead], ego, states[i - 1])
-                    if new_p.mode is not p.mode:
-                        events.append(TraceEvent(
-                            t, "mode_switch", i, lead,
-                            f"{p.mode.value}->{new_p.mode.value}",
-                        ))
-                    p = new_p
-                gsbl_state[i] = p
-                succ_b = beacons[i + 1] if i + 1 < n else None
-                u[i] = gsbl_control(ego, pred_b, succ_b, p)
-            elif letter == "I":
-                u[i] = idm_control(ego, states[i - 1], ctrl.idm)
-
-        hold = [
-            i > 0
-            and states[i].speed < STANDSTILL_SPEED
-            and states[i - 1].speed < STANDSTILL_SPEED
-            and states[i - 1].rear - states[i].position < STANDSTILL_GAP
-            for i in range(n)
-        ]
-
-        for _ in range(sub):
-            for i in range(n):
-                cmd = u[i]
-                flt = ploeg_state.get(i)
-                if flt is not None:
-                    # the actuation filter runs at the physics rate while its
-                    # drive target u[i] is held over the control period
-                    flt.u_state += (dyn.dt / flt.H) * (u[i] - flt.u_state)
-                    cmd = flt.u_state
-                if hold[i]:
-                    cmd = min(cmd, STANDSTILL_BRAKE)
-                # followers commanding past the service brake floor get the
-                # emergency allowance; the head sticks to the scripted maneuver
-                states[i] = step_vehicle(states[i], cmd, dyn, i > 0 and cmd < dyn.u_min)
-
-        crash = None
-        for i in range(1, n):
-            if states[i - 1].rear - states[i].position <= 0.0:
-                crash = i
-                break
-        if crash is not None:
-            record(k + 1)
-            events.append(TraceEvent(
-                times[k + 1], "collision", crash, crash - 1,
-                f"gap={states[crash - 1].rear - states[crash].position:.3f}",
-            ))
-            collided = True
-            last_k = k + 1
-            break
-
-    end = last_k + 1
-    return Trace(
-        times=times[:end],
-        controllers=tuple(cfg),
-        position=position[:end],
-        speed=speed[:end],
-        accel=accel[:end],
-        ctrl_input=ctrl_input[:end],
-        gap=gap[:end],
-        lane=lane[:end],
-        mode=mode[:end],
-        events=events,
-        scenario_kind=scn.kind,
-        config=str(cfg),
-        terminated_by_collision=collided,
-    )
+    [result] = run_platoon_batch([scn], dyn, ctrl, control_dt)
+    if isinstance(result, Exception):
+        raise result
+    return result

@@ -6,6 +6,9 @@ dash, so they are passed after a ``--`` separator exactly as a user would.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -157,3 +160,23 @@ def test_sweep_ring_reports_partial_failure(tmp_path, capsys):
     assert "runs failed" in capsys.readouterr().out
     summary = json.loads((tmp_path / "ring" / "summary.json").read_text())
     assert len(summary["failed"]) == summary["cell_count"] == 38
+
+
+def test_sweep_single_with_a_failing_config_exits_partial(tmp_path, capsys, poisoned_config):
+    code = main(["--out", str(tmp_path), "sweep-single", "-n", "3",
+                 "--scenario", "braking", "--jobs", "2"])
+    assert code == EXIT_PARTIAL
+    assert "1 runs failed" in capsys.readouterr().out
+    summary = json.loads((tmp_path / "single" / "summary.json").read_text())
+    assert [f["config"] for f in summary["failed"]] == [poisoned_config]
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    """scipy.stats dominates import time; only the ring summary needs it."""
+    import mixcacc
+
+    src = os.path.dirname(os.path.dirname(mixcacc.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = "import sys, mixcacc.cli; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

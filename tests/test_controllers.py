@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -24,6 +25,7 @@ from mixcacc.controllers import (
     gsbl_accel_head,
     gsbl_accel_tail,
     gsbl_control,
+    gsbl_mode_arrays,
     gsbl_mode_update,
     idm_accel,
     idm_control,
@@ -324,6 +326,40 @@ def test_mode_update_is_pure():
     p = GsblParams()
     mode_step(p, u_l=-2.5, v_l=18.0, ego_v=16.0)
     assert p.mode is GsblMode.CRUISE and p.r == p.r_default
+
+
+def _edgy(lo, hi, *edges):
+    """Floats in [lo, hi], with the supervisor's thresholds drawn often."""
+    return st.one_of(st.sampled_from(edges), st.floats(lo, hi))
+
+
+_supervisor_case = st.tuples(
+    st.booleans(),                                        # latched override
+    _edgy(-5.0, 40.0, 0.0, 18.0),                         # leader speed
+    _edgy(-10.0, 3.0, 0.0, -0.0, -2.0, -2.5, 1e-300),     # leader command
+    _edgy(-5.0, 40.0, 0.0, 15.5, 15.5 + 0.005, 17.99),    # ego speed
+    _edgy(-50.0, 100.0, 0.0, 8.0, 7.9),                   # predecessor front bumper
+    _edgy(-5.0, 40.0, 0.0, 18.0, 17.9),                   # predecessor speed
+)
+
+
+@given(st.lists(_supervisor_case, min_size=1, max_size=8))
+def test_vector_supervisor_equals_scalar_update(cases):
+    """gsbl_mode_arrays reproduces gsbl_mode_update bit for bit."""
+    p = GsblParams()
+    over, v_l, u_l, v, pred_x, v_pred = (np.array(col) for col in zip(*cases))
+    ego_x = 0.0
+    gap = (pred_x - 4.0) - ego_x
+    got_over, got_v_r, got_r = gsbl_mode_arrays(over, v_l, u_l, v, v_pred, gap, p)
+    for j, (o, vl, ul, ve, px, vp) in enumerate(cases):
+        latched = replace(p, mode=GsblMode.OVERRIDE if o else GsblMode.CRUISE)
+        want = gsbl_mode_update(
+            latched, beacon(speed=vl, ctrl_input=ul),
+            VehicleState(position=ego_x, speed=ve), VehicleState(position=px, speed=vp),
+        )
+        assert bool(got_over[j]) == (want.mode is GsblMode.OVERRIDE)
+        assert float(got_v_r[j]).hex() == float(want.v_r).hex()
+        assert float(got_r[j]).hex() == float(want.r).hex()
 
 
 # ---------------------------------------------------------------------------

@@ -312,3 +312,84 @@ def test_emit_reports_renders_both_tables(single_sweep, ring_sweep):
     assert "d10-ACC" in text
     lines = [ln for ln in text.splitlines() if ln.startswith("d10-")]
     assert len(lines) == 6
+
+
+# ---------------------------------------------------------------------------
+# Single-platoon sweep: per-configuration failure capture
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def clean_n3_sweep(tmp_path_factory):
+    out = tmp_path_factory.mktemp("clean_n3")
+    sweep_single(3, str(out), kinds=(BRAKING,))
+    return out
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_single_records_a_failing_config_and_scores_the_rest(
+        tmp_path, poisoned_config, clean_n3_sweep, jobs):
+    summary = sweep_single(3, str(tmp_path), kinds=(BRAKING,), jobs=jobs)
+    assert summary["failed"] == [{
+        "scenario": BRAKING, "config": poisoned_config,
+        "error": "non-finite control input: nan",
+    }]
+    assert summary["scenarios"][BRAKING]["mixed_reports"] == 8
+    # the healthy rows shared the failing row's batch and are unaffected
+    for role in ("mixed", "baseline"):
+        got = {p.name: p.read_bytes() for p in (tmp_path / "single" / BRAKING / role).iterdir()}
+        want = {p.name: p.read_bytes()
+                for p in (clean_n3_sweep / "single" / BRAKING / role).iterdir()}
+        want.pop(f"{poisoned_config}.json", None)
+        assert got == want
+
+
+def test_sweep_single_resume_simulates_nothing(tmp_path, monkeypatch):
+    from mixcacc import experiments
+
+    sweep_single(2, str(tmp_path), kinds=(BRAKING,))
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("a fully cached sweep must not simulate")
+
+    monkeypatch.setattr(experiments, "run_platoon_batch", no_simulation)
+    summary = sweep_single(2, str(tmp_path), kinds=(BRAKING,))
+    assert summary["scenarios"][BRAKING]["mixed_reports"] == 3
+    assert summary["failed"] == []
+
+
+def test_sweep_single_batches_are_chunked_by_jobs(tmp_path, monkeypatch):
+    """Every batch carries the baselines; ``jobs`` splits the mixes."""
+    from mixcacc import experiments
+
+    seen = []
+    real = experiments._sweep_batch
+
+    def spy(args):
+        seen.append([scn.config for scn in args[1][4:]])
+        return real(args)
+
+    monkeypatch.setattr(experiments, "_sweep_batch", spy)
+    monkeypatch.setattr(experiments.multiprocessing, "Pool", _SerialPool)
+    serial = sweep_single(3, str(tmp_path / "serial"), kinds=(BRAKING,))
+    # -GG, -LL and -PP are baseline rows too and run once per batch
+    assert seen == [["-GL", "-GP", "-LG", "-LP", "-PG", "-PL"]]
+    seen.clear()
+    split = sweep_single(3, str(tmp_path / "split"), kinds=(BRAKING,), jobs=2)
+    assert seen == [["-GL", "-GP", "-LG"], ["-LP", "-PG", "-PL"]]
+    assert serial["scenarios"] == split["scenarios"]
+
+
+class _SerialPool:
+    """Stands in for multiprocessing.Pool so a spy sees every batch."""
+
+    def __init__(self, jobs):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(x) for x in items]

@@ -11,6 +11,7 @@ from mixcacc.scenarios import (
     SingleScenario,
     leader_target_accel,
     leader_target_speed,
+    run_platoon_batch,
     run_single_platoon,
 )
 
@@ -178,6 +179,40 @@ def test_control_period_must_divide_into_physics_steps():
         run_single_platoon(
             SingleScenario(kind=SINUSOIDAL, config="-L"), control_dt=0.015
         )
+
+
+# ---------------------------------------------------------------------------
+# batches
+# ---------------------------------------------------------------------------
+
+def test_batch_row_with_a_rejected_setup_leaves_the_others_running():
+    scns = [SingleScenario(kind=SINUSOIDAL, config=c, duration=5.0)
+            for c in ("-PL", "PPP", "-LL")]
+    got = run_platoon_batch(scns)
+    assert isinstance(got[1], ScenarioError)
+    for scn, trace in zip(scns[::2], got[::2]):
+        assert trace.serialize() == run_single_platoon(scn).serialize()
+
+
+def test_batch_needs_one_platoon_size_and_one_timeline():
+    with pytest.raises(ScenarioError):
+        run_platoon_batch([SingleScenario(kind=SINUSOIDAL, config="-PL"),
+                           SingleScenario(kind=SINUSOIDAL, config="-PLG")])
+    with pytest.raises(ScenarioError):
+        run_platoon_batch([SingleScenario(kind=SINUSOIDAL, config="-PL"),
+                           SingleScenario(kind=SINUSOIDAL, config="-LP", duration=5.0)])
+
+
+def test_non_finite_command_fails_its_row_and_a_single_run_raises():
+    bad = SingleScenario(kind=BRAKING, config="-LA", duration=5.0,
+                         initial_gap_offsets={2: float("nan")})
+    good = SingleScenario(kind=BRAKING, config="-LA", duration=5.0)
+    failed, trace = run_platoon_batch([bad, good])
+    assert isinstance(failed, ValueError)
+    assert str(failed) == "non-finite control input: nan"
+    assert trace.serialize() == run_single_platoon(good).serialize()
+    with pytest.raises(ValueError, match="non-finite control input"):
+        run_single_platoon(bad)
 
 
 # ---------------------------------------------------------------------------
