@@ -22,21 +22,17 @@ import sys
 
 from .config import Config, ConfigFileError, load_config_file, spec_hash
 from .experiments import (
+    analysis_window,
     emit_reports,
-    make_ring_spec,
     ring_run_metrics,
+    ring_spec,
+    scenario_for,
     sweep_ring,
     sweep_single,
 )
 from .metrics import min_gap, peak_abs_accel
-from .ring import BASELINES, PLATOON_POLICIES, RingSpec, SpawnError, run_ring
-from .scenarios import (
-    BRAKING,
-    SINUSOIDAL,
-    ScenarioError,
-    SingleScenario,
-    run_single_platoon,
-)
+from .ring import BASELINES, PLATOON_POLICIES, SpawnError, run_ring
+from .scenarios import BRAKING, SINUSOIDAL, ScenarioError, run_single_platoon
 from .topology import (
     ConfigError,
     connectivity_matrix,
@@ -64,8 +60,7 @@ def _write(path: str, text: str) -> None:
 
 def cmd_single(args) -> int:
     cfg = _load_params(args.params)
-    scn = SingleScenario(kind=args.scenario, config=args.config,
-                         duration=args.duration)
+    scn = scenario_for(args.scenario, args.config, args.duration)
     trace = run_single_platoon(scn, cfg.dynamics, cfg.controllers,
                                control_dt=args.control_dt)
     h = spec_hash(cfg, {"command": "single", "config": args.config,
@@ -74,7 +69,6 @@ def cmd_single(args) -> int:
     _write(stem + ".csv", trace.rows_csv(header_comment=f"spec_hash={h}"))
     _write(stem + "_events.csv", trace.events_csv())
 
-    from .experiments import analysis_window
     facts = {"spec_hash": h, "config": args.config, "scenario": args.scenario,
              "collided": trace.terminated_by_collision}
     if not trace.terminated_by_collision:
@@ -94,23 +88,11 @@ def cmd_single(args) -> int:
 
 def cmd_ring(args) -> int:
     cfg = _load_params(args.params)
-    mob = cfg.mobility
-    spec = RingSpec(
-        density=args.density,
-        penetration=args.penetration,
-        platoon_size=args.platoon_size,
-        platoon_policy=args.policy,
-        baseline=args.baseline,
-        circumference=mob.circumference,
-        lanes=mob.lanes,
-        speed_classes_kmh=mob.speed_classes_kmh,
-        speed_jitter_kmh=mob.speed_jitter_kmh,
-        duration=args.duration if args.duration is not None else mob.ring_duration,
-        warmup=args.warmup if args.warmup is not None else mob.ring_warmup,
-        seed=args.seed,
-        volatility_sample_dt=mob.volatility_sample_dt,
-        counter_window=mob.counter_window,
-        record_full_trace=args.full_trace,
+    spec = ring_spec(
+        cfg.mobility, args.duration, args.warmup,
+        density=args.density, penetration=args.penetration,
+        platoon_size=args.platoon_size, platoon_policy=args.policy,
+        baseline=args.baseline, seed=args.seed, record_full_trace=args.full_trace,
     )
     trace = run_ring(spec, cfg.dynamics, cfg.controllers)
     h = spec_hash(cfg, {"command": "ring", "density": args.density,
@@ -267,7 +249,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ScenarioError, SpawnError, ConfigFileError, ValueError) as exc:
+    except (ConfigError, ScenarioError, SpawnError, ConfigFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -9,19 +9,14 @@ result files can be matched to the exact parameter set that produced them.
 from __future__ import annotations
 
 import configparser
+import functools
 import hashlib
 import io
+import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .controllers import (
-    AccParams,
-    ControllerSet,
-    GsblParams,
-    IdmParams,
-    PathParams,
-    PloegParams,
-)
+from .controllers import ControllerSet
 from .dynamics import DynamicsParams
 
 
@@ -53,8 +48,69 @@ class Config:
     mobility: MobilitySpec = field(default_factory=MobilitySpec)
 
 
-def default_config() -> Config:
-    return Config()
+# One row per INI entry: (section, key, owning field of the Config).  The
+# hash names a [dynamics] or [mobility] value by its field and a controller
+# value by its INI key.  Every value is a float unless _CASTS says otherwise.
+SCHEMA = (
+    ("dynamics", "powertrain lag", "dynamics.tau"),
+    ("dynamics", "dt", "dynamics.dt"),
+    ("dynamics", "u_min", "dynamics.u_min"),
+    ("dynamics", "u_max", "dynamics.u_max"),
+    ("dynamics", "emergency u_min", "dynamics.emergency_u_min"),
+    ("acc", "H", "controllers.acc.H"),
+    ("acc", "lambda", "controllers.acc.lam"),
+    ("ploeg", "H", "controllers.ploeg.H"),
+    ("ploeg", "kp", "controllers.ploeg.kp"),
+    ("ploeg", "kd", "controllers.ploeg.kd"),
+    ("path", "C1", "controllers.path.c1"),
+    ("path", "xi", "controllers.path.xi"),
+    ("path", "omega_n", "controllers.path.omega_n"),
+    ("path", "dd", "controllers.path.dd"),
+    ("gsbl", "k", "controllers.gsbl.k"),
+    ("gsbl", "h", "controllers.gsbl.h"),
+    ("gsbl", "r", "controllers.gsbl.r_default"),
+    ("gsbl", "r_min", "controllers.gsbl.r_min"),
+    ("gsbl", "r_max", "controllers.gsbl.r_max"),
+    ("gsbl", "d", "controllers.gsbl.d"),
+    ("gsbl", "delta_a", "controllers.gsbl.delta_a"),
+    ("gsbl", "delta_t", "controllers.gsbl.delta_t"),
+    ("idm", "v0", "controllers.idm.v0"),
+    ("idm", "T", "controllers.idm.T"),
+    ("idm", "a_max", "controllers.idm.a_max"),
+    ("idm", "b_comf", "controllers.idm.b_comf"),
+    ("idm", "s0", "controllers.idm.s0"),
+    ("idm", "delta", "controllers.idm.delta"),
+    ("mobility", "lanes", "mobility.lanes"),
+    ("mobility", "circumference", "mobility.circumference"),
+    ("mobility", "desired speeds", "mobility.speed_classes_kmh"),
+    ("mobility", "speed jitter", "mobility.speed_jitter_kmh"),
+    ("mobility", "densities", "mobility.densities"),
+    ("mobility", "platoon sizes", "mobility.platoon_sizes"),
+    ("mobility", "penetration rates", "mobility.penetration_rates"),
+    ("mobility", "duration", "mobility.ring_duration"),
+    ("mobility", "warmup", "mobility.ring_warmup"),
+    ("mobility", "counter window", "mobility.counter_window"),
+    ("mobility", "volatility sample dt", "mobility.volatility_sample_dt"),
+)
+_HASH_BY_FIELD = ("dynamics", "mobility")
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(x.strip()) for x in text.split(","))
+
+
+_CASTS = {
+    "mobility.lanes": int,
+    "mobility.speed_classes_kmh": _floats,
+    "mobility.densities": _floats,
+    "mobility.platoon_sizes": lambda s: tuple(int(float(x)) for x in s.split(",")),
+    "mobility.penetration_rates": _floats,
+}
+_FIELD_BY_KEY = {(section, key): path for section, key, path in SCHEMA}
+
+
+def _get(cfg: Config, path: str):
+    return functools.reduce(getattr, path.split("."), cfg)
 
 
 def _fmt(value) -> str:
@@ -67,59 +123,20 @@ def _fmt(value) -> str:
 
 def config_to_text(cfg: Config) -> str:
     """Serialize a configuration to the INI text format."""
-    c = cfg.controllers
-    sections = {
-        "dynamics": {
-            "powertrain lag": cfg.dynamics.tau,
-            "dt": cfg.dynamics.dt,
-            "u_min": cfg.dynamics.u_min,
-            "u_max": cfg.dynamics.u_max,
-            "emergency u_min": cfg.dynamics.emergency_u_min,
-        },
-        "acc": {"H": c.acc.H, "lambda": c.acc.lam},
-        "ploeg": {"H": c.ploeg.H, "kp": c.ploeg.kp, "kd": c.ploeg.kd},
-        "path": {
-            "C1": c.path.c1, "xi": c.path.xi, "omega_n": c.path.omega_n,
-            "dd": c.path.dd,
-        },
-        "gsbl": {
-            "k": c.gsbl.k, "h": c.gsbl.h, "r": c.gsbl.r_default,
-            "r_min": c.gsbl.r_min, "r_max": c.gsbl.r_max, "d": c.gsbl.d,
-            "delta_a": c.gsbl.delta_a, "delta_t": c.gsbl.delta_t,
-        },
-        "idm": {
-            "v0": c.idm.v0, "T": c.idm.T, "a_max": c.idm.a_max,
-            "b_comf": c.idm.b_comf, "s0": c.idm.s0, "delta": c.idm.delta,
-        },
-        "mobility": {
-            "lanes": cfg.mobility.lanes,
-            "circumference": cfg.mobility.circumference,
-            "desired speeds": cfg.mobility.speed_classes_kmh,
-            "speed jitter": cfg.mobility.speed_jitter_kmh,
-            "densities": cfg.mobility.densities,
-            "platoon sizes": cfg.mobility.platoon_sizes,
-            "penetration rates": cfg.mobility.penetration_rates,
-            "duration": cfg.mobility.ring_duration,
-            "warmup": cfg.mobility.ring_warmup,
-            "counter window": cfg.mobility.counter_window,
-            "volatility sample dt": cfg.mobility.volatility_sample_dt,
-        },
-    }
     out = []
-    for name, entries in sections.items():
-        out.append(f"[{name}]")
-        for key, value in entries.items():
-            out.append(f"{key} = {_fmt(value)}")
+    for section, rows in itertools.groupby(SCHEMA, key=lambda row: row[0]):
+        out.append(f"[{section}]")
+        out.extend(f"{key} = {_fmt(_get(cfg, path))}" for _, key, path in rows)
         out.append("")
     return "\n".join(out)
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x.strip()) for x in text.split(","))
-
-
 def load_config(text: str) -> Config:
-    """Parse configuration text; unspecified values keep their defaults."""
+    """Parse configuration text; unspecified values keep their defaults.
+
+    An unknown section or key is an error, so a misspelt name cannot
+    silently leave its default in place.
+    """
     parser = configparser.ConfigParser()
     parser.optionxform = str
     try:
@@ -127,99 +144,33 @@ def load_config(text: str) -> Config:
     except configparser.Error as exc:
         raise ConfigFileError(f"cannot parse configuration: {exc}") from exc
 
-    def get(section, key, cast=float, default=None):
-        if parser.has_option(section, key):
-            raw = parser.get(section, key)
+    if parser.defaults():   # their keys would be copied into every section
+        raise ConfigFileError(f"unknown section [{parser.default_section}]")
+    known = {section for section, _, _ in SCHEMA}
+    updates: dict[str, dict] = {}     # owner path -> {field: value}
+    for section in parser.sections():
+        if section not in known:
+            raise ConfigFileError(f"unknown section [{section}]")
+        for key, raw in parser.items(section):
+            path = _FIELD_BY_KEY.get((section, key))
+            if path is None:
+                raise ConfigFileError(f"unknown key {key!r} in [{section}]")
             try:
-                return cast(raw)
+                value = _CASTS.get(path, float)(raw)
             except ValueError as exc:
-                raise ConfigFileError(
-                    f"bad value {raw!r} for [{section}] {key}"
-                ) from exc
-        return default
+                raise ConfigFileError(f"bad value {raw!r} for [{section}] {key}") from exc
+            owner, _, name = path.rpartition(".")
+            updates.setdefault(owner, {})[name] = value
 
-    base = Config()
+    cfg = Config()
     try:
-        dyn = DynamicsParams(
-            tau=get("dynamics", "powertrain lag", float, base.dynamics.tau),
-            dt=get("dynamics", "dt", float, base.dynamics.dt),
-            u_min=get("dynamics", "u_min", float, base.dynamics.u_min),
-            u_max=get("dynamics", "u_max", float, base.dynamics.u_max),
-            emergency_u_min=get(
-                "dynamics", "emergency u_min", float, base.dynamics.emergency_u_min
-            ),
-        )
-        ctrl = ControllerSet(
-            acc=AccParams(
-                H=get("acc", "H", float, base.controllers.acc.H),
-                lam=get("acc", "lambda", float, base.controllers.acc.lam),
-            ),
-            ploeg=PloegParams(
-                H=get("ploeg", "H", float, base.controllers.ploeg.H),
-                kp=get("ploeg", "kp", float, base.controllers.ploeg.kp),
-                kd=get("ploeg", "kd", float, base.controllers.ploeg.kd),
-            ),
-            path=PathParams(
-                c1=get("path", "C1", float, base.controllers.path.c1),
-                xi=get("path", "xi", float, base.controllers.path.xi),
-                omega_n=get("path", "omega_n", float, base.controllers.path.omega_n),
-                dd=get("path", "dd", float, base.controllers.path.dd),
-            ),
-            gsbl=GsblParams(
-                k=get("gsbl", "k", float, base.controllers.gsbl.k),
-                h=get("gsbl", "h", float, base.controllers.gsbl.h),
-                r_default=get("gsbl", "r", float, base.controllers.gsbl.r_default),
-                r_min=get("gsbl", "r_min", float, base.controllers.gsbl.r_min),
-                r_max=get("gsbl", "r_max", float, base.controllers.gsbl.r_max),
-                d=get("gsbl", "d", float, base.controllers.gsbl.d),
-                delta_a=get("gsbl", "delta_a", float, base.controllers.gsbl.delta_a),
-                delta_t=get("gsbl", "delta_t", float, base.controllers.gsbl.delta_t),
-            ),
-            idm=IdmParams(
-                v0=get("idm", "v0", float, base.controllers.idm.v0),
-                T=get("idm", "T", float, base.controllers.idm.T),
-                a_max=get("idm", "a_max", float, base.controllers.idm.a_max),
-                b_comf=get("idm", "b_comf", float, base.controllers.idm.b_comf),
-                s0=get("idm", "s0", float, base.controllers.idm.s0),
-                delta=get("idm", "delta", float, base.controllers.idm.delta),
-            ),
-        )
-        mob = MobilitySpec(
-            lanes=get("mobility", "lanes", int, base.mobility.lanes),
-            circumference=get(
-                "mobility", "circumference", float, base.mobility.circumference
-            ),
-            speed_classes_kmh=get(
-                "mobility", "desired speeds", _floats, base.mobility.speed_classes_kmh
-            ),
-            speed_jitter_kmh=get(
-                "mobility", "speed jitter", float, base.mobility.speed_jitter_kmh
-            ),
-            densities=get("mobility", "densities", _floats, base.mobility.densities),
-            platoon_sizes=get(
-                "mobility", "platoon sizes",
-                lambda s: tuple(int(float(x)) for x in s.split(",")),
-                base.mobility.platoon_sizes,
-            ),
-            penetration_rates=get(
-                "mobility", "penetration rates", _floats,
-                base.mobility.penetration_rates,
-            ),
-            ring_duration=get("mobility", "duration", float, base.mobility.ring_duration),
-            ring_warmup=get("mobility", "warmup", float, base.mobility.ring_warmup),
-            counter_window=get(
-                "mobility", "counter window", float, base.mobility.counter_window
-            ),
-            volatility_sample_dt=get(
-                "mobility", "volatility sample dt", float,
-                base.mobility.volatility_sample_dt,
-            ),
-        )
+        for owner, values in updates.items():
+            parent, _, name = owner.rpartition(".")
+            holder = _get(cfg, parent) if parent else cfg
+            setattr(holder, name, replace(getattr(holder, name), **values))
     except ValueError as exc:
-        if isinstance(exc, ConfigFileError):
-            raise
         raise ConfigFileError(str(exc)) from exc
-    return Config(dynamics=dyn, controllers=ctrl, mobility=mob)
+    return cfg
 
 
 def load_config_file(path) -> Config:
@@ -229,42 +180,12 @@ def load_config_file(path) -> Config:
 
 def resolved_dict(cfg: Config) -> dict:
     """Canonical nested dict of every resolved parameter."""
-    c = cfg.controllers
-    return {
-        "dynamics": {
-            "tau": cfg.dynamics.tau, "dt": cfg.dynamics.dt,
-            "u_min": cfg.dynamics.u_min, "u_max": cfg.dynamics.u_max,
-            "emergency_u_min": cfg.dynamics.emergency_u_min,
-        },
-        "acc": {"H": c.acc.H, "lambda": c.acc.lam},
-        "ploeg": {"H": c.ploeg.H, "kp": c.ploeg.kp, "kd": c.ploeg.kd},
-        "path": {
-            "C1": c.path.c1, "xi": c.path.xi, "omega_n": c.path.omega_n,
-            "dd": c.path.dd,
-        },
-        "gsbl": {
-            "k": c.gsbl.k, "h": c.gsbl.h, "r": c.gsbl.r_default,
-            "r_min": c.gsbl.r_min, "r_max": c.gsbl.r_max, "d": c.gsbl.d,
-            "delta_a": c.gsbl.delta_a, "delta_t": c.gsbl.delta_t,
-        },
-        "idm": {
-            "v0": c.idm.v0, "T": c.idm.T, "a_max": c.idm.a_max,
-            "b_comf": c.idm.b_comf, "s0": c.idm.s0, "delta": c.idm.delta,
-        },
-        "mobility": {
-            "lanes": cfg.mobility.lanes,
-            "circumference": cfg.mobility.circumference,
-            "speed_classes_kmh": list(cfg.mobility.speed_classes_kmh),
-            "speed_jitter_kmh": cfg.mobility.speed_jitter_kmh,
-            "densities": list(cfg.mobility.densities),
-            "platoon_sizes": list(cfg.mobility.platoon_sizes),
-            "penetration_rates": list(cfg.mobility.penetration_rates),
-            "ring_duration": cfg.mobility.ring_duration,
-            "ring_warmup": cfg.mobility.ring_warmup,
-            "counter_window": cfg.mobility.counter_window,
-            "volatility_sample_dt": cfg.mobility.volatility_sample_dt,
-        },
-    }
+    out: dict[str, dict] = {}
+    for section, key, path in SCHEMA:
+        value = _get(cfg, path)
+        name = path.rpartition(".")[2] if section in _HASH_BY_FIELD else key
+        out.setdefault(section, {})[name] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 def spec_hash(cfg: Config, extra: dict | None = None) -> str:

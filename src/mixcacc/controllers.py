@@ -28,9 +28,6 @@ import numpy as np
 
 from .dynamics import VehicleState, VEHICLE_LENGTH
 
-# Beacons older than this are considered stale and are not acted upon.
-BEACON_MAX_AGE = 0.25  # s
-
 # Override entry thresholds of the GSBL supervisory logic.
 GSBL_OVERRIDE_GAP = 4.0      # m, critically small front gap
 GSBL_CLOSING_SPEED = 0.1     # m/s, minimum closing speed for the gap trigger
@@ -48,12 +45,6 @@ class Beacon:
     ctrl_input: float     # commanded acceleration [m/s^2]
     timestamp: float      # [s]
     length: float = VEHICLE_LENGTH
-
-    def age(self, now: float) -> float:
-        return now - self.timestamp
-
-    def is_stale(self, now: float, max_age: float = BEACON_MAX_AGE) -> bool:
-        return self.age(now) > max_age
 
 
 def bumper_gap(ego_position: float, pred_position: float, pred_length: float):
@@ -90,11 +81,6 @@ def acc_control(ego: VehicleState, pred: VehicleState | Beacon, p: AccParams):
     return acc_accel(ego.speed, pred.speed, gap_to(ego, pred), p.H, p.lam)
 
 
-def cruise_accel(v, v_set, gain=0.5):
-    """Plain speed tracking, used when no predecessor is available."""
-    return gain * (v_set - v)
-
-
 # ---------------------------------------------------------------------------
 # Ploeg
 # ---------------------------------------------------------------------------
@@ -104,8 +90,6 @@ class PloegParams:
     H: float = 0.5        # time headway [s]
     kp: float = 0.2
     kd: float = 0.7
-    u_state: float = 0.0  # actuation filter state, integrated at physics rate
-    stale_held: bool = False
 
     def __post_init__(self):
         if self.H <= 0.0:
@@ -123,28 +107,13 @@ def ploeg_target(gap, v, a, v_pred, u_pred, H, kp, kd):
     return spacing + closing + u_pred
 
 
-def ploeg_accel_rate(u, gap, v, a, v_pred, u_pred, H, kp, kd):
-    """Time derivative of the Ploeg actuation state."""
-    return (ploeg_target(gap, v, a, v_pred, u_pred, H, kp, kd) - u) / H
-
-
-def ploeg_control(
-    ego: VehicleState,
-    pred: Beacon,
-    p: PloegParams,
-    now: float | None = None,
-) -> float:
+def ploeg_control(ego: VehicleState, pred: Beacon, p: PloegParams) -> float:
     """Refresh the filter drive target from the current measurements.
 
     Returns the target held for the coming control period; the engine
-    integrates ``p.u_state`` towards it at the physics rate and applies that
-    state as the actual command.  A stale predecessor beacon returns the
-    current state itself, freezing the filter, and sets ``p.stale_held``.
+    integrates its filter state towards it at the physics rate and applies
+    that state as the actual command.
     """
-    if now is not None and pred.is_stale(now):
-        p.stale_held = True
-        return p.u_state
-    p.stale_held = False
     return ploeg_target(
         gap_to(ego, pred), ego.speed, ego.accel,
         pred.speed, pred.ctrl_input, p.H, p.kp, p.kd,
@@ -181,8 +150,6 @@ class PathParams:
     xi: float = 1.0
     omega_n: float = 0.2
     dd: float = 5.0       # constant desired gap [m]
-    last_u: float = 0.0   # held when beacons go stale
-    stale_held: bool = False
     gains: tuple[float, float, float, float, float] = field(init=False)
 
     def __post_init__(self):
@@ -201,25 +168,13 @@ def path_accel(u_pred, u_lead, v, v_pred, v_lead, gap, dd, gains):
     )
 
 
-def path_control(
-    ego: VehicleState,
-    pred: Beacon,
-    leader: Beacon,
-    p: PathParams,
-    now: float | None = None,
-) -> float:
+def path_control(ego: VehicleState, pred: Beacon, leader: Beacon, p: PathParams) -> float:
     """PATH command from predecessor and elected leader beacons."""
-    if now is not None and (pred.is_stale(now) or leader.is_stale(now)):
-        p.stale_held = True
-        return p.last_u
-    p.stale_held = False
-    u = path_accel(
+    return path_accel(
         pred.ctrl_input, leader.ctrl_input,
         ego.speed, pred.speed, leader.speed,
         gap_to(ego, pred), p.dd, p.gains,
     )
-    p.last_u = u
-    return u
 
 
 # ---------------------------------------------------------------------------
@@ -393,12 +348,6 @@ def idm_accel(v, gap, v_pred, p: IdmParams, v0=None):
     )
     s = np.maximum(gap, 0.01)
     return p.a_max * (free - (s_star / s) ** 2)
-
-
-def idm_control(ego: VehicleState, pred: VehicleState | Beacon | None, p: IdmParams):
-    if pred is None:
-        return idm_accel(ego.speed, None, 0.0, p)
-    return idm_accel(ego.speed, gap_to(ego, pred), pred.speed, p)
 
 
 # ---------------------------------------------------------------------------

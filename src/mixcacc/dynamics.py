@@ -61,10 +61,6 @@ class VehicleState:
     length: float = VEHICLE_LENGTH
     lane: int = 0
 
-    @property
-    def rear(self) -> float:
-        return self.position - self.length
-
 
 def clamp_input(u_cmd: float, params: DynamicsParams, emergency: bool = False) -> float:
     """Clamp a commanded acceleration to the admissible actuator range."""

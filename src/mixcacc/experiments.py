@@ -15,17 +15,19 @@ import json
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .config import Config, spec_hash
+from .config import Config, MobilitySpec, spec_hash
 from .metrics import (
     MetricReport,
-    MetricsError,
     SPEED_FLOOR,
     Window,
     braking_window,
+    delta_a,
+    delta_d,
+    eta,
     max_platoon_occupancy,
     mean_throughput,
     min_gap,
@@ -35,7 +37,8 @@ from .metrics import (
     volatility,
 )
 from .ring import BASELINES, DEVICES, PLATOON_POLICIES, RingSpec, run_ring
-from .scenarios import BRAKING, SINUSOIDAL, SingleScenario, run_platoon_batch
+from .scenarios import BRAKING, SINUSOIDAL, ScenarioError, SingleScenario, run_platoon_batch
+from .topology import ConfigError
 
 # Not called here since sweeps run batches; kept bound in this module for
 # layer-tracing tools that look the single-run entry point up here.
@@ -75,7 +78,7 @@ def sampled_configs(n: int, count: int = SAMPLED_CONFIG_COUNT, seed: int = 0) ->
 
 def configs_for_sweep(n: int, seed: int = 0) -> list[str]:
     if n - 1 <= 0:
-        raise ValueError("platoon size must be at least 2")
+        raise ConfigError("platoon size must be at least 2")
     if n <= FULL_ENUMERATION_MAX:
         return mixed_configs(n)
     return sampled_configs(n, SAMPLED_CONFIG_COUNT, seed)
@@ -96,7 +99,15 @@ class ReferenceData:
 
 
 def scenario_for(kind: str, config: str, duration: float | None = None) -> SingleScenario:
-    return SingleScenario(kind=kind, config=config, duration=duration)
+    """Scenario of a scored run, which must last past its window's start."""
+    scn = SingleScenario(kind=kind, config=config, duration=duration)
+    start = scn.warmup if kind == SINUSOIDAL else scn.brake_onset
+    if scn.duration <= start:
+        raise ScenarioError(
+            f"a {kind} run of {scn.duration:g} s ends before its analysis"
+            f" window opens at {start:g} s"
+        )
+    return scn
 
 
 def analysis_window(trace, scn: SingleScenario) -> Window:
@@ -113,21 +124,20 @@ def build_reference(kind: str, baselines: dict) -> ReferenceData:
     """Collect the reference curves from the four homogeneous platoons.
 
     ``baselines`` maps each letter of :data:`BASELINE_LETTERS` to the
-    ``(trace, scenario)`` of its homogeneous run.
+    ``(trace, scenario)`` of its homogeneous run.  A reference that collides
+    means the parameters leave nothing to score against.
     """
+    for letter, (trace, _) in baselines.items():
+        if trace.terminated_by_collision:
+            raise ScenarioError(f"homogeneous {letter} reference platoon collided")
     acc_trace, acc_scn = baselines["A"]
-    if acc_trace.terminated_by_collision:
-        raise MetricsError("reference ACC platoon collided; cannot build references")
     acc_window = analysis_window(acc_trace, acc_scn)
-    floor = _speed_floor(kind)
     ref = ReferenceData(
         kind=kind,
-        acc_peaks=peak_abs_accel(acc_trace, acc_window, floor),
+        acc_peaks=peak_abs_accel(acc_trace, acc_window, _speed_floor(kind)),
         acc_occupancy=max_platoon_occupancy(acc_trace, acc_window),
     )
     for letter, (trace, scn) in baselines.items():
-        if trace.terminated_by_collision:
-            raise MetricsError(f"homogeneous {letter} reference platoon collided")
         ref.min_gaps[letter] = min_gap(trace, analysis_window(trace, scn))
     return ref
 
@@ -143,22 +153,13 @@ def build_report(trace, scn: SingleScenario, ref: ReferenceData) -> MetricReport
             collided=True,
         )
     window = analysis_window(trace, scn)
-    floor = _speed_floor(scn.kind)
-    own_peaks = peak_abs_accel(trace, window, floor)
-    per_a = {i: ref.acc_peaks[i] - own_peaks[i] for i in own_peaks}
-    worst_a = min(per_a, key=lambda i: (per_a[i], i))
-    own_gaps = min_gap(trace, window)
-    per_d = {}
-    for i, g in own_gaps.items():
-        letter = trace.controllers[i]
-        per_d[i] = g - ref.min_gaps[letter][i]
-    worst_d = min(per_d, key=lambda i: (per_d[i], i))
-    occupancy = max_platoon_occupancy(trace, window)
+    da = delta_a(trace, window, ref.acc_peaks, _speed_floor(scn.kind))
+    dd = delta_d(trace, window, ref.min_gaps)
     return MetricReport(
         config=trace.config, scenario=scn.kind,
-        delta_a=per_a[worst_a], delta_a_vehicle=worst_a,
-        delta_d=per_d[worst_d], delta_d_vehicle=worst_d,
-        eta=ref.acc_occupancy / occupancy,
+        delta_a=da.value, delta_a_vehicle=da.vehicle,
+        delta_d=dd.value, delta_d_vehicle=dd.vehicle,
+        eta=eta(trace, window, ref.acc_occupancy),
         window=(window.t0, window.t1),
     )
 
@@ -176,7 +177,7 @@ def _sweep_batch(args) -> dict[str, tuple[dict | None, str | None]]:
     baselines = dict(zip(BASELINE_LETTERS, zip(traces, scns)))
     for letter, (trace, _) in baselines.items():
         if isinstance(trace, Exception):
-            raise MetricsError(f"homogeneous {letter} reference platoon failed: {trace}")
+            raise ScenarioError(f"homogeneous {letter} reference platoon failed: {trace}")
     ref = build_reference(kind, baselines)
     out = {}
     for scn, trace in zip(scns, traces):
@@ -188,6 +189,16 @@ def _sweep_batch(args) -> dict[str, tuple[dict | None, str | None]]:
         except Exception as exc:  # keep scoring the other rows
             out[scn.config] = (None, str(exc))
     return out
+
+
+def _map_jobs(fn, items: list, jobs: int):
+    """Yield ``fn(item)`` in the order of ``items``, from ``jobs`` worker
+    processes when there is more than one item."""
+    if jobs > 1 and len(items) > 1:
+        with multiprocessing.Pool(jobs) as pool:
+            yield from pool.imap(fn, items)
+    else:
+        yield from map(fn, items)
 
 
 def _atomic_write_json(path: str, payload: dict) -> None:
@@ -254,13 +265,8 @@ def sweep_single(
                 rows = dict.fromkeys(baseline_configs(n) + mixes[i:i + size])
                 batches.append((kind, [scenario_for(kind, c, duration) for c in rows], cfg))
             scored: dict = {}
-            if jobs > 1 and len(batches) > 1:
-                with multiprocessing.Pool(jobs) as pool:
-                    for part in pool.map(_sweep_batch, batches):
-                        scored.update(part)
-            else:
-                for batch in batches:
-                    scored.update(_sweep_batch(batch))
+            for part in _map_jobs(_sweep_batch, batches, jobs):
+                scored.update(part)
             for role, config in todo:
                 report, error = scored[config]
                 if error is not None:
@@ -352,6 +358,22 @@ def run_seed(master: int, cell_index: int, rep: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
+def ring_spec(
+    mob: MobilitySpec,
+    duration: float | None = None,
+    warmup: float | None = None,
+    **run,
+) -> RingSpec:
+    """Ring run ``run`` on the road of ``mob``, which also supplies every
+    field of the same name and, by default, the duration and warmup."""
+    road = {f.name: getattr(mob, f.name) for f in fields(RingSpec) if hasattr(mob, f.name)}
+    return RingSpec(
+        duration=mob.ring_duration if duration is None else duration,
+        warmup=mob.ring_warmup if warmup is None else warmup,
+        **road, **run,
+    )
+
+
 def make_ring_spec(
     cell: RingCell,
     cfg: Config,
@@ -359,22 +381,15 @@ def make_ring_spec(
     duration: float | None = None,
     warmup: float | None = None,
 ) -> RingSpec:
-    mob = cfg.mobility
-    return RingSpec(
+    platoon = cell.category == "platoon"
+    return ring_spec(
+        cfg.mobility, duration, warmup,
         density=cell.density,
-        penetration=cell.penetration if cell.category == "platoon" else 0.0,
-        platoon_size=cell.platoon_size if cell.category == "platoon" else 8,
-        platoon_policy=cell.policy if cell.category == "platoon" else "P",
-        baseline=cell.policy if cell.category == "baseline" else "ACC",
-        circumference=mob.circumference,
-        lanes=mob.lanes,
-        speed_classes_kmh=mob.speed_classes_kmh,
-        speed_jitter_kmh=mob.speed_jitter_kmh,
-        duration=duration if duration is not None else mob.ring_duration,
-        warmup=warmup if warmup is not None else mob.ring_warmup,
+        penetration=cell.penetration if platoon else 0.0,
+        platoon_size=cell.platoon_size if platoon else 8,
+        platoon_policy=cell.policy if platoon else "P",
+        baseline=cell.policy if not platoon else "ACC",
         seed=seed,
-        volatility_sample_dt=mob.volatility_sample_dt,
-        counter_window=mob.counter_window,
     )
 
 
@@ -405,10 +420,14 @@ def ring_run_metrics(trace) -> dict:
 
 
 def _ring_worker(args):
+    """One ring run; returns ``(cell, rep, seed, metrics, error)``."""
     cell, rep, seed, duration, warmup, cfg = args
-    spec = make_ring_spec(cell, cfg, seed, duration, warmup)
-    trace = run_ring(spec, cfg.dynamics, cfg.controllers)
-    return cell, rep, seed, ring_run_metrics(trace)
+    try:
+        spec = make_ring_spec(cell, cfg, seed, duration, warmup)
+        trace = run_ring(spec, cfg.dynamics, cfg.controllers)
+        return cell, rep, seed, ring_run_metrics(trace), None
+    except Exception as exc:  # keep sweeping, report at the end
+        return cell, rep, seed, None, str(exc)
 
 
 def confidence_halfwidth(values, level: float = 0.95) -> float:
@@ -466,28 +485,15 @@ def sweep_ring(
             else:
                 todo.append((cell, rep, run_seed(seed, ci, rep), duration, warmup, cfg))
 
-    def persist(cell, rep, run_seed_value, metrics):
-        payload = {
-            "spec_hash": h, "cell": cell.cell_id, "rep": rep,
-            "seed": run_seed_value, **metrics,
-        }
-        path = os.path.join(out_dir, "ring", cell.cell_id, f"rep{rep}.json")
-        _atomic_write_json(path, payload)
+    # results come in the order of todo, so failures list by (cell, rep)
+    for cell, rep, s, metrics, error in _map_jobs(_ring_worker, todo, jobs):
+        if error is not None:
+            failed.append({"cell": cell.cell_id, "rep": rep, "error": error})
+            continue
+        payload = {"spec_hash": h, "cell": cell.cell_id, "rep": rep, "seed": s, **metrics}
+        _atomic_write_json(os.path.join(out_dir, "ring", cell.cell_id, f"rep{rep}.json"),
+                           payload)
         results[cell.cell_id].append(payload)
-
-    if jobs > 1 and len(todo) > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            for cell, rep, s, metrics in pool.imap_unordered(_ring_worker, todo):
-                persist(cell, rep, s, metrics)
-    else:
-        for args in todo:
-            try:
-                cell, rep, s, metrics = _ring_worker(args)
-            except Exception as exc:  # keep sweeping, report at the end
-                failed.append({"cell": args[0].cell_id, "rep": args[1],
-                               "error": str(exc)})
-                continue
-            persist(cell, rep, s, metrics)
 
     aggregate = {}
     for cell in cells:

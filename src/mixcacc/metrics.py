@@ -93,24 +93,19 @@ def peak_abs_accel(
 
 
 def delta_a(
-    trace_c,
-    trace_ref,
-    window_c: Window,
-    window_ref: Window | None = None,
-    speed_floor: float | None = None,
+    trace, window: Window, ref_peaks: dict[int, float], speed_floor: float | None = None
 ) -> PlatoonMetric:
     """Acceleration margin of a platoon against the all-ACC reference.
 
-    Positive per-vehicle values mean the studied controller needed milder
-    accelerations than ACC in the same seat; the platoon value is the worst
-    (smallest) follower margin.
+    ``ref_peaks`` are the :func:`peak_abs_accel` values of the all-ACC
+    platoon.  Positive per-vehicle values mean the studied controller needed
+    milder accelerations than ACC in the same seat; the platoon value is the
+    worst (smallest) follower margin.
     """
-    window_ref = window_ref or window_c
-    ref = peak_abs_accel(trace_ref, window_ref, speed_floor)
-    own = peak_abs_accel(trace_c, window_c, speed_floor)
-    if set(ref) != set(own):
+    own = peak_abs_accel(trace, window, speed_floor)
+    if set(ref_peaks) != set(own):
         raise MetricsError("platoon size mismatch between trace and reference")
-    per = {i: ref[i] - own[i] for i in own}
+    per = {i: ref_peaks[i] - own[i] for i in own}
     worst = min(per, key=lambda i: (per[i], i))
     return PlatoonMetric(per[worst], worst, per)
 
@@ -125,27 +120,23 @@ def min_gap(trace, window: Window) -> dict[int, float]:
 
 
 def delta_d(
-    trace_c,
-    homogeneous: dict[str, object],
-    window_c: Window,
-    windows_h: dict[str, Window],
+    trace, window: Window, ref_gaps: dict[str, dict[int, float]]
 ) -> PlatoonMetric:
     """Gap margin of each follower against its own-controller homogeneous run.
 
-    Negative per-vehicle values mean the mixed platoon compressed that
-    follower's gap below what the controller achieves among its own kind.
+    ``ref_gaps`` maps a controller letter to the :func:`min_gap` values of
+    its homogeneous platoon.  Negative per-vehicle values mean the mixed
+    platoon compressed that follower's gap below what the controller
+    achieves among its own kind.
     """
-    own = min_gap(trace_c, window_c)
     per: dict[int, float] = {}
-    for i in range(1, trace_c.n_vehicles):
-        letter = trace_c.controllers[i]
-        if letter not in homogeneous:
+    for i, g in min_gap(trace, window).items():
+        letter = trace.controllers[i]
+        if letter not in ref_gaps:
             raise MetricsError(f"missing homogeneous reference for controller {letter!r}")
-        ref = homogeneous[letter]
-        ref_gaps = min_gap(ref, windows_h[letter])
-        if i not in ref_gaps:
+        if i not in ref_gaps[letter]:
             raise MetricsError(f"homogeneous reference shorter than platoon at vehicle {i}")
-        per[i] = own[i] - ref_gaps[i]
+        per[i] = g - ref_gaps[letter][i]
     worst = min(per, key=lambda i: (per[i], i))
     return PlatoonMetric(per[worst], worst, per)
 
@@ -157,14 +148,16 @@ def max_platoon_occupancy(trace, window: Window) -> float:
     return float(total.max())
 
 
-def eta(trace_c, trace_ref, window_c: Window, window_ref: Window | None = None) -> float:
-    """Occupancy gain: maximum ACC footprint over maximum studied footprint."""
-    window_ref = window_ref or window_c
-    own = max_platoon_occupancy(trace_c, window_c)
-    ref = max_platoon_occupancy(trace_ref, window_ref)
+def eta(trace, window: Window, ref_occupancy: float) -> float:
+    """Occupancy gain: maximum ACC footprint over maximum studied footprint.
+
+    ``ref_occupancy`` is the :func:`max_platoon_occupancy` of the all-ACC
+    platoon.
+    """
+    own = max_platoon_occupancy(trace, window)
     if own <= 0.0:
         raise MetricsError("degenerate occupancy in studied trace")
-    return ref / own
+    return ref_occupancy / own
 
 
 @dataclass

@@ -18,11 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controllers import (
-    GSBL_CLOSING_SPEED,
-    GSBL_OVERRIDE_GAP,
-    GSBL_SPEED_GUARD,
     ControllerSet,
     acc_accel,
+    gsbl_mode_arrays,
     idm_accel,
     path_accel,
     ploeg_target,
@@ -35,7 +33,7 @@ from .dynamics import (
     VEHICLE_LENGTH,
     step_arrays,
 )
-from .scenarios import Trace, TraceEvent
+from .scenarios import ScenarioError, Trace, TraceEvent
 from .topology import elect_ego_leaders, parse_config
 
 CODE_ACC = 0
@@ -128,8 +126,6 @@ class RingWorld:
     ego_leader: np.ndarray           # elected leader index, -1 if none
     ploeg_u: np.ndarray
     gsbl_override: np.ndarray
-    gsbl_vr: np.ndarray
-    gsbl_r: np.ndarray
     lc_last: np.ndarray
     platoon_configs: list[str] = field(default_factory=list)
 
@@ -164,25 +160,24 @@ def _lane_sort(world: RingWorld) -> _LaneIndex:
     return _LaneIndex(lanes, pred, gap)
 
 
-def detect_collisions(world: RingWorld, t: float = 0.0) -> list[TraceEvent]:
-    """Same-lane bumper overlaps; vehicles in different lanes never collide."""
-    L = _lane_sort(world)
-    events = []
+def detect_collisions(
+    world: RingWorld, t: float = 0.0, L: _LaneIndex | None = None
+) -> list[TraceEvent]:
+    """Same-lane bumper overlaps; different lanes never collide.
+
+    Pass the lane index of the current state as ``L`` to skip re-sorting.
+    """
+    L = L or _lane_sort(world)
     hits = np.flatnonzero((L.gap <= 0.0) & (L.pred != np.arange(world.n)))
-    for i in hits:
-        events.append(TraceEvent(
-            t, "collision", int(i), int(L.pred[i]), f"gap={L.gap[i]:.3f}"
-        ))
-    return events
+    return [
+        TraceEvent(t, "collision", int(i), int(L.pred[i]), f"gap={L.gap[i]:.3f}")
+        for i in hits
+    ]
 
 
 # ---------------------------------------------------------------------------
 # Spawning
 # ---------------------------------------------------------------------------
-
-def _entity_block_length(lengths, internal_gaps) -> float:
-    return float(np.sum(lengths) + np.sum(internal_gaps))
-
 
 def spawn_ring_traffic(
     spec: RingSpec,
@@ -296,7 +291,6 @@ def spawn_ring_traffic(
         ego_leader=np.full(total, -1, dtype=np.int64),
         ploeg_u=np.zeros(total),
         gsbl_override=np.zeros(total, dtype=bool),
-        gsbl_vr=np.zeros(total), gsbl_r=np.full(total, ctrl.gsbl.r_default),
         lc_last=np.full(total, -np.inf),
     )
 
@@ -338,7 +332,6 @@ def _place_entity(world, ctrl, e, head_front, lane):
         world.desired[i] = e["v_des"]
         world.lane[i] = lane
         world.code[i] = CODE_BY_LETTER[letter]
-        world.gsbl_vr[i] = v
         if len(idx) > 1:
             world.platoon_id[i] = pid
             if m + 1 < len(idx):
@@ -504,20 +497,10 @@ def _gsbl_tick(world, idxG, L, ctrl):
     vp = v0[L.pred[idxG]]
     gapf = L.gap[idxG]
 
-    hard = u_l <= p.delta_a
-    closing = (gapf <= GSBL_OVERRIDE_GAP) & ((vi - vp) > GSBL_CLOSING_SPEED)
-    override = np.where(u_l >= 0.0, False, np.where(hard | closing, True, world.gsbl_override[idxG]))
-    v_des = v_l + u_l * p.delta_t
-    dv = vi - v_des
-    small = np.abs(dv) < GSBL_SPEED_GUARD
-    r_ov = np.clip(np.abs(u_l / np.where(small, 1.0, dv)), p.r_min, p.r_max)
-    r_ov = np.where(small, p.r_max, r_ov)
-    world.gsbl_override[idxG] = override
-    world.gsbl_vr[idxG] = np.where(override, v_des, v_l)
-    world.gsbl_r[idxG] = np.where(override, r_ov, p.r_default)
+    # only the override latch carries over; v_r and r follow the beacon
+    world.gsbl_override[idxG], vr, r = gsbl_mode_arrays(
+        world.gsbl_override[idxG], v_l, u_l, vi, vp, gapf, p)
 
-    r = world.gsbl_r[idxG]
-    vr = world.gsbl_vr[idxG]
     u = p.k * (gapf - p.d) + p.h * (vp - vi) - r * (vi - vr)
     succ = world.member_succ[idxG]
     has = succ >= 0
@@ -596,11 +579,8 @@ class RingTrace:
     end_time: float
     full: Trace | None = None
 
-    def counters_csv(self, header_comment: str | None = None) -> str:
-        lines = []
-        if header_comment:
-            lines.append(f"# {header_comment}")
-        lines.append("t,device,veh,lane")
+    def counters_csv(self) -> str:
+        lines = ["t,device,veh,lane"]
         for t, d, v, l in zip(
             self.counter_times, self.counter_devices,
             self.counter_vehicles, self.counter_lanes,
@@ -638,7 +618,7 @@ def run_ring(
     C = spec.circumference
     sub = round(spec.control_dt / dyn.dt)
     if abs(sub * dyn.dt - spec.control_dt) > 1e-9 or sub < 1:
-        raise ValueError("control_dt must be a multiple of the dynamics dt")
+        raise ScenarioError("control_dt must be a multiple of the dynamics dt")
     # IDM stands in for human drivers simulated without powertrain lag
     tau = np.where(world.code == CODE_IDM, dyn.dt, dyn.tau)
     m_ploeg = world.code == CODE_PLOEG
@@ -672,12 +652,9 @@ def run_ring(
     for k in range(ticks + 1):
         t = k * spec.control_dt
         L = _lane_sort(world)
-        crash = np.flatnonzero((L.gap <= 0.0) & (L.pred != np.arange(world.n)))
-        if crash.size:
-            for i in crash:
-                events.append(TraceEvent(
-                    t, "collision", int(i), int(L.pred[i]), f"gap={L.gap[i]:.3f}"
-                ))
+        crash = detect_collisions(world, t, L)
+        if crash:
+            events.extend(crash)
             collided = True
             end_time = t
             break

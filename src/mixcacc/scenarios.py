@@ -176,10 +176,8 @@ class Trace:
                 ])
         return buf.getvalue()
 
-    def events_csv(self, header_comment: str | None = None) -> str:
+    def events_csv(self) -> str:
         buf = io.StringIO()
-        if header_comment:
-            buf.write(f"# {header_comment}\n")
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["t", "kind", "veh_a", "veh_b", "detail"])
         for ev in self.events:

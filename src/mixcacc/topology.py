@@ -66,11 +66,6 @@ def parse_config(text: str) -> PlatoonConfig:
     return PlatoonConfig(tuple(text))
 
 
-def format_config(cfg: PlatoonConfig) -> str:
-    """Inverse of :func:`parse_config`."""
-    return str(cfg)
-
-
 def elect_ego_leaders(cfg: PlatoonConfig | str) -> dict[int, int | None]:
     """Leader election for every follower.
 
@@ -165,29 +160,3 @@ def extended_connectivity_matrix(
             cells[i, 0] = 1
     return ConnectivityMatrix(cells, has_external_ref=True)
 
-
-def classify_matrix(matrix: ConnectivityMatrix) -> dict[str, bool]:
-    """Shape classification used in reports.
-
-    Triangularity is only defined for square matrices; any upward link (for
-    example a spring-damper successor coupling) breaks it.
-    """
-    rows, cols = matrix.shape
-    square = rows == cols and not matrix.has_external_ref
-    lower = bool(square and not np.triu(matrix.cells, k=1).any())
-    return {"square": square, "lower_triangular": lower}
-
-
-def matrix_diff(a: ConnectivityMatrix, b: ConnectivityMatrix) -> list[tuple[int, int, int, int]]:
-    """Cell-level differences ``(row, col, a_value, b_value)`` between two
-    matrices of equal shape."""
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    out = []
-    rows, cols = a.shape
-    for i in range(rows):
-        for j in range(cols):
-            va, vb = int(a.cells[i, j]), int(b.cells[i, j])
-            if va != vb:
-                out.append((i, j, va, vb))
-    return out

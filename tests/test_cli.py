@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+from mixcacc import cli
 from mixcacc.cli import (
     EXIT_COLLISION,
     EXIT_CONFIG,
@@ -93,6 +94,17 @@ def test_single_collision_sets_exit_code(tmp_path, capsys):
     assert "min_gap" not in facts
 
 
+def test_sweep_single_with_a_colliding_reference_is_a_config_error(tmp_path, capsys):
+    """Parameters under which a homogeneous reference crashes leave nothing
+    to score the mixes against."""
+    params = tmp_path / "tight.ini"
+    params.write_text("[path]\ndd = 0.6\n")
+    code = main(["--params", str(params), "--out", str(tmp_path),
+                 "sweep-single", "-n", "2", "--scenario", "braking"])
+    assert code == EXIT_CONFIG
+    assert "reference platoon collided" in capsys.readouterr().err
+
+
 def test_single_leaderless_config_is_a_config_error(tmp_path, capsys):
     code = main(["--out", str(tmp_path), "single", "--", "PPP"])
     assert code == EXIT_CONFIG
@@ -109,6 +121,44 @@ def test_malformed_params_file_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "single_run").exists()
 
 
+def test_unknown_params_key_is_a_config_error(tmp_path, capsys):
+    params = tmp_path / "typo.ini"
+    params.write_text("[acc]\nlam = 2.0\n")
+    code = main(["--params", str(params), "--out", str(tmp_path),
+                 "single", "--", "-PP"])
+    assert code == EXIT_CONFIG
+    assert "'lam'" in capsys.readouterr().err
+    assert not (tmp_path / "single_run").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-single", "-n", "1"],
+    ["single", "--scenario", "braking", "--duration", "20", "--", "-PP"],
+    ["single", "--scenario", "sinusoidal", "--duration", "20", "--", "-PP"],
+], ids=["platoon-of-one", "braking-ends-before-onset", "sinusoidal-ends-in-warmup"])
+def test_unusable_run_settings_are_config_errors(tmp_path, capsys, argv):
+    assert main(["--out", str(tmp_path)] + argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_ring_step_mismatch_is_a_config_error(tmp_path, capsys):
+    params = tmp_path / "dt.ini"
+    params.write_text("[dynamics]\ndt = 0.03\n")
+    code = main(["--params", str(params), "--out", str(tmp_path),
+                 "ring", "--density", "5", "--duration", "30", "--warmup", "15"])
+    assert code == EXIT_CONFIG
+    assert "multiple of the dynamics dt" in capsys.readouterr().err
+
+
+def test_internal_value_error_is_not_reported_as_bad_configuration(tmp_path, monkeypatch):
+    def broken_run(*args, **kwargs):
+        raise ValueError("non-finite control input: nan")
+
+    monkeypatch.setattr(cli, "run_single_platoon", broken_run)
+    with pytest.raises(ValueError, match="non-finite control input"):
+        main(["--out", str(tmp_path), "single", "--", "-PP"])
+
+
 def test_ring_run_writes_counters_and_metrics(tmp_path, capsys):
     code = main(["--out", str(tmp_path), "ring", "--density", "5",
                  "--duration", "30", "--warmup", "15", "--seed", "2",
@@ -123,6 +173,7 @@ def test_ring_run_writes_counters_and_metrics(tmp_path, capsys):
     assert counters[0] == "t,device,veh,lane"
     payload = json.loads(stem.with_suffix(".json").read_text())
     assert payload["n_vehicles"] == 50
+    assert payload["spec_hash"] == "f0820bedf3916c3e"   # the hash payload is pinned
     assert payload["throughput"] > 0.0
     trace_head = (stem.parent / "seed2_trace.csv").read_text().splitlines()[0]
     assert trace_head.startswith("# spec_hash=")
@@ -153,13 +204,19 @@ def test_sweep_ring_dry_run_lists_the_grid(tmp_path, capsys):
 
 
 def test_sweep_ring_reports_partial_failure(tmp_path, capsys):
-    """A density beyond the geometric packing limit fails every spawn."""
-    code = main(["--out", str(tmp_path), "sweep-ring", "--density", "500",
-                 "--repetitions", "1"])
-    assert code == EXIT_PARTIAL
-    assert "runs failed" in capsys.readouterr().out
-    summary = json.loads((tmp_path / "ring" / "summary.json").read_text())
-    assert len(summary["failed"]) == summary["cell_count"] == 38
+    """A density beyond the geometric packing limit fails every spawn, and
+    serial and parallel sweeps report the failures alike."""
+    failed = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        code = main(["--out", str(out), "sweep-ring", "--density", "500",
+                     "--repetitions", "1", "--jobs", jobs])
+        assert code == EXIT_PARTIAL
+        assert "runs failed" in capsys.readouterr().out
+        summary = json.loads((out / "ring" / "summary.json").read_text())
+        assert len(summary["failed"]) == summary["cell_count"] == 38
+        failed[jobs] = summary["failed"]
+    assert failed["2"] == failed["1"]
 
 
 def test_sweep_single_with_a_failing_config_exits_partial(tmp_path, capsys, poisoned_config):

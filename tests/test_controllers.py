@@ -19,7 +19,6 @@ from mixcacc.controllers import (
     acc_accel,
     acc_control,
     bumper_gap,
-    cruise_accel,
     gap_to,
     gsbl_accel,
     gsbl_accel_head,
@@ -28,19 +27,17 @@ from mixcacc.controllers import (
     gsbl_mode_arrays,
     gsbl_mode_update,
     idm_accel,
-    idm_control,
     path_accel,
     path_control,
     path_gains,
-    ploeg_accel_rate,
     ploeg_control,
     ploeg_target,
 )
 from mixcacc.dynamics import VehicleState
 
 
-def beacon(vid=0, position=0.0, speed=0.0, accel=0.0, ctrl_input=0.0, t=0.0):
-    return Beacon(vid, position, speed, accel, ctrl_input, t)
+def beacon(vid=0, position=0.0, speed=0.0, accel=0.0, ctrl_input=0.0):
+    return Beacon(vid, position, speed, accel, ctrl_input, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -56,13 +53,6 @@ def test_gap_to_uses_vehicle_lengths():
     ego = VehicleState(position=0.0, speed=20.0)
     pred = VehicleState(position=25.0, speed=20.0)
     assert gap_to(ego, pred) == 21.0
-
-
-def test_beacon_age_and_staleness():
-    b = beacon(t=1.0)
-    assert b.age(1.2) == pytest.approx(0.2)
-    assert not b.is_stale(1.2)
-    assert b.is_stale(1.3 + 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -98,11 +88,6 @@ def test_acc_headway_must_be_positive():
         AccParams(H=0.0)
 
 
-def test_cruise_accel_gain():
-    assert cruise_accel(20.0, 24.0) == pytest.approx(2.0)
-    assert cruise_accel(24.0, 24.0) == 0.0
-
-
 # ---------------------------------------------------------------------------
 # Ploeg
 # ---------------------------------------------------------------------------
@@ -113,7 +98,7 @@ def test_ploeg_one_metre_surplus_gap():
     v = 30.0
     target = ploeg_target(H * v + 1.0, v, 0.0, v, 0.0, H, kp, kd)
     assert target == pytest.approx(0.2, rel=1e-12)
-    rate = ploeg_accel_rate(0.0, H * v + 1.0, v, 0.0, v, 0.0, H, kp, kd)
+    rate = (target - 0.0) / H          # the filter state starts at 0
     assert rate == pytest.approx(0.4, rel=1e-12)
     # a single forward-Euler step over one 0.1 s control period
     assert 0.0 + 0.1 * rate == pytest.approx(0.04, rel=1e-12)
@@ -124,8 +109,9 @@ def test_ploeg_braking_predecessor():
     # pulling the filter down at (-8 - 0)/0.5 = -16 per second
     H, kp, kd = 0.5, 0.2, 0.7
     v = 30.0
-    assert ploeg_target(H * v - 5.0, v, 0.0, v - 10.0, 0.0, H, kp, kd) == pytest.approx(-8.0)
-    assert ploeg_accel_rate(0.0, H * v - 5.0, v, 0.0, v - 10.0, 0.0, H, kp, kd) == pytest.approx(-16.0)
+    target = ploeg_target(H * v - 5.0, v, 0.0, v - 10.0, 0.0, H, kp, kd)
+    assert target == pytest.approx(-8.0)
+    assert (target - 0.0) / H == pytest.approx(-16.0)
 
 
 def test_ploeg_feedforward_passes_predecessor_command():
@@ -134,15 +120,11 @@ def test_ploeg_feedforward_passes_predecessor_command():
     assert ploeg_target(H * v, v, 0.0, v, 1.3, H, kp, kd) == pytest.approx(1.3)
 
 
-def test_ploeg_control_fresh_and_stale():
-    p = PloegParams(u_state=0.5)
+def test_ploeg_control_at_equilibrium_targets_zero():
+    p = PloegParams()
     ego = VehicleState(position=0.0, speed=30.0, accel=0.0)
-    pred = beacon(position=19.0, speed=30.0, t=0.0)  # gap 15 m = H v
-    assert ploeg_control(ego, pred, p, now=0.05) == pytest.approx(0.0)
-    assert not p.stale_held
-    # beacon older than the staleness bound: the filter freezes on its state
-    assert ploeg_control(ego, pred, p, now=0.4) == 0.5
-    assert p.stale_held
+    pred = beacon(position=19.0, speed=30.0)  # gap 15 m = H v
+    assert ploeg_control(ego, pred, p) == pytest.approx(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -196,17 +178,13 @@ def test_path_accel_leader_braking_feedforward():
     assert u == pytest.approx(-4.0, rel=1e-12)
 
 
-def test_path_control_holds_last_command_on_stale_leader():
+def test_path_control_passes_leader_braking_feedforward():
     p = PathParams()
     ego = VehicleState(position=0.0, speed=25.0)
-    pred = beacon(vid=1, position=9.0, speed=25.0, t=1.0)
-    leader = beacon(vid=0, position=18.0, speed=25.0, ctrl_input=-8.0, t=1.0)
-    u = path_control(ego, pred, leader, p, now=1.05)
+    pred = beacon(vid=1, position=9.0, speed=25.0)
+    leader = beacon(vid=0, position=18.0, speed=25.0, ctrl_input=-8.0)
+    u = path_control(ego, pred, leader, p)
     assert u == pytest.approx(-4.0, rel=1e-12)
-    assert p.last_u == u
-    stale_leader = replace(leader, timestamp=0.0)
-    assert path_control(ego, pred, stale_leader, p, now=1.05) == u
-    assert p.stale_held
 
 
 # ---------------------------------------------------------------------------
@@ -389,12 +367,6 @@ def test_idm_short_gap_brakes():
     assert idm_accel(20.0, p.s0 + 20.0 * p.T, 20.0, p) < 0.0
     # closing fast onto a slow predecessor is much worse
     assert idm_accel(20.0, 10.0, 5.0, p) < -3.0
-
-
-def test_idm_control_free_road():
-    p = IdmParams()
-    ego = VehicleState(position=0.0, speed=p.v0 / 2.0)
-    assert idm_control(ego, None, p) == pytest.approx(0.9375 * p.a_max)
 
 
 # ---------------------------------------------------------------------------

@@ -391,5 +391,5 @@ class _SerialPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return [fn(x) for x in items]
+    def imap(self, fn, items):
+        return map(fn, items)

@@ -116,7 +116,8 @@ def test_peak_abs_accel_speed_floor_drops_crawl_samples():
 
 def test_delta_a_self_comparison_is_zero():
     tr = flat_trace()
-    m = delta_a(tr, tr, Window(0.0, 1.0))
+    w = Window(0.0, 1.0)
+    m = delta_a(tr, w, peak_abs_accel(tr, w))
     assert m.value == 0.0
     assert all(v == 0.0 for v in m.per_vehicle.values())
 
@@ -125,7 +126,8 @@ def test_delta_a_negative_when_mix_shakes_harder():
     ref = flat_trace(accel=1.0)
     worse = flat_trace(accel=1.0)
     worse.accel[:, 2] = 1.5
-    m = delta_a(worse, ref, Window(0.0, 1.0))
+    w = Window(0.0, 1.0)
+    m = delta_a(worse, w, peak_abs_accel(ref, w))
     assert m.value == pytest.approx(-0.5)
     assert m.vehicle == 2
     assert m.per_vehicle[1] == 0.0
@@ -141,7 +143,7 @@ def test_min_gap_per_follower():
 def test_delta_d_self_comparison_is_zero():
     tr = flat_trace(controllers=("-", "L", "L"))
     w = Window(0.0, 1.0)
-    m = delta_d(tr, {"L": tr}, w, {"L": w})
+    m = delta_d(tr, w, {"L": min_gap(tr, w)})
     assert m.value == 0.0
 
 
@@ -150,7 +152,7 @@ def test_delta_d_flags_compressed_follower():
     ref = flat_trace(controllers=("-", "L", "L"), gap=30.0)
     mixed = flat_trace(controllers=("-", "L", "L"), gap=30.0)
     mixed.gap[3, 1] = 26.0
-    m = delta_d(mixed, {"L": ref}, w, {"L": w})
+    m = delta_d(mixed, w, {"L": min_gap(ref, w)})
     assert m.value == pytest.approx(-4.0)
     assert m.vehicle == 1
 
@@ -159,7 +161,7 @@ def test_delta_d_requires_matching_reference():
     tr = flat_trace(controllers=("-", "G", "G"))
     w = Window(0.0, 1.0)
     with pytest.raises(MetricsError):
-        delta_d(tr, {"L": tr}, w, {"L": w})
+        delta_d(tr, w, {"L": min_gap(tr, w)})
 
 
 def test_occupancy_and_eta():
@@ -169,8 +171,9 @@ def test_occupancy_and_eta():
     assert max_platoon_occupancy(ref, w) == pytest.approx(60.0)
     assert max_platoon_occupancy(own, w) == pytest.approx(20.0)
     # shorter road footprint scores a proportionally larger efficiency
-    assert eta(own, ref, w) == pytest.approx(3.0)
-    assert eta(ref, ref, w) == pytest.approx(1.0)
+    ref_occupancy = max_platoon_occupancy(ref, w)
+    assert eta(own, w, ref_occupancy) == pytest.approx(3.0)
+    assert eta(ref, w, ref_occupancy) == pytest.approx(1.0)
 
 
 def test_eta_rejects_degenerate_occupancy():
@@ -178,7 +181,7 @@ def test_eta_rejects_degenerate_occupancy():
     ref = flat_trace(gap=30.0)
     broken = flat_trace(gap=0.0)
     with pytest.raises(MetricsError):
-        eta(broken, ref, w)
+        eta(broken, w, max_platoon_occupancy(ref, w))
 
 
 # ---------------------------------------------------------------------------
