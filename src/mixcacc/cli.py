@@ -32,7 +32,7 @@ from .experiments import (
 )
 from .metrics import min_gap, peak_abs_accel
 from .ring import BASELINES, PLATOON_POLICIES, SpawnError, run_ring
-from .scenarios import BRAKING, SINUSOIDAL, ScenarioError, run_single_platoon
+from .scenarios import BRAKING, SINUSOIDAL, ScenarioError, events_csv, run_single_platoon
 from .topology import (
     ConfigError,
     connectivity_matrix,
@@ -60,14 +60,14 @@ def _write(path: str, text: str) -> None:
 
 def cmd_single(args) -> int:
     cfg = _load_params(args.params)
-    scn = scenario_for(args.scenario, args.config, args.duration)
+    scn = scenario_for(args.scenario, args.config, args.duration, args.control_dt)
     trace = run_single_platoon(scn, cfg.dynamics, cfg.controllers,
                                control_dt=args.control_dt)
     h = spec_hash(cfg, {"command": "single", "config": args.config,
                         "scenario": args.scenario, "duration": args.duration})
     stem = os.path.join(args.out, "single_run", f"{args.config}_{args.scenario}")
     _write(stem + ".csv", trace.rows_csv(header_comment=f"spec_hash={h}"))
-    _write(stem + "_events.csv", trace.events_csv())
+    _write(stem + "_events.csv", events_csv(trace.events))
 
     facts = {"spec_hash": h, "config": args.config, "scenario": args.scenario,
              "collided": trace.terminated_by_collision}
@@ -103,7 +103,7 @@ def cmd_ring(args) -> int:
                         "warmup": spec.warmup})
     stem = os.path.join(args.out, "ring_run", f"seed{args.seed}")
     _write(stem + "_counters.csv", trace.counters_csv())
-    _write(stem + "_events.csv", trace.events_csv())
+    _write(stem + "_events.csv", events_csv(trace.events))
     metrics = {"spec_hash": h, **ring_run_metrics(trace)}
     _write(stem + ".json", json.dumps(metrics, indent=1, sort_keys=True) + "\n")
     if args.full_trace and trace.full is not None:

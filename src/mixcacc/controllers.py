@@ -13,9 +13,10 @@ for human-driven baseline traffic:
   machine (cruise/override) retunes the reference during hard braking.
 
 The raw control laws are plain arithmetic and accept scalars or numpy arrays
-interchangeably; the simulation engines call them on arrays.  The per-vehicle
-``*_control`` wrappers and :func:`gsbl_mode_update` are the reference
-specification the vectorized code is tested against.
+interchangeably.  Both simulation engines make every control decision through
+one call of :func:`control_tick` over arrays of gathered neighbour state; the
+per-vehicle ``*_control`` wrappers and :func:`gsbl_mode_update` are the
+reference specification it is tested against.
 """
 
 from __future__ import annotations
@@ -23,10 +24,22 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import VehicleState, VEHICLE_LENGTH
+from .dynamics import STANDSTILL_GAP, STANDSTILL_SPEED, VEHICLE_LENGTH, VehicleState
+
+# Family codes of the array engines, in the order of LETTER_BY_CODE.
+CODE_ACC = 0
+CODE_PLOEG = 1
+CODE_PATH = 2
+CODE_GSBL = 3
+CODE_IDM = 4
+LETTER_BY_CODE = "ALPGI"
+CODE_BY_LETTER = {c: i for i, c in enumerate(LETTER_BY_CODE)}
+
+SET_SPEED_GAIN = 1.0    # 1/s, cruise term that caps ACC below its desired speed
 
 # Override entry thresholds of the GSBL supervisory logic.
 GSBL_OVERRIDE_GAP = 4.0      # m, critically small front gap
@@ -348,6 +361,85 @@ def idm_accel(v, gap, v_pred, p: IdmParams, v0=None):
     )
     s = np.maximum(gap, 0.01)
     return p.a_max * (free - (s_star / s) ** 2)
+
+
+# ---------------------------------------------------------------------------
+# One control tick over arrays
+# ---------------------------------------------------------------------------
+
+class Neighbour(NamedTuple):
+    """Gathered state of one neighbour of every vehicle.
+
+    ``present`` marks the vehicles that have this neighbour; elsewhere the
+    other fields hold placeholders that no law reads.  A field that no law
+    reads for this neighbour is ``None``.
+    """
+
+    speed: np.ndarray
+    cmd: np.ndarray | None
+    gap: np.ndarray | None
+    present: np.ndarray
+
+
+def control_tick(code, v, a, pred: Neighbour, lead: Neighbour, succ: Neighbour,
+                 v_ref, desired, override, ctrl: ControllerSet):
+    """Commands of every vehicle for one control period.
+
+    ``code`` holds each vehicle's family (``CODE_*``; any other value gets a
+    zero command for its engine to replace), ``v`` and ``a`` its speed and
+    realized acceleration.  ``pred`` is the physical predecessor (speed,
+    command, bumper gap), ``lead`` the elected leader (speed, command) and
+    ``succ`` the platoon successor (speed, and its own front gap, which is
+    the vehicle's rear gap).  ``v_ref`` is the speed reference of a
+    spring-damper car without a leader and ``desired`` the cruise speed that
+    caps ACC (``inf`` leaves the ACC law alone) and drives IDM.  ``override``
+    holds the latched supervisor modes.  Every array broadcasts against
+    ``v``, and each entry equals the per-vehicle law float for float.
+
+    Returns the commands, the auto-hold mask and the new override latches,
+    which only spring-damper cars with a leader can hold.  Held vehicles
+    still get their law's command: what they may apply is capped by
+    :func:`dynamics.advance`.
+    """
+    u = np.zeros(np.shape(v))
+    latch = np.zeros(np.shape(v), dtype=bool)
+    for family in np.unique(code):
+        m = code == family
+        if family == CODE_ACC:
+            law = np.minimum(acc_accel(v, pred.speed, pred.gap, ctrl.acc.H, ctrl.acc.lam),
+                             SET_SPEED_GAIN * (desired - v))
+        elif family == CODE_PLOEG:
+            p = ctrl.ploeg
+            law = ploeg_target(pred.gap, v, a, pred.speed, pred.cmd, p.H, p.kp, p.kd)
+        elif family == CODE_PATH:
+            law = path_accel(pred.cmd, lead.cmd, v, pred.speed, lead.speed, pred.gap,
+                             ctrl.path.dd, ctrl.path.gains)
+        elif family == CODE_IDM:
+            law = idm_accel(v, pred.gap, pred.speed, ctrl.idm, v0=desired)
+        elif family == CODE_GSBL:
+            p = ctrl.gsbl
+            new, v_r, r = gsbl_mode_arrays(override, lead.speed, lead.cmd, v, pred.speed,
+                                           pred.gap, p)
+            led = m & lead.present
+            latch = new & led
+            v_r = np.where(led, v_r, v_ref)
+            r = np.where(led, r, p.r_default)
+            law = np.where(
+                succ.present,
+                gsbl_accel(pred.gap, pred.speed, succ.gap, succ.speed, v, v_r, p.k, p.h, r, p.d),
+                gsbl_accel_tail(pred.gap, pred.speed, v, v_r, p.k, p.h, r, p.d),
+            )
+            head = m & ~pred.present
+            if head.any():
+                law = np.where(head, gsbl_accel_head(succ.gap, succ.speed, v, v_r,
+                                                     p.k, p.h, r, p.d), law)
+        else:
+            continue
+        np.copyto(u, law, where=m)
+    # auto-hold keeps crawling queues parked instead of creeping into contact
+    hold = pred.present & (v < STANDSTILL_SPEED) & (pred.speed < STANDSTILL_SPEED) \
+        & (pred.gap < STANDSTILL_GAP)
+    return u, hold, latch
 
 
 # ---------------------------------------------------------------------------

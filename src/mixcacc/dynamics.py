@@ -117,3 +117,28 @@ def step_arrays(
         speed[stopped] = 0.0
         accel[stopped & (accel < 0.0)] = 0.0
     pos += speed * params.dt
+
+
+def advance(pos, speed, accel, u, params: DynamicsParams, steps: int,
+            hold, ploeg, filt, filter_tau: float, tau=None) -> np.ndarray:
+    """Integrate one control period of ``steps`` physics steps under ``u``.
+
+    Vehicles in the mask ``ploeg`` apply the state ``filt`` of a first-order
+    actuation filter with time constant ``filter_tau`` that runs at the
+    physics rate towards their command.  Vehicles in the mask ``hold`` apply
+    at most :data:`STANDSTILL_BRAKE`; the cap acts on what they apply, so a
+    held vehicle's filter keeps tracking its unclamped command.  Mutates the
+    state arrays, ``filt`` and possibly ``u``; returns the clamped commands
+    of the last step.
+    """
+    filtering, holding = ploeg.any(), hold.any()
+    gain = params.dt / filter_tau
+    cmd = u
+    for _ in range(steps):
+        if filtering:
+            filt += gain * (u - filt)
+            cmd = np.where(ploeg, filt, u)
+        if holding:
+            cmd = np.where(hold, np.minimum(cmd, STANDSTILL_BRAKE), cmd)
+        step_arrays(pos, speed, accel, cmd, params, tau)
+    return cmd

@@ -37,7 +37,8 @@ from .metrics import (
     volatility,
 )
 from .ring import BASELINES, DEVICES, PLATOON_POLICIES, RingSpec, run_ring
-from .scenarios import BRAKING, SINUSOIDAL, ScenarioError, SingleScenario, run_platoon_batch
+from .scenarios import (BRAKING, CONTROL_DT, SINUSOIDAL, ScenarioError, SingleScenario,
+                        run_platoon_batch)
 from .topology import ConfigError
 
 # Not called here since sweeps run batches; kept bound in this module for
@@ -49,6 +50,11 @@ BASELINE_LETTERS = "AGLP"
 FULL_ENUMERATION_MAX = 8     # platoon sizes enumerated exhaustively
 SAMPLED_CONFIG_COUNT = 1000
 BATCH_ROWS = 256             # mixes per simulated batch; bounds record memory
+
+# In every ring result's hash; bump it with any change that moves ring results
+# so cached runs are recomputed (single-sweep hashes do not carry it yet).
+# 2: the control tick shared with single platoons, seeds by cell id.
+ENGINE_VERSION = 2
 
 
 def mixed_configs(n: int) -> list[str]:
@@ -98,15 +104,21 @@ class ReferenceData:
     min_gaps: dict[str, dict[int, float]] = field(default_factory=dict)
 
 
-def scenario_for(kind: str, config: str, duration: float | None = None) -> SingleScenario:
-    """Scenario of a scored run, which must last past its window's start."""
+def scenario_for(kind: str, config: str, duration: float | None = None,
+                 control_dt: float = CONTROL_DT) -> SingleScenario:
+    """Scenario of a scored run, which must cover its analysis window: a
+    sinusoidal run until the window closes, a braking run until it records
+    the head's onset command, one tick after the first tick past the onset."""
     scn = SingleScenario(kind=kind, config=config, duration=duration)
-    start = scn.warmup if kind == SINUSOIDAL else scn.brake_onset
-    if scn.duration <= start:
-        raise ScenarioError(
-            f"a {kind} run of {scn.duration:g} s ends before its analysis"
-            f" window opens at {start:g} s"
-        )
+    times = np.arange(round(scn.duration / control_dt) + 1) * control_dt  # recorded ticks
+    if kind == SINUSOIDAL:
+        end = sinusoidal_window(scn.warmup, scn.frequency).t1
+        short, what = times[-1] < end - 1e-9, f"its analysis window closes at {end:g} s"
+    else:
+        short = not (times[:-1] >= scn.brake_onset).any()
+        what = f"the head's braking onset at {scn.brake_onset:g} s is recorded"
+    if short:
+        raise ScenarioError(f"a {kind} run of {scn.duration:g} s ends before {what}")
     return scn
 
 
@@ -352,9 +364,10 @@ def ring_cells(
     return cells
 
 
-def run_seed(master: int, cell_index: int, rep: int) -> int:
-    """Stable per-run seed derived from the master seed."""
-    ss = np.random.SeedSequence([master, cell_index, rep])
+def run_seed(master: int, cell_id: str, rep: int) -> int:
+    """Stable seed of one repetition of a cell, derived from the master seed
+    and the cell's id, so a cell runs alike in every grid it is part of."""
+    ss = np.random.SeedSequence([master, rep, *cell_id.encode()])
     return int(ss.generate_state(1)[0])
 
 
@@ -469,12 +482,12 @@ def sweep_ring(
             "run_count": len(cells) * repetitions,
             "dry_run": True,
         }
-    h = spec_hash(cfg, {"sweep": "ring", "duration": duration,
-                        "warmup": warmup, "seed": seed})
+    h = spec_hash(cfg, {"sweep": "ring", "engine": ENGINE_VERSION,
+                        "duration": duration, "warmup": warmup, "seed": seed})
     results: dict[str, list[dict]] = {c.cell_id: [] for c in cells}
     todo = []
     failed = []
-    for ci, cell in enumerate(cells):
+    for cell in cells:
         cell_dir = os.path.join(out_dir, "ring", cell.cell_id)
         os.makedirs(cell_dir, exist_ok=True)
         for rep in range(repetitions):
@@ -483,7 +496,7 @@ def sweep_ring(
             if cached is not None:
                 results[cell.cell_id].append(cached)
             else:
-                todo.append((cell, rep, run_seed(seed, ci, rep), duration, warmup, cfg))
+                todo.append((cell, rep, run_seed(seed, cell.cell_id, rep), duration, warmup, cfg))
 
     # results come in the order of todo, so failures list by (cell, rep)
     for cell, rep, s, metrics, error in _map_jobs(_ring_worker, todo, jobs):

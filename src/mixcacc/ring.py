@@ -6,8 +6,11 @@ keep right when possible and overtake when blocked; platoons stay in the lane
 matching their speed class.  Four roadside counters record crossings for
 throughput estimation and vehicle speeds are sampled for volatility analysis.
 
-The state is kept in flat numpy arrays and all per-tick work is vectorized;
-the control laws are the same functions used by the single-platoon engine.
+The state is kept in flat numpy arrays and all per-tick work is vectorized.
+The engine keeps only the road's topology (lane index, lane changes,
+counters, sampling); it gathers each vehicle's neighbours and hands them to
+the control tick and the integrator it shares with the single-platoon engine,
+:func:`controllers.control_tick` and :func:`dynamics.advance`.
 """
 
 from __future__ import annotations
@@ -17,38 +20,30 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controllers import (
+from .controllers import (  # noqa: F401  (codes re-exported for callers)
+    CODE_ACC,
+    CODE_BY_LETTER,
+    CODE_GSBL,
+    CODE_IDM,
+    CODE_PATH,
+    CODE_PLOEG,
+    LETTER_BY_CODE,
     ControllerSet,
-    acc_accel,
-    gsbl_mode_arrays,
-    idm_accel,
-    path_accel,
-    ploeg_target,
+    Neighbour,
+    control_tick,
 )
-from .dynamics import (
-    DynamicsParams,
-    STANDSTILL_BRAKE,
-    STANDSTILL_GAP,
-    STANDSTILL_SPEED,
-    VEHICLE_LENGTH,
-    step_arrays,
-)
-from .scenarios import ScenarioError, Trace, TraceEvent
+from .dynamics import DynamicsParams, VEHICLE_LENGTH, advance
+from .scenarios import ScenarioError, Trace, TraceEvent, events_csv
 from .topology import elect_ego_leaders, parse_config
 
-CODE_ACC = 0
-CODE_PLOEG = 1
-CODE_PATH = 2
-CODE_GSBL = 3
-CODE_IDM = 4
-LETTER_BY_CODE = "ALPGI"
-CODE_BY_LETTER = {c: i for i, c in enumerate(LETTER_BY_CODE)}
+# Integration goes through dynamics.advance; the name stays bound here, where
+# layer-tracing tools look it up.
+from .dynamics import step_arrays  # noqa: E402,F401
 
 PLATOON_POLICIES = ("P", "L", "G", "MIX")
 BASELINES = ("ACC", "IDM")
 DEVICES = ("N", "E", "S", "W")
 
-SET_SPEED_GAIN = 1.0    # 1/s, cruise term of free-driving ACC
 SPAWN_MARGIN = 2.0      # m, standstill part of spawn gaps
 MIN_INTER_GAP = 3.0     # m, hard floor between spawned entities
 
@@ -344,25 +339,6 @@ def _place_entity(world, ctrl, e, head_front, lane):
 # Lane changes
 # ---------------------------------------------------------------------------
 
-def _lane_neighbors(world, L, lane, x, exclude):
-    """(front_idx, front_gap, rear_idx, rear_gap) around position x in a lane."""
-    C = world.spec.circumference
-    positions, idx = L.lanes[lane]
-    if idx.size == 0 or (idx.size == 1 and idx[0] == exclude):
-        return None, C, None, C
-    j = int(np.searchsorted(positions, x))
-    front = int(idx[j % idx.size])
-    rear = int(idx[(j - 1) % idx.size])
-    if front == exclude:
-        front = int(idx[(j + 1) % idx.size])
-    if rear == exclude:
-        rear = int(idx[(j - 2) % idx.size])
-    # wrap the front-bumper distance first so overlap stays negative
-    front_gap = (world.pos[front] - x) % C - world.length[front]
-    rear_gap = (x - world.pos[rear]) % C - VEHICLE_LENGTH
-    return front, front_gap, rear, rear_gap
-
-
 def lane_change_decision(
     world: RingWorld,
     i: int,
@@ -370,53 +346,29 @@ def lane_change_decision(
     params: LaneChangeParams,
     acc_headway: float,
 ) -> str:
-    """Keep-right / overtake decision of one non-cooperative single."""
-    v = world.speed[i]
-    vd = world.desired[i]
+    """Keep-right / overtake decision of one non-cooperative single.
+
+    Re-checks the vehicle against the lane index as it stands, after the
+    lane changes already accepted this tick.
+    """
     lane = int(world.lane[i])
-    x = world.pos[i]
-
-    def safe(front, front_gap, rear, rear_gap):
-        if front is not None and rear is not None and front != rear:
-            pf, pr = world.platoon_id[front], world.platoon_id[rear]
-            if pf >= 0 and pf == pr:
-                return False     # never squeeze between platoon members
-        if front is not None:
-            need = params.margin + params.headway * v \
-                + params.closing_time * max(0.0, v - world.speed[front])
-            if front_gap < need:
-                return False
-        if rear is not None:
-            vr = world.speed[rear]
-            need = params.margin + params.headway * vr \
-                + params.closing_time * max(0.0, vr - v)
-            if rear_gap < need:
-                return False
-        return True
-
-    if lane > 0:
-        front, fg, rear, rg = _lane_neighbors(world, L, lane - 1, x, i)
-        room = params.margin + acc_headway * vd
-        admits = fg >= params.free_gap or (
-            fg >= room and (front is None or world.speed[front] >= params.right_speed_factor * vd)
-        )
-        if admits and safe(front, fg, rear, rg):
-            return "right"
-
-    if lane + 1 < world.spec.lanes and v < params.speed_satisfaction * vd:
-        blocked = L.gap[i] < params.follow_factor * (params.margin + acc_headway * v)
-        if blocked:
-            front, fg, rear, rg = _lane_neighbors(world, L, lane + 1, x, i)
-            if safe(front, fg, rear, rg):
-                return "left"
+    one = np.array([i])
+    if lane > 0 and _vec_target_check(world, L, one, lane - 1, params, acc_headway, True)[0]:
+        return "right"
+    v = world.speed[i]
+    if (lane + 1 < world.spec.lanes and v < params.speed_satisfaction * world.desired[i]
+            and L.gap[i] < params.follow_factor * (params.margin + acc_headway * v)
+            and _vec_target_check(world, L, one, lane + 1, params, acc_headway, False)[0]):
+        return "left"
     return "stay"
 
 
 def _vec_target_check(world, L, cand, target, params, acc_headway, want_right):
-    """Vectorized desire and safety test against one target lane.
+    """Vectorized desire and safety test of vehicles ``cand`` against the
+    adjacent lane ``target``.
 
-    Conservative snapshot check used to prefilter candidates; accepted moves
-    are re-validated sequentially by :func:`lane_change_decision`.
+    Run once over a snapshot to prefilter candidates, then again for each of
+    them, against the current lane index, by :func:`lane_change_decision`.
     """
     C = world.spec.circumference
     x = world.pos[cand]
@@ -485,74 +437,26 @@ def _lane_change_pass(world, L, t, params, acc_headway, events):
 # Controller tick
 # ---------------------------------------------------------------------------
 
-def _gsbl_tick(world, idxG, L, ctrl):
-    """Vectorized supervisory update plus spring-damper field for members."""
-    p = ctrl.gsbl
-    C = world.spec.circumference
-    v0, u0, pos0 = world.speed, world.u_cmd, world.pos
-    lead = world.ego_leader[idxG]
-    u_l = u0[lead]
-    v_l = v0[lead]
-    vi = v0[idxG]
-    vp = v0[L.pred[idxG]]
-    gapf = L.gap[idxG]
-
-    # only the override latch carries over; v_r and r follow the beacon
-    world.gsbl_override[idxG], vr, r = gsbl_mode_arrays(
-        world.gsbl_override[idxG], v_l, u_l, vi, vp, gapf, p)
-
-    u = p.k * (gapf - p.d) + p.h * (vp - vi) - r * (vi - vr)
-    succ = world.member_succ[idxG]
-    has = succ >= 0
-    if has.any():
-        s = succ[has]
-        e = idxG[has]
-        gap_rear = (pos0[e] - world.length[e] - pos0[s]) % C
-        u[has] += -p.k * (gap_rear - p.d) + p.h * (v0[s] - v0[e])
-    return u
+def _gsbl_tick(world):
+    """Platoon successor of every vehicle: its speed and the modular rear gap
+    (named for the spring-damper law, the only one that reads them)."""
+    succ = world.member_succ
+    pos = world.pos
+    gap_rear = (pos - world.length - pos[succ]) % world.spec.circumference
+    return Neighbour(world.speed[succ], None, gap_rear, succ >= 0)
 
 
 def _control_tick(world, L, ctrl):
-    v0, a0, u0 = world.speed, world.accel, world.u_cmd
-    pred = L.pred
-    gap = L.gap
-    code = world.code
-    u = np.zeros(world.n)
-
-    mA = code == CODE_ACC
-    if mA.any():
-        u_gap = acc_accel(v0[mA], v0[pred[mA]], gap[mA], ctrl.acc.H, ctrl.acc.lam)
-        u_set = SET_SPEED_GAIN * (world.desired[mA] - v0[mA])
-        u[mA] = np.minimum(u_gap, u_set)
-    mI = code == CODE_IDM
-    if mI.any():
-        u[mI] = idm_accel(v0[mI], gap[mI], v0[pred[mI]], ctrl.idm, v0=world.desired[mI])
-    mL = code == CODE_PLOEG
-    if mL.any():
-        # drive target of the actuation filter; the filter state itself
-        # (world.ploeg_u) integrates at the physics rate in the main loop
-        u[mL] = ploeg_target(
-            gap[mL], v0[mL], a0[mL], v0[pred[mL]], u0[pred[mL]],
-            ctrl.ploeg.H, ctrl.ploeg.kp, ctrl.ploeg.kd,
-        )
-    mP = code == CODE_PATH
-    if mP.any():
-        lead = world.ego_leader[mP]
-        u[mP] = path_accel(
-            u0[pred[mP]], u0[lead], v0[mP], v0[pred[mP]], v0[lead],
-            gap[mP], ctrl.path.dd, ctrl.path.gains,
-        )
-    idxG = np.flatnonzero(code == CODE_GSBL)
-    if idxG.size:
-        u[idxG] = _gsbl_tick(world, idxG, L, ctrl)
-    # auto-hold keeps crawling queues parked instead of creeping into contact
-    hold = (
-        (v0 < STANDSTILL_SPEED) & (v0[pred] < STANDSTILL_SPEED)
-        & (gap < STANDSTILL_GAP) & (pred != np.arange(world.n))
+    """Gather every vehicle's neighbours and run the shared control tick."""
+    v, u, pred, lead = world.speed, world.u_cmd, L.pred, world.ego_leader
+    u_new, hold, world.gsbl_override = control_tick(
+        world.code, v, world.accel,
+        Neighbour(v[pred], u[pred], L.gap, pred != np.arange(world.n)),
+        Neighbour(v[lead], u[lead], None, lead >= 0),
+        _gsbl_tick(world),
+        world.desired, world.desired, world.gsbl_override, ctrl,
     )
-    if hold.any():
-        u[hold] = np.minimum(u[hold], STANDSTILL_BRAKE)
-    return u, hold
+    return u_new, hold
 
 
 # ---------------------------------------------------------------------------
@@ -588,15 +492,8 @@ class RingTrace:
             lines.append(f"{t:.6f},{d},{int(v)},{int(l)}")
         return "\n".join(lines) + "\n"
 
-    def events_csv(self) -> str:
-        lines = ["t,kind,veh_a,veh_b,detail"]
-        for ev in self.events:
-            b = "" if ev.veh_b is None else ev.veh_b
-            lines.append(f"{ev.time:.6f},{ev.kind},{ev.veh_a},{b},{ev.detail}")
-        return "\n".join(lines) + "\n"
-
     def serialize(self) -> bytes:
-        parts = [self.counters_csv(), self.events_csv()]
+        parts = [self.counters_csv(), events_csv(self.events)]
         parts.append(",".join(f"{v:.6f}" for v in self.speed_samples.ravel()))
         if self.full is not None:
             parts.append(self.full.rows_csv())
@@ -622,7 +519,6 @@ def run_ring(
     # IDM stands in for human drivers simulated without powertrain lag
     tau = np.where(world.code == CODE_IDM, dyn.dt, dyn.tau)
     m_ploeg = world.code == CODE_PLOEG
-    has_ploeg = bool(m_ploeg.any())
 
     device_pos = [(i * C / len(DEVICES), d) for i, d in enumerate(DEVICES)]
     ticks = round((spec.warmup + spec.duration) / spec.control_dt)
@@ -638,15 +534,12 @@ def run_ring(
     collided = False
     end_time = ticks * spec.control_dt
 
-    rec = None
+    # full-trace blocks in the order of Trace's fields, position to mode
+    rec = ()
     if spec.record_full_trace:
         shape = (ticks + 1, world.n)
-        rec = {
-            "position": np.zeros(shape), "speed": np.zeros(shape),
-            "accel": np.zeros(shape), "ctrl_input": np.zeros(shape),
-            "gap": np.full(shape, np.nan), "lane": np.zeros(shape, dtype=np.int8),
-            "mode": np.full(shape, -1, dtype=np.int8),
-        }
+        rec = tuple(np.zeros(shape) for _ in range(5)) + (
+            np.zeros(shape, dtype=np.int8), np.zeros(shape, dtype=np.int8))
     rec_rows = 0
 
     for k in range(ticks + 1):
@@ -658,15 +551,11 @@ def run_ring(
             collided = True
             end_time = t
             break
-        if rec is not None:
-            rec["position"][k] = world.pos
-            rec["speed"][k] = world.speed
-            rec["accel"][k] = world.accel
-            rec["ctrl_input"][k] = world.u_cmd
-            rec["gap"][k] = L.gap
-            rec["lane"][k] = world.lane
-            mG = world.code == CODE_GSBL
-            rec["mode"][k][mG] = world.gsbl_override[mG].astype(np.int8)
+        if rec:
+            mode = np.where(world.code == CODE_GSBL, world.gsbl_override, -1)
+            for block, row in zip(rec, (world.pos, world.speed, world.accel, world.u_cmd,
+                                        L.gap, world.lane, mode)):
+                block[k] = row
             rec_rows = k + 1
         if t >= spec.warmup - 1e-9 and k % sample_every == 0:
             samples.append(world.speed.copy())
@@ -677,18 +566,9 @@ def run_ring(
         L, moved = _lane_change_pass(world, L, t, lc, ctrl.acc.H, events)
         u, hold = _control_tick(world, L, ctrl)
         pos_before = world.pos.copy()
-        u_eff = u.copy()
-        for _ in range(sub):
-            if has_ploeg:
-                # actuation filter of the Ploeg vehicles runs at physics rate
-                world.ploeg_u[m_ploeg] += (dyn.dt / ctrl.ploeg.H) * (
-                    u[m_ploeg] - world.ploeg_u[m_ploeg]
-                )
-                u_eff[m_ploeg] = world.ploeg_u[m_ploeg]
-                u_eff[hold] = np.minimum(u_eff[hold], STANDSTILL_BRAKE)
-            step_arrays(world.pos, world.speed, world.accel, u_eff, dyn, tau=tau)
+        world.u_cmd = advance(world.pos, world.speed, world.accel, u, dyn, sub, hold,
+                              m_ploeg, world.ploeg_u, ctrl.ploeg.H, tau)
         world.pos %= C
-        world.u_cmd = u_eff
         dist = (world.pos - pos_before) % C
         t_end = t + spec.control_dt
         for dpos, name in device_pos:
@@ -700,18 +580,12 @@ def run_ring(
                 cnt_v.append(hit)
                 cnt_l.append(world.lane[hit])
 
+    controllers = tuple(LETTER_BY_CODE[c] for c in world.code)
     full = None
-    if rec is not None:
+    if rec:
         full = Trace(
-            times=np.arange(rec_rows) * spec.control_dt,
-            controllers=tuple(LETTER_BY_CODE[c] for c in world.code),
-            position=rec["position"][:rec_rows],
-            speed=rec["speed"][:rec_rows],
-            accel=rec["accel"][:rec_rows],
-            ctrl_input=rec["ctrl_input"][:rec_rows],
-            gap=rec["gap"][:rec_rows],
-            lane=rec["lane"][:rec_rows],
-            mode=rec["mode"][:rec_rows],
+            np.arange(rec_rows) * spec.control_dt, controllers,
+            *(block[:rec_rows] for block in rec),
             events=events,
             scenario_kind="ring",
             config=f"ring-d{spec.density:g}-{spec.platoon_policy}",
@@ -720,7 +594,7 @@ def run_ring(
     return RingTrace(
         spec=spec,
         n_vehicles=world.n,
-        controllers=tuple(LETTER_BY_CODE[c] for c in world.code),
+        controllers=controllers,
         platoon_id=world.platoon_id.copy(),
         desired_speed=world.desired.copy(),
         counter_times=np.concatenate(cnt_t) if cnt_t else np.empty(0),

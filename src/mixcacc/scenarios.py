@@ -6,7 +6,10 @@ Followers run the controller given by the composition string.  Controllers and
 beacons run on a 10 Hz grid while the vehicle dynamics integrate at 100 Hz.
 
 One engine steps a whole batch of platoons of the same scenario and size as a
-(rows x vehicles) state; a single run is a batch of one.  Every float
+(rows x vehicles) state; a single run is a batch of one.  It keeps only the
+platoon's topology and the profile-driven head: the control decisions and
+the physics substeps are :func:`controllers.control_tick` and
+:func:`dynamics.advance`, the core the ring engine runs too.  Every float
 operation keeps the order of the per-vehicle laws in :mod:`controllers` and
 :func:`dynamics.step_vehicle`, so a row's trace does not depend on the batch
 it ran in.
@@ -22,24 +25,15 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .controllers import (
+    CODE_BY_LETTER,
+    CODE_GSBL,
+    CODE_PLOEG,
     ControllerSet,
     GsblMode,
-    acc_accel,
-    gsbl_accel,
-    gsbl_accel_head,
-    gsbl_accel_tail,
-    gsbl_mode_arrays,
-    path_accel,
-    ploeg_target,
+    Neighbour,
+    control_tick,
 )
-from .dynamics import (
-    DynamicsParams,
-    STANDSTILL_BRAKE,
-    STANDSTILL_GAP,
-    STANDSTILL_SPEED,
-    VEHICLE_LENGTH,
-    step_arrays,
-)
+from .dynamics import DynamicsParams, VEHICLE_LENGTH, advance
 from .topology import EXTERNAL_REF, PlatoonConfig, elect_ego_leaders, parse_config
 
 # The per-vehicle laws below are the reference specification of the batched
@@ -56,6 +50,7 @@ from .dynamics import step_vehicle  # noqa: E402,F401
 
 CONTROL_DT = 0.1       # controller and beacon period [s]
 PROFILE_GAIN = 0.5     # speed correction gain of the profile-driven head [1/s]
+_PROFILE_HEAD = -1     # family code of a head that follows the speed profile
 
 SINUSOIDAL = "sinusoidal"
 BRAKING = "braking"
@@ -123,6 +118,15 @@ class TraceEvent:
     detail: str = ""
 
 
+def events_csv(events: list[TraceEvent]) -> str:
+    """CSV of a run's events; no event detail holds a comma or a quote."""
+    lines = ["t,kind,veh_a,veh_b,detail"]
+    for ev in events:
+        b = "" if ev.veh_b is None else ev.veh_b
+        lines.append(f"{ev.time:.6f},{ev.kind},{ev.veh_a},{b},{ev.detail}")
+    return "\n".join(lines) + "\n"
+
+
 @dataclass
 class Trace:
     """Time-indexed per-vehicle record of one simulation run.
@@ -176,22 +180,8 @@ class Trace:
                 ])
         return buf.getvalue()
 
-    def events_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["t", "kind", "veh_a", "veh_b", "detail"])
-        for ev in self.events:
-            w.writerow([
-                f"{ev.time:.6f}",
-                ev.kind,
-                ev.veh_a,
-                "" if ev.veh_b is None else ev.veh_b,
-                ev.detail,
-            ])
-        return buf.getvalue()
-
     def serialize(self) -> bytes:
-        return (self.rows_csv() + self.events_csv()).encode()
+        return (self.rows_csv() + events_csv(self.events)).encode()
 
 
 def _validate_supported(cfg: PlatoonConfig, leaders: dict[int, int | None]) -> None:
@@ -221,32 +211,18 @@ def _start_positions(cfg: PlatoonConfig, scn: SingleScenario, ctrl: ControllerSe
     return pos
 
 
-class _Rows:
-    """Controller masks of the live rows; follower masks skip column 0."""
+def _ahead(a: np.ndarray) -> np.ndarray:
+    """Each vehicle's predecessor's entry of ``a``, NaN for the head."""
+    out = np.full_like(a, np.nan)
+    out[:, 1:] = a[:, :-1]
+    return out
 
-    def __init__(self, letters: np.ndarray, lead: np.ndarray):
-        self.letters = letters
-        self.lead = lead                  # elected leader, -1 for external
-        followers = letters[:, 1:]
-        self.acc = followers == "A"
-        self.path = followers == "P"
-        self.gsbl = followers == "G"
-        self.ploeg = np.zeros(letters.shape, dtype=bool)   # full width
-        self.ploeg[:, 1:] = followers == "L"
-        self.head_gsbl = letters[:, 0] == "G"
-        self.gsbl_led = self.gsbl & (lead >= 0)
-        self.lead_at = (np.arange(len(letters))[:, None], np.maximum(lead, 0))
-        self.mode_base = np.where(letters == "G", 0, -1).astype(np.int8)
-        self.any_acc = bool(self.acc.any())
-        self.any_ploeg = bool(self.ploeg.any())
-        self.any_path = bool(self.path.any())
-        self.any_gsbl = bool(self.gsbl.any())
-        self.any_led = bool(self.gsbl_led.any())
-        self.any_head_gsbl = bool(self.head_gsbl.any())
-        self.any_mode = self.any_gsbl or self.any_head_gsbl
 
-    def __getitem__(self, keep: np.ndarray) -> "_Rows":
-        return _Rows(self.letters[keep], self.lead[keep])
+def _behind(a: np.ndarray) -> np.ndarray:
+    """Each vehicle's successor's entry of ``a``, NaN for the last vehicle."""
+    out = np.full_like(a, np.nan)
+    out[:, :-1] = a[:, 1:]
+    return out
 
 
 def run_platoon_batch(
@@ -305,39 +281,42 @@ def run_platoon_batch(
     events: list[list[TraceEvent]] = [[] for _ in rows]
 
     live = np.arange(m)                       # block row of each state row
-    fam = _Rows(
-        np.array([setups[r][0].controllers for r in rows]),
-        np.array([[-1 if setups[r][1][i] is EXTERNAL_REF else setups[r][1][i]
-                   for i in range(1, n)] for r in rows]).reshape(m, n - 1),
-    )
+    # the head follows the speed profile unless it runs the spring-damper law
+    code = np.array([
+        [CODE_GSBL if cfg[0] == "G" else _PROFILE_HEAD]
+        + [CODE_BY_LETTER[c] for c in cfg.controllers[1:]]
+        for cfg, _ in map(setups.get, rows)
+    ], dtype=np.int8)
+    lead = np.array([                         # elected leader, -1 for none
+        [-1] + [-1 if leaders[i] is EXTERNAL_REF else leaders[i] for i in range(1, n)]
+        for _, leaders in map(setups.get, rows)
+    ])
     pos = np.array([_start_positions(setups[r][0], scns[r], ctrl) for r in rows])
     spd = np.full((m, n), scn.base_speed)
     acc = np.zeros((m, n))
     uin = np.zeros((m, n))                    # last clamped commands
     ufilt = np.zeros((m, n))                  # Ploeg actuation filter states
     over = np.zeros((m, n), dtype=bool)       # spring-damper override latch
-    gap = (pos[:, :-1] - VEHICLE_LENGTH) - pos[:, 1:]
-    cg = ctrl.gsbl
-    c_ploeg = dyn.dt / ctrl.ploeg.H
+    has_pred, has_succ = np.arange(n) > 0, np.arange(n) < n - 1
+    row_at = np.arange(m)[:, None]            # state rows, for leader gathers
 
     for k in range(ticks):
         at = slice(None) if len(live) == m else live
+        gap = _ahead(pos) - VEHICLE_LENGTH - pos
         rec_pos[at, k] = pos
         rec_speed[at, k] = spd
         rec_accel[at, k] = acc
         rec_u[at, k] = uin
-        rec_gap[at, k, 1:] = gap
-        if fam.any_mode:
-            rec_mode[at, k] = fam.mode_base + over
+        rec_gap[at, k] = gap
+        rec_mode[at, k] = np.where(code == CODE_GSBL, over, -1)
         ended = np.zeros(len(live), dtype=bool)
         hit = gap <= 0.0
         if k > 0 and hit.any():
             ended = hit.any(axis=1)
             for j in np.flatnonzero(ended):
-                crash = int(np.argmax(hit[j])) + 1
+                crash = int(np.argmax(hit[j]))
                 events[live[j]].append(TraceEvent(
-                    times[k], "collision", crash, crash - 1,
-                    f"gap={gap[j, crash - 1]:.3f}",
+                    times[k], "collision", crash, crash - 1, f"gap={gap[j, crash]:.3f}",
                 ))
         if k == ticks - 1 or ended.any():
             for j in range(len(live)) if k == ticks - 1 else np.flatnonzero(ended):
@@ -351,51 +330,24 @@ def run_platoon_batch(
             if k == ticks - 1:
                 break
 
-        # control tick: every law on its family's cells, leaders gathered
         t = times[k]
         v_t = leader_target_speed(scn, t)
-        v, v_pred = spd[:, 1:], spd[:, :-1]
-        u = np.empty_like(spd)
-        u[:, 0] = leader_target_accel(scn, t) + PROFILE_GAIN * (v_t - spd[:, 0])
-        if fam.any_head_gsbl:
-            np.copyto(u[:, 0], gsbl_accel_head(
-                gap[:, 0], spd[:, 1], spd[:, 0], v_t, cg.k, cg.h, cg.r_default, cg.d,
-            ), where=fam.head_gsbl)
-        uf = u[:, 1:]
-        if fam.any_acc:
-            np.copyto(uf, acc_accel(v, v_pred, gap, ctrl.acc.H, ctrl.acc.lam),
-                      where=fam.acc)
-        if fam.any_ploeg:
-            p = ctrl.ploeg
-            np.copyto(uf, ploeg_target(gap, v, acc[:, 1:], v_pred, uin[:, :-1],
-                                       p.H, p.kp, p.kd), where=fam.ploeg[:, 1:])
-        if fam.any_path or fam.any_led:
-            v_lead, u_lead = spd[fam.lead_at], uin[fam.lead_at]
-        if fam.any_path:
-            np.copyto(uf, path_accel(uin[:, :-1], u_lead, v, v_pred, v_lead, gap,
-                                     ctrl.path.dd, ctrl.path.gains), where=fam.path)
-        if fam.any_gsbl:
-            v_r = np.full(v.shape, v_t)
-            r = np.full(v.shape, cg.r_default)
-            if fam.any_led:
-                was = over[:, 1:]
-                new, v_r_led, r_led = gsbl_mode_arrays(was, v_lead, u_lead, v, v_pred, gap, cg)
-                new &= fam.gsbl_led
-                for j, c in zip(*np.nonzero(new != was)):
-                    if not ended[j]:
-                        events[live[j]].append(TraceEvent(
-                            t, "mode_switch", int(c) + 1, int(fam.lead[j, c]),
-                            f"{_MODE_NAME[was[j, c]]}->{_MODE_NAME[new[j, c]]}",
-                        ))
-                over[:, 1:] = new
-                np.copyto(v_r, v_r_led, where=fam.gsbl_led)
-                np.copyto(r, r_led, where=fam.gsbl_led)
-            spring = np.empty_like(v)
-            spring[:, -1] = gsbl_accel_tail(gap[:, -1], v_pred[:, -1], v[:, -1],
-                                            v_r[:, -1], cg.k, cg.h, r[:, -1], cg.d)
-            spring[:, :-1] = gsbl_accel(gap[:, :-1], v_pred[:, :-1], gap[:, 1:], spd[:, 2:],
-                                        v[:, :-1], v_r[:, :-1], cg.k, cg.h, r[:, :-1], cg.d)
-            np.copyto(uf, spring, where=fam.gsbl)
+        u, hold, new = control_tick(
+            code, spd, acc,
+            Neighbour(_ahead(spd), _ahead(uin), gap, has_pred),
+            Neighbour(spd[row_at, lead], uin[row_at, lead], None, lead >= 0),
+            Neighbour(_behind(spd), None, _behind(gap), has_succ),
+            v_t, np.inf, over, ctrl,
+        )
+        np.copyto(u[:, 0], leader_target_accel(scn, t) + PROFILE_GAIN * (v_t - spd[:, 0]),
+                  where=code[:, 0] != CODE_GSBL)
+        for j, c in zip(*np.nonzero(new != over)):
+            if not ended[j]:
+                events[live[j]].append(TraceEvent(
+                    t, "mode_switch", int(c), int(lead[j, c]),
+                    f"{_MODE_NAME[over[j, c]]}->{_MODE_NAME[new[j, c]]}",
+                ))
+        over = new
 
         # rows that collided or whose command is not finite leave the batch
         finite = np.isfinite(u)
@@ -406,31 +358,17 @@ def run_platoon_batch(
                 ended[j] = True
         if ended.any():
             keep = ~ended
-            live, fam = live[keep], fam[keep]
-            pos, spd, acc, uin, ufilt, over, gap, u = (
-                a[keep] for a in (pos, spd, acc, uin, ufilt, over, gap, u)
+            live, code, lead, pos, spd, acc, ufilt, over, u, hold = (
+                a[keep] for a in (live, code, lead, pos, spd, acc, ufilt, over, u, hold)
             )
             if not len(live):
                 break
-            v, v_pred = spd[:, 1:], spd[:, :-1]
+            row_at = np.arange(len(live))[:, None]
 
-        # physics substeps; the head is never allowed the emergency floor
+        # the head is never allowed the emergency floor
         np.maximum(u[:, 0], dyn.u_min, out=u[:, 0])
-        any_hold = spd.min() < STANDSTILL_SPEED
-        if any_hold:
-            hold = np.zeros(spd.shape, dtype=bool)
-            hold[:, 1:] = (v < STANDSTILL_SPEED) & (v_pred < STANDSTILL_SPEED) & (gap < STANDSTILL_GAP)
-        cmd = u
-        for _ in range(sub):
-            if fam.any_ploeg:
-                # the filter runs at the physics rate towards the held target
-                ufilt += c_ploeg * (u - ufilt)
-                cmd = np.where(fam.ploeg, ufilt, u)
-            if any_hold:
-                cmd = np.where(hold, np.minimum(cmd, STANDSTILL_BRAKE), cmd)
-            step_arrays(pos, spd, acc, cmd, dyn)
-        uin = cmd
-        gap = (pos[:, :-1] - VEHICLE_LENGTH) - pos[:, 1:]
+        uin = advance(pos, spd, acc, u, dyn, sub, hold, code == CODE_PLOEG, ufilt,
+                      ctrl.ploeg.H)
     return results
 
 

@@ -135,7 +135,10 @@ def test_unknown_params_key_is_a_config_error(tmp_path, capsys):
     ["sweep-single", "-n", "1"],
     ["single", "--scenario", "braking", "--duration", "20", "--", "-PP"],
     ["single", "--scenario", "sinusoidal", "--duration", "20", "--", "-PP"],
-], ids=["platoon-of-one", "braking-ends-before-onset", "sinusoidal-ends-in-warmup"])
+    ["single", "--scenario", "braking", "--duration", "30.05", "--", "-PP"],
+    ["single", "--scenario", "sinusoidal", "--duration", "35", "--", "-PP"],
+], ids=["platoon-of-one", "braking-ends-before-onset", "sinusoidal-ends-in-warmup",
+        "braking-ends-before-onset-is-recorded", "sinusoidal-ends-in-window"])
 def test_unusable_run_settings_are_config_errors(tmp_path, capsys, argv):
     assert main(["--out", str(tmp_path)] + argv) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error:")

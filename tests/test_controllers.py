@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mixcacc.controllers import (
+    CODE_BY_LETTER,
+    SET_SPEED_GAIN,
     AccParams,
     Beacon,
     ControllerSet,
@@ -19,6 +21,7 @@ from mixcacc.controllers import (
     acc_accel,
     acc_control,
     bumper_gap,
+    control_tick,
     gap_to,
     gsbl_accel,
     gsbl_accel_head,
@@ -27,13 +30,14 @@ from mixcacc.controllers import (
     gsbl_mode_arrays,
     gsbl_mode_update,
     idm_accel,
+    Neighbour,
     path_accel,
     path_control,
     path_gains,
     ploeg_control,
     ploeg_target,
 )
-from mixcacc.dynamics import VehicleState
+from mixcacc.dynamics import STANDSTILL_GAP, STANDSTILL_SPEED, VehicleState
 
 
 def beacon(vid=0, position=0.0, speed=0.0, accel=0.0, ctrl_input=0.0):
@@ -338,6 +342,92 @@ def test_vector_supervisor_equals_scalar_update(cases):
         assert bool(got_over[j]) == (want.mode is GsblMode.OVERRIDE)
         assert float(got_v_r[j]).hex() == float(want.v_r).hex()
         assert float(got_r[j]).hex() == float(want.r).hex()
+
+
+# ---------------------------------------------------------------------------
+# One control tick over arrays
+# ---------------------------------------------------------------------------
+
+_speed = _edgy(0.0, 40.0, 0.0, 0.2, 0.49, 18.0)
+_vehicle = st.fixed_dictionaries({
+    # letter, then for G: which neighbours it has, head (successor only),
+    # middle (both) or tail (predecessor only)
+    "family": st.sampled_from(["A", "L", "P", "I", "G-head", "G-middle", "G-tail"]),
+    "led": st.booleans(),                      # G only: has an elected leader
+    "over": st.booleans(),                     # latched override
+    "v": _speed,
+    "a": _edgy(-9.0, 2.5, 0.0),
+    "pred_x": _edgy(-20.0, 120.0, 6.0, 8.0, 7.9),   # front bumper; ego's is at 0
+    "v_pred": _speed,
+    "u_pred": _edgy(-9.0, 2.5, 0.0),
+    "v_lead": _speed,
+    "u_lead": _edgy(-10.0, 3.0, 0.0, -2.0, -2.5),
+    "succ_x": st.floats(-150.0, -4.5),
+    "v_succ": _speed,
+    "desired": st.one_of(st.just(math.inf), st.floats(10.0, 40.0)),
+    "v_ref": _speed,
+})
+
+
+def _reference(c, ctrl):
+    """Command, hold and override of one vehicle from the per-vehicle laws."""
+    family = c["family"]
+    ego = VehicleState(position=0.0, speed=c["v"], accel=c["a"])
+    has_pred = family != "G-head"
+    pred = beacon(position=c["pred_x"], speed=c["v_pred"], ctrl_input=c["u_pred"])
+    leader = beacon(speed=c["v_lead"], ctrl_input=c["u_lead"])
+    succ = beacon(position=c["succ_x"], speed=c["v_succ"])
+    over = False
+    if family == "A":
+        u = min(acc_control(ego, pred, ctrl.acc), SET_SPEED_GAIN * (c["desired"] - c["v"]))
+    elif family == "L":
+        u = ploeg_control(ego, pred, ctrl.ploeg)
+    elif family == "P":
+        u = path_control(ego, pred, leader, ctrl.path)
+    elif family == "I":
+        # numpy's array power rounds unlike Python's float power, so the
+        # reference is the law on one vehicle's arrays, as the ring runs it
+        u = idm_accel(*(np.array([x]) for x in (c["v"], gap_to(ego, pred), c["v_pred"])),
+                      ctrl.idm, v0=np.array([c["desired"]]))[0]
+    else:
+        p = ctrl.gsbl
+        if c["led"] and has_pred:
+            latched = GsblMode.OVERRIDE if c["over"] else GsblMode.CRUISE
+            p = gsbl_mode_update(replace(p, mode=latched), leader, ego, pred)
+            over = p.mode is GsblMode.OVERRIDE
+        else:
+            p = replace(p, v_r=c["v_ref"], r=p.r_default)
+        u = gsbl_control(ego, pred if has_pred else None,
+                         None if family == "G-tail" else succ, p)
+    hold = has_pred and c["v"] < STANDSTILL_SPEED and c["v_pred"] < STANDSTILL_SPEED \
+        and gap_to(ego, pred) < STANDSTILL_GAP
+    return u, hold, over
+
+
+@given(st.lists(_vehicle, min_size=1, max_size=10))
+def test_control_tick_equals_the_per_vehicle_laws(cases):
+    """control_tick reproduces every family's per-vehicle law bit for bit,
+    spring-damper heads, tails and cars without a leader included."""
+    ctrl = ControllerSet()
+    col = {k: np.array([c[k] for c in cases]) for k in cases[0]}
+    has_pred = np.array([c["family"] != "G-head" for c in cases])
+    nan = np.full(len(cases), np.nan)
+    u, hold, over = control_tick(
+        np.array([CODE_BY_LETTER[c["family"][0]] for c in cases]), col["v"], col["a"],
+        Neighbour(np.where(has_pred, col["v_pred"], nan), np.where(has_pred, col["u_pred"], nan),
+                  np.where(has_pred, (col["pred_x"] - 4.0) - 0.0, nan), has_pred),
+        Neighbour(col["v_lead"], col["u_lead"], None,
+                  np.array([c["family"] == "P" or c["led"] and c["family"] != "G-head"
+                            for c in cases])),
+        Neighbour(col["v_succ"], None, (0.0 - 4.0) - col["succ_x"],
+                  np.array([c["family"] != "G-tail" for c in cases])),
+        col["v_ref"], col["desired"], col["over"], ctrl,
+    )
+    for j, c in enumerate(cases):
+        want_u, want_hold, want_over = _reference(c, ctrl)
+        assert float(u[j]).hex() == float(want_u).hex(), c["family"]
+        assert bool(hold[j]) == want_hold
+        assert bool(over[j]) == want_over
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mixcacc.config import Config
+from mixcacc import experiments
+from mixcacc.config import Config, spec_hash
 from mixcacc.experiments import (
     RingCell,
     baseline_configs,
@@ -125,11 +126,49 @@ def test_sweep_ring_dry_run_counts(tmp_path):
 
 
 def test_run_seed_is_stable_and_collision_free():
-    assert run_seed(0, 3, 1) == run_seed(0, 3, 1)
-    seeds = {run_seed(0, ci, rep) for ci in range(40) for rep in range(10)}
+    cell = "d60-P-N4-R0.5"
+    assert run_seed(0, cell, 1) == run_seed(0, cell, 1)
+    seeds = {run_seed(0, c.cell_id, rep) for c in ring_cells()[:40] for rep in range(10)}
     assert len(seeds) == 400
     assert all(0 <= s < 2 ** 32 for s in seeds)
-    assert run_seed(0, 3, 1) != run_seed(1, 3, 1)
+    assert run_seed(0, cell, 1) != run_seed(1, cell, 1)
+
+
+def _fake_ring_worker(calls):
+    """Stand-in for one ring run that records which run it was asked for."""
+    def worker(args):
+        cell, rep, seed = args[:3]
+        calls.append((cell.cell_id, rep))
+        return cell, rep, seed, {"collided": False, "throughput": 1.0, "xi_median": 0.1}, None
+    return worker
+
+
+def test_ring_seed_follows_the_cell_not_the_grid(tmp_path, monkeypatch):
+    """A density subset and the full grid run a cell with the same seed."""
+    monkeypatch.setattr(experiments, "_ring_worker", _fake_ring_worker([]))
+    cell = "d60-P-N4-R0.5"
+    seeds = {}
+    for name, densities in (("subset", (60,)), ("full", None)):
+        sweep_ring(str(tmp_path / name), repetitions=1, densities=densities)
+        seeds[name] = json.loads(
+            (tmp_path / name / "ring" / cell / "rep0.json").read_text())["seed"]
+    assert seeds["subset"] == seeds["full"]
+    assert seeds["full"] == run_seed(0, cell, 0)
+
+
+def test_ring_results_of_an_older_engine_are_recomputed(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(experiments, "_ring_worker", _fake_ring_worker(calls))
+    # the hash payload before it carried the engine version
+    old = spec_hash(Config(), {"sweep": "ring", "duration": None, "warmup": None, "seed": 0})
+    rep = tmp_path / "ring" / "d10-ACC" / "rep0.json"
+    rep.parent.mkdir(parents=True)
+    rep.write_text(json.dumps({"spec_hash": old, "cell": "d10-ACC", "rep": 0, "seed": 1,
+                               "collided": False, "throughput": 2.0, "xi_median": 0.2}))
+    summary = sweep_ring(str(tmp_path), repetitions=1, densities=(10,), sizes=(4,),
+                         rates=(0.5,))
+    assert ("d10-ACC", 0) in calls
+    assert json.loads(rep.read_text())["spec_hash"] == summary["spec_hash"] != old
 
 
 def test_confidence_halfwidth_matches_student_t():
@@ -280,7 +319,7 @@ def test_sweep_ring_run_records_carry_seed_and_metrics(ring_sweep):
     payload = json.loads((out / "ring" / "d10-ACC" / "rep1.json").read_text())
     assert payload["cell"] == "d10-ACC"
     assert payload["rep"] == 1
-    assert payload["seed"] == run_seed(3, 0, 1)
+    assert payload["seed"] == run_seed(3, "d10-ACC", 1)
     assert payload["spec_hash"] == summary["spec_hash"]
     assert payload["n_vehicles"] == 100
     assert payload["end_time"] == pytest.approx(90.0)

@@ -1,13 +1,16 @@
-"""Golden trace hashes: the batched single-platoon engine reproduces, byte for
-byte, the traces of the one-vehicle-at-a-time engine it replaced.
+"""Golden trace hashes: the engines reproduce, byte for byte, the traces
+recorded before they were last restructured.
 
 ``golden_traces.json`` holds the sha256 of ``Trace.serialize()`` for every
 trace of ``sweep_single(4)`` (both scenarios) and for a few direct cases that
 reach the remaining code paths: an independent spring-damper head, long
-homogeneous chains, a collision on the first tick and a coarser control
-period.  The hashes were recorded from the scalar engine before the batched
-one replaced it; ``python tests/test_golden_traces.py --record`` rewrites them
-from whatever engine is current.
+homogeneous chains, a collision on the first tick, a coarser control period
+and ``-GGPGGPG``, whose spring-damper members are the ones that tell two
+summation orders of the spring-damper field apart.  ``golden_ring.json`` holds
+the sha256 of ``RingTrace.serialize()`` for short full-trace ring runs of the
+PATH and Ploeg policies and both baselines, with lane changes and without any
+car under auto-hold.  ``python tests/test_golden_traces.py --record`` rewrites
+both files from whatever engine is current.
 """
 
 import hashlib
@@ -20,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixcacc.experiments import baseline_configs, mixed_configs
+from mixcacc.ring import RingSpec, run_ring
 from mixcacc.scenarios import (
     BRAKING,
     CONTROL_DT,
@@ -30,6 +34,7 @@ from mixcacc.scenarios import (
 )
 
 GOLDEN = Path(__file__).with_name("golden_traces.json")
+GOLDEN_RING = Path(__file__).with_name("golden_ring.json")
 
 SWEEP_N = 4
 
@@ -41,6 +46,15 @@ DIRECT = {
     "-PPPPPPP-sinusoidal": (SINUSOIDAL, "-PPPPPPP", {}, CONTROL_DT),
     "-AA-braking-overlap": (BRAKING, "-AA", {"initial_gap_offsets": {1: -34.4}}, CONTROL_DT),
     "-PL-sinusoidal-dt0.2": (SINUSOIDAL, "-PL", {}, 0.2),
+    "-GGPGGPG-sinusoidal": (SINUSOIDAL, "-GGPGGPG", {}, CONTROL_DT),
+}
+
+# name -> RingSpec fields of a 40 s full-trace run on a 2 km ring
+RING = {
+    "P-d60-N4-R0.5": dict(density=60, penetration=0.5, platoon_size=4, platoon_policy="P"),
+    "L-d60-N4-R0.5": dict(density=60, penetration=0.5, platoon_size=4, platoon_policy="L"),
+    "ACC-d60": dict(density=60, baseline="ACC"),
+    "IDM-d60": dict(density=60, baseline="IDM"),
 }
 
 
@@ -59,6 +73,11 @@ def direct_trace(name: str):
     return run_single_platoon(scn, control_dt=control_dt)
 
 
+def ring_trace(name: str):
+    return run_ring(RingSpec(circumference=2000.0, duration=30.0, warmup=10.0, seed=0,
+                             record_full_trace=True, **RING[name]))
+
+
 def record() -> dict:
     golden = {
         "sweep": {
@@ -71,6 +90,8 @@ def record() -> dict:
         "direct": {name: digest(direct_trace(name)) for name in DIRECT},
     }
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+    rings = {name: digest(ring_trace(name)) for name in RING}
+    GOLDEN_RING.write_text(json.dumps(rings, indent=1, sort_keys=True) + "\n")
     return golden
 
 
@@ -89,6 +110,11 @@ def test_sweep_batch_reproduces_golden_traces(golden, kind):
 @pytest.mark.parametrize("name", sorted(DIRECT))
 def test_direct_run_reproduces_golden_trace(golden, name):
     assert digest(direct_trace(name)) == golden["direct"][name]
+
+
+@pytest.mark.parametrize("name", sorted(RING))
+def test_ring_run_reproduces_golden_trace(name):
+    assert digest(ring_trace(name)) == json.loads(GOLDEN_RING.read_text())[name]
 
 
 # 12 s with the braking ramp at 4 s keeps each example cheap and still covers

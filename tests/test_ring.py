@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from mixcacc import ring
+from mixcacc.controllers import PloegParams, ploeg_target
+from mixcacc.dynamics import STANDSTILL_BRAKE, DynamicsParams
 from mixcacc.experiments import ring_run_metrics
 from mixcacc.ring import (
     CODE_ACC,
@@ -274,3 +277,29 @@ def test_ring_is_byte_deterministic():
     a = run_ring(spec).serialize()
     b = run_ring(spec).serialize()
     assert a == b
+
+
+def test_held_ploeg_filter_tracks_the_unclamped_target(monkeypatch):
+    """Auto-hold caps what a held Ploeg car applies, not the target its
+    actuation filter tracks, on the ring as in the single platoon."""
+    w = sandbox_world()
+    # a crawling two-car platoon in the left lane: ACC head 1, Ploeg car 0
+    w.lane[[0, 1]] = 2
+    w.pos[1] = 3000.0
+    w.pos[0] = 3000.0 - 4.0 - 2.0            # 2 m bumper gap
+    w.speed[[0, 1]] = 0.2
+    w.platoon_id[[0, 1]] = 1
+    w.code[0] = CODE_PLOEG
+    w.ego_leader[0] = 1
+    w.member_succ[1] = 0
+    monkeypatch.setattr(ring, "spawn_ring_traffic", lambda spec, ctrl, rng: w)
+    run_ring(RingSpec(density=1, duration=0.1, warmup=0.0))
+
+    p, dyn = PloegParams(), DynamicsParams()
+    target = ploeg_target(2.0, 0.2, 0.0, 0.2, 0.0, p.H, p.kp, p.kd)
+    assert target > 0.0
+    filt = 0.0
+    for _ in range(round(0.1 / dyn.dt)):
+        filt += dyn.dt / p.H * (target - filt)
+    assert w.ploeg_u[0] == pytest.approx(filt, rel=1e-12)
+    assert w.u_cmd[0] == STANDSTILL_BRAKE

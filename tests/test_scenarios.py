@@ -9,6 +9,7 @@ from mixcacc.scenarios import (
     SINUSOIDAL,
     ScenarioError,
     SingleScenario,
+    events_csv,
     leader_target_accel,
     leader_target_speed,
     run_platoon_batch,
@@ -163,7 +164,7 @@ def test_trace_csv_schema():
     assert rows[0] == "# check"
     assert rows[1] == "t,veh,lane,x,v,a,u,gap,ctrl,mode"
     assert len(rows) == 2 + tr.times.size * tr.n_vehicles
-    events = tr.events_csv().splitlines()
+    events = events_csv(tr.events).splitlines()
     assert events[0] == "t,kind,veh_a,veh_b,detail"
 
 
