@@ -381,8 +381,13 @@ class Neighbour(NamedTuple):
     present: np.ndarray
 
 
+def family_masks(code):
+    """``(family, mask)`` of every family present in ``code``."""
+    return [(family, code == family) for family in np.unique(code)]
+
+
 def control_tick(code, v, a, pred: Neighbour, lead: Neighbour, succ: Neighbour,
-                 v_ref, desired, override, ctrl: ControllerSet):
+                 v_ref, desired, override, ctrl: ControllerSet, families=None):
     """Commands of every vehicle for one control period.
 
     ``code`` holds each vehicle's family (``CODE_*``; any other value gets a
@@ -395,6 +400,7 @@ def control_tick(code, v, a, pred: Neighbour, lead: Neighbour, succ: Neighbour,
     caps ACC (``inf`` leaves the ACC law alone) and drives IDM.  ``override``
     holds the latched supervisor modes.  Every array broadcasts against
     ``v``, and each entry equals the per-vehicle law float for float.
+    Callers whose codes never change pass their :func:`family_masks` once.
 
     Returns the commands, the auto-hold mask and the new override latches,
     which only spring-damper cars with a leader can hold.  Held vehicles
@@ -403,8 +409,7 @@ def control_tick(code, v, a, pred: Neighbour, lead: Neighbour, succ: Neighbour,
     """
     u = np.zeros(np.shape(v))
     latch = np.zeros(np.shape(v), dtype=bool)
-    for family in np.unique(code):
-        m = code == family
+    for family, m in families or family_masks(code):
         if family == CODE_ACC:
             law = np.minimum(acc_accel(v, pred.speed, pred.gap, ctrl.acc.H, ctrl.acc.lam),
                              SET_SPEED_GAIN * (desired - v))

@@ -105,18 +105,8 @@ def step_arrays(
     ``u_cmd`` is clamped in place; commands below ``u_min`` count as commanded
     emergency braking and are admitted down to ``emergency_u_min``.
     """
-    if tau is None:
-        tau = params.tau
-    # maximum then minimum is np.clip without its dispatch overhead
-    np.maximum(u_cmd, params.emergency_u_min, out=u_cmd)
-    np.minimum(u_cmd, params.u_max, out=u_cmd)
-    accel += (params.dt / tau) * (u_cmd - accel)
-    speed += accel * params.dt
-    stopped = speed <= 0.0
-    if stopped.any():
-        speed[stopped] = 0.0
-        accel[stopped & (accel < 0.0)] = 0.0
-    pos += speed * params.dt
+    nobody = np.zeros(np.shape(pos), dtype=bool)
+    u_cmd[...] = advance(pos, speed, accel, u_cmd, params, 1, nobody, nobody, None, 1.0, tau)
 
 
 def advance(pos, speed, accel, u, params: DynamicsParams, steps: int,
@@ -128,17 +118,35 @@ def advance(pos, speed, accel, u, params: DynamicsParams, steps: int,
     physics rate towards their command.  Vehicles in the mask ``hold`` apply
     at most :data:`STANDSTILL_BRAKE`; the cap acts on what they apply, so a
     held vehicle's filter keeps tracking its unclamped command.  Mutates the
-    state arrays, ``filt`` and possibly ``u``; returns the clamped commands
-    of the last step.
+    state arrays and ``filt``; returns the clamped commands of the last step.
+    The other vehicles apply one command throughout, capped and clamped once.
     """
     filtering, holding = ploeg.any(), hold.any()
     gain = params.dt / filter_tau
-    cmd = u
-    for _ in range(steps):
+    lag_gain = params.dt / (params.tau if tau is None else tau)
+    buf = np.empty_like(pos)
+    cmd = u.copy()
+    for step in range(steps):
         if filtering:
-            filt += gain * (u - filt)
-            cmd = np.where(ploeg, filt, u)
-        if holding:
-            cmd = np.where(hold, np.minimum(cmd, STANDSTILL_BRAKE), cmd)
-        step_arrays(pos, speed, accel, cmd, params, tau)
+            np.subtract(u, filt, out=buf)
+            buf *= gain
+            filt += buf
+            np.copyto(cmd, filt, where=ploeg)
+        if filtering or step == 0:
+            if holding:
+                np.minimum(cmd, STANDSTILL_BRAKE, out=cmd, where=hold)
+            # maximum then minimum is np.clip without its dispatch overhead
+            np.maximum(cmd, params.emergency_u_min, out=cmd)
+            np.minimum(cmd, params.u_max, out=cmd)
+        np.subtract(cmd, accel, out=buf)
+        buf *= lag_gain
+        accel += buf
+        np.multiply(accel, params.dt, out=buf)
+        speed += buf
+        stopped = speed <= 0.0
+        if stopped.any():
+            speed[stopped] = 0.0
+            accel[stopped & (accel < 0.0)] = 0.0
+        np.multiply(speed, params.dt, out=buf)
+        pos += buf
     return cmd

@@ -11,6 +11,14 @@ The engine keeps only the road's topology (lane index, lane changes,
 counters, sampling); it gathers each vehicle's neighbours and hands them to
 the control tick and the integrator it shares with the single-platoon engine,
 :func:`controllers.control_tick` and :func:`dynamics.advance`.
+
+Within a lane, order changes only at lane changes: two cars swap only by
+colliding, and a collision ends the run.  So the lane index is carried from
+tick to tick and patched at each lane change instead of re-sorted; gaps keep
+their formula, and a tick with a gap <= 0 re-sorts from scratch.  The
+lane-change pass skips a target lane that no car fits into, by necessary
+conditions of the gap check only, so it accepts exactly the cars the check
+alone would.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from .controllers import (  # noqa: F401  (codes re-exported for callers)
     ControllerSet,
     Neighbour,
     control_tick,
+    family_masks,
 )
 from .dynamics import DynamicsParams, VEHICLE_LENGTH, advance
 from .scenarios import ScenarioError, Trace, TraceEvent, events_csv
@@ -46,6 +55,12 @@ DEVICES = ("N", "E", "S", "W")
 
 SPAWN_MARGIN = 2.0      # m, standstill part of spawn gaps
 MIN_INTER_GAP = 3.0     # m, hard floor between spawned entities
+
+
+def _wrap(x, C):
+    """``x %= C`` in place, computed only outside [0, C), where it is not x."""
+    np.remainder(x, C, out=x, where=(x < 0.0) | (x >= C))
+    return x
 
 
 class SpawnError(ValueError):
@@ -122,6 +137,7 @@ class RingWorld:
     ploeg_u: np.ndarray
     gsbl_override: np.ndarray
     lc_last: np.ndarray
+    ids: np.ndarray                  # arange(n), to test pred != i
     platoon_configs: list[str] = field(default_factory=list)
 
 
@@ -134,25 +150,55 @@ class _LaneIndex:
     gap: np.ndarray
 
 
-def _lane_sort(world: RingWorld) -> _LaneIndex:
-    C = world.spec.circumference
-    pred = np.arange(world.n)
-    gap = np.full(world.n, C)
-    lanes: list[tuple[np.ndarray, np.ndarray]] = []
-    for l in range(world.spec.lanes):
-        idx = np.flatnonzero(world.lane == l)
-        if idx.size == 0:
-            lanes.append((np.empty(0), idx))
-            continue
-        srt = idx[np.argsort(world.pos[idx], kind="stable")]
-        p = world.pos[srt]
-        ahead = np.roll(srt, -1)
+def _link_lane(world, L, srt, p):
+    """Enter one lane, its vehicles ``srt`` sorted by their positions ``p``,
+    into ``L``: each vehicle's predecessor is the next one, cyclically."""
+    if srt.size:
+        ahead = np.concatenate((srt[1:], srt[:1]))
         g = world.pos[ahead] - world.length[ahead] - p
-        g[-1] += C
-        pred[srt] = ahead
-        gap[srt] = g
-        lanes.append((p, srt))
-    return _LaneIndex(lanes, pred, gap)
+        g[-1] += world.spec.circumference
+        L.pred[srt] = ahead
+        L.gap[srt] = g
+    return p, srt
+
+
+def _lane_sort(world: RingWorld, prev: _LaneIndex | None = None) -> _LaneIndex:
+    """Lane index of the current state.  From ``prev``, the last index with
+    every lane change since entered, each lane keeps its order, cars that
+    wrapped round move to the front and a lane still out of order is sorted
+    afresh; a gap <= 0 rebuilds it all, so collisions and ties are unchanged.
+    """
+    L = _LaneIndex([], np.arange(world.n), np.full(world.n, world.spec.circumference))
+    for l in range(world.spec.lanes):
+        srt = None
+        if prev is not None:
+            srt = prev.lanes[l][1]
+            p = world.pos[srt]
+            down = np.flatnonzero(p[1:] < p[:-1])
+            if down.size == 1 and p[-1] <= p[0]:
+                k = down[0] + 1
+                srt, p = np.concatenate((srt[k:], srt[:k])), np.concatenate((p[k:], p[:k]))
+            elif down.size:
+                srt = None
+        if srt is None:
+            idx = np.flatnonzero(world.lane == l)
+            srt = idx[np.argsort(world.pos[idx], kind="stable")]
+            p = world.pos[srt]
+        L.lanes.append(_link_lane(world, L, srt, p))
+    if prev is not None and not L.gap.min() > 0.0:
+        return _lane_sort(world)
+    return L
+
+
+def _change_lane(world, L, i, old, new):
+    """Move vehicle ``i`` from lane ``old`` to lane ``new`` in ``L``, behind
+    the cars at its position with a lower index, as a stable sort puts it."""
+    p, srt = L.lanes[old]
+    L.lanes[old] = _link_lane(world, L, srt[srt != i], p[srt != i])
+    p, srt, x = *L.lanes[new], world.pos[i]
+    k = np.searchsorted(p, x)
+    k += np.count_nonzero(srt[k:np.searchsorted(p, x, "right")] < i)
+    L.lanes[new] = _link_lane(world, L, np.insert(srt, k, i), np.insert(p, k, x))
 
 
 def detect_collisions(
@@ -163,7 +209,7 @@ def detect_collisions(
     Pass the lane index of the current state as ``L`` to skip re-sorting.
     """
     L = L or _lane_sort(world)
-    hits = np.flatnonzero((L.gap <= 0.0) & (L.pred != np.arange(world.n)))
+    hits = np.flatnonzero((L.gap <= 0.0) & (L.pred != world.ids))
     return [
         TraceEvent(t, "collision", int(i), int(L.pred[i]), f"gap={L.gap[i]:.3f}")
         for i in hits
@@ -286,7 +332,7 @@ def spawn_ring_traffic(
         ego_leader=np.full(total, -1, dtype=np.int64),
         ploeg_u=np.zeros(total),
         gsbl_override=np.zeros(total, dtype=bool),
-        lc_last=np.full(total, -np.inf),
+        lc_last=np.full(total, -np.inf), ids=np.arange(total),
     )
 
     for l in range(spec.lanes):
@@ -295,9 +341,9 @@ def spawn_ring_traffic(
             continue
         order = rng.permutation(len(lane_entities))
         lane_entities = [lane_entities[j] for j in order]
+        inter1 = (C - sum(x["b1"] for x in lane_entities)) / len(lane_entities)
         blocks2 = []
         for e in lane_entities:
-            inter1 = (C - sum(x["b1"] for x in lane_entities)) / len(lane_entities)
             cap = max(0.0, (inter1 - SPAWN_MARGIN) / e["headway"])
             e["v_spawn"] = min(e["v_des"], cap)
             blocks2.append(block_length(e, e["v_spawn"]))
@@ -398,25 +444,43 @@ def _vec_target_check(world, L, cand, target, params, acc_headway, want_right):
     return ok
 
 
+ROUNDING_TOL = 1e-6   # m, allowance of a bound that sums lengths in another order
+
+
+def _slot_screens(world, L, params, acc_headway):
+    """Necessary conditions of :func:`_vec_target_check`: the room of the slot
+    behind each car, and the least room any car needs to keep right (True)
+    or to overtake.  A car's length and the check's front and rear gaps fill
+    the slot it enters; the terms dropped from those gaps are >= 0 while
+    ``closing_time`` is."""
+    hv = params.headway * world.speed
+    least = world.length.min() + params.margin - ROUNDING_TOL
+    return L.gap - hv, {
+        True: least + min(params.free_gap, params.margin + acc_headway * world.desired.min()),
+        False: least + params.margin + hv.min(),
+    }
+
+
 def _lane_change_pass(world, L, t, params, acc_headway, events):
     eligible = (world.platoon_id < 0) & (t - world.lc_last >= params.cooldown)
     if not eligible.any():
         return L, False
     v = world.speed
-    slow = v < params.speed_satisfaction * world.desired
-    blocked = L.gap < params.follow_factor * (params.margin + acc_headway * v)
+    movers = {True: eligible, False: eligible & (v < params.speed_satisfaction * world.desired)
+              & (L.gap < params.follow_factor * (params.margin + acc_headway * v))}
+    room, least = _slot_screens(world, L, params, acc_headway)
     candidates: set[int] = set()
-    for l in range(world.spec.lanes):
-        in_lane = eligible & (world.lane == l)
-        if l > 0:
-            cand = np.flatnonzero(in_lane)
+    for l, (_, members) in enumerate(L.lanes):
+        for target, right in ((l - 1, True), (l + 1, False)):
+            if not 0 <= target < world.spec.lanes:
+                continue
+            slots = L.lanes[target][1]
+            # a lane whose widest slot fits no car is skipped
+            if slots.size and room[slots].max() < least[right]:
+                continue
+            cand = members[movers[right][members]]
             if cand.size:
-                ok = _vec_target_check(world, L, cand, l - 1, params, acc_headway, True)
-                candidates.update(int(i) for i in cand[ok])
-        if l + 1 < world.spec.lanes:
-            cand = np.flatnonzero(in_lane & slow & blocked)
-            if cand.size:
-                ok = _vec_target_check(world, L, cand, l + 1, params, acc_headway, False)
+                ok = _vec_target_check(world, L, cand, target, params, acc_headway, right)
                 candidates.update(int(i) for i in cand[ok])
     changed = False
     for i in sorted(candidates):
@@ -428,7 +492,7 @@ def _lane_change_pass(world, L, t, params, acc_headway, events):
         world.lane[i] = new
         world.lc_last[i] = t
         events.append(TraceEvent(t, "lane_change", i, None, f"{old}->{new}"))
-        L = _lane_sort(world)
+        _change_lane(world, L, i, old, new)
         changed = True
     return L, changed
 
@@ -441,20 +505,19 @@ def _gsbl_tick(world):
     """Platoon successor of every vehicle: its speed and the modular rear gap
     (named for the spring-damper law, the only one that reads them)."""
     succ = world.member_succ
-    pos = world.pos
-    gap_rear = (pos - world.length - pos[succ]) % world.spec.circumference
+    gap_rear = _wrap(world.pos - world.length - world.pos[succ], world.spec.circumference)
     return Neighbour(world.speed[succ], None, gap_rear, succ >= 0)
 
 
-def _control_tick(world, L, ctrl):
+def _control_tick(world, L, ctrl, families=None):
     """Gather every vehicle's neighbours and run the shared control tick."""
     v, u, pred, lead = world.speed, world.u_cmd, L.pred, world.ego_leader
     u_new, hold, world.gsbl_override = control_tick(
         world.code, v, world.accel,
-        Neighbour(v[pred], u[pred], L.gap, pred != np.arange(world.n)),
+        Neighbour(v[pred], u[pred], L.gap, pred != world.ids),
         Neighbour(v[lead], u[lead], None, lead >= 0),
         _gsbl_tick(world),
-        world.desired, world.desired, world.gsbl_override, ctrl,
+        world.desired, world.desired, world.gsbl_override, ctrl, families,
     )
     return u_new, hold
 
@@ -520,14 +583,15 @@ def run_ring(
     tau = np.where(world.code == CODE_IDM, dyn.dt, dyn.tau)
     m_ploeg = world.code == CODE_PLOEG
 
-    device_pos = [(i * C / len(DEVICES), d) for i, d in enumerate(DEVICES)]
+    device_pos = np.array([i * C / len(DEVICES) for i in range(len(DEVICES))])[:, None]
+    device_names = np.array(DEVICES, dtype="U1")
+    families = family_masks(world.code)
     ticks = round((spec.warmup + spec.duration) / spec.control_dt)
     sample_every = max(1, round(spec.volatility_sample_dt / spec.control_dt))
 
-    cnt_t: list[np.ndarray] = []
-    cnt_d: list[np.ndarray] = []
-    cnt_v: list[np.ndarray] = []
-    cnt_l: list[np.ndarray] = []
+    # counter crossings of each tick: times, devices, vehicles, lanes
+    crossings = [(np.empty(0), device_names[:0], np.empty(0, dtype=np.int64),
+                  np.empty(0, dtype=np.int64))]
     samples: list[np.ndarray] = []
     sample_t: list[float] = []
     events: list[TraceEvent] = []
@@ -542,9 +606,10 @@ def run_ring(
             np.zeros(shape, dtype=np.int8), np.zeros(shape, dtype=np.int8))
     rec_rows = 0
 
+    L = None
     for k in range(ticks + 1):
         t = k * spec.control_dt
-        L = _lane_sort(world)
+        L = _lane_sort(world, L)
         crash = detect_collisions(world, t, L)
         if crash:
             events.extend(crash)
@@ -564,22 +629,24 @@ def run_ring(
             break
 
         L, moved = _lane_change_pass(world, L, t, lc, ctrl.acc.H, events)
-        u, hold = _control_tick(world, L, ctrl)
+        u, hold = _control_tick(world, L, ctrl, families)
+        if not np.isfinite(u).all():
+            raise ValueError(f"non-finite control input: {float(u[~np.isfinite(u)][0])!r}")
         pos_before = world.pos.copy()
         world.u_cmd = advance(world.pos, world.speed, world.accel, u, dyn, sub, hold,
                               m_ploeg, world.ploeg_u, ctrl.ploeg.H, tau)
-        world.pos %= C
-        dist = (world.pos - pos_before) % C
-        t_end = t + spec.control_dt
-        for dpos, name in device_pos:
-            rel = (dpos - pos_before) % C
-            hit = np.flatnonzero(rel < dist)
-            if hit.size:
-                cnt_t.append(np.full(hit.size, t_end))
-                cnt_d.append(np.full(hit.size, name, dtype="U1"))
-                cnt_v.append(hit)
-                cnt_l.append(world.lane[hit])
+        _wrap(world.pos, C)
+        dist = _wrap(world.pos - pos_before, C)
+        # only cars that end up within reach of a device can pass it
+        y = pos_before * (len(DEVICES) / C)
+        near = np.flatnonzero(np.ceil(y) - y < (dist.max() + ROUNDING_TOL) * len(DEVICES) / C)
+        dev, hit = np.nonzero((device_pos - pos_before[near]) % C < dist[near])
+        hit = near[hit]
+        if hit.size:
+            crossings.append((np.full(hit.size, t + spec.control_dt), device_names[dev],
+                              hit, world.lane[hit]))
 
+    times, devices, vehicles, lanes = (np.concatenate(c) for c in zip(*crossings))
     controllers = tuple(LETTER_BY_CODE[c] for c in world.code)
     full = None
     if rec:
@@ -597,10 +664,10 @@ def run_ring(
         controllers=controllers,
         platoon_id=world.platoon_id.copy(),
         desired_speed=world.desired.copy(),
-        counter_times=np.concatenate(cnt_t) if cnt_t else np.empty(0),
-        counter_devices=np.concatenate(cnt_d) if cnt_d else np.empty(0, dtype="U1"),
-        counter_vehicles=np.concatenate(cnt_v) if cnt_v else np.empty(0, dtype=np.int64),
-        counter_lanes=np.concatenate(cnt_l) if cnt_l else np.empty(0, dtype=np.int64),
+        counter_times=times,
+        counter_devices=devices,
+        counter_vehicles=vehicles,
+        counter_lanes=lanes,
         sample_times=np.asarray(sample_t),
         speed_samples=np.asarray(samples) if samples else np.empty((0, world.n)),
         events=events,

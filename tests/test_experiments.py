@@ -10,6 +10,7 @@ from scipy import stats
 
 from mixcacc import experiments
 from mixcacc.config import Config, spec_hash
+from mixcacc.controllers import AccParams, ControllerSet
 from mixcacc.experiments import (
     RingCell,
     baseline_configs,
@@ -334,6 +335,19 @@ def test_sweep_ring_resume_skips_finished_runs(ring_sweep):
     second = sweep_ring(str(out), **RING_KW)
     assert rep.stat().st_mtime_ns == stamp
     assert second["cells"] == first["cells"]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_ring_records_non_finite_runs_as_failed(tmp_path, jobs):
+    """A NaN ACC gain poisons every cell with ACC cars; the IDM baseline,
+    which has none, still runs, serially and in parallel alike."""
+    cfg = Config(controllers=ControllerSet(acc=AccParams(lam=float("nan"))))
+    summary = sweep_ring(str(tmp_path), cfg, jobs=jobs, **{**RING_KW, "repetitions": 1,
+                                                          "duration": 2.0, "warmup": 1.0})
+    cells = [c for c in summary["cells"] if c != "d10-IDM"]
+    assert [(f["cell"], f["rep"]) for f in summary["failed"]] == [(c, 0) for c in cells]
+    assert {f["error"] for f in summary["failed"]} == {"non-finite control input: nan"}
+    assert summary["cells"]["d10-IDM"]["runs"] == 1
 
 
 def test_emit_reports_renders_both_tables(single_sweep, ring_sweep):

@@ -9,7 +9,9 @@ and ``-GGPGGPG``, whose spring-damper members are the ones that tell two
 summation orders of the spring-damper field apart.  ``golden_ring.json`` holds
 the sha256 of ``RingTrace.serialize()`` for short full-trace ring runs of the
 PATH and Ploeg policies and both baselines, with lane changes and without any
-car under auto-hold.  ``python tests/test_golden_traces.py --record`` rewrites
+car under auto-hold, of a mixed-policy run whose spring-damper cars enter
+override, and of a mixed-policy run under a coarse control period that ends
+in two collisions on one tick (which pins collision events and their order).  ``python tests/test_golden_traces.py --record`` rewrites
 both files from whatever engine is current.
 """
 
@@ -55,6 +57,9 @@ RING = {
     "L-d60-N4-R0.5": dict(density=60, penetration=0.5, platoon_size=4, platoon_policy="L"),
     "ACC-d60": dict(density=60, baseline="ACC"),
     "IDM-d60": dict(density=60, baseline="IDM"),
+    "MIX-d60-N4-R0.5": dict(density=60, penetration=0.5, platoon_size=4, platoon_policy="MIX"),
+    "MIX-d100-N4-R0.5-dt0.5-collision": dict(density=100, penetration=0.5, platoon_size=4,
+                                             platoon_policy="MIX", control_dt=0.5),
 }
 
 

@@ -1,10 +1,14 @@
 """Ring-road spawning, lane changes and full-run bookkeeping."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mixcacc import ring
-from mixcacc.controllers import PloegParams, ploeg_target
+from mixcacc.controllers import AccParams, ControllerSet, PloegParams, ploeg_target
 from mixcacc.dynamics import STANDSTILL_BRAKE, DynamicsParams
 from mixcacc.experiments import ring_run_metrics
 from mixcacc.ring import (
@@ -16,6 +20,7 @@ from mixcacc.ring import (
     LaneChangeParams,
     RingSpec,
     SpawnError,
+    _change_lane,
     _lane_change_pass,
     _lane_sort,
     detect_collisions,
@@ -23,6 +28,7 @@ from mixcacc.ring import (
     run_ring,
     spawn_ring_traffic,
 )
+from test_golden_traces import RING as GOLDEN_RING, ring_trace
 
 ACC_H = 1.2
 
@@ -216,6 +222,146 @@ def test_platoon_members_never_change_lanes():
     assert not moved and w.lane[0] == 0
 
 
+def _unscreened(world, L, params, acc_headway):
+    """Screens that skip no lane: the lane-change pass as it was before the
+    screens."""
+    return np.full(world.n, np.inf), dict.fromkeys((True, False), 0.0)
+
+
+def _random_world(seed):
+    """A small three-lane ring of at most 60 cars, spawned at a random
+    density, with random speeds above a random floor, desired speeds,
+    platoon members and cooldowns."""
+    rng = np.random.default_rng(seed)
+    C = float(rng.uniform(400.0, 2000.0))
+    w = spawn_ring_traffic(RingSpec(
+        density=float(rng.uniform(5.0, 60_000.0 / C)), circumference=C,
+        penetration=float(rng.choice([0.0, 0.5])), platoon_size=4, seed=seed))
+    w.speed[:] = rng.uniform(rng.uniform(0.0, 35.0), 40.0, w.n)
+    w.desired[:] = rng.uniform(20.0, 40.0, w.n)
+    w.lc_last[:] = np.where(rng.random(w.n) < 0.2, 8.0, -np.inf)
+    return w
+
+
+def _assert_same_index(a, b):
+    assert np.array_equal(a.pred, b.pred) and np.array_equal(a.gap, b.gap)
+    assert len(a.lanes) == len(b.lanes)
+    for (pa, ia), (pb, ib) in zip(a.lanes, b.lanes):
+        assert np.array_equal(pa, pb) and np.array_equal(ia, ib)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(
+    st.one_of(st.floats(0.0, 3.0), st.integers(0, 10**6),
+              st.tuples(st.integers(0, 10**6), st.booleans())),
+    max_size=25))
+@example(seed=152, steps=[146, (1586, False), (11811, False)])   # a car lands on a tie
+def test_maintained_lane_index_equals_a_fresh_sort(seed, steps):
+    """The index carried from tick to tick equals a from-scratch sort.
+
+    A float step moves every car for that many seconds at its speed, give
+    or take 20%: short steps keep each lane's order, long ones make cars
+    pass or hit the car ahead, and some cars wrap round the ring.  An
+    integer step puts one car exactly on the car behind it, a tie that only
+    the from-scratch sort orders by vehicle index.  A pair forces a lane
+    change of one car, left or right.
+    """
+    w = _random_world(seed)
+    rng = np.random.default_rng(seed)
+    C = w.spec.circumference
+    L = _lane_sort(w)
+    for step in steps:
+        if not isinstance(step, tuple):
+            if isinstance(step, float):
+                w.pos[:] = (w.pos + w.speed * step * rng.uniform(0.8, 1.2, w.n)) % C
+            else:
+                i = step % w.n
+                w.pos[i] = w.pos[np.flatnonzero(L.pred == i)[0]]
+            L = _lane_sort(w, L)
+        else:
+            i, left = step[0] % w.n, step[1]
+            old = int(w.lane[i])
+            new = old + 1 if (left and old < 2) or old == 0 else old - 1
+            w.lane[i] = new
+            _change_lane(w, L, i, old, new)
+        _assert_same_index(L, _lane_sort(w))
+
+
+def _decisions(monkeypatch):
+    """Record each pass and each candidate it re-checks."""
+    calls = []
+    real_pass, real_decision = ring._lane_change_pass, ring.lane_change_decision
+
+    def lane_change_pass(world, L, t, *args):
+        calls.append(("pass", t))
+        return real_pass(world, L, t, *args)
+
+    def lane_change_decision(world, i, *args):
+        calls.append(("candidate", i))
+        return real_decision(world, i, *args)
+
+    monkeypatch.setattr(ring, "_lane_change_pass", lane_change_pass)
+    monkeypatch.setattr(ring, "lane_change_decision", lane_change_decision)
+    return calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_screened_pass_accepts_the_unscreened_candidates(seed):
+    """Screening removes only candidates the target check would refuse."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _decisions(mp)
+        runs = []
+        for screens in (ring._slot_screens, _unscreened):
+            mp.setattr(ring, "_slot_screens", screens)
+            w = _random_world(seed)
+            events = []
+            del calls[:]
+            ring._lane_change_pass(w, _lane_sort(w), 10.0, LC, ACC_H, events)
+            runs.append((list(calls), events, w.lane.copy()))
+    assert runs[0][0] == runs[1][0]
+    assert runs[0][1] == runs[1][1]
+    assert np.array_equal(runs[0][2], runs[1][2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(right=st.booleans(), frac=st.floats(0.0, 1.1), vd=st.floats(20.0, 40.0),
+       slack=st.floats(1e-3, 1.0), slots=st.integers(3, 8))
+def test_a_car_takes_a_slot_that_just_fits(right, frac, vd, slack, slots):
+    """Every slot of the target lane is just wide enough for the car, by
+    ``slack`` at front and rear, and every car drives at one speed, so the
+    screens' bounds are tight: they must still let the car through."""
+    v = vd * (max(frac, LC.right_speed_factor) if right else min(frac, 0.85))
+    front = LC.margin + LC.headway * v
+    if right:
+        front = max(front, min(LC.free_gap, LC.margin + ACC_H * vd))
+    rear = LC.margin + LC.headway * v
+    s = 8.0 + front + rear + 2.0 * slack     # slot pitch; cars are 4 m long
+    w = sandbox_world()
+    w.spec = dataclasses.replace(w.spec, circumference=slots * s)
+    w.speed[:], w.desired[:] = v, vd
+    src, dst = (1, 0) if right else (0, 1)
+    chain = np.arange(2, 2 + slots)          # the target lane, evenly spaced
+    w.lane[chain], w.pos[chain] = dst, s * np.arange(slots)
+    w.lane[2 + slots:] = 2
+    x = 4.0 + rear + slack                   # car 0, blocked by car 1
+    w.lane[[0, 1]], w.pos[[0, 1]] = src, [x, x + 5.0]
+    w.platoon_id[1:] = 100 + np.arange(w.n - 1)   # nobody else may move
+    events = []
+    _lane_change_pass(w, _lane_sort(w), 10.0, LC, ACC_H, events)
+    assert [(e.veh_a, e.detail) for e in events] == [(0, f"{src}->{dst}")]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RING))
+def test_screened_pass_keeps_the_candidates_of_the_golden_runs(name, monkeypatch):
+    calls = _decisions(monkeypatch)
+    screened = ring_trace(name).serialize(), list(calls)
+    assert any(kind == "candidate" for kind, _ in calls)
+    del calls[:]
+    monkeypatch.setattr(ring, "_slot_screens", _unscreened)
+    assert (ring_trace(name).serialize(), calls) == screened
+
+
 # ---------------------------------------------------------------------------
 # collisions
 # ---------------------------------------------------------------------------
@@ -269,6 +415,14 @@ def test_ring_bookkeeping(short_free_flow):
     lines = tr.counters_csv().splitlines()
     assert lines[0] == "t,device,veh,lane"
     assert len(lines) == 1 + tr.counter_times.size
+
+
+def test_non_finite_command_fails_the_run():
+    """A NaN gain makes every ACC command NaN; the run fails at once instead
+    of carrying NaN positions past collision detection."""
+    ctrl = ControllerSet(acc=AccParams(lam=float("nan")))
+    with pytest.raises(ValueError, match="non-finite control input: nan"):
+        run_ring(RingSpec(density=10, duration=5.0, warmup=0.0), ctrl=ctrl)
 
 
 def test_ring_is_byte_deterministic():
