@@ -386,21 +386,22 @@ def family_masks(code):
     return [(family, code == family) for family in np.unique(code)]
 
 
-def control_tick(code, v, a, pred: Neighbour, lead: Neighbour, succ: Neighbour,
-                 v_ref, desired, override, ctrl: ControllerSet, families=None):
+def control_tick(families, v, a, pred: Neighbour, lead: Neighbour, succ: Neighbour,
+                 v_ref, desired, override, ctrl: ControllerSet):
     """Commands of every vehicle for one control period.
 
-    ``code`` holds each vehicle's family (``CODE_*``; any other value gets a
-    zero command for its engine to replace), ``v`` and ``a`` its speed and
-    realized acceleration.  ``pred`` is the physical predecessor (speed,
-    command, bumper gap), ``lead`` the elected leader (speed, command) and
-    ``succ`` the platoon successor (speed, and its own front gap, which is
-    the vehicle's rear gap).  ``v_ref`` is the speed reference of a
-    spring-damper car without a leader and ``desired`` the cruise speed that
-    caps ACC (``inf`` leaves the ACC law alone) and drives IDM.  ``override``
-    holds the latched supervisor modes.  Every array broadcasts against
-    ``v``, and each entry equals the per-vehicle law float for float.
-    Callers whose codes never change pass their :func:`family_masks` once.
+    ``families`` holds the :func:`family_masks` of the vehicles' codes
+    (``CODE_*``; any other family gets a zero command for its engine to
+    replace), which never change during a run.  ``v`` and ``a`` are each
+    vehicle's speed and realized acceleration.  ``pred`` is the physical
+    predecessor (speed, command, bumper gap), ``lead`` the elected leader
+    (speed, command) and ``succ`` the platoon successor (speed, and its own
+    front gap, which is the vehicle's rear gap).  ``v_ref`` is the speed
+    reference of a spring-damper car without a leader and ``desired`` the
+    cruise speed that caps ACC (``inf`` leaves the ACC law alone) and drives
+    IDM.  ``override`` holds the latched supervisor modes.  Every array
+    broadcasts against ``v``, and each entry equals the per-vehicle law float
+    for float.
 
     Returns the commands, the auto-hold mask and the new override latches,
     which only spring-damper cars with a leader can hold.  Held vehicles
@@ -409,7 +410,7 @@ def control_tick(code, v, a, pred: Neighbour, lead: Neighbour, succ: Neighbour,
     """
     u = np.zeros(np.shape(v))
     latch = np.zeros(np.shape(v), dtype=bool)
-    for family, m in families or family_masks(code):
+    for family, m in families:
         if family == CODE_ACC:
             law = np.minimum(acc_accel(v, pred.speed, pred.gap, ctrl.acc.H, ctrl.acc.lam),
                              SET_SPEED_GAIN * (desired - v))

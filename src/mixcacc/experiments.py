@@ -98,7 +98,6 @@ def configs_for_sweep(n: int, seed: int = 0) -> list[str]:
 class ReferenceData:
     """Per-scenario reference curves extracted from the homogeneous runs."""
 
-    kind: str
     acc_peaks: dict[int, float]
     acc_occupancy: float
     min_gaps: dict[str, dict[int, float]] = field(default_factory=dict)
@@ -145,7 +144,6 @@ def build_reference(kind: str, baselines: dict) -> ReferenceData:
     acc_trace, acc_scn = baselines["A"]
     acc_window = analysis_window(acc_trace, acc_scn)
     ref = ReferenceData(
-        kind=kind,
         acc_peaks=peak_abs_accel(acc_trace, acc_window, _speed_floor(kind)),
         acc_occupancy=max_platoon_occupancy(acc_trace, acc_window),
     )
@@ -326,10 +324,13 @@ class RingCell:
     """One cell of the ring experiment grid."""
 
     density: float
-    category: str          # baseline or platoon
-    policy: str            # ACC / IDM or P / L / G / MIX
+    policy: str            # a baseline, ACC / IDM, or a platoon policy, P / L / G / MIX
     platoon_size: int = 0
     penetration: float = 0.0
+
+    @property
+    def category(self) -> str:
+        return "baseline" if self.policy in BASELINES else "platoon"
 
     @property
     def cell_id(self) -> str:
@@ -341,10 +342,13 @@ class RingCell:
         )
 
 
+_GRID = MobilitySpec()
+
+
 def ring_cells(
-    densities=(10, 20, 40, 60, 80, 100, 120, 140, 160, 180),
-    sizes=(4, 8, 16),
-    rates=(0.25, 0.5, 0.75),
+    densities=_GRID.densities,
+    sizes=_GRID.platoon_sizes,
+    rates=_GRID.penetration_rates,
     policies=PLATOON_POLICIES,
     baselines=BASELINES,
 ) -> list[RingCell]:
@@ -353,14 +357,12 @@ def ring_cells(
     cells = []
     for d in densities:
         for b in baselines:
-            cells.append(RingCell(density=d, category="baseline", policy=b))
+            cells.append(RingCell(density=d, policy=b))
         for pol in policies:
             for n in sizes:
                 for r in rates:
-                    cells.append(RingCell(
-                        density=d, category="platoon", policy=pol,
-                        platoon_size=n, penetration=r,
-                    ))
+                    cells.append(RingCell(density=d, policy=pol, platoon_size=n,
+                                          penetration=r))
     return cells
 
 

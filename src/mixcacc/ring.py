@@ -24,7 +24,7 @@ alone would.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,6 +101,10 @@ class RingSpec:
             raise SpawnError("platoons need at least 2 vehicles")
         if len(self.speed_classes_kmh) != self.lanes:
             raise SpawnError("need one speed class per lane")
+        if self.duration <= 0.0:
+            raise SpawnError("duration must be positive")
+        if self.warmup < 0.0:
+            raise SpawnError("warmup must not be negative")
 
 
 @dataclass
@@ -138,7 +142,6 @@ class RingWorld:
     gsbl_override: np.ndarray
     lc_last: np.ndarray
     ids: np.ndarray                  # arange(n), to test pred != i
-    platoon_configs: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -227,11 +230,15 @@ def spawn_ring_traffic(
 ) -> RingWorld:
     """Populate the ring at the requested density.
 
-    Platoons go to the lane of their speed class.  Singles are placed in the
-    rightmost lane that still offers comfortable spacing at their desired
-    speed; once every lane is saturated the remaining singles are spread over
-    the least-loaded lanes at jam spacing (speeds are reduced so that initial
-    gaps stay safe).
+    One rule places every entity, a platoon or a single: it takes the first
+    lane of its lane order where the lengths of the lane's blocks plus one
+    spacing per block still fit the circumference.  A platoon tries the lane
+    of its speed class at jam spacing (``MIN_INTER_GAP``) and fails the spawn
+    if it does not fit.  A single tries the lanes from the right at
+    comfortable spacing for its desired speed.  The singles left over then
+    try the lanes from the least loaded at jam spacing.  Each lane's blocks
+    are spread evenly in random order, at speeds capped so that the spread
+    gaps stay safe.
     """
     ctrl = ctrl or ControllerSet()
     rng = rng or np.random.default_rng(spec.seed)
@@ -239,146 +246,100 @@ def spawn_ring_traffic(
     total = int(math.floor(spec.density * C / 1000.0))
     if total < 1:
         raise SpawnError("density too low for a single vehicle")
-    n_platoons = int(math.floor(total * spec.penetration / spec.platoon_size))
-    n_members = n_platoons * spec.platoon_size
-    n_singles = total - n_members
+    size = spec.platoon_size
+    n_platoons = int(math.floor(total * spec.penetration / size))
     classes = np.asarray(spec.speed_classes_kmh, dtype=float)
+    single = "A" if spec.baseline == "ACC" else "I"
+    single_headway = ctrl.acc.H if single == "A" else ctrl.idm.T
+    platoon_id, member_succ, ego_leader = (np.full(total, -1, dtype=np.int64) for _ in range(3))
 
-    base_code = CODE_ACC if spec.baseline == "ACC" else CODE_IDM
-    head_headway = ctrl.acc.H
-    single_headway = ctrl.acc.H if base_code == CODE_ACC else ctrl.idm.T
-
-    # entity: (indices, v_des, lane or None, letters, headway of its head)
-    entities = []
-    idx0 = 0
-    for _ in range(n_platoons):
-        ci = int(rng.integers(len(classes)))
-        v_des = (classes[ci] + rng.uniform(-spec.speed_jitter_kmh, spec.speed_jitter_kmh)) / 3.6
-        if spec.platoon_policy == "MIX":
-            letters = "".join(rng.choice(list("PLG"), size=spec.platoon_size - 1))
-        else:
-            letters = spec.platoon_policy * (spec.platoon_size - 1)
-        entities.append({
-            "indices": list(range(idx0, idx0 + spec.platoon_size)),
-            "v_des": v_des, "lane": ci, "letters": "A" + letters,
-            "headway": head_headway,
-        })
-        idx0 += spec.platoon_size
-    for _ in range(n_singles):
-        ci = int(rng.integers(len(classes)))
-        v_des = (classes[ci] + rng.uniform(-spec.speed_jitter_kmh, spec.speed_jitter_kmh)) / 3.6
-        entities.append({
-            "indices": [idx0], "v_des": v_des, "lane": None,
-            "letters": LETTER_BY_CODE[base_code], "headway": single_headway,
-        })
-        idx0 += 1
-
-    def block_length(e, v) -> float:
-        letters = e["letters"]
+    def block(letters, v):
+        """Member gaps and bumper-to-bumper length of a block at speed v."""
         gaps = [ctrl.equilibrium_gap(c, v) for c in letters[1:]]
-        return len(letters) * VEHICLE_LENGTH + float(np.sum(gaps)) if gaps else VEHICLE_LENGTH
+        return gaps, (len(letters) * VEHICLE_LENGTH + float(np.sum(gaps)) if gaps
+                      else VEHICLE_LENGTH)
 
-    # lane assignment: platoons to class lanes, singles rightmost comfortable
-    used = np.zeros(spec.lanes)
-    counts = np.zeros(spec.lanes, dtype=int)
+    # entity k, vehicles in index order: (letters, desired speed, headway of
+    # its head), its length at the desired speed, its lane, spawn speed and
+    # vehicle positions
+    n_entities = total - n_platoons * (size - 1)
+    entities, length = [], []
+    lane_of, speed_of, pos_of = [None] * n_entities, [0.0] * n_entities, [None] * n_entities
+    used, counts = [0.0] * spec.lanes, [0] * spec.lanes
+
+    def fit(k, lane_order, spacing):
+        for l in lane_order:
+            if used[l] + length[k] + (counts[l] + 1) * spacing <= C:
+                used[l] += length[k]
+                counts[l] += 1
+                lane_of[k] = l
+                return True
+        return False
+
     overflow = []
-    for e in entities:
-        b = block_length(e, e["v_des"])
-        e["b1"] = b
-        comfort = SPAWN_MARGIN + e["headway"] * e["v_des"]
-        if e["lane"] is not None:
-            l = e["lane"]
-            if used[l] + b + (counts[l] + 1) * MIN_INTER_GAP > C:
-                raise SpawnError(
-                    f"platoon traffic exceeds lane {l} capacity at density {spec.density}"
-                )
-            used[l] += b
-            counts[l] += 1
-            continue
-        placed = False
-        for l in range(spec.lanes):
-            if used[l] + b + (counts[l] + 1) * comfort <= C:
-                e["lane"] = l
-                used[l] += b
-                counts[l] += 1
-                placed = True
-                break
-        if not placed:
-            overflow.append(e)
-    for e in overflow:
-        load = np.where(counts > 0, used / C, 0.0)
-        order = sorted(range(spec.lanes), key=lambda l: (load[l], l))
-        for l in order:
-            if used[l] + e["b1"] + (counts[l] + 1) * MIN_INTER_GAP <= C:
-                e["lane"] = l
-                used[l] += e["b1"]
-                counts[l] += 1
-                break
+    for k in range(n_entities):
+        ci = int(rng.integers(len(classes)))
+        v_des = (classes[ci] + rng.uniform(-spec.speed_jitter_kmh, spec.speed_jitter_kmh)) / 3.6
+        platoon = k < n_platoons
+        if platoon:
+            letters = "A" + ("".join(rng.choice(list("PLG"), size=size - 1))
+                             if spec.platoon_policy == "MIX" else spec.platoon_policy * (size - 1))
+            headway, i0 = ctrl.acc.H, k * size
+            platoon_id[i0:i0 + size] = i0
+            member_succ[i0:i0 + size - 1] = range(i0 + 1, i0 + size)
+            ego_leader[i0 + 1:i0 + size] = [i0 + j for j in elect_ego_leaders(letters).values()]
         else:
+            letters, headway = single, single_headway
+        entities.append((letters, v_des, headway))
+        length.append(block(letters, v_des)[1])
+        if platoon and not fit(k, [ci], MIN_INTER_GAP):
+            raise SpawnError(
+                f"platoon traffic exceeds lane {ci} capacity at density {spec.density}"
+            )
+        if not platoon and not fit(k, range(spec.lanes), SPAWN_MARGIN + headway * v_des):
+            overflow.append(k)
+    for k in overflow:
+        if not fit(k, sorted(range(spec.lanes), key=lambda l: used[l] / C), MIN_INTER_GAP):
             feasible = spec.lanes * C / (VEHICLE_LENGTH + MIN_INTER_GAP) / (C / 1000.0)
             raise SpawnError(
                 f"density {spec.density} veh/km does not fit; "
                 f"roughly {feasible:.0f} veh/km is the geometric limit"
             )
 
-    world = RingWorld(
+    # each lane's blocks in random order, a cursor walking back from a random front
+    for l in range(spec.lanes):
+        ks = [k for k, lane in enumerate(lane_of) if lane == l]
+        if not ks:
+            continue
+        ks = [ks[j] for j in rng.permutation(len(ks))]
+        inter1 = (C - sum(length[k] for k in ks)) / len(ks)
+        spawned = []
+        for k in ks:
+            letters, v_des, headway = entities[k]
+            speed_of[k] = min(v_des, max(0.0, (inter1 - SPAWN_MARGIN) / headway))
+            spawned.append((k, *block(letters, speed_of[k])))
+        inter2 = (C - sum(b2 for *_, b2 in spawned)) / len(ks)
+        cursor = rng.uniform(0.0, C)
+        for k, gaps, b2 in spawned:
+            pos = pos_of[k] = [cursor]
+            for g in gaps:
+                pos.append(pos[-1] - (VEHICLE_LENGTH + g))
+            cursor -= b2 + inter2
+
+    sizes = [len(letters) for letters, *_ in entities]
+    return RingWorld(
         spec=spec, n=total,
-        pos=np.zeros(total), speed=np.zeros(total), accel=np.zeros(total),
-        u_cmd=np.zeros(total), lane=np.zeros(total, dtype=np.int64),
-        length=np.full(total, VEHICLE_LENGTH), desired=np.zeros(total),
-        code=np.zeros(total, dtype=np.int8),
-        platoon_id=np.full(total, -1, dtype=np.int64),
-        member_succ=np.full(total, -1, dtype=np.int64),
-        ego_leader=np.full(total, -1, dtype=np.int64),
-        ploeg_u=np.zeros(total),
-        gsbl_override=np.zeros(total, dtype=bool),
+        pos=np.array([x for pos in pos_of for x in pos]) % C,
+        speed=np.repeat(speed_of, sizes), accel=np.zeros(total), u_cmd=np.zeros(total),
+        lane=np.repeat(np.array(lane_of, dtype=np.int64), sizes),
+        length=np.full(total, VEHICLE_LENGTH),
+        desired=np.repeat([v_des for _, v_des, _ in entities], sizes),
+        code=np.array([CODE_BY_LETTER[c] for letters, *_ in entities for c in letters],
+                      dtype=np.int8),
+        platoon_id=platoon_id, member_succ=member_succ, ego_leader=ego_leader,
+        ploeg_u=np.zeros(total), gsbl_override=np.zeros(total, dtype=bool),
         lc_last=np.full(total, -np.inf), ids=np.arange(total),
     )
-
-    for l in range(spec.lanes):
-        lane_entities = [e for e in entities if e["lane"] == l]
-        if not lane_entities:
-            continue
-        order = rng.permutation(len(lane_entities))
-        lane_entities = [lane_entities[j] for j in order]
-        inter1 = (C - sum(x["b1"] for x in lane_entities)) / len(lane_entities)
-        blocks2 = []
-        for e in lane_entities:
-            cap = max(0.0, (inter1 - SPAWN_MARGIN) / e["headway"])
-            e["v_spawn"] = min(e["v_des"], cap)
-            blocks2.append(block_length(e, e["v_spawn"]))
-        inter2 = (C - sum(blocks2)) / len(lane_entities)
-        cursor = rng.uniform(0.0, C)
-        for e, b2 in zip(lane_entities, blocks2):
-            _place_entity(world, ctrl, e, cursor, l)
-            cursor -= b2 + inter2
-    world.pos %= C
-    return world
-
-
-def _place_entity(world, ctrl, e, head_front, lane):
-    letters = e["letters"]
-    idx = e["indices"]
-    v = e["v_spawn"]
-    pid = idx[0] if len(idx) > 1 else -1
-    if len(idx) > 1:
-        world.platoon_configs.append(letters)
-        leaders = elect_ego_leaders(parse_config(letters))
-    pos = head_front
-    for m, (i, letter) in enumerate(zip(idx, letters)):
-        if m > 0:
-            pos -= VEHICLE_LENGTH + ctrl.equilibrium_gap(letter, v)
-        world.pos[i] = pos
-        world.speed[i] = v
-        world.desired[i] = e["v_des"]
-        world.lane[i] = lane
-        world.code[i] = CODE_BY_LETTER[letter]
-        if len(idx) > 1:
-            world.platoon_id[i] = pid
-            if m + 1 < len(idx):
-                world.member_succ[i] = idx[m + 1]
-            if m > 0:
-                world.ego_leader[i] = idx[leaders[m]]
 
 
 # ---------------------------------------------------------------------------
@@ -509,15 +470,15 @@ def _gsbl_tick(world):
     return Neighbour(world.speed[succ], None, gap_rear, succ >= 0)
 
 
-def _control_tick(world, L, ctrl, families=None):
+def _control_tick(world, L, ctrl, families):
     """Gather every vehicle's neighbours and run the shared control tick."""
     v, u, pred, lead = world.speed, world.u_cmd, L.pred, world.ego_leader
     u_new, hold, world.gsbl_override = control_tick(
-        world.code, v, world.accel,
+        families, v, world.accel,
         Neighbour(v[pred], u[pred], L.gap, pred != world.ids),
         Neighbour(v[lead], u[lead], None, lead >= 0),
         _gsbl_tick(world),
-        world.desired, world.desired, world.gsbl_override, ctrl, families,
+        world.desired, world.desired, world.gsbl_override, ctrl,
     )
     return u_new, hold
 
@@ -532,9 +493,6 @@ class RingTrace:
 
     spec: RingSpec
     n_vehicles: int
-    controllers: tuple[str, ...]
-    platoon_id: np.ndarray
-    desired_speed: np.ndarray
     counter_times: np.ndarray
     counter_devices: np.ndarray
     counter_vehicles: np.ndarray
@@ -647,11 +605,10 @@ def run_ring(
                               hit, world.lane[hit]))
 
     times, devices, vehicles, lanes = (np.concatenate(c) for c in zip(*crossings))
-    controllers = tuple(LETTER_BY_CODE[c] for c in world.code)
     full = None
     if rec:
         full = Trace(
-            np.arange(rec_rows) * spec.control_dt, controllers,
+            np.arange(rec_rows) * spec.control_dt, tuple(LETTER_BY_CODE[c] for c in world.code),
             *(block[:rec_rows] for block in rec),
             events=events,
             scenario_kind="ring",
@@ -661,9 +618,6 @@ def run_ring(
     return RingTrace(
         spec=spec,
         n_vehicles=world.n,
-        controllers=controllers,
-        platoon_id=world.platoon_id.copy(),
-        desired_speed=world.desired.copy(),
         counter_times=times,
         counter_devices=devices,
         counter_vehicles=vehicles,

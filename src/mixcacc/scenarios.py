@@ -32,6 +32,7 @@ from .controllers import (
     GsblMode,
     Neighbour,
     control_tick,
+    family_masks,
 )
 from .dynamics import DynamicsParams, VEHICLE_LENGTH, advance
 from .topology import EXTERNAL_REF, PlatoonConfig, elect_ego_leaders, parse_config
@@ -239,7 +240,10 @@ def run_platoon_batch(
     equilibrium gap at the base speed, and a row ends at its first
     collision.  A row whose setup is rejected, or whose control command goes
     non-finite, gets the exception in place of its trace; no row reads
-    another's state, so the other rows run on unchanged.
+    another's state, so the other rows run on unchanged.  A finished row
+    keeps stepping with the others and nothing reads it again: its trace is
+    a view of the ticks before it ended.  So the rows, and with them the
+    family masks of the control tick, never change during the run.
     """
     dyn = dyn or DynamicsParams()
     ctrl = ctrl or ControllerSet()
@@ -280,13 +284,13 @@ def run_platoon_batch(
     rec_pos, rec_speed, rec_accel, rec_u, rec_gap, _, rec_mode = record
     events: list[list[TraceEvent]] = [[] for _ in rows]
 
-    live = np.arange(m)                       # block row of each state row
     # the head follows the speed profile unless it runs the spring-damper law
     code = np.array([
         [CODE_GSBL if cfg[0] == "G" else _PROFILE_HEAD]
         + [CODE_BY_LETTER[c] for c in cfg.controllers[1:]]
         for cfg, _ in map(setups.get, rows)
     ], dtype=np.int8)
+    families = family_masks(code)
     lead = np.array([                         # elected leader, -1 for none
         [-1] + [-1 if leaders[i] is EXTERNAL_REF else leaders[i] for i in range(1, n)]
         for _, leaders in map(setups.get, rows)
@@ -299,41 +303,41 @@ def run_platoon_batch(
     over = np.zeros((m, n), dtype=bool)       # spring-damper override latch
     has_pred, has_succ = np.arange(n) > 0, np.arange(n) < n - 1
     row_at = np.arange(m)[:, None]            # state rows, for leader gathers
+    done = np.zeros(m, dtype=bool)            # rows whose result is settled
 
     for k in range(ticks):
-        at = slice(None) if len(live) == m else live
         gap = _ahead(pos) - VEHICLE_LENGTH - pos
-        rec_pos[at, k] = pos
-        rec_speed[at, k] = spd
-        rec_accel[at, k] = acc
-        rec_u[at, k] = uin
-        rec_gap[at, k] = gap
-        rec_mode[at, k] = np.where(code == CODE_GSBL, over, -1)
-        ended = np.zeros(len(live), dtype=bool)
+        rec_pos[:, k] = pos
+        rec_speed[:, k] = spd
+        rec_accel[:, k] = acc
+        rec_u[:, k] = uin
+        rec_gap[:, k] = gap
+        rec_mode[:, k] = np.where(code == CODE_GSBL, over, -1)
+        ended = np.zeros(m, dtype=bool)
         hit = gap <= 0.0
         if k > 0 and hit.any():
-            ended = hit.any(axis=1)
+            ended = hit.any(axis=1) & ~done
             for j in np.flatnonzero(ended):
                 crash = int(np.argmax(hit[j]))
-                events[live[j]].append(TraceEvent(
+                events[j].append(TraceEvent(
                     times[k], "collision", crash, crash - 1, f"gap={gap[j, crash]:.3f}",
                 ))
         if k == ticks - 1 or ended.any():
-            for j in range(len(live)) if k == ticks - 1 else np.flatnonzero(ended):
-                b = live[j]
-                cfg = setups[rows[b]][0]
-                results[rows[b]] = Trace(
-                    times[:k + 1], cfg.controllers, *(block[b, :k + 1] for block in record),
-                    events=events[b], scenario_kind=scn.kind, config=str(cfg),
+            for j in np.flatnonzero(~done if k == ticks - 1 else ended):
+                cfg = setups[rows[j]][0]
+                results[rows[j]] = Trace(
+                    times[:k + 1], cfg.controllers, *(block[j, :k + 1] for block in record),
+                    events=events[j], scenario_kind=scn.kind, config=str(cfg),
                     terminated_by_collision=bool(ended[j]),
                 )
             if k == ticks - 1:
                 break
+        done |= ended
 
         t = times[k]
         v_t = leader_target_speed(scn, t)
         u, hold, new = control_tick(
-            code, spd, acc,
+            families, spd, acc,
             Neighbour(_ahead(spd), _ahead(uin), gap, has_pred),
             Neighbour(spd[row_at, lead], uin[row_at, lead], None, lead >= 0),
             Neighbour(_behind(spd), None, _behind(gap), has_succ),
@@ -342,28 +346,20 @@ def run_platoon_batch(
         np.copyto(u[:, 0], leader_target_accel(scn, t) + PROFILE_GAIN * (v_t - spd[:, 0]),
                   where=code[:, 0] != CODE_GSBL)
         for j, c in zip(*np.nonzero(new != over)):
-            if not ended[j]:
-                events[live[j]].append(TraceEvent(
+            if not done[j]:
+                events[j].append(TraceEvent(
                     t, "mode_switch", int(c), int(lead[j, c]),
                     f"{_MODE_NAME[over[j, c]]}->{_MODE_NAME[new[j, c]]}",
                 ))
         over = new
 
-        # rows that collided or whose command is not finite leave the batch
-        finite = np.isfinite(u)
-        if not finite.all():
-            for j in np.flatnonzero(~finite.all(axis=1) & ~ended):
-                bad = float(u[j, np.argmin(finite[j])])
-                results[rows[live[j]]] = ValueError(f"non-finite control input: {bad!r}")
-                ended[j] = True
-        if ended.any():
-            keep = ~ended
-            live, code, lead, pos, spd, acc, ufilt, over, u, hold = (
-                a[keep] for a in (live, code, lead, pos, spd, acc, ufilt, over, u, hold)
-            )
-            if not len(live):
-                break
-            row_at = np.arange(len(live))[:, None]
+        # a row whose command is not finite ends with the error
+        for j in np.flatnonzero(~np.isfinite(u).all(axis=1) & ~done):
+            bad = float(u[j, np.argmin(np.isfinite(u[j]))])
+            results[rows[j]] = ValueError(f"non-finite control input: {bad!r}")
+            done[j] = True
+        if done.all():
+            break
 
         # the head is never allowed the emergency floor
         np.maximum(u[:, 0], dyn.u_min, out=u[:, 0])

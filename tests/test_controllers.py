@@ -22,6 +22,7 @@ from mixcacc.controllers import (
     acc_control,
     bumper_gap,
     control_tick,
+    family_masks,
     gap_to,
     gsbl_accel,
     gsbl_accel_head,
@@ -413,7 +414,8 @@ def test_control_tick_equals_the_per_vehicle_laws(cases):
     has_pred = np.array([c["family"] != "G-head" for c in cases])
     nan = np.full(len(cases), np.nan)
     u, hold, over = control_tick(
-        np.array([CODE_BY_LETTER[c["family"][0]] for c in cases]), col["v"], col["a"],
+        family_masks(np.array([CODE_BY_LETTER[c["family"][0]] for c in cases])),
+        col["v"], col["a"],
         Neighbour(np.where(has_pred, col["v_pred"], nan), np.where(has_pred, col["u_pred"], nan),
                   np.where(has_pred, (col["pred_x"] - 4.0) - 0.0, nan), has_pred),
         Neighbour(col["v_lead"], col["u_lead"], None,

@@ -98,15 +98,13 @@ def test_ring_cells_custom_axes():
 
 def test_make_ring_spec_maps_cell_onto_spec():
     cfg = Config()
-    base = make_ring_spec(RingCell(density=60, category="baseline", policy="IDM"),
-                          cfg, seed=11)
+    base = make_ring_spec(RingCell(density=60, policy="IDM"), cfg, seed=11)
     assert base.baseline == "IDM"
     assert base.penetration == 0.0
     assert base.duration == cfg.mobility.ring_duration
     assert base.warmup == cfg.mobility.ring_warmup
     plat = make_ring_spec(
-        RingCell(density=60, category="platoon", policy="MIX",
-                 platoon_size=8, penetration=0.75),
+        RingCell(density=60, policy="MIX", platoon_size=8, penetration=0.75),
         cfg, seed=11, duration=60.0, warmup=30.0,
     )
     assert plat.platoon_policy == "MIX"

@@ -11,8 +11,12 @@ the sha256 of ``RingTrace.serialize()`` for short full-trace ring runs of the
 PATH and Ploeg policies and both baselines, with lane changes and without any
 car under auto-hold, of a mixed-policy run whose spring-damper cars enter
 override, and of a mixed-policy run under a coarse control period that ends
-in two collisions on one tick (which pins collision events and their order).  ``python tests/test_golden_traces.py --record`` rewrites
-both files from whatever engine is current.
+in two collisions on one tick (which pins collision events and their
+order).  Its ``spawn`` entry holds, for spawns on the default ring, the
+sha256 of every ``RingWorld`` array or the ``SpawnError`` text: together they
+reach comfortable placement, overflow at jam spacing, mixed-policy letters
+and each way a spawn fails.  ``python tests/test_golden_traces.py --record``
+rewrites both files from whatever engine is current.
 """
 
 import hashlib
@@ -20,12 +24,13 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixcacc.experiments import baseline_configs, mixed_configs
-from mixcacc.ring import RingSpec, run_ring
+from mixcacc.ring import RingSpec, SpawnError, run_ring, spawn_ring_traffic
 from mixcacc.scenarios import (
     BRAKING,
     CONTROL_DT,
@@ -62,6 +67,20 @@ RING = {
                                              platoon_policy="MIX", control_dt=0.5),
 }
 
+# name -> RingSpec fields of a seed-0 spawn on the default 10 km, 3-lane ring
+SPAWN = {
+    "ACC-d20": dict(density=20),                     # comfortable spacing
+    "ACC-d180": dict(density=180),                   # overflow at jam spacing
+    "IDM-d180": dict(density=180, baseline="IDM"),
+    "MIX-d160-N8-R0.5": dict(density=160, penetration=0.5, platoon_policy="MIX"),
+    "P-d60-N16-R0.5": dict(density=60, penetration=0.5, platoon_size=16),
+    "G-d100-N4-R0.25-IDM": dict(density=100, penetration=0.25, platoon_size=4,
+                                platoon_policy="G", baseline="IDM"),
+    "P-d400-N8-R1": dict(density=400, penetration=1.0),   # lane capacity
+    "ACC-d500": dict(density=500),                         # geometric limit
+    "ACC-d0.05": dict(density=0.05),                       # density too low
+}
+
 
 def sweep_configs(n: int = SWEEP_N) -> list[str]:
     """Distinct configs of a sweep: the baselines, then every mix."""
@@ -83,6 +102,17 @@ def ring_trace(name: str):
                              record_full_trace=True, **RING[name]))
 
 
+def spawn_digest(name: str) -> dict | str:
+    try:
+        world = spawn_ring_traffic(RingSpec(seed=0, **SPAWN[name]))
+    except SpawnError as exc:
+        return str(exc)
+    return {
+        field: hashlib.sha256(v.dtype.str.encode() + v.tobytes()).hexdigest()
+        for field, v in vars(world).items() if isinstance(v, np.ndarray)
+    }
+
+
 def record() -> dict:
     golden = {
         "sweep": {
@@ -96,6 +126,7 @@ def record() -> dict:
     }
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     rings = {name: digest(ring_trace(name)) for name in RING}
+    rings["spawn"] = {name: spawn_digest(name) for name in SPAWN}
     GOLDEN_RING.write_text(json.dumps(rings, indent=1, sort_keys=True) + "\n")
     return golden
 
@@ -120,6 +151,11 @@ def test_direct_run_reproduces_golden_trace(golden, name):
 @pytest.mark.parametrize("name", sorted(RING))
 def test_ring_run_reproduces_golden_trace(name):
     assert digest(ring_trace(name)) == json.loads(GOLDEN_RING.read_text())[name]
+
+
+@pytest.mark.parametrize("name", sorted(SPAWN))
+def test_spawn_reproduces_golden_world(name):
+    assert spawn_digest(name) == json.loads(GOLDEN_RING.read_text())["spawn"][name]
 
 
 # 12 s with the braking ramp at 4 s keeps each example cheap and still covers

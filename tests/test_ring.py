@@ -135,6 +135,9 @@ def test_spawn_rejects_impossible_density():
     {"density": 60, "baseline": "CAV"},
     {"density": 60, "penetration": 0.5, "platoon_size": 1},
     {"density": 60, "speed_classes_kmh": (100.0, 115.0)},
+    {"density": 60, "duration": 0.0},
+    {"density": 60, "duration": -200.0},
+    {"density": 60, "warmup": -50.0, "duration": 20.0},
 ])
 def test_ring_spec_validation(kwargs):
     with pytest.raises(SpawnError):
