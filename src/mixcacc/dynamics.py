@@ -115,29 +115,35 @@ def advance(pos, speed, accel, u, params: DynamicsParams, steps: int,
 
     Vehicles in the mask ``ploeg`` apply the state ``filt`` of a first-order
     actuation filter with time constant ``filter_tau`` that runs at the
-    physics rate towards their command.  Vehicles in the mask ``hold`` apply
-    at most :data:`STANDSTILL_BRAKE`; the cap acts on what they apply, so a
-    held vehicle's filter keeps tracking its unclamped command.  Mutates the
+    physics rate towards their command; the other vehicles' entries of
+    ``filt`` are left alone.  Vehicles in the mask ``hold`` apply at most
+    :data:`STANDSTILL_BRAKE`; the cap acts on what they apply, so a held
+    vehicle's filter keeps tracking its unclamped command.  Mutates the
     state arrays and ``filt``; returns the clamped commands of the last step.
     The other vehicles apply one command throughout, capped and clamped once.
     """
-    filtering, holding = ploeg.any(), hold.any()
-    gain = params.dt / filter_tau
     lag_gain = params.dt / (params.tau if tau is None else tau)
+    cmd = _clamp(u.copy(), hold, params)
+    filtered = None
+    if ploeg.any():
+        # the filter reads only its own state and the held command, so all
+        # its substeps run first, as one (steps x Ploeg cars) block
+        at = np.flatnonzero(ploeg)
+        target, state = u[ploeg], filt[ploeg]
+        filtered = np.empty((steps, at.size))
+        gain = params.dt / filter_tau
+        for row in filtered:
+            np.subtract(target, state, out=row)
+            row *= gain
+            row += state
+            state = row
+        filt[ploeg] = state
+        _clamp(filtered, hold[ploeg], params)
+        flat = cmd.reshape(-1)
     buf = np.empty_like(pos)
-    cmd = u.copy()
     for step in range(steps):
-        if filtering:
-            np.subtract(u, filt, out=buf)
-            buf *= gain
-            filt += buf
-            np.copyto(cmd, filt, where=ploeg)
-        if filtering or step == 0:
-            if holding:
-                np.minimum(cmd, STANDSTILL_BRAKE, out=cmd, where=hold)
-            # maximum then minimum is np.clip without its dispatch overhead
-            np.maximum(cmd, params.emergency_u_min, out=cmd)
-            np.minimum(cmd, params.u_max, out=cmd)
+        if filtered is not None:
+            flat[at] = filtered[step]
         np.subtract(cmd, accel, out=buf)
         buf *= lag_gain
         accel += buf
@@ -149,4 +155,15 @@ def advance(pos, speed, accel, u, params: DynamicsParams, steps: int,
             accel[stopped & (accel < 0.0)] = 0.0
         np.multiply(speed, params.dt, out=buf)
         pos += buf
+    return cmd
+
+
+def _clamp(cmd, hold, params: DynamicsParams):
+    """Cap held vehicles at the standstill brake, then clamp to the actuator
+    range, in place; ``hold`` broadcasts against ``cmd``'s last axis."""
+    if hold.any():
+        np.minimum(cmd, STANDSTILL_BRAKE, out=cmd, where=hold)
+    # maximum then minimum is np.clip without its dispatch overhead
+    np.maximum(cmd, params.emergency_u_min, out=cmd)
+    np.minimum(cmd, params.u_max, out=cmd)
     return cmd

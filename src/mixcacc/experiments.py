@@ -49,7 +49,7 @@ MIX_LETTERS = "GLP"          # follower alphabet, kept in lexicographic order
 BASELINE_LETTERS = "AGLP"
 FULL_ENUMERATION_MAX = 8     # platoon sizes enumerated exhaustively
 SAMPLED_CONFIG_COUNT = 1000
-BATCH_ROWS = 256             # mixes per simulated batch; bounds record memory
+BATCH_ROWS = 256             # mixes per scenario per batch; bounds record memory
 
 # In every ring result's hash; bump it with any change that moves ring results
 # so cached runs are recomputed (single-sweep hashes do not carry it yet).
@@ -174,30 +174,35 @@ def build_report(trace, scn: SingleScenario, ref: ReferenceData) -> MetricReport
     )
 
 
-def _sweep_batch(args) -> dict[str, tuple[dict | None, str | None]]:
+def _sweep_batch(args) -> dict[tuple[str, str], tuple[dict | None, str | None]]:
     """Simulate one batch of a sweep and score each of its rows.
 
-    The batch starts with the four baseline scenarios, in the order of
-    :data:`BASELINE_LETTERS`; the reference comes from those rows, which are
-    the same in every batch.  Returns ``config -> (report fields, None)``, or
-    ``(None, error)`` for a row that failed to simulate or to score.
+    The batch holds one group of rows per scenario kind, each starting with
+    the four baseline scenarios in the order of :data:`BASELINE_LETTERS`.
+    All groups run as one time loop; each kind's reference comes from its
+    own baseline rows, which are the same in every batch.  Returns
+    ``(kind, config) -> (report fields, None)``, or ``(None, error)`` for a
+    row that failed to simulate or to score.
     """
-    kind, scns, cfg = args
-    traces = run_platoon_batch(scns, cfg.dynamics, cfg.controllers)
-    baselines = dict(zip(BASELINE_LETTERS, zip(traces, scns)))
-    for letter, (trace, _) in baselines.items():
-        if isinstance(trace, Exception):
-            raise ScenarioError(f"homogeneous {letter} reference platoon failed: {trace}")
-    ref = build_reference(kind, baselines)
+    groups, cfg = args
+    traces = iter(run_platoon_batch([scn for _, scns in groups for scn in scns],
+                                    cfg.dynamics, cfg.controllers))
     out = {}
-    for scn, trace in zip(scns, traces):
-        if isinstance(trace, Exception):
-            out[scn.config] = (None, str(trace))
-            continue
-        try:
-            out[scn.config] = (build_report(trace, scn, ref).to_json_dict(), None)
-        except Exception as exc:  # keep scoring the other rows
-            out[scn.config] = (None, str(exc))
+    for kind, scns in groups:
+        rows = [(trace, scn) for scn, trace in zip(scns, traces)]
+        baselines = dict(zip(BASELINE_LETTERS, rows))
+        for letter, (trace, _) in baselines.items():
+            if isinstance(trace, Exception):
+                raise ScenarioError(f"homogeneous {letter} reference platoon failed: {trace}")
+        ref = build_reference(kind, baselines)
+        for trace, scn in rows:
+            if isinstance(trace, Exception):
+                out[kind, scn.config] = (None, str(trace))
+                continue
+            try:
+                out[kind, scn.config] = (build_report(trace, scn, ref).to_json_dict(), None)
+            except Exception as exc:  # keep scoring the other rows
+                out[kind, scn.config] = (None, str(exc))
     return out
 
 
@@ -244,50 +249,62 @@ def sweep_single(
     """Run and score every follower mix plus the four baselines per scenario.
 
     One JSON report per (scenario, config) is written under ``out_dir``;
-    existing reports with a matching parameter hash are reused.
+    existing reports with a matching parameter hash are reused.  The
+    scenarios' uncached rows share batches, so each batch is one time loop
+    whatever the number of scenarios.
     """
     cfg = cfg or Config()
     configs = configs_for_sweep(n, seed)
     summary: dict = {"n": n, "scenarios": {}, "failed": []}
+    hashes, reports, todo = {}, {}, {}
     for kind in kinds:
-        h = spec_hash(cfg, {"sweep": "single", "n": n, "kind": kind,
-                            "duration": duration, "seed": seed})
+        h = hashes[kind] = spec_hash(cfg, {"sweep": "single", "n": n, "kind": kind,
+                                           "duration": duration, "seed": seed})
         kind_dir = os.path.join(out_dir, "single", kind)
         os.makedirs(os.path.join(kind_dir, "mixed"), exist_ok=True)
         os.makedirs(os.path.join(kind_dir, "baseline"), exist_ok=True)
-        reports: dict[str, dict] = {}
-        todo = []
+        reports[kind], todo[kind] = {}, []
         for role, names in (("baseline", baseline_configs(n)), ("mixed", configs)):
             for config in names:
                 cached = _load_if_current(
                     os.path.join(kind_dir, role, f"{config}.json"), h)
                 if cached is None:
-                    todo.append((role, config))
+                    todo[kind].append((role, config))
                 else:
-                    reports[f"{role}/{config}"] = cached
+                    reports[kind][f"{role}/{config}"] = cached
 
-        if todo:
-            mixes = [c for role, c in todo if role == "mixed"]
+    # batch i runs chunk i of every kind's uncached mixes, each kind with the
+    # baselines its reference needs
+    chunks = {}
+    for kind, items in todo.items():
+        if items:
+            mixes = [c for role, c in items if role == "mixed"]
             size = max(1, min(BATCH_ROWS, -(-len(mixes) // max(jobs, 1))))
-            # every batch carries the baselines, which its reference needs
-            batches = []
-            for i in range(0, max(len(mixes), 1), size):
-                rows = dict.fromkeys(baseline_configs(n) + mixes[i:i + size])
-                batches.append((kind, [scenario_for(kind, c, duration) for c in rows], cfg))
-            scored: dict = {}
-            for part in _map_jobs(_sweep_batch, batches, jobs):
-                scored.update(part)
-            for role, config in todo:
-                report, error = scored[config]
-                if error is not None:
-                    summary["failed"].append(
-                        {"scenario": kind, "config": config, "error": error})
-                    continue
-                payload = {"spec_hash": h, "role": role, **report}
-                _atomic_write_json(os.path.join(kind_dir, role, f"{config}.json"), payload)
-                reports[f"{role}/{config}"] = payload
+            chunks[kind] = [mixes[i:i + size] for i in range(0, max(len(mixes), 1), size)]
+    batches = [
+        ([(kind, [scenario_for(kind, c, duration)
+                  for c in dict.fromkeys(baseline_configs(n) + parts[i])])
+          for kind, parts in chunks.items() if i < len(parts)], cfg)
+        for i in range(max(map(len, chunks.values()), default=0))
+    ]
+    scored: dict = {}
+    for part in _map_jobs(_sweep_batch, batches, jobs):
+        scored.update(part)
 
-        mixed = {k: v for k, v in reports.items() if v["role"] == "mixed"
+    for kind in kinds:
+        h, kind_reports = hashes[kind], reports[kind]
+        kind_dir = os.path.join(out_dir, "single", kind)
+        for role, config in todo[kind]:
+            report, error = scored[kind, config]
+            if error is not None:
+                summary["failed"].append(
+                    {"scenario": kind, "config": config, "error": error})
+                continue
+            payload = {"spec_hash": h, "role": role, **report}
+            _atomic_write_json(os.path.join(kind_dir, role, f"{config}.json"), payload)
+            kind_reports[f"{role}/{config}"] = payload
+
+        mixed = {k: v for k, v in kind_reports.items() if v["role"] == "mixed"
                  and not v["collided"]}
         worst = {}
         if mixed:
@@ -306,9 +323,9 @@ def sweep_single(
             }
         summary["scenarios"][kind] = {
             "spec_hash": h,
-            "mixed_reports": sum(1 for v in reports.values() if v["role"] == "mixed"),
-            "baseline_reports": sum(1 for v in reports.values() if v["role"] == "baseline"),
-            "collisions": sorted(v["config"] for v in reports.values() if v["collided"]),
+            "mixed_reports": sum(1 for v in kind_reports.values() if v["role"] == "mixed"),
+            "baseline_reports": sum(1 for v in kind_reports.values() if v["role"] == "baseline"),
+            "collisions": sorted(v["config"] for v in kind_reports.values() if v["collided"]),
             **worst,
         }
     _atomic_write_json(os.path.join(out_dir, "single", "summary.json"), summary)
@@ -484,6 +501,8 @@ def sweep_ring(
             "run_count": len(cells) * repetitions,
             "dry_run": True,
         }
+    if cells:  # settings no run can use are a config error, not failed runs
+        make_ring_spec(cells[0], cfg, seed, duration, warmup)
     h = spec_hash(cfg, {"sweep": "ring", "engine": ENGINE_VERSION,
                         "duration": duration, "warmup": warmup, "seed": seed})
     results: dict[str, list[dict]] = {c.cell_id: [] for c in cells}

@@ -5,14 +5,14 @@ perturbation or an emergency braking ramp) and does not react to the platoon.
 Followers run the controller given by the composition string.  Controllers and
 beacons run on a 10 Hz grid while the vehicle dynamics integrate at 100 Hz.
 
-One engine steps a whole batch of platoons of the same scenario and size as a
-(rows x vehicles) state; a single run is a batch of one.  It keeps only the
-platoon's topology and the profile-driven head: the control decisions and
-the physics substeps are :func:`controllers.control_tick` and
-:func:`dynamics.advance`, the core the ring engine runs too.  Every float
-operation keeps the order of the per-vehicle laws in :mod:`controllers` and
-:func:`dynamics.step_vehicle`, so a row's trace does not depend on the batch
-it ran in.
+One engine steps a whole batch of platoons of the same size as a
+(rows x vehicles) state, each row with its own scenario and timeline; a
+single run is a batch of one.  It keeps only the platoon's topology and the
+profile-driven heads: the control decisions and the physics substeps are
+:func:`controllers.control_tick` and :func:`dynamics.advance`, the core the
+ring engine runs too.  Every float operation keeps the order of the
+per-vehicle laws in :mod:`controllers` and :func:`dynamics.step_vehicle`, so
+a row's trace does not depend on the batch it ran in.
 """
 
 from __future__ import annotations
@@ -212,18 +212,25 @@ def _start_positions(cfg: PlatoonConfig, scn: SingleScenario, ctrl: ControllerSe
     return pos
 
 
-def _ahead(a: np.ndarray) -> np.ndarray:
-    """Each vehicle's predecessor's entry of ``a``, NaN for the head."""
-    out = np.full_like(a, np.nan)
+def _ahead(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Each vehicle's predecessor's entry of ``a`` in ``out``, whose head
+    column stays NaN."""
     out[:, 1:] = a[:, :-1]
     return out
 
 
-def _behind(a: np.ndarray) -> np.ndarray:
-    """Each vehicle's successor's entry of ``a``, NaN for the last vehicle."""
-    out = np.full_like(a, np.nan)
+def _behind(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Each vehicle's successor's entry of ``a`` in ``out``, whose last
+    column stays NaN."""
     out[:, :-1] = a[:, 1:]
     return out
+
+
+def _row_masks(code: np.ndarray) -> tuple:
+    """Family masks, spring-damper and Ploeg masks, and the profile-driven
+    heads of the rows ``code``."""
+    gsbl = code == CODE_GSBL
+    return family_masks(code), gsbl, code == CODE_PLOEG, ~gsbl[:, 0]
 
 
 def run_platoon_batch(
@@ -232,18 +239,22 @@ def run_platoon_batch(
     ctrl: ControllerSet | None = None,
     control_dt: float = CONTROL_DT,
 ) -> list[Trace | Exception]:
-    """Simulate platoons of one scenario and size in a single time loop.
+    """Simulate platoons of one size in a single time loop.
 
     Row r of the (rows x vehicles) state runs ``scns[r]``.  All rows share
-    the scenario's timeline and the platoon size; composition and initial
-    gap offsets are per row.  Vehicles start at their own controller's
-    equilibrium gap at the base speed, and a row ends at its first
-    collision.  A row whose setup is rejected, or whose control command goes
-    non-finite, gets the exception in place of its trace; no row reads
-    another's state, so the other rows run on unchanged.  A finished row
-    keeps stepping with the others and nothing reads it again: its trace is
-    a view of the ticks before it ended.  So the rows, and with them the
-    family masks of the control tick, never change during the run.
+    the platoon size; composition, timeline (kind, duration and profile)
+    and initial gap offsets are per row.  Vehicles start at their own
+    controller's equilibrium gap at their base speed, and a row ends at its
+    first collision or at its last tick.  A row whose setup is rejected, or
+    whose control command goes non-finite, gets the exception in place of
+    its trace; no row reads another's state, so the other rows run on
+    unchanged.
+
+    The state holds the rows longest timeline first.  When the shortest
+    live timeline ends, the state shrinks to the rows still running, as
+    views of its prefix, so no finished timeline is stepped again.  A row
+    that collided keeps stepping until its timeline ends and nothing reads
+    it again: its trace is a view of the ticks before it ended.
     """
     dyn = dyn or DynamicsParams()
     ctrl = ctrl or ControllerSet()
@@ -264,24 +275,30 @@ def run_platoon_batch(
             setups[r] = (cfg, leaders)
     if not setups:
         return results
-    rows = list(setups)
-    scn = scns[rows[0]]
-    n = setups[rows[0]][0].size
-    for r in rows:
-        if setups[r][0].size != n or _timeline(scns[r]) != _timeline(scn):
-            raise ScenarioError("a batch runs one scenario and one platoon size")
+    n = next(iter(setups.values()))[0].size
+    if any(cfg.size != n for cfg, _ in setups.values()):
+        raise ScenarioError("a batch runs one platoon size")
 
-    m = len(rows)
-    ticks = round(scn.duration / control_dt) + 1
+    # longest timeline first, and each timeline's rows side by side
+    key = {r: (-round(scns[r].duration / control_dt), _timeline(scns[r])) for r in setups}
+    rows = sorted(setups, key=key.get)
+    last = [-key[r][0] for r in rows]         # each row's last tick
+    m, ticks = len(rows), last[0] + 1
     times = np.arange(ticks) * control_dt
-    # record blocks are (rows, ticks, vehicles): each row's trace is a view
-    shape = (m, ticks, n)
-    record = tuple(np.zeros(shape) for _ in range(4)) + (
-        np.full(shape, np.nan),
-        np.zeros(shape, dtype=np.int8),
-        np.full(shape, -1, dtype=np.int8),
-    )
-    rec_pos, rec_speed, rec_accel, rec_u, rec_gap, _, rec_mode = record
+    # rows from ``shrink[k]`` on run their last tick at tick k
+    shrink = {last[j]: j for j in range(1, m) if last[j] < last[j - 1]}
+    # each timeline's rows get their own (rows, ticks, vehicles) record
+    # blocks: a row's trace is a view, and no block holds ticks its rows
+    # never run
+    starts = [j for j in range(m) if not j or key[rows[j]] != key[rows[j - 1]]]
+    groups = []                               # (first row, end row, scenario, blocks)
+    for lo, hi in zip(starts, starts[1:] + [m]):
+        shape = (hi - lo, last[lo] + 1, n)
+        groups.append((lo, hi, scns[rows[lo]], tuple(np.empty(shape) for _ in range(5)) + (
+            np.zeros(shape, dtype=np.int8),
+            np.empty(shape, dtype=np.int8),
+        )))
+    home = [(blocks, j - lo) for lo, hi, _, blocks in groups for j in range(lo, hi)]
     events: list[list[TraceEvent]] = [[] for _ in rows]
 
     # the head follows the speed profile unless it runs the spring-damper law
@@ -290,30 +307,36 @@ def run_platoon_batch(
         + [CODE_BY_LETTER[c] for c in cfg.controllers[1:]]
         for cfg, _ in map(setups.get, rows)
     ], dtype=np.int8)
-    families = family_masks(code)
     lead = np.array([                         # elected leader, -1 for none
         [-1] + [-1 if leaders[i] is EXTERNAL_REF else leaders[i] for i in range(1, n)]
         for _, leaders in map(setups.get, rows)
     ])
     pos = np.array([_start_positions(setups[r][0], scns[r], ctrl) for r in rows])
-    spd = np.full((m, n), scn.base_speed)
+    spd = np.repeat([[scns[r].base_speed] for r in rows], n, axis=1)
     acc = np.zeros((m, n))
     uin = np.zeros((m, n))                    # last clamped commands
     ufilt = np.zeros((m, n))                  # Ploeg actuation filter states
     over = np.zeros((m, n), dtype=bool)       # spring-damper override latch
-    has_pred, has_succ = np.arange(n) > 0, np.arange(n) < n - 1
-    row_at = np.arange(m)[:, None]            # state rows, for leader gathers
+    v_t = np.empty((m, 1))                    # each row's head profile
+    a_t = np.empty(m)
     done = np.zeros(m, dtype=bool)            # rows whose result is settled
+    row_at = np.arange(m)[:, None]            # state rows, for leader gathers
+    shifted = [np.full((m, n), np.nan) for _ in range(5)]  # _ahead/_behind outputs
+    families, is_gsbl, is_ploeg, profile_head = _row_masks(code)
+    has_pred, has_succ = np.arange(n) > 0, np.arange(n) < n - 1
+    live = m
 
     for k in range(ticks):
-        gap = _ahead(pos) - VEHICLE_LENGTH - pos
-        rec_pos[:, k] = pos
-        rec_speed[:, k] = spd
-        rec_accel[:, k] = acc
-        rec_u[:, k] = uin
-        rec_gap[:, k] = gap
-        rec_mode[:, k] = np.where(code == CODE_GSBL, over, -1)
-        ended = np.zeros(m, dtype=bool)
+        gap = _ahead(pos, shifted[0]) - VEHICLE_LENGTH - pos
+        mode = np.where(is_gsbl, over, -1)
+        for lo, hi, _, (rec_pos, rec_speed, rec_accel, rec_u, rec_gap, _, rec_mode) in groups:
+            rec_pos[:, k] = pos[lo:hi]
+            rec_speed[:, k] = spd[lo:hi]
+            rec_accel[:, k] = acc[lo:hi]
+            rec_u[:, k] = uin[lo:hi]
+            rec_gap[:, k] = gap[lo:hi]
+            rec_mode[:, k] = mode[lo:hi]
+        ended = np.zeros(live, dtype=bool)
         hit = gap <= 0.0
         if k > 0 and hit.any():
             ended = hit.any(axis=1) & ~done
@@ -322,29 +345,44 @@ def run_platoon_batch(
                 events[j].append(TraceEvent(
                     times[k], "collision", crash, crash - 1, f"gap={gap[j, crash]:.3f}",
                 ))
-        if k == ticks - 1 or ended.any():
-            for j in np.flatnonzero(~done if k == ticks - 1 else ended):
-                cfg = setups[rows[j]][0]
-                results[rows[j]] = Trace(
-                    times[:k + 1], cfg.controllers, *(block[j, :k + 1] for block in record),
-                    events=events[j], scenario_kind=scn.kind, config=str(cfg),
-                    terminated_by_collision=bool(ended[j]),
-                )
-            if k == ticks - 1:
-                break
+        # rows from ``still`` on reach their last tick
+        still = 0 if k == ticks - 1 else shrink.get(k, live)
+        finished = ended.copy()
+        finished[still:] |= ~done[still:]
+        for j in np.flatnonzero(finished):
+            cfg = setups[rows[j]][0]
+            blocks, i = home[j]
+            results[rows[j]] = Trace(
+                times[:k + 1], cfg.controllers, *(block[i, :k + 1] for block in blocks),
+                events=events[j], scenario_kind=scns[rows[j]].kind, config=str(cfg),
+                terminated_by_collision=bool(ended[j]),
+            )
+        if not still:
+            break
         done |= ended
+        if still < live:
+            live = still
+            (code, lead, row_at, pos, spd, acc, uin, ufilt, over, gap, v_t, a_t,
+             done) = (a[:live] for a in (code, lead, row_at, pos, spd, acc, uin, ufilt,
+                                         over, gap, v_t, a_t, done))
+            shifted = [b[:live] for b in shifted]
+            groups = [g for g in groups if g[0] < live]
+            families, is_gsbl, is_ploeg, profile_head = _row_masks(code)
 
         t = times[k]
-        v_t = leader_target_speed(scn, t)
+        for lo, hi, scn, _ in groups:
+            v_t[lo:hi] = leader_target_speed(scn, t)
+            a_t[lo:hi] = leader_target_accel(scn, t)
+        _, ahead_spd, ahead_u, behind_spd, behind_gap = shifted
         u, hold, new = control_tick(
             families, spd, acc,
-            Neighbour(_ahead(spd), _ahead(uin), gap, has_pred),
+            Neighbour(_ahead(spd, ahead_spd), _ahead(uin, ahead_u), gap, has_pred),
             Neighbour(spd[row_at, lead], uin[row_at, lead], None, lead >= 0),
-            Neighbour(_behind(spd), None, _behind(gap), has_succ),
+            Neighbour(_behind(spd, behind_spd), None, _behind(gap, behind_gap), has_succ),
             v_t, np.inf, over, ctrl,
         )
-        np.copyto(u[:, 0], leader_target_accel(scn, t) + PROFILE_GAIN * (v_t - spd[:, 0]),
-                  where=code[:, 0] != CODE_GSBL)
+        np.copyto(u[:, 0], a_t + PROFILE_GAIN * (v_t[:, 0] - spd[:, 0]),
+                  where=profile_head)
         for j, c in zip(*np.nonzero(new != over)):
             if not done[j]:
                 events[j].append(TraceEvent(
@@ -363,8 +401,7 @@ def run_platoon_batch(
 
         # the head is never allowed the emergency floor
         np.maximum(u[:, 0], dyn.u_min, out=u[:, 0])
-        uin = advance(pos, spd, acc, u, dyn, sub, hold, code == CODE_PLOEG, ufilt,
-                      ctrl.ploeg.H)
+        uin = advance(pos, spd, acc, u, dyn, sub, hold, is_ploeg, ufilt, ctrl.ploeg.H)
     return results
 
 

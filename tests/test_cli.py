@@ -139,9 +139,10 @@ def test_unknown_params_key_is_a_config_error(tmp_path, capsys):
     ["single", "--scenario", "sinusoidal", "--duration", "35", "--", "-PP"],
     ["ring", "--density", "5", "--duration", "-200"],
     ["ring", "--density", "5", "--duration", "20", "--warmup", "-50"],
+    ["sweep-ring", "--duration", "-5", "--density", "10", "--repetitions", "1"],
 ], ids=["platoon-of-one", "braking-ends-before-onset", "sinusoidal-ends-in-warmup",
         "braking-ends-before-onset-is-recorded", "sinusoidal-ends-in-window",
-        "ring-ends-before-it-starts", "ring-warmup-negative"])
+        "ring-ends-before-it-starts", "ring-warmup-negative", "ring-sweep-ends-before-it-starts"])
 def test_unusable_run_settings_are_config_errors(tmp_path, capsys, argv):
     assert main(["--out", str(tmp_path)] + argv) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error:")

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mixcacc.dynamics import (
+    STANDSTILL_BRAKE,
     DynamicsParams,
     VehicleState,
+    advance,
     clamp_input,
     step_arrays,
     step_vehicle,
@@ -161,3 +164,71 @@ def test_speed_never_negative(cmds):
     for u in cmds:
         s = step_vehicle(s, u, p)
         assert s.speed >= 0.0
+
+
+def reference_advance(pos, speed, accel, u, params, steps, hold, ploeg, filt, filter_tau,
+                      tau=None):
+    """:func:`advance` as a plain substep loop: every substep moves the
+    filter of every vehicle and clamps every command."""
+    gain = params.dt / filter_tau
+    lag_gain = params.dt / (params.tau if tau is None else tau)
+    buf = np.empty_like(pos)
+    cmd = u.copy()
+    for _ in range(steps):
+        np.subtract(u, filt, out=buf)
+        buf *= gain
+        filt += buf
+        np.copyto(cmd, filt, where=ploeg)
+        np.minimum(cmd, STANDSTILL_BRAKE, out=cmd, where=hold)
+        np.maximum(cmd, params.emergency_u_min, out=cmd)
+        np.minimum(cmd, params.u_max, out=cmd)
+        np.subtract(cmd, accel, out=buf)
+        buf *= lag_gain
+        accel += buf
+        np.multiply(accel, params.dt, out=buf)
+        speed += buf
+        stopped = speed <= 0.0
+        speed[stopped] = 0.0
+        accel[stopped & (accel < 0.0)] = 0.0
+        np.multiply(speed, params.dt, out=buf)
+        pos += buf
+    return cmd
+
+
+@st.composite
+def _advance_case(draw):
+    shape = draw(st.sampled_from([(1,), (7,), (1, 5), (3, 4)]))
+
+    def floats(*ranges):
+        return draw(hnp.arrays(np.float64, shape, elements=st.one_of(
+            *(st.floats(lo, hi) for lo, hi in ranges))))
+
+    def mask():
+        return draw(st.one_of(st.just(np.zeros(shape, dtype=bool)), hnp.arrays(bool, shape)))
+
+    p = DynamicsParams()
+    # crawling cars under braking reach standstill within the tick
+    speed = floats((0.0, 0.3), (0.0, 30.0))
+    accel = floats((-9.5, 3.0))
+    # commands beyond both actuator clamps, and the held brake
+    u = floats((-15.0, 6.0), (-0.6, -0.4))
+    tau = draw(st.sampled_from([None, "lag-free"]))
+    if tau == "lag-free":
+        tau = np.where(mask(), p.dt, p.tau)
+    return (floats((-100.0, 100.0)), speed, accel, u, p, draw(st.integers(1, 10)), mask(),
+            mask(), floats((-10.0, 4.0)), draw(st.sampled_from([0.2, 0.5])), tau)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_advance_case())
+def test_block_filter_advance_equals_the_substep_loop(case):
+    pos, speed, accel, u, p, steps, hold, ploeg, filt, filter_tau, tau = case
+    want = [a.copy() for a in (pos, speed, accel, filt)]
+    want_cmd = reference_advance(*want[:3], u, p, steps, hold, ploeg, want[3], filter_tau, tau)
+    before = filt.copy()
+    cmd = advance(pos, speed, accel, u, p, steps, hold, ploeg, filt, filter_tau, tau)
+    for got, ref in zip((pos, speed, accel, cmd), (*want[:3], want_cmd)):
+        assert got.tobytes() == ref.tobytes()
+    assert filt[ploeg].tobytes() == want[3][ploeg].tobytes()
+    # only Ploeg cars read their filter, so no other entry moves
+    assert filt[~ploeg].tobytes() == before[~ploeg].tobytes()

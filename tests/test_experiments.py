@@ -25,7 +25,7 @@ from mixcacc.experiments import (
     sweep_ring,
     sweep_single,
 )
-from mixcacc.scenarios import BRAKING
+from mixcacc.scenarios import BRAKING, SINUSOIDAL
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +280,19 @@ def test_sweep_single_recomputes_byte_identically(single_sweep):
     assert target.read_bytes() == before
 
 
+def test_sweep_single_files_do_not_depend_on_jobs(tmp_path):
+    """Both kinds run merged in each batch; two workers split the mixes
+    and write the same bytes as one."""
+    files = {}
+    for jobs in (1, 2):
+        root = tmp_path / f"jobs{jobs}"
+        sweep_single(3, str(root), jobs=jobs)
+        files[jobs] = {p.relative_to(root): p.read_bytes()
+                       for p in sorted(root.rglob("*.json"))}
+    assert len(files[1]) == 2 * (9 + 4) + 1
+    assert files[1] == files[2]
+
+
 # ---------------------------------------------------------------------------
 # Ring sweep on a toy grid
 # ---------------------------------------------------------------------------
@@ -409,25 +422,36 @@ def test_sweep_single_resume_simulates_nothing(tmp_path, monkeypatch):
 
 
 def test_sweep_single_batches_are_chunked_by_jobs(tmp_path, monkeypatch):
-    """Every batch carries the baselines; ``jobs`` splits the mixes."""
+    """A batch runs chunk i of both kinds' mixes, each kind with its
+    baselines; ``jobs`` splits the mixes."""
     from mixcacc import experiments
 
     seen = []
     real = experiments._sweep_batch
 
     def spy(args):
-        seen.append([scn.config for scn in args[1][4:]])
+        groups, _ = args
+        assert all([scn.kind for scn in scns] == [kind] * len(scns) for kind, scns in groups)
+        assert all([scn.config for scn in scns[:4]] == baseline_configs(3) for _, scns in groups)
+        seen.append({kind: [scn.config for scn in scns[4:]] for kind, scns in groups})
         return real(args)
 
     monkeypatch.setattr(experiments, "_sweep_batch", spy)
     monkeypatch.setattr(experiments.multiprocessing, "Pool", _SerialPool)
-    serial = sweep_single(3, str(tmp_path / "serial"), kinds=(BRAKING,))
+    serial = sweep_single(3, str(tmp_path / "serial"))
     # -GG, -LL and -PP are baseline rows too and run once per batch
-    assert seen == [["-GL", "-GP", "-LG", "-LP", "-PG", "-PL"]]
+    mixes = ["-GL", "-GP", "-LG", "-LP", "-PG", "-PL"]
+    assert seen == [{SINUSOIDAL: mixes, BRAKING: mixes}]
     seen.clear()
-    split = sweep_single(3, str(tmp_path / "split"), kinds=(BRAKING,), jobs=2)
-    assert seen == [["-GL", "-GP", "-LG"], ["-LP", "-PG", "-PL"]]
+    split = sweep_single(3, str(tmp_path / "split"), jobs=2)
+    assert seen == [{SINUSOIDAL: mixes[:3], BRAKING: mixes[:3]},
+                    {SINUSOIDAL: mixes[3:], BRAKING: mixes[3:]}]
     assert serial["scenarios"] == split["scenarios"]
+    seen.clear()
+    # a kind whose reports are all cached stays out of the batches
+    os.remove(tmp_path / "serial" / "single" / BRAKING / "mixed" / "-LP.json")
+    assert sweep_single(3, str(tmp_path / "serial"), jobs=2) == serial
+    assert seen == [{BRAKING: ["-LP"]}]
 
 
 class _SerialPool:

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mixcacc.experiments import baseline_configs, mixed_configs
@@ -187,6 +187,33 @@ def test_batch_rows_equal_one_at_a_time_runs(rows):
     for scn, trace in zip(rows, batched):
         assert trace.serialize() == run_single_platoon(scn).serialize()
 
+
+
+@st.composite
+def _mixed_timelines(draw):
+    """Sinusoidal and braking rows of different durations, in random order,
+    one of which collides on its first tick."""
+    def row(config, **extra):
+        kind = draw(st.sampled_from([SINUSOIDAL, BRAKING]))
+        timeline = dict(_SHORT) if kind == BRAKING else dict(kind=SINUSOIDAL)
+        timeline["duration"] = draw(st.sampled_from([6.0, 9.0, 12.0]))
+        return SingleScenario(config=config, **timeline, **extra)
+
+    platoon = st.text(alphabet=_LETTERS, min_size=SWEEP_N - 1, max_size=SWEEP_N - 1)
+    rows = [row("-" + c) for c in draw(st.lists(platoon, min_size=1, max_size=5))]
+    rows.append(row("-" + draw(platoon), initial_gap_offsets={1: -60.0}))
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=12, deadline=None)
+@given(_mixed_timelines())
+def test_rows_of_different_timelines_equal_one_at_a_time_runs(rows):
+    assume(len({(scn.kind, scn.duration) for scn in rows}) > 1)
+    batched = run_platoon_batch(rows)
+    assert sum(t.terminated_by_collision for t in batched) >= 1
+    for scn, trace in zip(rows, batched):
+        assert trace.scenario_kind == scn.kind
+        assert trace.serialize() == run_single_platoon(scn).serialize()
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:

@@ -420,6 +420,54 @@ def test_ring_bookkeeping(short_free_flow):
     assert len(lines) == 1 + tr.counter_times.size
 
 
+def _cyclic_order(ids: np.ndarray) -> tuple:
+    """``ids`` rotated to start at their smallest entry."""
+    start = int(np.argmin(ids)) if ids.size else 0
+    return tuple(ids[start:]) + tuple(ids[:start])
+
+
+@settings(max_examples=20, deadline=None)
+@given(density=st.floats(5.0, 30.0), penetration=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+       size=st.integers(2, 8), policy=st.sampled_from(ring.PLATOON_POLICIES),
+       baseline=st.sampled_from(ring.BASELINES), warmup=st.floats(0.0, 10.0),
+       duration=st.floats(5.0, 20.0), control_dt=st.sampled_from([0.1, 0.5]),
+       seed=st.integers(0, 2**32 - 1))
+def test_ring_run_invariants(density, penetration, size, policy, baseline, warmup,
+                             duration, control_dt, seed):
+    """On rings of at most 60 cars and 30 s: no car appears or vanishes, a
+    lane's cyclic order changes only with a lane change or a collision, and
+    counter crossings come in time order."""
+    spec = RingSpec(density=density, penetration=penetration, platoon_size=size,
+                    platoon_policy=policy, baseline=baseline, circumference=2000.0,
+                    warmup=warmup, duration=duration, control_dt=control_dt, seed=seed,
+                    record_full_trace=True)
+    try:
+        tr = run_ring(spec)
+    except SpawnError:
+        return
+    full = tr.full
+    assert tr.n_vehicles == int(density * 2) <= 60
+    assert full.position.shape == full.lane.shape == (full.times.size, tr.n_vehicles)
+    assert np.isfinite(full.position).all()
+    assert ((full.lane >= 0) & (full.lane < spec.lanes)).all()
+    assert (np.bincount(full.lane.ravel(), minlength=spec.lanes).sum()
+            == full.times.size * tr.n_vehicles)
+
+    # the pass at tick k shows in the record of tick k + 1
+    moved = {round(ev.time / control_dt) for ev in tr.events
+             if ev.kind in ("lane_change", "collision")}
+    orders = None
+    for k in range(full.times.size):
+        by_pos = np.argsort(full.position[k], kind="stable")
+        lanes = full.lane[k, by_pos]
+        now = [_cyclic_order(by_pos[lanes == lane]) for lane in range(spec.lanes)]
+        if orders is not None and k - 1 not in moved and k not in moved:
+            assert now == orders, f"lane order changed at t={full.times[k]:g} s"
+        orders = now
+
+    assert (np.diff(tr.counter_times) >= 0.0).all()
+
+
 def test_non_finite_command_fails_the_run():
     """A NaN gain makes every ACC command NaN; the run fails at once instead
     of carrying NaN positions past collision detection."""

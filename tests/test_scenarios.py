@@ -195,13 +195,10 @@ def test_batch_row_with_a_rejected_setup_leaves_the_others_running():
         assert trace.serialize() == run_single_platoon(scn).serialize()
 
 
-def test_batch_needs_one_platoon_size_and_one_timeline():
-    with pytest.raises(ScenarioError):
+def test_batch_needs_one_platoon_size():
+    with pytest.raises(ScenarioError, match="one platoon size"):
         run_platoon_batch([SingleScenario(kind=SINUSOIDAL, config="-PL"),
                            SingleScenario(kind=SINUSOIDAL, config="-PLG")])
-    with pytest.raises(ScenarioError):
-        run_platoon_batch([SingleScenario(kind=SINUSOIDAL, config="-PL"),
-                           SingleScenario(kind=SINUSOIDAL, config="-LP", duration=5.0)])
 
 
 def test_non_finite_command_fails_its_row_and_a_single_run_raises():
