@@ -32,7 +32,8 @@ from .experiments import (
 )
 from .metrics import min_gap, peak_abs_accel
 from .ring import BASELINES, PLATOON_POLICIES, SpawnError, run_ring
-from .scenarios import BRAKING, SINUSOIDAL, ScenarioError, events_csv, run_single_platoon
+from .scenarios import (BRAKING, CONTROL_DT, SINUSOIDAL, ScenarioError, events_csv,
+                        run_single_platoon)
 from .topology import (
     ConfigError,
     connectivity_matrix,
@@ -194,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", choices=[SINUSOIDAL, BRAKING],
                    default=SINUSOIDAL)
     p.add_argument("--duration", type=float, default=None)
-    p.add_argument("--control-dt", type=float, default=0.1)
+    p.add_argument("--control-dt", type=float, default=CONTROL_DT)
     p.set_defaults(func=cmd_single)
 
     p = sub.add_parser("ring", help="run one ring-road simulation")

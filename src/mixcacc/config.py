@@ -26,7 +26,8 @@ class ConfigFileError(ValueError):
 
 @dataclass
 class MobilitySpec:
-    """Road and experiment-grid defaults for the ring experiments."""
+    """Road and experiment-grid defaults for the ring experiments, and the
+    source of :class:`ring.RingSpec`'s road defaults."""
 
     lanes: int = 3
     circumference: float = 10_000.0

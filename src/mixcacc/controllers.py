@@ -337,7 +337,7 @@ def gsbl_mode_arrays(override, v_l, u_l, v, v_pred, gap, p: GsblParams):
 
 @dataclass
 class IdmParams:
-    v0: float = 33.33     # desired speed [m/s], usually overridden per vehicle
+    v0: float = 33.33     # no effect: IDM cars drive their own desired speed
     T: float = 1.6        # desired time headway [s]
     a_max: float = 0.73   # maximum acceleration [m/s^2]
     b_comf: float = 1.67  # comfortable deceleration [m/s^2]
@@ -345,16 +345,12 @@ class IdmParams:
     delta: float = 4.0    # free acceleration exponent
 
 
-def idm_accel(v, gap, v_pred, p: IdmParams, v0=None):
-    """IDM acceleration; pass ``gap=None`` for free driving.
+def idm_accel(v, gap, v_pred, p: IdmParams, v0):
+    """IDM acceleration toward the desired speed ``v0``.
 
     Accepts scalars or arrays.
     """
-    if v0 is None:
-        v0 = p.v0
     free = 1.0 - (v / v0) ** p.delta
-    if gap is None:
-        return p.a_max * free
     dv = v - v_pred
     s_star = p.s0 + np.maximum(
         0.0, v * p.T + v * dv / (2.0 * math.sqrt(p.a_max * p.b_comf))
@@ -472,6 +468,4 @@ class ControllerSet:
             return self.path.dd
         if letter == "G":
             return self.gsbl.d
-        if letter == "I":
-            return self.idm.s0 + speed * self.idm.T
         raise ValueError(f"unknown controller letter {letter!r}")

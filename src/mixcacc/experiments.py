@@ -108,6 +108,8 @@ def scenario_for(kind: str, config: str, duration: float | None = None,
     """Scenario of a scored run, which must cover its analysis window: a
     sinusoidal run until the window closes, a braking run until it records
     the head's onset command, one tick after the first tick past the onset."""
+    if not control_dt > 0.0:
+        raise ScenarioError("control_dt must be positive")
     scn = SingleScenario(kind=kind, config=config, duration=duration)
     times = np.arange(round(scn.duration / control_dt) + 1) * control_dt  # recorded ticks
     if kind == SINUSOIDAL:
@@ -366,16 +368,14 @@ def ring_cells(
     densities=_GRID.densities,
     sizes=_GRID.platoon_sizes,
     rates=_GRID.penetration_rates,
-    policies=PLATOON_POLICIES,
-    baselines=BASELINES,
 ) -> list[RingCell]:
     """Full factorial ring grid: per density, the baselines plus every
     (policy, platoon size, penetration) combination."""
     cells = []
     for d in densities:
-        for b in baselines:
+        for b in BASELINES:
             cells.append(RingCell(density=d, policy=b))
-        for pol in policies:
+        for pol in PLATOON_POLICIES:
             for n in sizes:
                 for r in rates:
                     cells.append(RingCell(density=d, policy=pol, platoon_size=n,
@@ -452,14 +452,13 @@ def ring_run_metrics(trace) -> dict:
 
 
 def _ring_worker(args):
-    """One ring run; returns ``(cell, rep, seed, metrics, error)``."""
-    cell, rep, seed, duration, warmup, cfg = args
+    """One ring run; returns ``(cell, rep, spec, metrics, error)``."""
+    cell, rep, spec, cfg = args
     try:
-        spec = make_ring_spec(cell, cfg, seed, duration, warmup)
         trace = run_ring(spec, cfg.dynamics, cfg.controllers)
-        return cell, rep, seed, ring_run_metrics(trace), None
+        return cell, rep, spec, ring_run_metrics(trace), None
     except Exception as exc:  # keep sweeping, report at the end
-        return cell, rep, seed, None, str(exc)
+        return cell, rep, spec, None, str(exc)
 
 
 def confidence_halfwidth(values, level: float = 0.95) -> float:
@@ -483,48 +482,50 @@ def sweep_ring(
     duration: float | None = None,
     warmup: float | None = None,
     densities=None,
-    sizes=None,
-    rates=None,
 ) -> dict:
-    """Run the ring grid; resumable, one JSON per (cell, repetition)."""
+    """Run the ring grid; resumable, one JSON per (cell, repetition).
+
+    Every run's spec is built first, even for a dry run, so settings that
+    no run can use are a config error, not failed runs.
+    """
     cfg = cfg or Config()
     mob = cfg.mobility
-    cells = ring_cells(
-        densities if densities is not None else mob.densities,
-        sizes if sizes is not None else mob.platoon_sizes,
-        rates if rates is not None else mob.penetration_rates,
-    )
+    if repetitions < 1:
+        raise ConfigError("repetitions must be at least 1")
+    cells = ring_cells(mob.densities if densities is None else densities,
+                       mob.platoon_sizes, mob.penetration_rates)
+    plan = [(cell, rep, make_ring_spec(cell, cfg, run_seed(seed, cell.cell_id, rep),
+                                       duration, warmup), cfg)
+            for cell in cells for rep in range(repetitions)]
     if dry_run:
         return {
             "cells": [c.cell_id for c in cells],
             "cell_count": len(cells),
-            "run_count": len(cells) * repetitions,
+            "run_count": len(plan),
             "dry_run": True,
         }
-    if cells:  # settings no run can use are a config error, not failed runs
-        make_ring_spec(cells[0], cfg, seed, duration, warmup)
     h = spec_hash(cfg, {"sweep": "ring", "engine": ENGINE_VERSION,
                         "duration": duration, "warmup": warmup, "seed": seed})
     results: dict[str, list[dict]] = {c.cell_id: [] for c in cells}
     todo = []
     failed = []
-    for cell in cells:
+    for run in plan:
+        cell, rep = run[:2]
         cell_dir = os.path.join(out_dir, "ring", cell.cell_id)
         os.makedirs(cell_dir, exist_ok=True)
-        for rep in range(repetitions):
-            path = os.path.join(cell_dir, f"rep{rep}.json")
-            cached = _load_if_current(path, h)
-            if cached is not None:
-                results[cell.cell_id].append(cached)
-            else:
-                todo.append((cell, rep, run_seed(seed, cell.cell_id, rep), duration, warmup, cfg))
+        cached = _load_if_current(os.path.join(cell_dir, f"rep{rep}.json"), h)
+        if cached is not None:
+            results[cell.cell_id].append(cached)
+        else:
+            todo.append(run)
 
     # results come in the order of todo, so failures list by (cell, rep)
-    for cell, rep, s, metrics, error in _map_jobs(_ring_worker, todo, jobs):
+    for cell, rep, spec, metrics, error in _map_jobs(_ring_worker, todo, jobs):
         if error is not None:
             failed.append({"cell": cell.cell_id, "rep": rep, "error": error})
             continue
-        payload = {"spec_hash": h, "cell": cell.cell_id, "rep": rep, "seed": s, **metrics}
+        payload = {"spec_hash": h, "cell": cell.cell_id, "rep": rep, "seed": spec.seed,
+                   **metrics}
         _atomic_write_json(os.path.join(out_dir, "ring", cell.cell_id, f"rep{rep}.json"),
                            payload)
         results[cell.cell_id].append(payload)

@@ -15,7 +15,8 @@ the control tick and the integrator it shares with the single-platoon engine,
 Within a lane, order changes only at lane changes: two cars swap only by
 colliding, and a collision ends the run.  So the lane index is carried from
 tick to tick and patched at each lane change instead of re-sorted; gaps keep
-their formula, and a tick with a gap <= 0 re-sorts from scratch.  The
+their formula, and a tick with a gap <= 0, or with a lane out of order
+other than by wrap-around, re-sorts from scratch.  The
 lane-change pass skips a target lane that no car fits into, by necessary
 conditions of the gap check only, so it accepts exactly the cars the check
 alone would.
@@ -42,7 +43,8 @@ from .controllers import (  # noqa: F401  (codes re-exported for callers)
     family_masks,
 )
 from .dynamics import DynamicsParams, VEHICLE_LENGTH, advance
-from .scenarios import ScenarioError, Trace, TraceEvent, events_csv
+from .config import MobilitySpec
+from .scenarios import CONTROL_DT, Trace, TraceEvent, events_csv, substeps
 from .topology import elect_ego_leaders, parse_config
 
 # Integration goes through dynamics.advance; the name stays bound here, where
@@ -55,6 +57,19 @@ DEVICES = ("N", "E", "S", "W")
 
 SPAWN_MARGIN = 2.0      # m, standstill part of spawn gaps
 MIN_INTER_GAP = 3.0     # m, hard floor between spawned entities
+
+# Gap acceptance of the non-cooperative singles: fixed model constants, not
+# parameters of the INI file
+LC_COOLDOWN = 5.0           # s between lane changes of one vehicle
+SPEED_SATISFACTION = 0.9    # below this fraction of desired: blocked
+FOLLOW_FACTOR = 1.5         # blocked if front gap < factor * follow gap
+LC_MARGIN = 3.0             # m, standstill part of accepted gaps
+LC_HEADWAY = 0.5            # s, kinematic part of accepted gaps
+CLOSING_TIME = 2.0          # s, allowance against closing speed
+RIGHT_SPEED_FACTOR = 0.95   # right lane must admit this * desired
+FREE_GAP = 150.0            # m, gaps beyond this count as open road
+
+_ROAD = MobilitySpec()      # the road and run defaults of every ring run
 
 
 def _wrap(x, C):
@@ -76,16 +91,16 @@ class RingSpec:
     platoon_size: int = 8
     platoon_policy: str = "P"        # P, L, G or MIX
     baseline: str = "ACC"            # controller of the singles
-    circumference: float = 10_000.0  # m
-    lanes: int = 3
-    speed_classes_kmh: tuple[float, ...] = (100.0, 115.0, 130.0)
-    speed_jitter_kmh: float = 5.0
-    duration: float = 600.0          # s, observed period
-    warmup: float = 120.0            # s, excluded from all metrics
+    circumference: float = _ROAD.circumference     # m
+    lanes: int = _ROAD.lanes
+    speed_classes_kmh: tuple[float, ...] = _ROAD.speed_classes_kmh
+    speed_jitter_kmh: float = _ROAD.speed_jitter_kmh
+    duration: float = _ROAD.ring_duration           # s, observed period
+    warmup: float = _ROAD.ring_warmup               # s, excluded from all metrics
     seed: int = 0
-    control_dt: float = 0.1
-    volatility_sample_dt: float = 0.5
-    counter_window: float = 15.0
+    control_dt: float = CONTROL_DT
+    volatility_sample_dt: float = _ROAD.volatility_sample_dt
+    counter_window: float = _ROAD.counter_window
     record_full_trace: bool = False
 
     def __post_init__(self):
@@ -105,20 +120,6 @@ class RingSpec:
             raise SpawnError("duration must be positive")
         if self.warmup < 0.0:
             raise SpawnError("warmup must not be negative")
-
-
-@dataclass
-class LaneChangeParams:
-    """Gap-acceptance model of the non-cooperative singles."""
-
-    cooldown: float = 5.0            # s between lane changes of one vehicle
-    speed_satisfaction: float = 0.9  # below this fraction of desired: blocked
-    follow_factor: float = 1.5       # blocked if front gap < factor * follow gap
-    margin: float = 3.0              # m, standstill part of accepted gaps
-    headway: float = 0.5             # s, kinematic part of accepted gaps
-    closing_time: float = 2.0        # s, allowance against closing speed
-    right_speed_factor: float = 0.95 # right lane must admit this * desired
-    free_gap: float = 150.0          # m, gaps beyond this count as open road
 
 
 @dataclass
@@ -166,27 +167,27 @@ def _link_lane(world, L, srt, p):
 
 
 def _lane_sort(world: RingWorld, prev: _LaneIndex | None = None) -> _LaneIndex:
-    """Lane index of the current state.  From ``prev``, the last index with
-    every lane change since entered, each lane keeps its order, cars that
-    wrapped round move to the front and a lane still out of order is sorted
-    afresh; a gap <= 0 rebuilds it all, so collisions and ties are unchanged.
+    """Lane index of the current state, by a stable sort of every lane.
+    From ``prev``, the last index with every lane change since entered, each
+    lane keeps its order and cars that wrapped round move to the front; a
+    lane out of order in any other way, or a gap <= 0, rebuilds it all, so
+    collisions and ties are unchanged.
     """
     L = _LaneIndex([], np.arange(world.n), np.full(world.n, world.spec.circumference))
     for l in range(world.spec.lanes):
-        srt = None
-        if prev is not None:
-            srt = prev.lanes[l][1]
-            p = world.pos[srt]
-            down = np.flatnonzero(p[1:] < p[:-1])
-            if down.size == 1 and p[-1] <= p[0]:
-                k = down[0] + 1
-                srt, p = np.concatenate((srt[k:], srt[:k])), np.concatenate((p[k:], p[:k]))
-            elif down.size:
-                srt = None
-        if srt is None:
+        if prev is None:
             idx = np.flatnonzero(world.lane == l)
             srt = idx[np.argsort(world.pos[idx], kind="stable")]
             p = world.pos[srt]
+        else:
+            srt = prev.lanes[l][1]
+            p = world.pos[srt]
+            down = np.flatnonzero(p[1:] < p[:-1])
+            if down.size > 1 or down.size and p[-1] > p[0]:
+                return _lane_sort(world)
+            if down.size:
+                k = down[0] + 1
+                srt, p = np.concatenate((srt[k:], srt[:k])), np.concatenate((p[k:], p[:k]))
         L.lanes.append(_link_lane(world, L, srt, p))
     if prev is not None and not L.gap.min() > 0.0:
         return _lane_sort(world)
@@ -204,14 +205,9 @@ def _change_lane(world, L, i, old, new):
     L.lanes[new] = _link_lane(world, L, np.insert(srt, k, i), np.insert(p, k, x))
 
 
-def detect_collisions(
-    world: RingWorld, t: float = 0.0, L: _LaneIndex | None = None
-) -> list[TraceEvent]:
-    """Same-lane bumper overlaps; different lanes never collide.
-
-    Pass the lane index of the current state as ``L`` to skip re-sorting.
-    """
-    L = L or _lane_sort(world)
+def detect_collisions(world: RingWorld, L: _LaneIndex, t: float = 0.0) -> list[TraceEvent]:
+    """Same-lane bumper overlaps in ``L``, the lane index of the current
+    state; different lanes never collide."""
     hits = np.flatnonzero((L.gap <= 0.0) & (L.pred != world.ids))
     return [
         TraceEvent(t, "collision", int(i), int(L.pred[i]), f"gap={L.gap[i]:.3f}")
@@ -350,7 +346,6 @@ def lane_change_decision(
     world: RingWorld,
     i: int,
     L: _LaneIndex,
-    params: LaneChangeParams,
     acc_headway: float,
 ) -> str:
     """Keep-right / overtake decision of one non-cooperative single.
@@ -360,17 +355,17 @@ def lane_change_decision(
     """
     lane = int(world.lane[i])
     one = np.array([i])
-    if lane > 0 and _vec_target_check(world, L, one, lane - 1, params, acc_headway, True)[0]:
+    if lane > 0 and _vec_target_check(world, L, one, lane - 1, acc_headway, True)[0]:
         return "right"
     v = world.speed[i]
-    if (lane + 1 < world.spec.lanes and v < params.speed_satisfaction * world.desired[i]
-            and L.gap[i] < params.follow_factor * (params.margin + acc_headway * v)
-            and _vec_target_check(world, L, one, lane + 1, params, acc_headway, False)[0]):
+    if (lane + 1 < world.spec.lanes and v < SPEED_SATISFACTION * world.desired[i]
+            and L.gap[i] < FOLLOW_FACTOR * (LC_MARGIN + acc_headway * v)
+            and _vec_target_check(world, L, one, lane + 1, acc_headway, False)[0]):
         return "left"
     return "stay"
 
 
-def _vec_target_check(world, L, cand, target, params, acc_headway, want_right):
+def _vec_target_check(world, L, cand, target, acc_headway, want_right):
     """Vectorized desire and safety test of vehicles ``cand`` against the
     adjacent lane ``target``.
 
@@ -391,16 +386,14 @@ def _vec_target_check(world, L, cand, target, params, acc_headway, want_right):
     rear_gap = (x - world.pos[rear]) % C - world.length[cand]
     vf = world.speed[front]
     vr = world.speed[rear]
-    ok = front_gap >= params.margin + params.headway * v \
-        + params.closing_time * np.maximum(0.0, v - vf)
-    ok &= rear_gap >= params.margin + params.headway * vr \
-        + params.closing_time * np.maximum(0.0, vr - v)
+    ok = front_gap >= LC_MARGIN + LC_HEADWAY * v + CLOSING_TIME * np.maximum(0.0, v - vf)
+    ok &= rear_gap >= LC_MARGIN + LC_HEADWAY * vr + CLOSING_TIME * np.maximum(0.0, vr - v)
     pf = world.platoon_id[front]
     ok &= ~((front != rear) & (pf >= 0) & (pf == world.platoon_id[rear]))
     if want_right:
-        room = params.margin + acc_headway * vd
-        ok &= (front_gap >= params.free_gap) | (
-            (front_gap >= room) & (vf >= params.right_speed_factor * vd)
+        room = LC_MARGIN + acc_headway * vd
+        ok &= (front_gap >= FREE_GAP) | (
+            (front_gap >= room) & (vf >= RIGHT_SPEED_FACTOR * vd)
         )
     return ok
 
@@ -408,28 +401,30 @@ def _vec_target_check(world, L, cand, target, params, acc_headway, want_right):
 ROUNDING_TOL = 1e-6   # m, allowance of a bound that sums lengths in another order
 
 
-def _slot_screens(world, L, params, acc_headway):
+def _slot_screens(world, L, acc_headway):
     """Necessary conditions of :func:`_vec_target_check`: the room of the slot
     behind each car, and the least room any car needs to keep right (True)
     or to overtake.  A car's length and the check's front and rear gaps fill
     the slot it enters; the terms dropped from those gaps are >= 0 while
-    ``closing_time`` is."""
-    hv = params.headway * world.speed
-    least = world.length.min() + params.margin - ROUNDING_TOL
+    ``CLOSING_TIME`` is."""
+    hv = LC_HEADWAY * world.speed
+    least = world.length.min() + LC_MARGIN - ROUNDING_TOL
     return L.gap - hv, {
-        True: least + min(params.free_gap, params.margin + acc_headway * world.desired.min()),
-        False: least + params.margin + hv.min(),
+        True: least + min(FREE_GAP, LC_MARGIN + acc_headway * world.desired.min()),
+        False: least + LC_MARGIN + hv.min(),
     }
 
 
-def _lane_change_pass(world, L, t, params, acc_headway, events):
-    eligible = (world.platoon_id < 0) & (t - world.lc_last >= params.cooldown)
+def _lane_change_pass(world, L, t, acc_headway, events):
+    """Move every single whose keep-right or overtake check passes, patching
+    the lane index ``L`` at each lane change."""
+    eligible = (world.platoon_id < 0) & (t - world.lc_last >= LC_COOLDOWN)
     if not eligible.any():
-        return L, False
+        return
     v = world.speed
-    movers = {True: eligible, False: eligible & (v < params.speed_satisfaction * world.desired)
-              & (L.gap < params.follow_factor * (params.margin + acc_headway * v))}
-    room, least = _slot_screens(world, L, params, acc_headway)
+    movers = {True: eligible, False: eligible & (v < SPEED_SATISFACTION * world.desired)
+              & (L.gap < FOLLOW_FACTOR * (LC_MARGIN + acc_headway * v))}
+    room, least = _slot_screens(world, L, acc_headway)
     candidates: set[int] = set()
     for l, (_, members) in enumerate(L.lanes):
         for target, right in ((l - 1, True), (l + 1, False)):
@@ -441,11 +436,10 @@ def _lane_change_pass(world, L, t, params, acc_headway, events):
                 continue
             cand = members[movers[right][members]]
             if cand.size:
-                ok = _vec_target_check(world, L, cand, target, params, acc_headway, right)
+                ok = _vec_target_check(world, L, cand, target, acc_headway, right)
                 candidates.update(int(i) for i in cand[ok])
-    changed = False
     for i in sorted(candidates):
-        decision = lane_change_decision(world, i, L, params, acc_headway)
+        decision = lane_change_decision(world, i, L, acc_headway)
         if decision == "stay":
             continue
         old = int(world.lane[i])
@@ -454,8 +448,6 @@ def _lane_change_pass(world, L, t, params, acc_headway, events):
         world.lc_last[i] = t
         events.append(TraceEvent(t, "lane_change", i, None, f"{old}->{new}"))
         _change_lane(world, L, i, old, new)
-        changed = True
-    return L, changed
 
 
 # ---------------------------------------------------------------------------
@@ -525,18 +517,14 @@ def run_ring(
     spec: RingSpec,
     dyn: DynamicsParams | None = None,
     ctrl: ControllerSet | None = None,
-    lc: LaneChangeParams | None = None,
 ) -> RingTrace:
     """Simulate one ring experiment; stops early if a collision occurs."""
     dyn = dyn or DynamicsParams()
     ctrl = ctrl or ControllerSet()
-    lc = lc or LaneChangeParams()
     rng = np.random.default_rng(spec.seed)
     world = spawn_ring_traffic(spec, ctrl, rng)
     C = spec.circumference
-    sub = round(spec.control_dt / dyn.dt)
-    if abs(sub * dyn.dt - spec.control_dt) > 1e-9 or sub < 1:
-        raise ScenarioError("control_dt must be a multiple of the dynamics dt")
+    sub = substeps(spec.control_dt, dyn)
     # IDM stands in for human drivers simulated without powertrain lag
     tau = np.where(world.code == CODE_IDM, dyn.dt, dyn.tau)
     m_ploeg = world.code == CODE_PLOEG
@@ -568,7 +556,7 @@ def run_ring(
     for k in range(ticks + 1):
         t = k * spec.control_dt
         L = _lane_sort(world, L)
-        crash = detect_collisions(world, t, L)
+        crash = detect_collisions(world, L, t)
         if crash:
             events.extend(crash)
             collided = True
@@ -586,7 +574,7 @@ def run_ring(
         if k == ticks:
             break
 
-        L, moved = _lane_change_pass(world, L, t, lc, ctrl.acc.H, events)
+        _lane_change_pass(world, L, t, ctrl.acc.H, events)
         u, hold = _control_tick(world, L, ctrl, families)
         if not np.isfinite(u).all():
             raise ValueError(f"non-finite control input: {float(u[~np.isfinite(u)][0])!r}")

@@ -194,6 +194,15 @@ def _validate_supported(cfg: PlatoonConfig, leaders: dict[int, int | None]) -> N
             )
 
 
+def substeps(control_dt: float, dyn: DynamicsParams) -> int:
+    """Dynamics steps per control period, which must be a positive whole
+    number of them."""
+    sub = round(control_dt / dyn.dt)
+    if abs(sub * dyn.dt - control_dt) > 1e-9 or sub < 1:
+        raise ScenarioError("control_dt must be a multiple of the dynamics dt")
+    return sub
+
+
 def _timeline(scn: SingleScenario) -> tuple:
     """Every scenario field except the platoon and its start offsets."""
     return tuple(
@@ -258,9 +267,7 @@ def run_platoon_batch(
     """
     dyn = dyn or DynamicsParams()
     ctrl = ctrl or ControllerSet()
-    sub = round(control_dt / dyn.dt)
-    if abs(sub * dyn.dt - control_dt) > 1e-9 or sub < 1:
-        raise ScenarioError("control_dt must be a multiple of the dynamics dt")
+    sub = substeps(control_dt, dyn)
 
     results: list = [None] * len(scns)
     setups = {}

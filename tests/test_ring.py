@@ -17,7 +17,6 @@ from mixcacc.ring import (
     CODE_IDM,
     CODE_PATH,
     CODE_PLOEG,
-    LaneChangeParams,
     RingSpec,
     SpawnError,
     _change_lane,
@@ -64,7 +63,7 @@ def test_spawn_counts_at_half_penetration():
     assert int(members.sum()) == 296            # 37 full platoons of 8
     assert np.unique(w.platoon_id[members]).size == 37
     assert int((~members).sum()) == 304
-    assert len(detect_collisions(w)) == 0
+    assert len(detect_collisions(w, _lane_sort(w))) == 0
 
 
 def test_spawn_low_density_all_singles():
@@ -78,7 +77,7 @@ def test_spawn_idm_baseline_at_high_density():
     w = spawn_ring_traffic(RingSpec(density=180, baseline="IDM", seed=2))
     assert w.n == 1800
     assert (w.code == CODE_IDM).all()
-    assert len(detect_collisions(w)) == 0
+    assert len(detect_collisions(w, _lane_sort(w))) == 0
 
 
 def test_spawn_policy_is_irrelevant_without_platoons():
@@ -148,15 +147,12 @@ def test_ring_spec_validation(kwargs):
 # lane changes
 # ---------------------------------------------------------------------------
 
-LC = LaneChangeParams()
-
-
 def test_keep_right_on_open_road():
     w = sandbox_world()
     w.lane[0] = 1
     w.pos[0] = 5000.0
     L = _lane_sort(w)
-    assert lane_change_decision(w, 0, L, LC, ACC_H) == "right"
+    assert lane_change_decision(w, 0, L, ACC_H) == "right"
 
 
 def test_blocked_vehicle_overtakes_left():
@@ -166,7 +162,7 @@ def test_blocked_vehicle_overtakes_left():
     w.pos[1] = 5030.0            # 26 m bumper gap ahead
     w.speed[[0, 1]] = 20.0       # below 90 percent of the desired 30
     L = _lane_sort(w)
-    assert lane_change_decision(w, 0, L, LC, ACC_H) == "left"
+    assert lane_change_decision(w, 0, L, ACC_H) == "left"
 
 
 def test_unsafe_target_gap_stays():
@@ -179,7 +175,7 @@ def test_unsafe_target_gap_stays():
     w.pos[2] = 5002.0            # alongside in the target lane
     w.speed[2] = 20.0
     L = _lane_sort(w)
-    assert lane_change_decision(w, 0, L, LC, ACC_H) == "stay"
+    assert lane_change_decision(w, 0, L, ACC_H) == "stay"
 
 
 def test_never_squeeze_between_platoon_members():
@@ -195,7 +191,7 @@ def test_never_squeeze_between_platoon_members():
     w.speed[[3, 4]] = 30.0
     w.platoon_id[[3, 4]] = 7
     L = _lane_sort(w)
-    assert lane_change_decision(w, 0, L, LC, ACC_H) == "stay"
+    assert lane_change_decision(w, 0, L, ACC_H) == "stay"
 
 
 def test_lane_change_pass_honours_cooldown():
@@ -206,12 +202,12 @@ def test_lane_change_pass_honours_cooldown():
     w.speed[[0, 1]] = 20.0
     events = []
     w.lc_last[0] = 9.0           # changed one second ago, cooldown is five
-    L, moved = _lane_change_pass(w, _lane_sort(w), 10.0, LC, ACC_H, events)
-    assert not moved and w.lane[0] == 0
+    _lane_change_pass(w, _lane_sort(w), 10.0, ACC_H, events)
+    assert not events and w.lane[0] == 0
     w.lc_last[0] = -np.inf
-    L, moved = _lane_change_pass(w, _lane_sort(w), 10.0, LC, ACC_H, events)
-    assert moved and w.lane[0] == 1
-    assert events and events[-1].kind == "lane_change"
+    _lane_change_pass(w, _lane_sort(w), 10.0, ACC_H, events)
+    assert w.lane[0] == 1
+    assert [e.kind for e in events] == ["lane_change"]
 
 
 def test_platoon_members_never_change_lanes():
@@ -221,11 +217,12 @@ def test_platoon_members_never_change_lanes():
     w.pos[1] = 5030.0
     w.speed[[0, 1]] = 20.0
     w.platoon_id[0] = 0
-    L, moved = _lane_change_pass(w, _lane_sort(w), 10.0, LC, ACC_H, [])
-    assert not moved and w.lane[0] == 0
+    events = []
+    _lane_change_pass(w, _lane_sort(w), 10.0, ACC_H, events)
+    assert not events and w.lane[0] == 0
 
 
-def _unscreened(world, L, params, acc_headway):
+def _unscreened(world, L, acc_headway):
     """Screens that skip no lane: the lane-change pass as it was before the
     screens."""
     return np.full(world.n, np.inf), dict.fromkeys((True, False), 0.0)
@@ -320,7 +317,7 @@ def test_screened_pass_accepts_the_unscreened_candidates(seed):
             w = _random_world(seed)
             events = []
             del calls[:]
-            ring._lane_change_pass(w, _lane_sort(w), 10.0, LC, ACC_H, events)
+            ring._lane_change_pass(w, _lane_sort(w), 10.0, ACC_H, events)
             runs.append((list(calls), events, w.lane.copy()))
     assert runs[0][0] == runs[1][0]
     assert runs[0][1] == runs[1][1]
@@ -334,11 +331,11 @@ def test_a_car_takes_a_slot_that_just_fits(right, frac, vd, slack, slots):
     """Every slot of the target lane is just wide enough for the car, by
     ``slack`` at front and rear, and every car drives at one speed, so the
     screens' bounds are tight: they must still let the car through."""
-    v = vd * (max(frac, LC.right_speed_factor) if right else min(frac, 0.85))
-    front = LC.margin + LC.headway * v
+    v = vd * (max(frac, ring.RIGHT_SPEED_FACTOR) if right else min(frac, 0.85))
+    front = ring.LC_MARGIN + ring.LC_HEADWAY * v
     if right:
-        front = max(front, min(LC.free_gap, LC.margin + ACC_H * vd))
-    rear = LC.margin + LC.headway * v
+        front = max(front, min(ring.FREE_GAP, ring.LC_MARGIN + ACC_H * vd))
+    rear = ring.LC_MARGIN + ring.LC_HEADWAY * v
     s = 8.0 + front + rear + 2.0 * slack     # slot pitch; cars are 4 m long
     w = sandbox_world()
     w.spec = dataclasses.replace(w.spec, circumference=slots * s)
@@ -351,7 +348,7 @@ def test_a_car_takes_a_slot_that_just_fits(right, frac, vd, slack, slots):
     w.lane[[0, 1]], w.pos[[0, 1]] = src, [x, x + 5.0]
     w.platoon_id[1:] = 100 + np.arange(w.n - 1)   # nobody else may move
     events = []
-    _lane_change_pass(w, _lane_sort(w), 10.0, LC, ACC_H, events)
+    _lane_change_pass(w, _lane_sort(w), 10.0, ACC_H, events)
     assert [(e.veh_a, e.detail) for e in events] == [(0, f"{src}->{dst}")]
 
 
@@ -374,7 +371,7 @@ def test_detect_collisions_same_lane_overlap():
     w.lane[[5, 6]] = 2
     w.pos[5] = 1000.0
     w.pos[6] = 1003.0            # front bumpers 3 m apart, cars are 4 m long
-    ev = detect_collisions(w, t=2.0)
+    ev = detect_collisions(w, _lane_sort(w), t=2.0)
     assert len(ev) == 1
     assert (ev[0].veh_a, ev[0].veh_b) == (5, 6)
 
@@ -385,7 +382,7 @@ def test_detect_collisions_ignores_other_lanes():
     w.lane[6] = 1
     w.pos[5] = 1000.0
     w.pos[6] = 1003.0
-    assert detect_collisions(w) == []
+    assert detect_collisions(w, _lane_sort(w)) == []
 
 
 # ---------------------------------------------------------------------------
