@@ -53,10 +53,11 @@ def _load_params(path: str | None) -> Config:
     return load_config_file(path)
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, chunks) -> None:
+    """Write the strings of ``chunks`` to ``path`` one after another."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
 
 
 def cmd_single(args) -> int:
@@ -67,8 +68,8 @@ def cmd_single(args) -> int:
     h = spec_hash(cfg, {"command": "single", "config": args.config,
                         "scenario": args.scenario, "duration": args.duration})
     stem = os.path.join(args.out, "single_run", f"{args.config}_{args.scenario}")
-    _write(stem + ".csv", trace.rows_csv(header_comment=f"spec_hash={h}"))
-    _write(stem + "_events.csv", events_csv(trace.events))
+    _write(stem + ".csv", trace.rows_csv_chunks(header_comment=f"spec_hash={h}"))
+    _write(stem + "_events.csv", [events_csv(trace.events)])
 
     facts = {"spec_hash": h, "config": args.config, "scenario": args.scenario,
              "collided": trace.terminated_by_collision}
@@ -79,7 +80,7 @@ def cmd_single(args) -> int:
                             for i, g in min_gap(trace, window).items()}
         facts["peak_abs_accel"] = {str(i): round(a, 6)
                                    for i, a in peak_abs_accel(trace, window).items()}
-    _write(stem + ".json", json.dumps(facts, indent=1, sort_keys=True) + "\n")
+    _write(stem + ".json", [json.dumps(facts, indent=1, sort_keys=True) + "\n"])
     print(f"wrote {stem}.csv ({trace.times.size} rows)")
     if trace.terminated_by_collision:
         print("run terminated by collision")
@@ -103,12 +104,12 @@ def cmd_ring(args) -> int:
                         "seed": args.seed, "duration": spec.duration,
                         "warmup": spec.warmup})
     stem = os.path.join(args.out, "ring_run", f"seed{args.seed}")
-    _write(stem + "_counters.csv", trace.counters_csv())
-    _write(stem + "_events.csv", events_csv(trace.events))
+    _write(stem + "_counters.csv", trace.counters_csv_chunks())
+    _write(stem + "_events.csv", [events_csv(trace.events)])
     metrics = {"spec_hash": h, **ring_run_metrics(trace)}
-    _write(stem + ".json", json.dumps(metrics, indent=1, sort_keys=True) + "\n")
+    _write(stem + ".json", [json.dumps(metrics, indent=1, sort_keys=True) + "\n"])
     if args.full_trace and trace.full is not None:
-        _write(stem + "_trace.csv", trace.full.rows_csv(header_comment=f"spec_hash={h}"))
+        _write(stem + "_trace.csv", trace.full.rows_csv_chunks(header_comment=f"spec_hash={h}"))
     print(f"{trace.n_vehicles} vehicles, end_time={trace.end_time:.1f}s")
     if metrics["throughput"] is not None:
         print(f"road throughput: {metrics['throughput']:.0f} veh/h")

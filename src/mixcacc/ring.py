@@ -24,6 +24,7 @@ alone would.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -54,6 +55,7 @@ from .dynamics import step_arrays  # noqa: E402,F401
 PLATOON_POLICIES = ("P", "L", "G", "MIX")
 BASELINES = ("ACC", "IDM")
 DEVICES = ("N", "E", "S", "W")
+CSV_BLOCK_ROWS = 4096   # counter rows formatted per string
 
 SPAWN_MARGIN = 2.0      # m, standstill part of spawn gaps
 MIN_INTER_GAP = 3.0     # m, hard floor between spawned entities
@@ -496,21 +498,39 @@ class RingTrace:
     end_time: float
     full: Trace | None = None
 
+    def counters_csv_chunks(self):
+        """The text of :meth:`counters_csv`: its header, then blocks of rows."""
+        yield "t,device,veh,lane\n"
+        cols = [c.tolist() for c in (self.counter_times, self.counter_devices,
+                                     self.counter_vehicles, self.counter_lanes)]
+        for lo in range(0, len(cols[0]), CSV_BLOCK_ROWS):
+            block = [c[lo:lo + CSV_BLOCK_ROWS] for c in cols]
+            yield "%.6f,%s,%d,%d\n" * len(block[0]) % tuple(
+                itertools.chain.from_iterable(zip(*block)))
+
     def counters_csv(self) -> str:
-        lines = ["t,device,veh,lane"]
-        for t, d, v, l in zip(
-            self.counter_times, self.counter_devices,
-            self.counter_vehicles, self.counter_lanes,
-        ):
-            lines.append(f"{t:.6f},{d},{int(v)},{int(l)}")
-        return "\n".join(lines) + "\n"
+        return "".join(self.counters_csv_chunks())
 
     def serialize(self) -> bytes:
-        parts = [self.counters_csv(), events_csv(self.events)]
-        parts.append(",".join(f"{v:.6f}" for v in self.speed_samples.ravel()))
+        """The run's identity bytes: the counter CSV, the event CSV, every
+        speed sample on one comma-separated line and the full trace CSV, if
+        recorded, joined by newlines.  Each row is encoded on its own and
+        the bytes are joined once, so no part is ever held as text."""
+        return b"".join(s.encode() for s in self._serial_chunks())
+
+    def _serial_chunks(self):
+        yield from self.counters_csv_chunks()
+        yield "\n"
+        yield events_csv(self.events)
+        yield "\n"
+        row = ",".join(["%.6f"] * self.speed_samples.shape[1])
+        for k, speeds in enumerate(self.speed_samples):
+            if k:
+                yield ","
+            yield row % tuple(speeds.tolist())
         if self.full is not None:
-            parts.append(self.full.rows_csv())
-        return "\n".join(parts).encode()
+            yield "\n"
+            yield from self.full.rows_csv_chunks()
 
 
 def run_ring(
@@ -538,7 +558,9 @@ def run_ring(
     # counter crossings of each tick: times, devices, vehicles, lanes
     crossings = [(np.empty(0), device_names[:0], np.empty(0, dtype=np.int64),
                   np.empty(0, dtype=np.int64))]
-    samples: list[np.ndarray] = []
+    # every car's speed at each sampled tick; a collision leaves rows unfilled
+    samples = np.empty((sum(k * spec.control_dt >= spec.warmup - 1e-9
+                            for k in range(0, ticks + 1, sample_every)), world.n))
     sample_t: list[float] = []
     events: list[TraceEvent] = []
     collided = False
@@ -569,7 +591,7 @@ def run_ring(
                 block[k] = row
             rec_rows = k + 1
         if t >= spec.warmup - 1e-9 and k % sample_every == 0:
-            samples.append(world.speed.copy())
+            samples[len(sample_t)] = world.speed
             sample_t.append(t)
         if k == ticks:
             break
@@ -611,7 +633,7 @@ def run_ring(
         counter_vehicles=vehicles,
         counter_lanes=lanes,
         sample_times=np.asarray(sample_t),
-        speed_samples=np.asarray(samples) if samples else np.empty((0, world.n)),
+        speed_samples=samples[:len(sample_t)],
         events=events,
         terminated_by_collision=collided,
         end_time=end_time,

@@ -17,8 +17,7 @@ a row's trace does not depend on the batch it ran in.
 
 from __future__ import annotations
 
-import csv
-import io
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -57,6 +56,8 @@ SINUSOIDAL = "sinusoidal"
 BRAKING = "braking"
 
 _DEFAULT_DURATION = {SINUSOIDAL: 100.0, BRAKING: 60.0}
+# names of the override latch in events and of 0/1 in the trace CSV's mode
+_MODE_NAME = {False: GsblMode.CRUISE.value, True: GsblMode.OVERRIDE.value}
 
 
 class ScenarioError(ValueError):
@@ -158,28 +159,24 @@ class Trace:
     def window_mask(self, t0: float, t1: float) -> np.ndarray:
         return (self.times >= t0 - 1e-9) & (self.times <= t1 + 1e-9)
 
-    def rows_csv(self, header_comment: str | None = None) -> str:
-        buf = io.StringIO()
+    def rows_csv_chunks(self, header_comment: str | None = None):
+        """The text of :meth:`rows_csv`: its header lines, then one string
+        per tick."""
         if header_comment:
-            buf.write(f"# {header_comment}\n")
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["t", "veh", "lane", "x", "v", "a", "u", "gap", "ctrl", "mode"])
-        mode_names = {0: "cruise", 1: "override"}
-        for k, t in enumerate(self.times):
-            for i in range(self.n_vehicles):
-                w.writerow([
-                    f"{t:.6f}",
-                    i,
-                    int(self.lane[k, i]),
-                    f"{self.position[k, i]:.6f}",
-                    f"{self.speed[k, i]:.6f}",
-                    f"{self.accel[k, i]:.6f}",
-                    f"{self.ctrl_input[k, i]:.6f}",
-                    f"{self.gap[k, i]:.6f}",
-                    self.controllers[i],
-                    mode_names.get(int(self.mode[k, i]), ""),
-                ])
-        return buf.getvalue()
+            yield f"# {header_comment}\n"
+        yield "t,veh,lane,x,v,a,u,gap,ctrl,mode\n"
+        # one template per tick; a vehicle's index and controller letter
+        # are the same on every tick, so they sit in it as text
+        row = "".join(f"%s,{i},%d,%.6f,%.6f,%.6f,%.6f,%.6f,{c},%s\n"
+                      for i, c in enumerate(self.controllers))
+        blocks = (self.lane, self.position, self.speed, self.accel, self.ctrl_input, self.gap)
+        for k, t in enumerate(self.times.tolist()):
+            modes = [_MODE_NAME.get(m, "") for m in self.mode[k].tolist()]
+            cols = [[f"{t:.6f}"] * len(modes), *(b[k].tolist() for b in blocks), modes]
+            yield row % tuple(itertools.chain.from_iterable(zip(*cols)))
+
+    def rows_csv(self, header_comment: str | None = None) -> str:
+        return "".join(self.rows_csv_chunks(header_comment))
 
     def serialize(self) -> bytes:
         return (self.rows_csv() + events_csv(self.events)).encode()
@@ -410,9 +407,6 @@ def run_platoon_batch(
         np.maximum(u[:, 0], dyn.u_min, out=u[:, 0])
         uin = advance(pos, spd, acc, u, dyn, sub, hold, is_ploeg, ufilt, ctrl.ploeg.H)
     return results
-
-
-_MODE_NAME = {False: GsblMode.CRUISE.value, True: GsblMode.OVERRIDE.value}
 
 
 def run_single_platoon(

@@ -13,6 +13,10 @@ import sys
 import pytest
 
 from mixcacc import cli
+from mixcacc.config import Config
+from mixcacc.experiments import ring_spec, scenario_for
+from mixcacc.ring import run_ring
+from mixcacc.scenarios import CONTROL_DT, run_single_platoon
 from mixcacc.cli import (
     EXIT_COLLISION,
     EXIT_CONFIG,
@@ -203,6 +207,31 @@ def test_ring_run_writes_counters_and_metrics(tmp_path, capsys):
     assert payload["throughput"] > 0.0
     trace_head = (stem.parent / "seed2_trace.csv").read_text().splitlines()[0]
     assert trace_head.startswith("# spec_hash=")
+
+
+def test_streamed_csv_files_equal_the_joined_writers(tmp_path, capsys):
+    """The CLI writes its trace and counter CSVs chunk by chunk; the files
+    hold exactly the text that ``rows_csv`` and ``counters_csv`` return."""
+    assert main(["--out", str(tmp_path), "single", "--scenario", "braking",
+                 "--", "-PG"]) == EXIT_OK
+    stem = tmp_path / "single_run" / "-PG_braking"
+    h = json.loads(stem.with_suffix(".json").read_text())["spec_hash"]
+    trace = run_single_platoon(scenario_for("braking", "-PG", None, CONTROL_DT))
+    assert stem.with_suffix(".csv").read_text() == trace.rows_csv(header_comment=f"spec_hash={h}")
+
+    assert main(["--out", str(tmp_path), "ring", "--density", "20", "--duration", "10",
+                 "--warmup", "2", "--seed", "1", "--full-trace"]) == EXIT_OK
+    capsys.readouterr()
+    stem = tmp_path / "ring_run" / "seed1"
+    h = json.loads(stem.with_suffix(".json").read_text())["spec_hash"]
+    ring = run_ring(ring_spec(Config().mobility, 10.0, 2.0, density=20.0, penetration=0.0,
+                              platoon_size=8, platoon_policy="P", baseline="ACC", seed=1,
+                              record_full_trace=True))
+    counters = (stem.parent / "seed1_counters.csv").read_text()
+    assert counters == ring.counters_csv()
+    assert counters.count("\n") > 1
+    full = (stem.parent / "seed1_trace.csv").read_text()
+    assert full == ring.full.rows_csv(header_comment=f"spec_hash={h}")
 
 
 def test_sweep_single_then_report(tmp_path, capsys):
