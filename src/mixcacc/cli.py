@@ -22,6 +22,7 @@ import sys
 
 from .config import Config, ConfigFileError, load_config_file, spec_hash
 from .experiments import (
+    SUMMARY_PICKS,
     analysis_window,
     emit_reports,
     ring_run_metrics,
@@ -65,8 +66,8 @@ def cmd_single(args) -> int:
     scn = scenario_for(args.scenario, args.config, args.duration, args.control_dt)
     trace = run_single_platoon(scn, cfg.dynamics, cfg.controllers,
                                control_dt=args.control_dt)
-    h = spec_hash(cfg, {"command": "single", "config": args.config,
-                        "scenario": args.scenario, "duration": args.duration})
+    h = spec_hash(cfg, {"command": "single", "config": args.config, "scenario": args.scenario,
+                        "duration": args.duration, "control_dt": args.control_dt})
     stem = os.path.join(args.out, "single_run", f"{args.config}_{args.scenario}")
     _write(stem + ".csv", trace.rows_csv_chunks(header_comment=f"spec_hash={h}"))
     _write(stem + "_events.csv", [events_csv(trace.events)])
@@ -81,7 +82,7 @@ def cmd_single(args) -> int:
         facts["peak_abs_accel"] = {str(i): round(a, 6)
                                    for i, a in peak_abs_accel(trace, window).items()}
     _write(stem + ".json", [json.dumps(facts, indent=1, sort_keys=True) + "\n"])
-    print(f"wrote {stem}.csv ({trace.times.size} rows)")
+    print(f"wrote {stem}.csv ({trace.times.size * trace.n_vehicles} rows)")
     if trace.terminated_by_collision:
         print("run terminated by collision")
         return EXIT_COLLISION
@@ -130,7 +131,7 @@ def cmd_sweep_single(args) -> int:
     for kind, info in summary["scenarios"].items():
         print(f"{kind}: {info['mixed_reports']} mixed"
               f" + {info['baseline_reports']} baseline reports")
-        for key in ("worst_delta_a", "worst_delta_d", "best_eta"):
+        for key, _, _ in SUMMARY_PICKS:
             if key in info:
                 e = info[key]
                 print(f"  {key}: {e['config']} = {e['value']:.3f}")

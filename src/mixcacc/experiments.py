@@ -10,6 +10,7 @@ both embed the resolved parameter hash in every output.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -48,8 +49,12 @@ from .scenarios import run_single_platoon  # noqa: E402,F401
 MIX_LETTERS = "GLP"          # follower alphabet, kept in lexicographic order
 BASELINE_LETTERS = "AGLP"
 FULL_ENUMERATION_MAX = 8     # platoon sizes enumerated exhaustively
-SAMPLED_CONFIG_COUNT = 1000
+SAMPLED_CONFIG_COUNT = 1000  # mixes drawn for a platoon size too large to enumerate
+CONFIDENCE_LEVEL = 0.95      # of the ring summary's throughput intervals
 BATCH_ROWS = 256             # mixes per scenario per batch; bounds record memory
+# a single sweep's summary entries per scenario: (name, report field, pick of the mixes)
+SUMMARY_PICKS = (("worst_delta_a", "delta_a", min), ("worst_delta_d", "delta_d", min),
+                 ("best_eta", "eta", max))
 
 # In every ring result's hash; bump it with any change that moves ring results
 # so cached runs are recomputed (single-sweep hashes do not carry it yet).
@@ -69,12 +74,12 @@ def baseline_configs(n: int) -> list[str]:
     return ["-" + letter * (n - 1) for letter in BASELINE_LETTERS]
 
 
-def sampled_configs(n: int, count: int = SAMPLED_CONFIG_COUNT, seed: int = 0) -> list[str]:
+def sampled_configs(n: int, seed: int = 0) -> list[str]:
     """Distinct random follower mixes for spaces too large to enumerate."""
     rng = np.random.default_rng(seed)
     seen: set[str] = set()
     out: list[str] = []
-    while len(out) < count:
+    while len(out) < SAMPLED_CONFIG_COUNT:
         cfg = "-" + "".join(rng.choice(list(MIX_LETTERS), size=n - 1))
         if cfg not in seen:
             seen.add(cfg)
@@ -87,7 +92,7 @@ def configs_for_sweep(n: int, seed: int = 0) -> list[str]:
         raise ConfigError("platoon size must be at least 2")
     if n <= FULL_ENUMERATION_MAX:
         return mixed_configs(n)
-    return sampled_configs(n, SAMPLED_CONFIG_COUNT, seed)
+    return sampled_configs(n, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -176,15 +181,16 @@ def build_report(trace, scn: SingleScenario, ref: ReferenceData) -> MetricReport
     )
 
 
-def _sweep_batch(args) -> dict[tuple[str, str], tuple[dict | None, str | None]]:
+def _sweep_batch(args) -> dict[tuple[str, str, str], tuple[dict | None, str | None]]:
     """Simulate one batch of a sweep and score each of its rows.
 
     The batch holds one group of rows per scenario kind, each starting with
     the four baseline scenarios in the order of :data:`BASELINE_LETTERS`.
     All groups run as one time loop; each kind's reference comes from its
     own baseline rows, which are the same in every batch.  Returns
-    ``(kind, config) -> (report fields, None)``, or ``(None, error)`` for a
-    row that failed to simulate or to score.
+    ``(kind, role, config) -> (report fields, None)``, or ``(None, error)``
+    for a row that failed to simulate or to score.  A baseline row answers
+    for its config as a mix too, since a chunk leaves such mixes out.
     """
     groups, cfg = args
     traces = iter(run_platoon_batch([scn for _, scns in groups for scn in scns],
@@ -197,25 +203,16 @@ def _sweep_batch(args) -> dict[tuple[str, str], tuple[dict | None, str | None]]:
             if isinstance(trace, Exception):
                 raise ScenarioError(f"homogeneous {letter} reference platoon failed: {trace}")
         ref = build_reference(kind, baselines)
-        for trace, scn in rows:
-            if isinstance(trace, Exception):
-                out[kind, scn.config] = (None, str(trace))
-                continue
+        for i, (trace, scn) in enumerate(rows):
             try:
-                out[kind, scn.config] = (build_report(trace, scn, ref).to_json_dict(), None)
+                if isinstance(trace, Exception):
+                    raise trace
+                report, error = build_report(trace, scn, ref).to_json_dict(), None
             except Exception as exc:  # keep scoring the other rows
-                out[kind, scn.config] = (None, str(exc))
+                report, error = None, str(exc)
+            for role in ("baseline", "mixed") if i < len(baselines) else ("mixed",):
+                out[kind, role, scn.config] = (report and {"role": role, **report}, error)
     return out
-
-
-def _map_jobs(fn, items: list, jobs: int):
-    """Yield ``fn(item)`` in the order of ``items``, from ``jobs`` worker
-    processes when there is more than one item."""
-    if jobs > 1 and len(items) > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            yield from pool.imap(fn, items)
-    else:
-        yield from map(fn, items)
 
 
 def _atomic_write_json(path: str, payload: dict) -> None:
@@ -227,16 +224,44 @@ def _atomic_write_json(path: str, payload: dict) -> None:
 
 
 def _load_if_current(path: str, expect_hash: str):
-    if not os.path.exists(path):
-        return None
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError):
+    except (OSError, json.JSONDecodeError):  # a missing file is an OSError too
         return None
-    if payload.get("spec_hash") != expect_hash:
-        return None
-    return payload
+    current = isinstance(payload, dict) and payload.get("spec_hash") == expect_hash
+    return payload if current else None
+
+
+def _run_store(files: dict, plan, run_batch, jobs: int) -> tuple[dict, list]:
+    """Read, compute and write one JSON result file per key.
+
+    ``files`` maps each key to its file's ``(path, spec hash)``.  Current
+    files are read; ``plan`` groups the other keys into batches, and
+    ``run_batch`` maps a batch to ``key -> (payload, error)``, in ``jobs``
+    worker processes when there is more than one batch.  Each payload asked
+    for is written, stamped with its hash, as its batch returns.  Returns the
+    payloads and the ``(key, error)`` failures, both in the order of ``files``.
+    """
+    for folder in {os.path.dirname(path) for path, _ in files.values()}:
+        os.makedirs(folder, exist_ok=True)
+    done = {key: payload for key, (path, h) in files.items()
+            if (payload := _load_if_current(path, h)) is not None}
+    pending = [key for key in files if key not in done]
+    batches, errors = plan(pending) if pending else [], {}
+    parallel = jobs > 1 and len(batches) > 1
+    with multiprocessing.Pool(jobs) if parallel else contextlib.nullcontext() as pool:
+        for part in (pool.imap if parallel else map)(run_batch, batches):
+            for key, (payload, error) in part.items():
+                if key not in files or key in done or key in errors:
+                    continue  # not asked for, or answered by an earlier batch
+                if error is None:
+                    done[key] = payload = {"spec_hash": files[key][1], **payload}
+                    _atomic_write_json(files[key][0], payload)
+                else:
+                    errors[key] = error
+    return ({key: done[key] for key in files if key in done},
+            [(key, errors[key]) for key in files if key in errors])
 
 
 def sweep_single(
@@ -257,78 +282,51 @@ def sweep_single(
     """
     cfg = cfg or Config()
     configs = configs_for_sweep(n, seed)
-    summary: dict = {"n": n, "scenarios": {}, "failed": []}
-    hashes, reports, todo = {}, {}, {}
+    hashes = {kind: spec_hash(cfg, {"sweep": "single", "n": n, "kind": kind,
+                                    "duration": duration, "seed": seed})
+              for kind in kinds}
+    files = {(kind, role, config): (os.path.join(out_dir, "single", kind, role,
+                                                 f"{config}.json"), hashes[kind])
+             for kind in kinds
+             for role, names in (("baseline", baseline_configs(n)), ("mixed", configs))
+             for config in names}
+
+    def plan(keys):
+        """Batch i runs chunk i of every kind's uncached mixes, each kind with
+        the baselines its reference needs."""
+        chunks = {}
+        for kind in dict.fromkeys(k for k, _, _ in keys):
+            names = [c for k, role, c in keys if k == kind and role == "mixed"]
+            size = max(1, min(BATCH_ROWS, -(-len(names) // max(jobs, 1))))
+            chunks[kind] = [names[i:i + size] for i in range(0, max(len(names), 1), size)]
+        return [
+            ([(kind, [scenario_for(kind, c, duration)
+                      for c in dict.fromkeys(baseline_configs(n) + parts[i])])
+              for kind, parts in chunks.items() if i < len(parts)], cfg)
+            for i in range(max(map(len, chunks.values())))
+        ]
+
+    results, failed = _run_store(files, plan, _sweep_batch, jobs)
+    summary: dict = {"n": n, "scenarios": {}, "failed": [
+        {"scenario": kind, "config": config, "error": error}
+        for (kind, _, config), error in failed]}
     for kind in kinds:
-        h = hashes[kind] = spec_hash(cfg, {"sweep": "single", "n": n, "kind": kind,
-                                           "duration": duration, "seed": seed})
-        kind_dir = os.path.join(out_dir, "single", kind)
-        os.makedirs(os.path.join(kind_dir, "mixed"), exist_ok=True)
-        os.makedirs(os.path.join(kind_dir, "baseline"), exist_ok=True)
-        reports[kind], todo[kind] = {}, []
-        for role, names in (("baseline", baseline_configs(n)), ("mixed", configs)):
-            for config in names:
-                cached = _load_if_current(
-                    os.path.join(kind_dir, role, f"{config}.json"), h)
-                if cached is None:
-                    todo[kind].append((role, config))
-                else:
-                    reports[kind][f"{role}/{config}"] = cached
-
-    # batch i runs chunk i of every kind's uncached mixes, each kind with the
-    # baselines its reference needs
-    chunks = {}
-    for kind, items in todo.items():
-        if items:
-            mixes = [c for role, c in items if role == "mixed"]
-            size = max(1, min(BATCH_ROWS, -(-len(mixes) // max(jobs, 1))))
-            chunks[kind] = [mixes[i:i + size] for i in range(0, max(len(mixes), 1), size)]
-    batches = [
-        ([(kind, [scenario_for(kind, c, duration)
-                  for c in dict.fromkeys(baseline_configs(n) + parts[i])])
-          for kind, parts in chunks.items() if i < len(parts)], cfg)
-        for i in range(max(map(len, chunks.values()), default=0))
-    ]
-    scored: dict = {}
-    for part in _map_jobs(_sweep_batch, batches, jobs):
-        scored.update(part)
-
-    for kind in kinds:
-        h, kind_reports = hashes[kind], reports[kind]
-        kind_dir = os.path.join(out_dir, "single", kind)
-        for role, config in todo[kind]:
-            report, error = scored[kind, config]
-            if error is not None:
-                summary["failed"].append(
-                    {"scenario": kind, "config": config, "error": error})
-                continue
-            payload = {"spec_hash": h, "role": role, **report}
-            _atomic_write_json(os.path.join(kind_dir, role, f"{config}.json"), payload)
-            kind_reports[f"{role}/{config}"] = payload
-
-        mixed = {k: v for k, v in kind_reports.items() if v["role"] == "mixed"
+        reports = {f"{role}/{config}": v for (k, role, config), v in results.items()
+                   if k == kind}
+        mixed = {k: v for k, v in reports.items() if v["role"] == "mixed"
                  and not v["collided"]}
-        worst = {}
-        if mixed:
-            wa = min(mixed, key=lambda k: (mixed[k]["delta_a"], k))
-            wd = min(mixed, key=lambda k: (mixed[k]["delta_d"], k))
-            be = max(mixed, key=lambda k: (mixed[k]["eta"], k))
-            worst = {
-                "worst_delta_a": {"config": mixed[wa]["config"],
-                                  "value": mixed[wa]["delta_a"],
-                                  "vehicle": mixed[wa]["delta_a_vehicle"]},
-                "worst_delta_d": {"config": mixed[wd]["config"],
-                                  "value": mixed[wd]["delta_d"],
-                                  "vehicle": mixed[wd]["delta_d_vehicle"]},
-                "best_eta": {"config": mixed[be]["config"],
-                             "value": mixed[be]["eta"]},
-            }
+        picks = {}
+        for name, metric, pick in SUMMARY_PICKS if mixed else ():
+            best = mixed[pick(mixed, key=lambda k: (mixed[k][metric], k))]
+            picks[name] = {"config": best["config"], "value": best[metric]}
+            if f"{metric}_vehicle" in best:
+                picks[name]["vehicle"] = best[f"{metric}_vehicle"]
         summary["scenarios"][kind] = {
-            "spec_hash": h,
-            "mixed_reports": sum(1 for v in kind_reports.values() if v["role"] == "mixed"),
-            "baseline_reports": sum(1 for v in kind_reports.values() if v["role"] == "baseline"),
-            "collisions": sorted(v["config"] for v in kind_reports.values() if v["collided"]),
-            **worst,
+            "spec_hash": hashes[kind],
+            "mixed_reports": sum(1 for v in reports.values() if v["role"] == "mixed"),
+            "baseline_reports": sum(1 for v in reports.values() if v["role"] == "baseline"),
+            "collisions": sorted(v["config"] for v in reports.values() if v["collided"]),
+            **picks,
         }
     _atomic_write_json(os.path.join(out_dir, "single", "summary.json"), summary)
     return summary
@@ -451,24 +449,29 @@ def ring_run_metrics(trace) -> dict:
     return out
 
 
-def _ring_worker(args):
-    """One ring run; returns ``(cell, rep, spec, metrics, error)``."""
-    cell, rep, spec, cfg = args
-    try:
-        trace = run_ring(spec, cfg.dynamics, cfg.controllers)
-        return cell, rep, spec, ring_run_metrics(trace), None
-    except Exception as exc:  # keep sweeping, report at the end
-        return cell, rep, spec, None, str(exc)
+def _ring_batch(runs) -> dict[tuple[str, int], tuple[dict | None, str | None]]:
+    """Run each ``(cell id, rep, spec, cfg)`` of ``runs``; returns
+    ``(cell id, rep) -> (result fields, None)``, or ``(None, error)`` for a
+    run that failed."""
+    out = {}
+    for cell_id, rep, spec, cfg in runs:
+        try:
+            metrics = ring_run_metrics(run_ring(spec, cfg.dynamics, cfg.controllers))
+            out[cell_id, rep] = ({"cell": cell_id, "rep": rep, "seed": spec.seed, **metrics},
+                                 None)
+        except Exception as exc:  # keep sweeping, report at the end
+            out[cell_id, rep] = (None, str(exc))
+    return out
 
 
-def confidence_halfwidth(values, level: float = 0.95) -> float:
+def confidence_halfwidth(values) -> float:
     """Half-width of the Student-t confidence interval of the mean."""
     from scipy import stats  # imported here: it costs most of the package's import time
 
     vals = np.asarray(values, dtype=float)
     if vals.size < 2:
         return float("nan")
-    crit = stats.t.ppf(0.5 + level / 2.0, vals.size - 1)
+    crit = stats.t.ppf(0.5 + CONFIDENCE_LEVEL / 2.0, vals.size - 1)
     return float(crit * vals.std(ddof=1) / math.sqrt(vals.size))
 
 
@@ -494,45 +497,28 @@ def sweep_ring(
         raise ConfigError("repetitions must be at least 1")
     cells = ring_cells(mob.densities if densities is None else densities,
                        mob.platoon_sizes, mob.penetration_rates)
-    plan = [(cell, rep, make_ring_spec(cell, cfg, run_seed(seed, cell.cell_id, rep),
-                                       duration, warmup), cfg)
-            for cell in cells for rep in range(repetitions)]
+    specs = {(cell.cell_id, rep): make_ring_spec(cell, cfg, run_seed(seed, cell.cell_id, rep),
+                                                  duration, warmup)
+             for cell in cells for rep in range(repetitions)}
     if dry_run:
         return {
             "cells": [c.cell_id for c in cells],
             "cell_count": len(cells),
-            "run_count": len(plan),
+            "run_count": len(specs),
             "dry_run": True,
         }
     h = spec_hash(cfg, {"sweep": "ring", "engine": ENGINE_VERSION,
                         "duration": duration, "warmup": warmup, "seed": seed})
-    results: dict[str, list[dict]] = {c.cell_id: [] for c in cells}
-    todo = []
-    failed = []
-    for run in plan:
-        cell, rep = run[:2]
-        cell_dir = os.path.join(out_dir, "ring", cell.cell_id)
-        os.makedirs(cell_dir, exist_ok=True)
-        cached = _load_if_current(os.path.join(cell_dir, f"rep{rep}.json"), h)
-        if cached is not None:
-            results[cell.cell_id].append(cached)
-        else:
-            todo.append(run)
-
-    # results come in the order of todo, so failures list by (cell, rep)
-    for cell, rep, spec, metrics, error in _map_jobs(_ring_worker, todo, jobs):
-        if error is not None:
-            failed.append({"cell": cell.cell_id, "rep": rep, "error": error})
-            continue
-        payload = {"spec_hash": h, "cell": cell.cell_id, "rep": rep, "seed": spec.seed,
-                   **metrics}
-        _atomic_write_json(os.path.join(out_dir, "ring", cell.cell_id, f"rep{rep}.json"),
-                           payload)
-        results[cell.cell_id].append(payload)
+    files = {key: (os.path.join(out_dir, "ring", key[0], f"rep{key[1]}.json"), h)
+             for key in specs}
+    # one run per batch, so --jobs spreads runs over the workers
+    results, failed = _run_store(
+        files, lambda keys: [[(*key, specs[key], cfg)] for key in keys], _ring_batch, jobs)
 
     aggregate = {}
     for cell in cells:
-        runs = sorted(results[cell.cell_id], key=lambda r: r["rep"])
+        runs = [results[cell.cell_id, rep] for rep in range(repetitions)
+                if (cell.cell_id, rep) in results]
         ok = [r for r in runs if not r["collided"] and r["throughput"] is not None]
         thr = [r["throughput"] for r in ok]
         aggregate[cell.cell_id] = {
@@ -549,7 +535,8 @@ def sweep_ring(
         "cell_count": len(cells),
         "repetitions": repetitions,
         "cells": aggregate,
-        "failed": failed,
+        "failed": [{"cell": cell_id, "rep": rep, "error": error}
+                   for (cell_id, rep), error in failed],
     }
     _atomic_write_json(os.path.join(out_dir, "ring", "summary.json"), summary)
     return summary
@@ -573,7 +560,7 @@ def emit_reports(out_dir: str) -> list[str]:
                 f"  reports: {info['mixed_reports']} mixed"
                 f" + {info['baseline_reports']} baseline"
             )
-            for key in ("worst_delta_a", "worst_delta_d", "best_eta"):
+            for key, _, _ in SUMMARY_PICKS:
                 if key in info:
                     e = info[key]
                     veh = f" (vehicle {e['vehicle']})" if "vehicle" in e else ""

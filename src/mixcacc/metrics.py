@@ -16,6 +16,7 @@ import numpy as np
 
 SPEED_FLOOR = 5.0 / 3.6          # m/s, samples below this are near-standstill
 BRAKE_DETECT_U = -7.2            # m/s^2, commanded input marking emergency onset
+SINUSOIDAL_PERIODS = 5           # leader periods in a sinusoidal analysis window
 
 
 class MetricsError(ValueError):
@@ -32,20 +33,20 @@ class Window:
         return self.t1 - self.t0
 
 
-def sinusoidal_window(warmup: float, frequency: float, periods: int = 5) -> Window:
-    """Analysis window: an integer number of leader periods after warmup."""
-    return Window(warmup, warmup + periods / frequency)
+def sinusoidal_window(warmup: float, frequency: float) -> Window:
+    """Analysis window: :data:`SINUSOIDAL_PERIODS` leader periods after warmup."""
+    return Window(warmup, warmup + SINUSOIDAL_PERIODS / frequency)
 
 
-def braking_window(trace, u_threshold: float = BRAKE_DETECT_U) -> Window:
+def braking_window(trace) -> Window:
     """Window from the head's emergency onset until the platoon has stopped.
 
     The window opens at the first tick where the head commands at most
-    ``u_threshold`` and closes at the first subsequent tick where every
+    :data:`BRAKE_DETECT_U` and closes at the first subsequent tick where every
     vehicle is slower than 5 km/h; if the platoon never gets that slow the
     window runs to the end of the trace.
     """
-    onset = np.flatnonzero(trace.ctrl_input[:, 0] <= u_threshold)
+    onset = np.flatnonzero(trace.ctrl_input[:, 0] <= BRAKE_DETECT_U)
     if onset.size == 0:
         raise MetricsError("no emergency braking onset in trace")
     k0 = int(onset[0])

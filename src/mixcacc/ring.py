@@ -221,12 +221,9 @@ def detect_collisions(world: RingWorld, L: _LaneIndex, t: float = 0.0) -> list[T
 # Spawning
 # ---------------------------------------------------------------------------
 
-def spawn_ring_traffic(
-    spec: RingSpec,
-    ctrl: ControllerSet | None = None,
-    rng: np.random.Generator | None = None,
-) -> RingWorld:
-    """Populate the ring at the requested density.
+def spawn_ring_traffic(spec: RingSpec, ctrl: ControllerSet | None = None) -> RingWorld:
+    """Populate the ring at the requested density, drawing from a generator
+    seeded with ``spec.seed``.
 
     One rule places every entity, a platoon or a single: it takes the first
     lane of its lane order where the lengths of the lane's blocks plus one
@@ -239,7 +236,7 @@ def spawn_ring_traffic(
     gaps stay safe.
     """
     ctrl = ctrl or ControllerSet()
-    rng = rng or np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(spec.seed)
     C = spec.circumference
     total = int(math.floor(spec.density * C / 1000.0))
     if total < 1:
@@ -541,8 +538,7 @@ def run_ring(
     """Simulate one ring experiment; stops early if a collision occurs."""
     dyn = dyn or DynamicsParams()
     ctrl = ctrl or ControllerSet()
-    rng = np.random.default_rng(spec.seed)
-    world = spawn_ring_traffic(spec, ctrl, rng)
+    world = spawn_ring_traffic(spec, ctrl)
     C = spec.circumference
     sub = substeps(spec.control_dt, dyn)
     # IDM stands in for human drivers simulated without powertrain lag

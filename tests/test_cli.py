@@ -81,6 +81,26 @@ def test_single_run_writes_trace_events_and_facts(tmp_path, capsys):
     assert facts["window"][0] < facts["window"][1]
 
 
+def test_single_reports_the_rows_it_wrote(tmp_path, capsys):
+    """The printed row count is the file's data lines: one per tick and
+    vehicle, after the hash comment and the column header."""
+    assert main(["--out", str(tmp_path), "single", "--", "-PL"]) == EXIT_OK
+    path = tmp_path / "single_run" / "-PL_sinusoidal.csv"
+    rows = len(path.read_text().splitlines()) - 2
+    assert rows == 3 * 1001
+    assert capsys.readouterr().out == f"wrote {path} ({rows} rows)\n"
+
+
+def test_single_spec_hash_follows_the_control_period(tmp_path, capsys):
+    hashes = set()
+    for dt in ("0.1", "0.2"):
+        assert main(["--out", str(tmp_path / dt), "single", "--control-dt", dt,
+                     "--", "-PL"]) == EXIT_OK
+        facts = tmp_path / dt / "single_run" / "-PL_sinusoidal.json"
+        hashes.add(json.loads(facts.read_text())["spec_hash"])
+    assert len(hashes) == 2
+
+
 def test_single_collision_sets_exit_code(tmp_path, capsys):
     """A parameter file that shrinks the constant-gap target until the
     platoon crashes must surface as the collision exit code."""

@@ -54,12 +54,12 @@ def test_baseline_configs_cover_all_four_laws():
 
 
 def test_sampled_configs_distinct_and_reproducible():
-    a = sampled_configs(16, count=300, seed=5)
-    b = sampled_configs(16, count=300, seed=5)
-    c = sampled_configs(16, count=300, seed=6)
+    a = sampled_configs(16, seed=5)
+    b = sampled_configs(16, seed=5)
+    c = sampled_configs(16, seed=6)
     assert a == b
     assert a != c
-    assert len(set(a)) == 300
+    assert len(set(a)) == len(a) == experiments.SAMPLED_CONFIG_COUNT
     assert all(len(s) == 16 and s[0] == "-" for s in a)
     assert all(set(s[1:]) <= set("GLP") for s in a)
 
@@ -139,18 +139,22 @@ def test_run_seed_is_stable_and_collision_free():
     assert run_seed(0, cell, 1) != run_seed(1, cell, 1)
 
 
-def _fake_ring_worker(calls):
-    """Stand-in for one ring run that records which run it was asked for."""
-    def worker(args):
-        cell, rep, spec = args[:3]
-        calls.append((cell.cell_id, rep))
-        return cell, rep, spec, {"collided": False, "throughput": 1.0, "xi_median": 0.1}, None
-    return worker
+def _fake_ring_batch(calls):
+    """Stand-in for a batch of ring runs that records which runs it was
+    asked for."""
+    def batch(runs):
+        out = {}
+        for cell_id, rep, spec, _ in runs:
+            calls.append((cell_id, rep))
+            out[cell_id, rep] = ({"cell": cell_id, "rep": rep, "seed": spec.seed,
+                                  "collided": False, "throughput": 1.0, "xi_median": 0.1}, None)
+        return out
+    return batch
 
 
 def test_ring_seed_follows_the_cell_not_the_grid(tmp_path, monkeypatch):
     """A density subset and the full grid run a cell with the same seed."""
-    monkeypatch.setattr(experiments, "_ring_worker", _fake_ring_worker([]))
+    monkeypatch.setattr(experiments, "_ring_batch", _fake_ring_batch([]))
     cell = "d60-P-N4-R0.5"
     seeds = {}
     for name, densities in (("subset", (60,)), ("full", None)):
@@ -163,7 +167,7 @@ def test_ring_seed_follows_the_cell_not_the_grid(tmp_path, monkeypatch):
 
 def test_ring_results_of_an_older_engine_are_recomputed(tmp_path, monkeypatch):
     calls = []
-    monkeypatch.setattr(experiments, "_ring_worker", _fake_ring_worker(calls))
+    monkeypatch.setattr(experiments, "_ring_batch", _fake_ring_batch(calls))
     # the hash payload before it carried the engine version
     old = spec_hash(TOY_GRID, {"sweep": "ring", "duration": None, "warmup": None, "seed": 0})
     rep = tmp_path / "ring" / "d10-ACC" / "rep0.json"
@@ -275,6 +279,11 @@ def test_sweep_single_reuses_cached_reports(single_sweep):
     assert "marker" not in refreshed
     assert refreshed["spec_hash"] == summary["scenarios"][BRAKING]["spec_hash"]
 
+    # valid JSON that is not a report object is recomputed, not a crash
+    target.write_text("[]")
+    sweep_single(2, str(out), kinds=(BRAKING,), seed=0)
+    assert json.loads(target.read_text()) == refreshed
+
 
 def test_sweep_single_recomputes_byte_identically(single_sweep):
     out, _ = single_sweep
@@ -296,6 +305,31 @@ def test_sweep_single_files_do_not_depend_on_jobs(tmp_path):
                        for p in sorted(root.rglob("*.json"))}
     assert len(files[1]) == 2 * (9 + 4) + 1
     assert files[1] == files[2]
+
+
+def _single_files(root):
+    return {p.relative_to(root): p.read_bytes()
+            for p in sorted((root / "single").rglob("*.json"))}
+
+
+def test_single_sweep_bytes_do_not_depend_on_how_it_ran(tmp_path):
+    """At n=3: a serial sweep, two workers, one scenario followed by both,
+    and a sweep interrupted (some reports and the summary lost) then resumed
+    all write the same report files and summary, byte for byte."""
+    serial, parallel, subset = (tmp_path / name for name in ("serial", "jobs2", "subset"))
+    sweep_single(3, str(serial))
+    want = _single_files(serial)
+    assert len(want) == 2 * (9 + 4) + 1
+    sweep_single(3, str(parallel), jobs=2)
+    sweep_single(3, str(subset), kinds=(BRAKING,))
+    sweep_single(3, str(subset))
+    lost = sorted((serial / "single").rglob("-G*.json"))[::2] + [serial / "single" / "summary.json"]
+    assert len(lost) > 3
+    for path in lost:
+        path.unlink()
+    sweep_single(3, str(serial))
+    for root in (parallel, subset, serial):
+        assert _single_files(root) == want, root.name
 
 
 # ---------------------------------------------------------------------------

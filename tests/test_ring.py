@@ -494,7 +494,7 @@ def test_held_ploeg_filter_tracks_the_unclamped_target(monkeypatch):
     w.code[0] = CODE_PLOEG
     w.ego_leader[0] = 1
     w.member_succ[1] = 0
-    monkeypatch.setattr(ring, "spawn_ring_traffic", lambda spec, ctrl, rng: w)
+    monkeypatch.setattr(ring, "spawn_ring_traffic", lambda spec, ctrl: w)
     run_ring(RingSpec(density=1, duration=0.1, warmup=0.0))
 
     p, dyn = PloegParams(), DynamicsParams()
