@@ -14,9 +14,9 @@ for human-driven baseline traffic:
 
 The raw control laws are plain arithmetic and accept scalars or numpy arrays
 interchangeably.  Both simulation engines make every control decision through
-one call of :func:`control_tick` over arrays of gathered neighbour state; the
-per-vehicle ``*_control`` wrappers and :func:`gsbl_mode_update` are the
-reference specification it is tested against.
+one call of :func:`control_tick` over arrays of gathered neighbour state.  The
+per-vehicle ``*_control`` functions and :func:`gsbl_mode_update` take one
+vehicle's state and beacons and run the same raw laws and supervisor on it.
 """
 
 from __future__ import annotations
@@ -60,13 +60,9 @@ class Beacon:
     length: float = VEHICLE_LENGTH
 
 
-def bumper_gap(ego_position: float, pred_position: float, pred_length: float):
+def _gap(ego: VehicleState | Beacon, pred: VehicleState | Beacon):
     """Bumper-to-bumper distance between ego and its predecessor."""
-    return pred_position - pred_length - ego_position
-
-
-def gap_to(ego: VehicleState, pred: VehicleState | Beacon):
-    return bumper_gap(ego.position, pred.position, pred.length)
+    return pred.position - pred.length - ego.position
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +87,7 @@ def acc_accel(v, v_pred, gap, H, lam):
 
 def acc_control(ego: VehicleState, pred: VehicleState | Beacon, p: AccParams):
     """ACC command from radar measurements of the predecessor."""
-    return acc_accel(ego.speed, pred.speed, gap_to(ego, pred), p.H, p.lam)
+    return acc_accel(ego.speed, pred.speed, _gap(ego, pred), p.H, p.lam)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +124,7 @@ def ploeg_control(ego: VehicleState, pred: Beacon, p: PloegParams) -> float:
     that state as the actual command.
     """
     return ploeg_target(
-        gap_to(ego, pred), ego.speed, ego.accel,
+        _gap(ego, pred), ego.speed, ego.accel,
         pred.speed, pred.ctrl_input, p.H, p.kp, p.kd,
     )
 
@@ -186,7 +182,7 @@ def path_control(ego: VehicleState, pred: Beacon, leader: Beacon, p: PathParams)
     return path_accel(
         pred.ctrl_input, leader.ctrl_input,
         ego.speed, pred.speed, leader.speed,
-        gap_to(ego, pred), p.dd, p.gains,
+        _gap(ego, pred), p.dd, p.gains,
     )
 
 
@@ -219,7 +215,11 @@ class GsblParams:
 
 
 def gsbl_accel(gap_front, v_pred, gap_rear, v_succ, v, v_r, k, h, r, d):
-    """Spring-damper field for a member with platoon neighbors on both sides."""
+    """Spring-damper field of a member and its physical neighbours.
+
+    A missing neighbour is passed at rest, with gap ``d`` and the ego's
+    speed ``v``: its spring and damper terms are then exactly zero.
+    """
     return (
         k * (gap_front - d)
         - k * (gap_rear - d)
@@ -229,82 +229,39 @@ def gsbl_accel(gap_front, v_pred, gap_rear, v_succ, v, v_r, k, h, r, d):
     )
 
 
-def gsbl_accel_tail(gap_front, v_pred, v, v_r, k, h, r, d):
-    """Spring-damper field for the last member (no successor)."""
-    return k * (gap_front - d) + h * (v_pred - v) - r * (v - v_r)
-
-
-def gsbl_accel_head(gap_rear, v_succ, v, v_r, k, h, r, d):
-    """Spring-damper field for a leaderless head (successor coupling only)."""
-    return -k * (gap_rear - d) + h * (v_succ - v) - r * (v - v_r)
-
-
-def gsbl_control(
-    ego: VehicleState,
-    pred: Beacon | None,
-    succ: Beacon | None,
-    p: GsblParams,
-) -> float:
+def gsbl_control(ego: VehicleState, pred: Beacon | None, succ: Beacon | None,
+                 p: GsblParams) -> float:
     """GSBL command; couples to whichever physical neighbors exist."""
     if pred is None and succ is None:
         raise ValueError("GSBL vehicle needs at least one neighbor")
-    if pred is None:
-        gap_rear = bumper_gap(succ.position, ego.position, ego.length)
-        return gsbl_accel_head(
-            gap_rear, succ.speed, ego.speed, p.v_r, p.k, p.h, p.r, p.d
-        )
-    if succ is None:
-        return gsbl_accel_tail(
-            gap_to(ego, pred), pred.speed, ego.speed, p.v_r,
-            p.k, p.h, p.r, p.d,
-        )
-    gap_rear = bumper_gap(succ.position, ego.position, ego.length)
-    return gsbl_accel(
-        gap_to(ego, pred), pred.speed, gap_rear, succ.speed,
-        ego.speed, p.v_r, p.k, p.h, p.r, p.d,
+    gap_front, v_pred = (p.d, ego.speed) if pred is None else (_gap(ego, pred), pred.speed)
+    gap_rear, v_succ = (p.d, ego.speed) if succ is None else (_gap(succ, ego), succ.speed)
+    return gsbl_accel(gap_front, v_pred, gap_rear, v_succ, ego.speed, p.v_r, p.k, p.h, p.r, p.d)
+
+
+def gsbl_mode_update(p: GsblParams, leader: Beacon, ego: VehicleState,
+                     pred: VehicleState | Beacon) -> GsblParams:
+    """Supervisory update on reception of a leader beacon: :func:`gsbl_mode_arrays`
+    on one vehicle.  Pure function: returns an updated copy."""
+    # numpy scalars: the supervisor negates modes with ``~``, which is -2 on True
+    f = np.float64
+    over, v_r, r = gsbl_mode_arrays(
+        np.bool_(p.mode is GsblMode.OVERRIDE), f(leader.speed), f(leader.ctrl_input),
+        f(ego.speed), f(pred.speed), f(_gap(ego, pred)), p,
     )
-
-
-def gsbl_mode_update(
-    p: GsblParams,
-    leader: Beacon,
-    ego: VehicleState,
-    pred: VehicleState | Beacon,
-) -> GsblParams:
-    """Supervisory update on reception of a leader beacon.
-
-    A non-negative leader command always restores cruise.  A strongly braking
-    leader, or a critically small and closing front gap while the leader
-    brakes, forces override; otherwise the state latches.  Override projects
-    the leader speed ``delta_t`` ahead and retunes the tracking gain so that
-    the commanded deceleration is realized; cruise tracks the leader speed
-    with the default gain.  Pure function: returns an updated copy.
-    """
-    v_l = leader.speed
-    u_l = leader.ctrl_input
-    mode = p.mode
-    if u_l >= 0.0:
-        mode = GsblMode.CRUISE
-    else:
-        hard_braking = u_l <= p.delta_a
-        gap = gap_to(ego, pred)
-        closing = gap <= GSBL_OVERRIDE_GAP and (ego.speed - pred.speed) > GSBL_CLOSING_SPEED
-        if hard_braking or closing:
-            mode = GsblMode.OVERRIDE
-    if mode is GsblMode.OVERRIDE:
-        a_des = u_l
-        v_des = v_l + u_l * p.delta_t
-        dv = ego.speed - v_des
-        if abs(dv) < GSBL_SPEED_GUARD:
-            r = p.r_max
-        else:
-            r = min(p.r_max, max(p.r_min, abs(a_des / dv)))
-        return replace(p, mode=mode, v_r=v_des, r=r)
-    return replace(p, mode=mode, v_r=v_l, r=p.r_default)
+    mode = GsblMode.OVERRIDE if over else GsblMode.CRUISE
+    return replace(p, mode=mode, v_r=float(v_r), r=float(r))
 
 
 def gsbl_mode_arrays(override, v_l, u_l, v, v_pred, gap, p: GsblParams):
-    """Vectorized :func:`gsbl_mode_update`, float for float.
+    """Supervisory update of every spring-damper car on its leader's beacon.
+
+    A non-negative leader command always restores cruise.  A strongly braking
+    leader, or a critically small and closing front gap while the leader
+    brakes, forces override; otherwise the mode latches.  Override projects
+    the leader speed ``delta_t`` ahead and retunes the tracking gain so that
+    the commanded deceleration is realized; cruise tracks the leader speed
+    with the default gain.
 
     ``override`` holds the latched modes (True for override); ``v_l``/``u_l``
     are the leader beacons, ``v``/``v_pred`` the ego and predecessor speeds
@@ -319,8 +276,7 @@ def gsbl_mode_arrays(override, v_l, u_l, v, v_pred, gap, p: GsblParams):
     dv = v - v_des
     with np.errstate(divide="ignore", invalid="ignore"):
         gain = np.abs(u_l / dv)
-    # Python's max/min return their first argument unless the second is
-    # strictly larger/smaller; np.where keeps that rule, NaN included
+    # clamp to [r_min, r_max]; a NaN gain takes r_min
     gain = np.where(gain > p.r_min, gain, p.r_min)
     gain = np.where(gain < p.r_max, gain, p.r_max)
     gain = np.where(np.abs(dv) < GSBL_SPEED_GUARD, p.r_max, gain)
@@ -426,15 +382,10 @@ def control_tick(families, v, a, pred: Neighbour, lead: Neighbour, succ: Neighbo
             latch = new & led
             v_r = np.where(led, v_r, v_ref)
             r = np.where(led, r, p.r_default)
-            law = np.where(
-                succ.present,
-                gsbl_accel(pred.gap, pred.speed, succ.gap, succ.speed, v, v_r, p.k, p.h, r, p.d),
-                gsbl_accel_tail(pred.gap, pred.speed, v, v_r, p.k, p.h, r, p.d),
-            )
-            head = m & ~pred.present
-            if head.any():
-                law = np.where(head, gsbl_accel_head(succ.gap, succ.speed, v, v_r,
-                                                     p.k, p.h, r, p.d), law)
+            law = gsbl_accel(np.where(pred.present, pred.gap, p.d),
+                             np.where(pred.present, pred.speed, v),
+                             np.where(succ.present, succ.gap, p.d),
+                             np.where(succ.present, succ.speed, v), v, v_r, p.k, p.h, r, p.d)
         else:
             continue
         np.copyto(u, law, where=m)

@@ -39,6 +39,8 @@ class DynamicsParams:
     def __post_init__(self):
         if self.tau <= 0.0 or self.dt <= 0.0:
             raise ValueError("tau and dt must be positive")
+        if self.dt > self.tau:   # the lag update would overshoot its command
+            raise ValueError("powertrain lag tau must not be shorter than the step dt")
         if not self.u_min < 0.0 < self.u_max:
             raise ValueError("input clamp must satisfy u_min < 0 < u_max")
         if self.emergency_u_min > self.u_min:
@@ -62,32 +64,23 @@ class VehicleState:
     lane: int = 0
 
 
-def clamp_input(u_cmd: float, params: DynamicsParams, emergency: bool = False) -> float:
-    """Clamp a commanded acceleration to the admissible actuator range."""
-    lo = params.emergency_u_min if emergency else params.u_min
-    return min(params.u_max, max(lo, u_cmd))
+def step_vehicle(state: VehicleState, u_cmd: float, params: DynamicsParams,
+                 emergency: bool = False) -> VehicleState:
+    """Advance one vehicle by one integration step of ``params.dt`` seconds.
 
-
-def step_vehicle(
-    state: VehicleState,
-    u_cmd: float,
-    params: DynamicsParams,
-    emergency: bool = False,
-) -> VehicleState:
-    """Advance one vehicle by one integration step of ``params.dt`` seconds."""
+    This is :func:`advance` on one vehicle for one step.  Commands are
+    clamped to the actuator range; only with ``emergency`` do they reach
+    below ``u_min``, down to ``emergency_u_min``.
+    """
     if not math.isfinite(u_cmd):
         raise ValueError(f"non-finite control input: {u_cmd!r}")
-    u = clamp_input(u_cmd, params, emergency)
-    accel = state.accel + (params.dt / params.tau) * (u - state.accel)
-    speed = state.speed + accel * params.dt
-    if speed <= 0.0:
-        speed = 0.0
-        if accel < 0.0:
-            accel = 0.0
-    position = state.position + speed * params.dt
-    return replace(
-        state, position=position, speed=speed, accel=accel, ctrl_input=u
-    )
+    if not emergency:
+        u_cmd = max(params.u_min, u_cmd)
+    x, v, a = (np.array([f], dtype=float) for f in (state.position, state.speed, state.accel))
+    nobody = np.zeros(1, dtype=bool)
+    u = advance(x, v, a, np.array([u_cmd], dtype=float), params, 1, nobody, nobody, None, 1.0)
+    return replace(state, position=float(x[0]), speed=float(v[0]), accel=float(a[0]),
+                   ctrl_input=float(u[0]))
 
 
 def step_arrays(
@@ -98,7 +91,8 @@ def step_arrays(
     params: DynamicsParams,
     tau: np.ndarray | float | None = None,
 ) -> None:
-    """Vectorized form of :func:`step_vehicle`; mutates the arrays in place.
+    """One physics step of :func:`advance` for every vehicle, without hold
+    or Ploeg filter; mutates the arrays in place.
 
     ``tau`` may be a per-vehicle array; entries equal to ``params.dt`` make the
     actuation track the command exactly (used for lag-free driver models).

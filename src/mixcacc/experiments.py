@@ -42,8 +42,8 @@ from .scenarios import (BRAKING, CONTROL_DT, SINUSOIDAL, ScenarioError, SingleSc
                         run_platoon_batch)
 from .topology import ConfigError
 
-# Not called here since sweeps run batches; kept bound in this module for
-# layer-tracing tools that look the single-run entry point up here.
+# Not called here since sweeps run batches; bound here only for perfbench's
+# layer tracer, until the tracer reads spans from the package.
 from .scenarios import run_single_platoon  # noqa: E402,F401
 
 MIX_LETTERS = "GLP"          # follower alphabet, kept in lexicographic order

@@ -48,8 +48,8 @@ from .config import MobilitySpec
 from .scenarios import CONTROL_DT, Trace, TraceEvent, events_csv, substeps
 from .topology import elect_ego_leaders, parse_config
 
-# Integration goes through dynamics.advance; the name stays bound here, where
-# layer-tracing tools look it up.
+# Integration goes through dynamics.advance; this name stays bound here only
+# for perfbench's layer tracer, until the tracer reads spans from the package.
 from .dynamics import step_arrays  # noqa: E402,F401
 
 PLATOON_POLICIES = ("P", "L", "G", "MIX")
@@ -122,6 +122,8 @@ class RingSpec:
             raise SpawnError("duration must be positive")
         if self.warmup < 0.0:
             raise SpawnError("warmup must not be negative")
+        if not (self.counter_window > 0.0 and self.volatility_sample_dt > 0.0):
+            raise SpawnError("counter window and volatility sample dt must be positive")
 
 
 @dataclass

@@ -10,8 +10,7 @@ One engine steps a whole batch of platoons of the same size as a
 single run is a batch of one.  It keeps only the platoon's topology and the
 profile-driven heads: the control decisions and the physics substeps are
 :func:`controllers.control_tick` and :func:`dynamics.advance`, the core the
-ring engine runs too.  Every float operation keeps the order of the
-per-vehicle laws in :mod:`controllers` and :func:`dynamics.step_vehicle`, so
+ring engine runs too.  No float operation of a row reads another row, so
 a row's trace does not depend on the batch it ran in.
 """
 
@@ -36,9 +35,8 @@ from .controllers import (
 from .dynamics import DynamicsParams, VEHICLE_LENGTH, advance
 from .topology import EXTERNAL_REF, PlatoonConfig, elect_ego_leaders, parse_config
 
-# The per-vehicle laws below are the reference specification of the batched
-# engine; they stay importable from this module, where layer-tracing tools
-# look them up, although the engine itself no longer calls them.
+# The engine calls none of these per-vehicle names; they are bound here only
+# for perfbench's layer tracer, until the tracer reads spans from the package.
 from .controllers import (  # noqa: E402,F401
     acc_control,
     gsbl_control,

@@ -145,6 +145,17 @@ def test_malformed_params_file_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "single_run").exists()
 
 
+def test_powertrain_lag_shorter_than_the_step_is_a_config_error(tmp_path, capsys):
+    """A lag shorter than the 0.01 s step would make the lag update
+    overshoot its command; it used to run to a peak |a| of 1,884 m/s^2."""
+    params = tmp_path / "lag.ini"
+    params.write_text("[dynamics]\npowertrain lag = 0.004\n")
+    code = main(["--params", str(params), "--out", str(tmp_path), "single", "--", "-PL"])
+    assert code == EXIT_CONFIG
+    assert "shorter than the step" in capsys.readouterr().err
+    assert not (tmp_path / "single_run").exists()
+
+
 def test_unknown_params_key_is_a_config_error(tmp_path, capsys):
     params = tmp_path / "typo.ini"
     params.write_text("[acc]\nlam = 2.0\n")
@@ -176,11 +187,18 @@ def test_unusable_run_settings_are_config_errors(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("mobility", ["platoon sizes = 1, 4", "penetration rates = 0.5, 1.5"],
-                         ids=["platoon-of-one", "penetration-above-one"])
+@pytest.mark.parametrize("mobility", [
+    "platoon sizes = 1, 4",
+    "penetration rates = 0.5, 1.5",
+    "counter window = 0",
+    "counter window = -15",
+    "volatility sample dt = -1",
+], ids=["platoon-of-one", "penetration-above-one", "counter-window-zero",
+        "counter-window-negative", "volatility-sample-negative"])
 def test_unusable_ring_grid_settings_are_config_errors(tmp_path, capsys, mobility):
-    """A grid value that only platoon cells use fails before any run or
-    file, and a dry run rejects it too."""
+    """A grid value that only platoon cells use, or a counter or sampling
+    window that is not positive, fails before any run or file, and a dry
+    run rejects it too."""
     params = tmp_path / "grid.ini"
     params.write_text(f"[mobility]\n{mobility}\n")
     run = ["--density", "10", "--repetitions", "1", "--duration", "2", "--warmup", "0"]

@@ -148,9 +148,10 @@ def configs(draw):
 
     u_min = f(-100.0, -1e-3)
     r_min = f(0.0, 10.0)
+    dt = f(1e-4, 1.0)
     return Config(
         dynamics=DynamicsParams(
-            tau=f(1e-3, 10.0), dt=f(1e-4, 1.0), u_min=u_min, u_max=f(1e-3, 100.0),
+            tau=dt + f(0.0, 10.0), dt=dt, u_min=u_min, u_max=f(1e-3, 100.0),
             emergency_u_min=u_min - f(0.0, 10.0),
         ),
         controllers=ControllerSet(

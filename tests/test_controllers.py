@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from mixcacc.controllers import (
     CODE_BY_LETTER,
@@ -19,14 +19,14 @@ from mixcacc.controllers import (
     PathParams,
     PloegParams,
     acc_accel,
+    GSBL_CLOSING_SPEED,
+    GSBL_OVERRIDE_GAP,
+    GSBL_SPEED_GUARD,
+    _gap,
     acc_control,
-    bumper_gap,
     control_tick,
     family_masks,
-    gap_to,
     gsbl_accel,
-    gsbl_accel_head,
-    gsbl_accel_tail,
     gsbl_control,
     gsbl_mode_arrays,
     gsbl_mode_update,
@@ -46,18 +46,77 @@ def beacon(vid=0, position=0.0, speed=0.0, accel=0.0, ctrl_input=0.0):
 
 
 # ---------------------------------------------------------------------------
+# Reference laws: the scalar spring-damper law and supervisor that
+# gsbl_control and gsbl_mode_update replaced, kept as test oracles
+# ---------------------------------------------------------------------------
+
+def reference_bumper_gap(ego_position, pred_position, pred_length):
+    return pred_position - pred_length - ego_position
+
+
+def reference_gsbl_tail(gap_front, v_pred, v, v_r, k, h, r, d):
+    """Spring-damper field for the last member (no successor)."""
+    return k * (gap_front - d) + h * (v_pred - v) - r * (v - v_r)
+
+
+def reference_gsbl_head(gap_rear, v_succ, v, v_r, k, h, r, d):
+    """Spring-damper field for a leaderless head (successor coupling only)."""
+    return -k * (gap_rear - d) + h * (v_succ - v) - r * (v - v_r)
+
+
+def reference_gsbl_control(ego, pred, succ, p):
+    if pred is None and succ is None:
+        raise ValueError("GSBL vehicle needs at least one neighbor")
+    if pred is None:
+        gap_rear = reference_bumper_gap(succ.position, ego.position, ego.length)
+        return reference_gsbl_head(gap_rear, succ.speed, ego.speed, p.v_r, p.k, p.h, p.r, p.d)
+    gap_front = reference_bumper_gap(ego.position, pred.position, pred.length)
+    if succ is None:
+        return reference_gsbl_tail(gap_front, pred.speed, ego.speed, p.v_r,
+                                   p.k, p.h, p.r, p.d)
+    gap_rear = reference_bumper_gap(succ.position, ego.position, ego.length)
+    return gsbl_accel(gap_front, pred.speed, gap_rear, succ.speed,
+                      ego.speed, p.v_r, p.k, p.h, p.r, p.d)
+
+
+def reference_gsbl_mode_update(p, leader, ego, pred):
+    v_l = leader.speed
+    u_l = leader.ctrl_input
+    mode = p.mode
+    if u_l >= 0.0:
+        mode = GsblMode.CRUISE
+    else:
+        hard_braking = u_l <= p.delta_a
+        gap = reference_bumper_gap(ego.position, pred.position, pred.length)
+        closing = gap <= GSBL_OVERRIDE_GAP and (ego.speed - pred.speed) > GSBL_CLOSING_SPEED
+        if hard_braking or closing:
+            mode = GsblMode.OVERRIDE
+    if mode is GsblMode.OVERRIDE:
+        a_des = u_l
+        v_des = v_l + u_l * p.delta_t
+        dv = ego.speed - v_des
+        if abs(dv) < GSBL_SPEED_GUARD:
+            r = p.r_max
+        else:
+            r = min(p.r_max, max(p.r_min, abs(a_des / dv)))
+        return replace(p, mode=mode, v_r=v_des, r=r)
+    return replace(p, mode=mode, v_r=v_l, r=p.r_default)
+
+
+# ---------------------------------------------------------------------------
 # beacons and gaps
 # ---------------------------------------------------------------------------
 
 def test_bumper_gap_subtracts_predecessor_length():
     # predecessor front bumper at 10 m, 4 m long, ego front bumper at 0
-    assert bumper_gap(0.0, 10.0, 4.0) == 6.0
+    ego = VehicleState(position=0.0, speed=20.0)
+    assert _gap(ego, VehicleState(position=10.0, speed=20.0, length=4.0)) == 6.0
 
 
 def test_gap_to_uses_vehicle_lengths():
     ego = VehicleState(position=0.0, speed=20.0)
-    pred = VehicleState(position=25.0, speed=20.0)
-    assert gap_to(ego, pred) == 21.0
+    pred = VehicleState(position=25.0, speed=20.0, length=6.0)
+    assert _gap(ego, pred) == 19.0
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +277,15 @@ def test_gsbl_rear_spring_push():
 
 def test_gsbl_tail_ignores_missing_successor():
     v = 25.0
-    u = gsbl_accel_tail(GP.d + 1.0, v, v, v, GP.k, GP.h, GP.r_default, GP.d)
+    ego = VehicleState(position=0.0, speed=v)
+    u = gsbl_control(ego, beacon(position=GP.d + 5.0, speed=v), None, replace(GP, v_r=v))
     assert u == pytest.approx(0.7, rel=1e-12)
 
 
 def test_gsbl_head_rear_spring():
     v = 25.0
-    u = gsbl_accel_head(GP.d + 1.0, v, v, v, GP.k, GP.h, GP.r_default, GP.d)
+    ego = VehicleState(position=0.0, speed=v)
+    u = gsbl_control(ego, None, beacon(position=-GP.d - 5.0, speed=v), replace(GP, v_r=v))
     assert u == pytest.approx(-0.7, rel=1e-12)
 
 
@@ -245,10 +306,10 @@ def test_gsbl_control_dispatch():
         gsbl_accel(6.0, 25.0, 5.0, 25.0, 25.0, 25.0, p.k, p.h, p.r, p.d)
     )
     assert gsbl_control(ego, pred, None, p) == pytest.approx(
-        gsbl_accel_tail(6.0, 25.0, 25.0, 25.0, p.k, p.h, p.r, p.d)
+        reference_gsbl_tail(6.0, 25.0, 25.0, 25.0, p.k, p.h, p.r, p.d)
     )
     assert gsbl_control(ego, None, succ, p) == pytest.approx(
-        gsbl_accel_head(5.0, 25.0, 25.0, 25.0, p.k, p.h, p.r, p.d)
+        reference_gsbl_head(5.0, 25.0, 25.0, 25.0, p.k, p.h, p.r, p.d)
     )
     with pytest.raises(ValueError):
         gsbl_control(ego, None, None, p)
@@ -328,7 +389,7 @@ _supervisor_case = st.tuples(
 
 @given(st.lists(_supervisor_case, min_size=1, max_size=8))
 def test_vector_supervisor_equals_scalar_update(cases):
-    """gsbl_mode_arrays reproduces gsbl_mode_update bit for bit."""
+    """gsbl_mode_arrays reproduces the scalar supervisor bit for bit."""
     p = GsblParams()
     over, v_l, u_l, v, pred_x, v_pred = (np.array(col) for col in zip(*cases))
     ego_x = 0.0
@@ -336,13 +397,72 @@ def test_vector_supervisor_equals_scalar_update(cases):
     got_over, got_v_r, got_r = gsbl_mode_arrays(over, v_l, u_l, v, v_pred, gap, p)
     for j, (o, vl, ul, ve, px, vp) in enumerate(cases):
         latched = replace(p, mode=GsblMode.OVERRIDE if o else GsblMode.CRUISE)
-        want = gsbl_mode_update(
+        want = reference_gsbl_mode_update(
             latched, beacon(speed=vl, ctrl_input=ul),
             VehicleState(position=ego_x, speed=ve), VehicleState(position=px, speed=vp),
         )
         assert bool(got_over[j]) == (want.mode is GsblMode.OVERRIDE)
         assert float(got_v_r[j]).hex() == float(want.v_r).hex()
         assert float(got_r[j]).hex() == float(want.r).hex()
+
+
+def _signed(lo, hi, *edges):
+    """Floats in [lo, hi], with both zeros and the given edges drawn often."""
+    return _edgy(lo, hi, 0.0, -0.0, *edges)
+
+
+_adapter_case = st.fixed_dictionaries({
+    "over": st.booleans(),                                   # latched override
+    "neighbours": st.sampled_from(["middle", "head", "tail"]),
+    "x": _signed(-50.0, 50.0),                               # ego front bumper
+    "v": _signed(0.0, 40.0, 18.0),
+    "pred_dx": _signed(-20.0, 60.0, 9.0, 8.0, 7.9),          # ahead of the ego
+    "v_pred": _signed(0.0, 40.0, 18.0, 17.9),
+    "succ_dx": _signed(-60.0, 20.0, -9.0),                   # behind the ego
+    "v_succ": _signed(0.0, 40.0, 18.0),
+    "v_l": _signed(-5.0, 40.0, 18.0),
+    "u_l": st.one_of(_signed(-10.0, 3.0, -2.0, -2.5, 1e-300), st.just(math.nan)),
+    "v_r": _signed(0.0, 40.0, 18.0),
+    "r": _signed(0.5, 8.0),
+})
+
+
+@given(st.lists(_adapter_case, min_size=1, max_size=8))
+@example([dict(over=False, neighbours="head", x=0.0, v=0.0, pred_dx=9.0, v_pred=0.0,
+               succ_dx=-9.0, v_succ=-0.0, v_l=0.0, u_l=0.0, v_r=0.0, r=0.5)])
+def test_gsbl_adapters_equal_the_scalar_references(cases):
+    """gsbl_mode_update and gsbl_control, which run the engine's supervisor
+    and field on one vehicle, match the scalar laws they replaced bit for
+    bit: signed zeros, NaN leader commands, heads and tails included.
+
+    One exception: the old head field began with ``-k * (gap_rear - d)``,
+    the one field begins with ``0.0 - k * (gap_rear - d)``.  At the rest gap
+    with a successor speed of -0.0 and every other term zero, the old field
+    gave -0.0 and the new one gives 0.0.  No engine state holds a -0.0
+    speed: the integrator floors speeds at 0.0.
+    """
+    for c in cases:
+        ego = VehicleState(position=c["x"], speed=c["v"])
+        pred = beacon(position=c["x"] + c["pred_dx"], speed=c["v_pred"])
+        succ = beacon(position=c["x"] + c["succ_dx"], speed=c["v_succ"])
+        leader = beacon(speed=c["v_l"], ctrl_input=c["u_l"])
+        p = replace(GsblParams(), mode=GsblMode.OVERRIDE if c["over"] else GsblMode.CRUISE,
+                    v_r=c["v_r"], r=c["r"])
+        got, want = (f(p, leader, ego, pred)
+                     for f in (gsbl_mode_update, reference_gsbl_mode_update))
+        assert (float(got.v_r).hex(), float(got.r).hex()) == \
+            (float(want.v_r).hex(), float(want.r).hex())
+        assert replace(got, v_r=0.0, r=0.0) == replace(want, v_r=0.0, r=0.0)
+        ahead = None if c["neighbours"] == "head" else pred
+        behind = None if c["neighbours"] == "tail" else succ
+        got, want = (f(ego, ahead, behind, p) for f in (gsbl_control, reference_gsbl_control))
+        if ahead is None and want == 0.0 and math.copysign(1.0, c["v_succ"]) < 0.0:
+            assert got == want
+        else:
+            assert float(got).hex() == float(want).hex(), c["neighbours"]
+    for f in (gsbl_control, reference_gsbl_control):
+        with pytest.raises(ValueError):
+            f(ego, None, None, p)
 
 
 # ---------------------------------------------------------------------------
@@ -388,20 +508,20 @@ def _reference(c, ctrl):
     elif family == "I":
         # numpy's array power rounds unlike Python's float power, so the
         # reference is the law on one vehicle's arrays, as the ring runs it
-        u = idm_accel(*(np.array([x]) for x in (c["v"], gap_to(ego, pred), c["v_pred"])),
+        u = idm_accel(*(np.array([x]) for x in (c["v"], _gap(ego, pred), c["v_pred"])),
                       ctrl.idm, v0=np.array([c["desired"]]))[0]
     else:
         p = ctrl.gsbl
         if c["led"] and has_pred:
             latched = GsblMode.OVERRIDE if c["over"] else GsblMode.CRUISE
-            p = gsbl_mode_update(replace(p, mode=latched), leader, ego, pred)
+            p = reference_gsbl_mode_update(replace(p, mode=latched), leader, ego, pred)
             over = p.mode is GsblMode.OVERRIDE
         else:
             p = replace(p, v_r=c["v_ref"], r=p.r_default)
-        u = gsbl_control(ego, pred if has_pred else None,
-                         None if family == "G-tail" else succ, p)
+        u = reference_gsbl_control(ego, pred if has_pred else None,
+                                   None if family == "G-tail" else succ, p)
     hold = has_pred and c["v"] < STANDSTILL_SPEED and c["v_pred"] < STANDSTILL_SPEED \
-        and gap_to(ego, pred) < STANDSTILL_GAP
+        and _gap(ego, pred) < STANDSTILL_GAP
     return u, hold, over
 
 

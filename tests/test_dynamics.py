@@ -1,6 +1,7 @@
 """Unit tests of the first-order actuation lag integrator."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,10 +13,26 @@ from mixcacc.dynamics import (
     DynamicsParams,
     VehicleState,
     advance,
-    clamp_input,
     step_arrays,
     step_vehicle,
 )
+
+
+def reference_step_vehicle(state, u_cmd, params, emergency=False):
+    """The scalar stepper :func:`step_vehicle` replaced: clamp, then one
+    semi-implicit Euler step of the lag, speed and position."""
+    if not math.isfinite(u_cmd):
+        raise ValueError(f"non-finite control input: {u_cmd!r}")
+    lo = params.emergency_u_min if emergency else params.u_min
+    u = min(params.u_max, max(lo, u_cmd))
+    accel = state.accel + (params.dt / params.tau) * (u - state.accel)
+    speed = state.speed + accel * params.dt
+    if speed <= 0.0:
+        speed = 0.0
+        if accel < 0.0:
+            accel = 0.0
+    position = state.position + speed * params.dt
+    return replace(state, position=position, speed=speed, accel=accel, ctrl_input=u)
 
 
 def run_steps(state, u, params, steps, emergency=False):
@@ -81,12 +98,16 @@ def test_standstill_zeroes_negative_accel():
 
 def test_service_and_emergency_clamp():
     p = DynamicsParams()
-    assert clamp_input(-12.0, p) == p.u_min
-    assert clamp_input(-12.0, p, emergency=True) == p.emergency_u_min
-    assert clamp_input(-8.5, p) == p.u_min
-    assert clamp_input(-8.5, p, emergency=True) == -8.5
-    assert clamp_input(5.0, p) == p.u_max
-    assert clamp_input(1.0, p) == 1.0
+
+    def applied(u, emergency=False):
+        return step_vehicle(VehicleState(position=0.0, speed=10.0), u, p, emergency).ctrl_input
+
+    assert applied(-12.0) == p.u_min
+    assert applied(-12.0, emergency=True) == p.emergency_u_min
+    assert applied(-8.5) == p.u_min
+    assert applied(-8.5, emergency=True) == -8.5
+    assert applied(5.0) == p.u_max
+    assert applied(1.0) == 1.0
 
 
 def test_ctrl_input_records_clamped_command():
@@ -114,7 +135,8 @@ def test_step_arrays_matches_scalar_stepper():
         u = rng.uniform(-12.0, 5.0, n)
         # the array form always admits commands down to the emergency floor,
         # which matches the scalar form with the emergency flag raised
-        states = [step_vehicle(s, u[i], p, emergency=True) for i, s in enumerate(states)]
+        states = [reference_step_vehicle(s, u[i], p, emergency=True)
+                  for i, s in enumerate(states)]
         step_arrays(pos, speed, accel, u.copy(), p)
     for i, s in enumerate(states):
         assert pos[i] == s.position
@@ -143,6 +165,7 @@ def test_lag_free_tau_tracks_command_immediately():
     {"u_min": 0.5},
     {"u_max": -1.0},
     {"emergency_u_min": -7.0},
+    {"tau": 0.004},
 ])
 def test_invalid_params_rejected(kwargs):
     with pytest.raises(ValueError):
@@ -154,6 +177,35 @@ def test_non_finite_command_rejected(bad):
     p = DynamicsParams()
     with pytest.raises(ValueError):
         step_vehicle(VehicleState(position=0.0, speed=10.0), bad, p)
+
+
+def test_lag_as_short_as_the_step_tracks_the_command_in_one_step():
+    p = DynamicsParams(tau=0.01, dt=0.01)
+    assert step_vehicle(VehicleState(position=0.0, speed=10.0), 1.5, p).accel == 1.5
+
+
+_edge = st.sampled_from([0.0, -0.0])
+_step_case = st.tuples(
+    st.one_of(_edge, st.floats(-1e4, 1e4)),                     # position
+    st.one_of(_edge, st.floats(0.0, 40.0), st.floats(0.0, 0.1)),  # speed, crawling too
+    st.one_of(_edge, st.floats(-9.5, 3.0)),                     # realized acceleration
+    # commands beyond both actuator clamps, on them and at ±0.0
+    st.one_of(_edge, st.sampled_from([-9.0, -8.0, 2.5]), st.floats(-15.0, 6.0)),
+    st.booleans(),                                              # emergency
+)
+
+
+@given(st.lists(_step_case, min_size=1, max_size=5))
+def test_step_vehicle_equals_the_scalar_reference(cases):
+    """step_vehicle runs advance on one vehicle and matches the scalar
+    stepper it replaced bit for bit, signed zeros included."""
+    p = DynamicsParams()
+    for x, v, a, u, emergency in cases:
+        state = VehicleState(position=x, speed=v, accel=a)
+        got = step_vehicle(state, u, p, emergency)
+        want = reference_step_vehicle(state, u, p, emergency)
+        for name in ("position", "speed", "accel", "ctrl_input"):
+            assert float(getattr(got, name)).hex() == float(getattr(want, name)).hex(), name
 
 
 @given(st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=60))
