@@ -90,6 +90,8 @@ def sampled_configs(n: int, seed: int = 0) -> list[str]:
 def configs_for_sweep(n: int, seed: int = 0) -> list[str]:
     if n - 1 <= 0:
         raise ConfigError("platoon size must be at least 2")
+    if seed < 0:
+        raise ConfigError("seed must not be negative")
     if n <= FULL_ENUMERATION_MAX:
         return mixed_configs(n)
     return sampled_configs(n, seed)
@@ -336,48 +338,18 @@ def sweep_single(
 # Ring grid
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RingCell:
-    """One cell of the ring experiment grid."""
-
-    density: float
-    policy: str            # a baseline, ACC / IDM, or a platoon policy, P / L / G / MIX
-    platoon_size: int = 0
-    penetration: float = 0.0
-
-    @property
-    def category(self) -> str:
-        return "baseline" if self.policy in BASELINES else "platoon"
-
-    @property
-    def cell_id(self) -> str:
-        if self.category == "baseline":
-            return f"d{self.density:g}-{self.policy}"
-        return (
-            f"d{self.density:g}-{self.policy}"
-            f"-N{self.platoon_size}-R{self.penetration:g}"
-        )
-
-
-_GRID = MobilitySpec()
-
-
-def ring_cells(
-    densities=_GRID.densities,
-    sizes=_GRID.platoon_sizes,
-    rates=_GRID.penetration_rates,
-) -> list[RingCell]:
-    """Full factorial ring grid: per density, the baselines plus every
+def ring_cells(mob: MobilitySpec, densities=None) -> dict[str, dict]:
+    """The ring grid of ``mob``, or of its other axes at ``densities``, as
+    cell id -> RingSpec fields: per density, the baselines, then every
     (policy, platoon size, penetration) combination."""
-    cells = []
-    for d in densities:
+    cells = {}
+    for d in mob.densities if densities is None else densities:
         for b in BASELINES:
-            cells.append(RingCell(density=d, policy=b))
-        for pol in PLATOON_POLICIES:
-            for n in sizes:
-                for r in rates:
-                    cells.append(RingCell(density=d, policy=pol, platoon_size=n,
-                                          penetration=r))
+            cells[f"d{d:g}-{b}"] = {"density": d, "baseline": b}
+        for pol, n, r in itertools.product(PLATOON_POLICIES, mob.platoon_sizes,
+                                           mob.penetration_rates):
+            cells[f"d{d:g}-{pol}-N{n}-R{r:g}"] = {
+                "density": d, "platoon_policy": pol, "platoon_size": n, "penetration": r}
     return cells
 
 
@@ -401,25 +373,6 @@ def ring_spec(
         duration=mob.ring_duration if duration is None else duration,
         warmup=mob.ring_warmup if warmup is None else warmup,
         **road, **run,
-    )
-
-
-def make_ring_spec(
-    cell: RingCell,
-    cfg: Config,
-    seed: int,
-    duration: float | None = None,
-    warmup: float | None = None,
-) -> RingSpec:
-    platoon = cell.category == "platoon"
-    return ring_spec(
-        cfg.mobility, duration, warmup,
-        density=cell.density,
-        penetration=cell.penetration if platoon else 0.0,
-        platoon_size=cell.platoon_size if platoon else 8,
-        platoon_policy=cell.policy if platoon else "P",
-        baseline=cell.policy if not platoon else "ACC",
-        seed=seed,
     )
 
 
@@ -495,14 +448,15 @@ def sweep_ring(
     mob = cfg.mobility
     if repetitions < 1:
         raise ConfigError("repetitions must be at least 1")
-    cells = ring_cells(mob.densities if densities is None else densities,
-                       mob.platoon_sizes, mob.penetration_rates)
-    specs = {(cell.cell_id, rep): make_ring_spec(cell, cfg, run_seed(seed, cell.cell_id, rep),
-                                                  duration, warmup)
-             for cell in cells for rep in range(repetitions)}
+    if seed < 0:
+        raise ConfigError("seed must not be negative")
+    cells = ring_cells(mob, densities)
+    specs = {(cell, rep): ring_spec(mob, duration, warmup, seed=run_seed(seed, cell, rep),
+                                    **fields)
+             for cell, fields in cells.items() for rep in range(repetitions)}
     if dry_run:
         return {
-            "cells": [c.cell_id for c in cells],
+            "cells": list(cells),
             "cell_count": len(cells),
             "run_count": len(specs),
             "dry_run": True,
@@ -517,11 +471,10 @@ def sweep_ring(
 
     aggregate = {}
     for cell in cells:
-        runs = [results[cell.cell_id, rep] for rep in range(repetitions)
-                if (cell.cell_id, rep) in results]
+        runs = [results[cell, rep] for rep in range(repetitions) if (cell, rep) in results]
         ok = [r for r in runs if not r["collided"] and r["throughput"] is not None]
         thr = [r["throughput"] for r in ok]
-        aggregate[cell.cell_id] = {
+        aggregate[cell] = {
             "runs": len(runs),
             "collisions": sum(1 for r in runs if r["collided"]),
             "throughput_mean": round(float(np.mean(thr)), 3) if thr else None,

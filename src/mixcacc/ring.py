@@ -122,8 +122,15 @@ class RingSpec:
             raise SpawnError("duration must be positive")
         if self.warmup < 0.0:
             raise SpawnError("warmup must not be negative")
-        if not (self.counter_window > 0.0 and self.volatility_sample_dt > 0.0):
-            raise SpawnError("counter window and volatility sample dt must be positive")
+        if not (self.control_dt > 0.0 and self.counter_window > 0.0
+                and 0.0 < self.volatility_sample_dt < math.inf):
+            raise SpawnError("control period, counter window and volatility sample dt"
+                             " must be positive, the sample dt finite")
+        every = round(self.volatility_sample_dt / self.control_dt)
+        if abs(every * self.control_dt - self.volatility_sample_dt) > 1e-9 or every < 1:
+            raise SpawnError("volatility sample dt must be a whole number of control periods")
+        if self.seed < 0:
+            raise SpawnError("seed must not be negative")
 
 
 @dataclass
@@ -551,7 +558,7 @@ def run_ring(
     device_names = np.array(DEVICES, dtype="U1")
     families = family_masks(world.code)
     ticks = round((spec.warmup + spec.duration) / spec.control_dt)
-    sample_every = max(1, round(spec.volatility_sample_dt / spec.control_dt))
+    sample_every = round(spec.volatility_sample_dt / spec.control_dt)
 
     # counter crossings of each tick: times, devices, vehicles, lanes
     crossings = [(np.empty(0), device_names[:0], np.empty(0, dtype=np.int64),

@@ -112,29 +112,22 @@ class ConnectivityMatrix:
         return "\n".join(lines)
 
 
-def _fill_rows(cfg: PlatoonConfig, cells: np.ndarray, col0: int) -> None:
-    """Mark controller information needs; vehicle j lives in column col0+j."""
-    leaders = elect_ego_leaders(cfg)
-    for i, letter in enumerate(cfg):
-        cells[i, col0 + i] = 1
-        if letter == INDEPENDENT:
-            continue
-        if i > 0:
-            cells[i, col0 + i - 1] = 1
-        if letter in ("P", "G"):
-            j = leaders.get(i, EXTERNAL_REF)
-            if j is not EXTERNAL_REF:
-                cells[i, col0 + j] = 1
-        if letter == "G" and i + 1 < cfg.size:
-            cells[i, col0 + i + 1] = 1
-
-
 def connectivity_matrix(cfg: PlatoonConfig | str) -> ConnectivityMatrix:
     """Square N x N matrix restricted to platoon members."""
     if isinstance(cfg, str):
         cfg = parse_config(cfg)
+    leaders = elect_ego_leaders(cfg)
     cells = np.zeros((cfg.size, cfg.size), dtype=np.int8)
-    _fill_rows(cfg, cells, col0=0)
+    for i, letter in enumerate(cfg):
+        cells[i, i] = 1
+        if letter == INDEPENDENT:
+            continue
+        if i > 0:
+            cells[i, i - 1] = 1
+        if letter in ("P", "G") and leaders.get(i, EXTERNAL_REF) is not EXTERNAL_REF:
+            cells[i, leaders[i]] = 1
+        if letter == "G" and i + 1 < cfg.size:
+            cells[i, i + 1] = 1
     return ConnectivityMatrix(cells, has_external_ref=False)
 
 
@@ -145,18 +138,15 @@ def extended_connectivity_matrix(
     """N x (N+1) matrix with a leading external-reference column.
 
     The external column is set for spring-damper vehicles whose election fell
-    back to the external reference, and for the independent head when it is
+    back to the external reference, which is when every vehicle ahead runs
+    the spring-damper law too, and for the independent head when it is
     driven by an external speed profile.
     """
     if isinstance(cfg, str):
         cfg = parse_config(cfg)
-    cells = np.zeros((cfg.size, cfg.size + 1), dtype=np.int8)
-    _fill_rows(cfg, cells, col0=1)
-    leaders = elect_ego_leaders(cfg)
-    for i, letter in enumerate(cfg):
-        if letter == "G" and leaders.get(i, EXTERNAL_REF) is EXTERNAL_REF:
-            cells[i, 0] = 1
-        elif letter == INDEPENDENT and head_externally_guided:
-            cells[i, 0] = 1
+    external = [letter == "G" and set(cfg[:i]) <= {"G"}
+                or letter == INDEPENDENT and head_externally_guided
+                for i, letter in enumerate(cfg)]
+    cells = np.column_stack((np.array(external, dtype=np.int8),
+                             connectivity_matrix(cfg).cells))
     return ConnectivityMatrix(cells, has_external_ref=True)
-

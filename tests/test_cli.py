@@ -178,10 +178,14 @@ def test_unknown_params_key_is_a_config_error(tmp_path, capsys):
     ["single", "--control-dt", "0", "--", "-PP"],
     ["single", "--control-dt", "-0.1", "--", "-PP"],
     ["sweep-ring", "--repetitions", "-1"],
+    ["ring", "--density", "5", "--duration", "10", "--warmup", "0", "--seed", "-1"],
+    ["sweep-ring", "--density", "10", "--repetitions", "1", "--seed", "-1", "--dry-run"],
+    ["sweep-single", "-n", "3", "--seed", "-1"],
 ], ids=["platoon-of-one", "braking-ends-before-onset", "sinusoidal-ends-in-warmup",
         "braking-ends-before-onset-is-recorded", "sinusoidal-ends-in-window",
         "ring-ends-before-it-starts", "ring-warmup-negative", "ring-sweep-ends-before-it-starts",
-        "control-period-zero", "control-period-negative", "ring-sweep-negative-repetitions"])
+        "control-period-zero", "control-period-negative", "ring-sweep-negative-repetitions",
+        "ring-seed-negative", "ring-sweep-seed-negative", "sweep-single-seed-negative"])
 def test_unusable_run_settings_are_config_errors(tmp_path, capsys, argv):
     assert main(["--out", str(tmp_path)] + argv) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error:")
@@ -193,12 +197,16 @@ def test_unusable_run_settings_are_config_errors(tmp_path, capsys, argv):
     "counter window = 0",
     "counter window = -15",
     "volatility sample dt = -1",
+    "volatility sample dt = 0.26",
+    "volatility sample dt = inf",
 ], ids=["platoon-of-one", "penetration-above-one", "counter-window-zero",
-        "counter-window-negative", "volatility-sample-negative"])
+        "counter-window-negative", "volatility-sample-negative",
+        "volatility-sample-between-ticks", "volatility-sample-infinite"])
 def test_unusable_ring_grid_settings_are_config_errors(tmp_path, capsys, mobility):
-    """A grid value that only platoon cells use, or a counter or sampling
-    window that is not positive, fails before any run or file, and a dry
-    run rejects it too."""
+    """A grid value that only platoon cells use, a counter or sampling
+    window that is not positive, or a sampling period that is infinite or
+    falls between control ticks, fails before any run or file, and a dry run
+    rejects it too."""
     params = tmp_path / "grid.ini"
     params.write_text(f"[mobility]\n{mobility}\n")
     run = ["--density", "10", "--repetitions", "1", "--duration", "2", "--warmup", "0"]

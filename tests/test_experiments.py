@@ -1,5 +1,7 @@
 """Sweep drivers: config enumeration, seeding, caching, report files."""
 
+import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -13,14 +15,13 @@ from mixcacc import experiments
 from mixcacc.config import Config, MobilitySpec, spec_hash
 from mixcacc.controllers import AccParams, ControllerSet
 from mixcacc.experiments import (
-    RingCell,
     baseline_configs,
     confidence_halfwidth,
     configs_for_sweep,
     emit_reports,
-    make_ring_spec,
     mixed_configs,
     ring_cells,
+    ring_spec,
     run_seed,
     sampled_configs,
     sweep_ring,
@@ -85,10 +86,10 @@ TOY_GRID = Config(mobility=MobilitySpec(densities=(10.0,), platoon_sizes=(4,),
 
 
 def test_ring_cells_full_grid_size_and_ids():
-    cells = ring_cells()
+    cells = ring_cells(Config().mobility)
     # 10 densities x (2 baselines + 4 policies x 3 sizes x 3 rates)
     assert len(cells) == 380
-    ids = [c.cell_id for c in cells]
+    ids = list(cells)
     assert len(set(ids)) == 380
     assert ids[0] == "d10-ACC"
     assert ids[1] == "d10-IDM"
@@ -97,27 +98,35 @@ def test_ring_cells_full_grid_size_and_ids():
 
 
 def test_ring_cells_custom_axes():
-    cells = ring_cells(densities=(10,), sizes=(4,), rates=(0.5,))
+    cells = ring_cells(TOY_GRID.mobility)
     assert len(cells) == 2 + 4
-    assert sum(1 for c in cells if c.category == "baseline") == 2
+    assert sum(1 for f in cells.values() if "baseline" in f) == 2
 
 
-def test_make_ring_spec_maps_cell_onto_spec():
+def test_ring_cells_map_onto_spec():
     cfg = Config()
-    base = make_ring_spec(RingCell(density=60, policy="IDM"), cfg, seed=11)
+    cells = ring_cells(cfg.mobility)
+    base = ring_spec(cfg.mobility, seed=11, **cells["d60-IDM"])
     assert base.baseline == "IDM"
     assert base.penetration == 0.0
     assert base.duration == cfg.mobility.ring_duration
     assert base.warmup == cfg.mobility.ring_warmup
-    plat = make_ring_spec(
-        RingCell(density=60, policy="MIX", platoon_size=8, penetration=0.75),
-        cfg, seed=11, duration=60.0, warmup=30.0,
-    )
+    plat = ring_spec(cfg.mobility, 60.0, 30.0, seed=11, **cells["d60-MIX-N8-R0.75"])
     assert plat.platoon_policy == "MIX"
     assert plat.platoon_size == 8
     assert plat.penetration == 0.75
     assert plat.duration == 60.0
     assert plat.seed == 11
+
+
+def test_default_grid_specs_keep_their_fingerprint():
+    """The spec of every run of the default grid, reps 0 and 1 of master
+    seed 0, hashes as it did when cells were translated into specs."""
+    mob = Config().mobility
+    rows = [[cell, rep, dataclasses.asdict(ring_spec(mob, seed=run_seed(0, cell, rep), **f))]
+            for cell, f in ring_cells(mob).items() for rep in (0, 1)]
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert (len(rows), digest[:16]) == (760, "b0b7f88dc4d5d5ff")
 
 
 def test_sweep_ring_dry_run_counts(tmp_path):
@@ -133,7 +142,8 @@ def test_sweep_ring_dry_run_counts(tmp_path):
 def test_run_seed_is_stable_and_collision_free():
     cell = "d60-P-N4-R0.5"
     assert run_seed(0, cell, 1) == run_seed(0, cell, 1)
-    seeds = {run_seed(0, c.cell_id, rep) for c in ring_cells()[:40] for rep in range(10)}
+    seeds = {run_seed(0, c, rep) for c in list(ring_cells(Config().mobility))[:40]
+             for rep in range(10)}
     assert len(seeds) == 400
     assert all(0 <= s < 2 ** 32 for s in seeds)
     assert run_seed(0, cell, 1) != run_seed(1, cell, 1)
