@@ -81,7 +81,7 @@ def cmd_single(args) -> int:
                             for i, g in min_gap(trace, window).items()}
         facts["peak_abs_accel"] = {str(i): round(a, 6)
                                    for i, a in peak_abs_accel(trace, window).items()}
-    _write(stem + ".json", [json.dumps(facts, indent=1, sort_keys=True) + "\n"])
+    _write(stem + ".json", [json.dumps(facts, indent=1, sort_keys=True, allow_nan=False) + "\n"])
     print(f"wrote {stem}.csv ({trace.times.size * trace.n_vehicles} rows)")
     if trace.terminated_by_collision:
         print("run terminated by collision")
@@ -108,7 +108,7 @@ def cmd_ring(args) -> int:
     _write(stem + "_counters.csv", trace.counters_csv_chunks())
     _write(stem + "_events.csv", [events_csv(trace.events)])
     metrics = {"spec_hash": h, **ring_run_metrics(trace)}
-    _write(stem + ".json", [json.dumps(metrics, indent=1, sort_keys=True) + "\n"])
+    _write(stem + ".json", [json.dumps(metrics, indent=1, sort_keys=True, allow_nan=False) + "\n"])
     if args.full_trace and trace.full is not None:
         _write(stem + "_trace.csv", trace.full.rows_csv_chunks(header_comment=f"spec_hash={h}"))
     print(f"{trace.n_vehicles} vehicles, end_time={trace.end_time:.1f}s")

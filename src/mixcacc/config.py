@@ -14,6 +14,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 from .controllers import ControllerSet
@@ -96,15 +97,22 @@ SCHEMA = (
 _HASH_BY_FIELD = ("dynamics", "mobility")
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x.strip()) for x in text.split(","))
+    return tuple(_finite(x) for x in text.split(","))
 
 
 _CASTS = {
     "mobility.lanes": int,
     "mobility.speed_classes_kmh": _floats,
     "mobility.densities": _floats,
-    "mobility.platoon_sizes": lambda s: tuple(int(float(x)) for x in s.split(",")),
+    "mobility.platoon_sizes": lambda s: tuple(int(_finite(x)) for x in s.split(",")),
     "mobility.penetration_rates": _floats,
 }
 _FIELD_BY_KEY = {(section, key): path for section, key, path in SCHEMA}
@@ -157,7 +165,7 @@ def load_config(text: str) -> Config:
             if path is None:
                 raise ConfigFileError(f"unknown key {key!r} in [{section}]")
             try:
-                value = _CASTS.get(path, float)(raw)
+                value = _CASTS.get(path, _finite)(raw)
             except ValueError as exc:
                 raise ConfigFileError(f"bad value {raw!r} for [{section}] {key}") from exc
             owner, _, name = path.rpartition(".")

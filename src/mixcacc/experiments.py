@@ -22,7 +22,6 @@ import numpy as np
 
 from .config import Config, MobilitySpec, spec_hash
 from .metrics import (
-    MetricReport,
     SPEED_FLOOR,
     Window,
     braking_window,
@@ -115,8 +114,8 @@ def scenario_for(kind: str, config: str, duration: float | None = None,
     """Scenario of a scored run, which must cover its analysis window: a
     sinusoidal run until the window closes, a braking run until it records
     the head's onset command, one tick after the first tick past the onset."""
-    if not control_dt > 0.0:
-        raise ScenarioError("control_dt must be positive")
+    if not 0.0 < control_dt < math.inf:
+        raise ScenarioError("control_dt must be positive and finite")
     scn = SingleScenario(kind=kind, config=config, duration=duration)
     times = np.arange(round(scn.duration / control_dt) + 1) * control_dt  # recorded ticks
     if kind == SINUSOIDAL:
@@ -161,26 +160,28 @@ def build_reference(kind: str, baselines: dict) -> ReferenceData:
     return ref
 
 
-def build_report(trace, scn: SingleScenario, ref: ReferenceData) -> MetricReport:
-    """Score one platoon trace against the reference curves."""
+def _rounded(x: float) -> float | None:
+    """A result value as a result file holds it: rounded to 6 decimals, or
+    ``None`` where it is undefined (NaN)."""
+    return None if math.isnan(x) else round(x, 6)
+
+
+def build_report(trace, scn: SingleScenario, ref: ReferenceData) -> dict:
+    """Score one platoon trace against the reference curves, as the JSON
+    record of its report; a collided run leaves its metrics and window
+    ``None``."""
+    report = {"config": trace.config, "scenario": scn.kind,
+              "collided": trace.terminated_by_collision}
     if trace.terminated_by_collision:
-        return MetricReport(
-            config=trace.config, scenario=scn.kind,
-            delta_a=float("nan"), delta_a_vehicle=-1,
-            delta_d=float("nan"), delta_d_vehicle=-1,
-            eta=float("nan"), window=(float("nan"), float("nan")),
-            collided=True,
-        )
+        return {**report, "delta_a": None, "delta_a_vehicle": -1, "delta_d": None,
+                "delta_d_vehicle": -1, "eta": None, "window": None}
     window = analysis_window(trace, scn)
     da = delta_a(trace, window, ref.acc_peaks, _speed_floor(scn.kind))
     dd = delta_d(trace, window, ref.min_gaps)
-    return MetricReport(
-        config=trace.config, scenario=scn.kind,
-        delta_a=da.value, delta_a_vehicle=da.vehicle,
-        delta_d=dd.value, delta_d_vehicle=dd.vehicle,
-        eta=eta(trace, window, ref.acc_occupancy),
-        window=(window.t0, window.t1),
-    )
+    return {**report, "delta_a": _rounded(da.value), "delta_a_vehicle": da.vehicle,
+            "delta_d": _rounded(dd.value), "delta_d_vehicle": dd.vehicle,
+            "eta": _rounded(eta(trace, window, ref.acc_occupancy)),
+            "window": [round(window.t0, 6), round(window.t1, 6)]}
 
 
 def _sweep_batch(args) -> dict[tuple[str, str, str], tuple[dict | None, str | None]]:
@@ -209,7 +210,7 @@ def _sweep_batch(args) -> dict[tuple[str, str, str], tuple[dict | None, str | No
             try:
                 if isinstance(trace, Exception):
                     raise trace
-                report, error = build_report(trace, scn, ref).to_json_dict(), None
+                report, error = build_report(trace, scn, ref), None
             except Exception as exc:  # keep scoring the other rows
                 report, error = None, str(exc)
             for role in ("baseline", "mixed") if i < len(baselines) else ("mixed",):
@@ -220,16 +221,24 @@ def _sweep_batch(args) -> dict[tuple[str, str, str], tuple[dict | None, str | No
 def _atomic_write_json(path: str, payload: dict) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+        json.dump(payload, fh, indent=1, sort_keys=True, allow_nan=False)
         fh.write("\n")
     os.replace(tmp, path)
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+# result files are strict JSON: one that holds NaN or Infinity is not current
+_STRICT_JSON = json.JSONDecoder(parse_constant=_reject_constant)
 
 
 def _load_if_current(path: str, expect_hash: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError):  # a missing file is an OSError too
+            payload = _STRICT_JSON.decode(fh.read())
+    except (OSError, ValueError):  # a missing file is an OSError, bad JSON a ValueError
         return None
     current = isinstance(payload, dict) and payload.get("spec_hash") == expect_hash
     return payload if current else None
@@ -396,8 +405,8 @@ def ring_run_metrics(trace) -> dict:
         out["throughput"] = round(mean_throughput(series), 6)
     if trace.speed_samples.shape[0] >= 2:
         xi = volatility(trace.speed_samples)
-        out["xi"] = [round(float(x), 6) for x in xi]
-        out["xi_median"] = round(float(np.nanmedian(xi)), 6)
+        out["xi"] = [_rounded(x) for x in xi.tolist()]
+        out["xi_median"] = _rounded(float(np.nanmedian(xi)))
         out["mean_speed"] = round(float(trace.speed_samples.mean()), 6)
     return out
 

@@ -161,34 +161,6 @@ def eta(trace, window: Window, ref_occupancy: float) -> float:
     return ref_occupancy / own
 
 
-@dataclass
-class MetricReport:
-    """Flat result record for one (config, scenario) cell."""
-
-    config: str
-    scenario: str
-    delta_a: float
-    delta_a_vehicle: int
-    delta_d: float
-    delta_d_vehicle: int
-    eta: float
-    window: tuple[float, float] = (0.0, 0.0)
-    collided: bool = False
-
-    def to_json_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "scenario": self.scenario,
-            "delta_a": None if math.isnan(self.delta_a) else round(self.delta_a, 6),
-            "delta_a_vehicle": self.delta_a_vehicle,
-            "delta_d": None if math.isnan(self.delta_d) else round(self.delta_d, 6),
-            "delta_d_vehicle": self.delta_d_vehicle,
-            "eta": None if math.isnan(self.eta) else round(self.eta, 6),
-            "window": [round(self.window[0], 6), round(self.window[1], 6)],
-            "collided": self.collided,
-        }
-
-
 # ---------------------------------------------------------------------------
 # Ring metrics
 # ---------------------------------------------------------------------------

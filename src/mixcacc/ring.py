@@ -106,8 +106,8 @@ class RingSpec:
     record_full_trace: bool = False
 
     def __post_init__(self):
-        if self.density <= 0.0:
-            raise SpawnError("density must be positive")
+        if not 0.0 < self.density < math.inf:
+            raise SpawnError("density must be positive and finite")
         if not 0.0 <= self.penetration <= 1.0:
             raise SpawnError("penetration must lie in [0, 1]")
         if self.platoon_policy not in PLATOON_POLICIES:
@@ -118,10 +118,10 @@ class RingSpec:
             raise SpawnError("platoons need at least 2 vehicles")
         if len(self.speed_classes_kmh) != self.lanes:
             raise SpawnError("need one speed class per lane")
-        if self.duration <= 0.0:
-            raise SpawnError("duration must be positive")
-        if self.warmup < 0.0:
-            raise SpawnError("warmup must not be negative")
+        if not 0.0 < self.duration < math.inf:
+            raise SpawnError("duration must be positive and finite")
+        if not 0.0 <= self.warmup < math.inf:
+            raise SpawnError("warmup must be finite and not negative")
         if not (self.control_dt > 0.0 and self.counter_window > 0.0
                 and 0.0 < self.volatility_sample_dt < math.inf):
             raise SpawnError("control period, counter window and volatility sample dt"

@@ -82,8 +82,8 @@ class SingleScenario:
             raise ScenarioError(f"unknown scenario kind {self.kind!r}")
         if self.duration is None:
             self.duration = _DEFAULT_DURATION[self.kind]
-        if self.duration <= 0.0:
-            raise ScenarioError("duration must be positive")
+        if not 0.0 < self.duration < math.inf:
+            raise ScenarioError("duration must be positive and finite")
         if self.kind == SINUSOIDAL and self.frequency <= 0.0:
             raise ScenarioError("sinusoidal scenario needs a positive frequency")
 
@@ -281,27 +281,34 @@ def run_platoon_batch(
     if any(cfg.size != n for cfg, _ in setups.values()):
         raise ScenarioError("a batch runs one platoon size")
 
-    # longest timeline first, and each timeline's rows side by side
+    # longest timeline first (the key leads with minus the last tick), and
+    # each timeline's rows side by side
     key = {r: (-round(scns[r].duration / control_dt), _timeline(scns[r])) for r in setups}
     rows = sorted(setups, key=key.get)
-    last = [-key[r][0] for r in rows]         # each row's last tick
-    m, ticks = len(rows), last[0] + 1
-    times = np.arange(ticks) * control_dt
-    # rows from ``shrink[k]`` on run their last tick at tick k
-    shrink = {last[j]: j for j in range(1, m) if last[j] < last[j - 1]}
+    times = np.arange(1 - key[rows[0]][0]) * control_dt
     # each timeline's rows get their own (rows, ticks, vehicles) record
     # blocks: a row's trace is a view, and no block holds ticks its rows
     # never run
-    starts = [j for j in range(m) if not j or key[rows[j]] != key[rows[j - 1]]]
-    groups = []                               # (first row, end row, scenario, blocks)
-    for lo, hi in zip(starts, starts[1:] + [m]):
-        shape = (hi - lo, last[lo] + 1, n)
-        groups.append((lo, hi, scns[rows[lo]], tuple(np.empty(shape) for _ in range(5)) + (
-            np.zeros(shape, dtype=np.int8),
-            np.empty(shape, dtype=np.int8),
-        )))
-    home = [(blocks, j - lo) for lo, hi, _, blocks in groups for j in range(lo, hi)]
+    groups, m = [], 0                         # (first row, end row, scenario, last tick, blocks)
+    for (neg_last, _), same in itertools.groupby(map(key.get, rows)):
+        lo, m = m, m + sum(1 for _ in same)
+        shape = (m - lo, 1 - neg_last, n)
+        blocks = [np.empty(shape) for _ in range(5)] + [np.zeros(shape, np.int8),
+                                                        np.empty(shape, np.int8)]
+        groups.append((lo, m, scns[rows[lo]], -neg_last, blocks))
+    home = [(blocks, j - lo) for lo, hi, _, _, blocks in groups for j in range(lo, hi)]
     events: list[list[TraceEvent]] = [[] for _ in rows]
+
+    def finish(j, k, collided):
+        """End state row ``j`` at tick ``k`` with a view of its record."""
+        cfg = setups[rows[j]][0]
+        blocks, i = home[j]
+        results[rows[j]] = Trace(
+            times[:k + 1], cfg.controllers, *(block[i, :k + 1] for block in blocks),
+            events=events[j], scenario_kind=scns[rows[j]].kind, config=str(cfg),
+            terminated_by_collision=collided,
+        )
+        done[j] = True
 
     # the head follows the speed profile unless it runs the spring-damper law
     code = np.array([
@@ -326,53 +333,37 @@ def run_platoon_batch(
     shifted = [np.full((m, n), np.nan) for _ in range(5)]  # _ahead/_behind outputs
     families, is_gsbl, is_ploeg, profile_head = _row_masks(code)
     has_pred, has_succ = np.arange(n) > 0, np.arange(n) < n - 1
-    live = m
 
-    for k in range(ticks):
+    for k, t in enumerate(times):
         gap = _ahead(pos, shifted[0]) - VEHICLE_LENGTH - pos
-        mode = np.where(is_gsbl, over, -1)
-        for lo, hi, _, (rec_pos, rec_speed, rec_accel, rec_u, rec_gap, _, rec_mode) in groups:
-            rec_pos[:, k] = pos[lo:hi]
-            rec_speed[:, k] = spd[lo:hi]
-            rec_accel[:, k] = acc[lo:hi]
-            rec_u[:, k] = uin[lo:hi]
-            rec_gap[:, k] = gap[lo:hi]
-            rec_mode[:, k] = mode[lo:hi]
-        ended = np.zeros(live, dtype=bool)
+        now = (pos, spd, acc, uin, gap, np.where(is_gsbl, over, -1))
+        for lo, hi, _, _, blocks in groups:
+            for block, a in zip(blocks[:5] + blocks[6:], now):   # lane blocks stay 0
+                block[:, k] = a[lo:hi]
         hit = gap <= 0.0
         if k > 0 and hit.any():
-            ended = hit.any(axis=1) & ~done
-            for j in np.flatnonzero(ended):
+            for j in np.flatnonzero(hit.any(axis=1) & ~done):
                 crash = int(np.argmax(hit[j]))
                 events[j].append(TraceEvent(
-                    times[k], "collision", crash, crash - 1, f"gap={gap[j, crash]:.3f}",
+                    t, "collision", crash, crash - 1, f"gap={gap[j, crash]:.3f}",
                 ))
-        # rows from ``still`` on reach their last tick
-        still = 0 if k == ticks - 1 else shrink.get(k, live)
-        finished = ended.copy()
-        finished[still:] |= ~done[still:]
-        for j in np.flatnonzero(finished):
-            cfg = setups[rows[j]][0]
-            blocks, i = home[j]
-            results[rows[j]] = Trace(
-                times[:k + 1], cfg.controllers, *(block[i, :k + 1] for block in blocks),
-                events=events[j], scenario_kind=scns[rows[j]].kind, config=str(cfg),
-                terminated_by_collision=bool(ended[j]),
-            )
-        if not still:
+                finish(j, k, True)
+        # the shortest timelines that end here finish their rows and leave
+        # the state, which keeps the rows of the groups left
+        while groups and groups[-1][3] == k:
+            lo, hi = groups.pop()[:2]
+            for j in np.flatnonzero(~done[lo:hi]):
+                finish(lo + j, k, False)
+        if not groups:
             break
-        done |= ended
-        if still < live:
-            live = still
-            (code, lead, row_at, pos, spd, acc, uin, ufilt, over, gap, v_t, a_t,
-             done) = (a[:live] for a in (code, lead, row_at, pos, spd, acc, uin, ufilt,
-                                         over, gap, v_t, a_t, done))
-            shifted = [b[:live] for b in shifted]
-            groups = [g for g in groups if g[0] < live]
+        live = groups[-1][1]
+        if live < len(done):
+            (code, lead, row_at, pos, spd, acc, uin, ufilt, over, gap, v_t, a_t, done,
+             *shifted) = (a[:live] for a in (code, lead, row_at, pos, spd, acc, uin, ufilt,
+                                             over, gap, v_t, a_t, done, *shifted))
             families, is_gsbl, is_ploeg, profile_head = _row_masks(code)
 
-        t = times[k]
-        for lo, hi, scn, _ in groups:
+        for lo, hi, scn, _, _ in groups:
             v_t[lo:hi] = leader_target_speed(scn, t)
             a_t[lo:hi] = leader_target_accel(scn, t)
         _, ahead_spd, ahead_u, behind_spd, behind_gap = shifted

@@ -177,18 +177,44 @@ def test_unknown_params_key_is_a_config_error(tmp_path, capsys):
     ["sweep-ring", "--duration", "-5", "--density", "10", "--repetitions", "1"],
     ["single", "--control-dt", "0", "--", "-PP"],
     ["single", "--control-dt", "-0.1", "--", "-PP"],
+    ["single", "--control-dt", "inf", "--", "-PP"],
     ["sweep-ring", "--repetitions", "-1"],
     ["ring", "--density", "5", "--duration", "10", "--warmup", "0", "--seed", "-1"],
     ["sweep-ring", "--density", "10", "--repetitions", "1", "--seed", "-1", "--dry-run"],
     ["sweep-single", "-n", "3", "--seed", "-1"],
+    ["ring", "--density", "5", "--duration", "inf"],
+    ["ring", "--density", "5", "--warmup", "nan"],
+    ["ring", "--density", "nan"],
+    ["single", "--duration", "nan", "--", "-PL"],
+    ["single", "--duration", "inf", "--", "-PL"],
+    ["sweep-single", "-n", "3", "--duration", "nan"],
+    ["sweep-single", "-n", "3", "--duration", "inf"],
+    ["sweep-ring", "--duration", "nan", "--repetitions", "1", "--density", "10"],
 ], ids=["platoon-of-one", "braking-ends-before-onset", "sinusoidal-ends-in-warmup",
         "braking-ends-before-onset-is-recorded", "sinusoidal-ends-in-window",
         "ring-ends-before-it-starts", "ring-warmup-negative", "ring-sweep-ends-before-it-starts",
-        "control-period-zero", "control-period-negative", "ring-sweep-negative-repetitions",
-        "ring-seed-negative", "ring-sweep-seed-negative", "sweep-single-seed-negative"])
+        "control-period-zero", "control-period-negative", "control-period-infinite",
+        "ring-sweep-negative-repetitions", "ring-seed-negative", "ring-sweep-seed-negative",
+        "sweep-single-seed-negative",
+        "ring-duration-infinite", "ring-warmup-nan", "ring-density-nan", "single-duration-nan",
+        "single-duration-infinite", "sweep-single-duration-nan",
+        "sweep-single-duration-infinite", "ring-sweep-duration-nan"])
 def test_unusable_run_settings_are_config_errors(tmp_path, capsys, argv):
     assert main(["--out", str(tmp_path)] + argv) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "ring").exists()
+
+
+@pytest.mark.parametrize("params,argv", [
+    ("[acc]\nH = nan\n", ["ring", "--density", "5", "--duration", "10", "--warmup", "0"]),
+    ("[dynamics]\ndt = nan\n", ["single", "--", "-PL"]),
+], ids=["acc-headway-nan", "dynamics-step-nan"])
+def test_non_finite_params_are_config_errors(tmp_path, capsys, params, argv):
+    path = tmp_path / "nan.ini"
+    path.write_text(params)
+    assert main(["--params", str(path), "--out", str(tmp_path), *argv]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: bad value 'nan'")
+    assert not (tmp_path / "ring_run").exists() and not (tmp_path / "single_run").exists()
 
 
 @pytest.mark.parametrize("mobility", [
@@ -278,6 +304,15 @@ def test_streamed_csv_files_equal_the_joined_writers(tmp_path, capsys):
     assert counters.count("\n") > 1
     full = (stem.parent / "seed1_trace.csv").read_text()
     assert full == ring.full.rows_csv(header_comment=f"spec_hash={h}")
+
+
+def test_ring_collision_sets_exit_code(tmp_path, capsys):
+    """This dense mixed ring collides at 127.7 s, before its last tick."""
+    code = main(["--out", str(tmp_path), "ring", "--density", "160", "--penetration", "0.5",
+                 "--policy", "MIX", "--seed", "4", "--warmup", "30", "--duration", "120"])
+    assert code == EXIT_COLLISION
+    assert "run terminated by collision" in capsys.readouterr().out
+    assert json.loads((tmp_path / "ring_run" / "seed4.json").read_text())["collided"] is True
 
 
 def test_sweep_single_then_report(tmp_path, capsys):

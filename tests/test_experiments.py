@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -21,13 +22,23 @@ from mixcacc.experiments import (
     emit_reports,
     mixed_configs,
     ring_cells,
+    ring_run_metrics,
     ring_spec,
     run_seed,
     sampled_configs,
+    scenario_for,
     sweep_ring,
     sweep_single,
 )
+from mixcacc.ring import RingSpec
 from mixcacc.scenarios import BRAKING, SINUSOIDAL
+
+
+def _strict_json(text):
+    """Parse ``text`` with a decoder that rejects NaN and Infinity."""
+    def reject(name):
+        raise ValueError(f"{name} in a result file")
+    return json.loads(text, parse_constant=reject)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +305,12 @@ def test_sweep_single_reuses_cached_reports(single_sweep):
     sweep_single(2, str(out), kinds=(BRAKING,), seed=0)
     assert json.loads(target.read_text()) == refreshed
 
+    # a current report that holds NaN, as older versions wrote, is not
+    # strict JSON and is recomputed once
+    target.write_text(json.dumps({**refreshed, "eta": float("nan")}))
+    sweep_single(2, str(out), kinds=(BRAKING,), seed=0)
+    assert _strict_json(target.read_text()) == refreshed
+
 
 def test_sweep_single_recomputes_byte_identically(single_sweep):
     out, _ = single_sweep
@@ -302,6 +319,20 @@ def test_sweep_single_recomputes_byte_identically(single_sweep):
     target.unlink()
     sweep_single(2, str(out), kinds=(BRAKING,), seed=0)
     assert target.read_bytes() == before
+
+
+def test_a_collided_mix_reports_null_metrics_and_window():
+    """Under braking ``-GPGPGPL`` collides at 34.6 s; its record says so,
+    with every metric and the window null."""
+    scns = [scenario_for(BRAKING, c) for c in baseline_configs(8) + ["-GPGPGPL"]]
+    out = experiments._sweep_batch(([(BRAKING, scns)], Config()))
+    assert out[BRAKING, "mixed", "-GPGPGPL"] == ({
+        "role": "mixed", "config": "-GPGPGPL", "scenario": BRAKING, "collided": True,
+        "delta_a": None, "delta_a_vehicle": -1, "delta_d": None, "delta_d_vehicle": -1,
+        "eta": None, "window": None,
+    }, None)
+    assert not any(report["collided"] for report, _ in
+                   (out[BRAKING, "baseline", c] for c in baseline_configs(8)))
 
 
 def test_sweep_single_files_do_not_depend_on_jobs(tmp_path):
@@ -452,6 +483,37 @@ def test_emit_reports_renders_both_tables(single_sweep, ring_sweep):
     assert "d10-ACC" in text
     lines = [ln for ln in text.splitlines() if ln.startswith("d10-")]
     assert len(lines) == 6
+
+
+def test_emit_reports_lists_collided_mixes(tmp_path):
+    summary = {"n": 8, "failed": [], "scenarios": {BRAKING: {
+        "spec_hash": "0" * 16, "mixed_reports": 2, "baseline_reports": 4,
+        "collisions": ["-GPGPGPL", "-GPGPPLG"]}}}
+    (tmp_path / "single").mkdir()
+    (tmp_path / "single" / "summary.json").write_text(json.dumps(summary))
+    [path] = emit_reports(str(tmp_path))
+    assert "  collisions: -GPGPGPL, -GPGPPLG" in open(path).read().splitlines()
+
+
+def test_ring_metrics_write_null_for_undefined_volatility():
+    """A car whose sampled mean speed is zero has no volatility: its entry
+    is null, not NaN."""
+    trace = types.SimpleNamespace(
+        n_vehicles=2, terminated_by_collision=False, end_time=1.0, counter_times=np.empty(0),
+        spec=RingSpec(density=10.0, warmup=0.0, duration=1.0),
+        speed_samples=np.array([[10.0, 0.0], [12.0, 0.0]]))
+    out = ring_run_metrics(trace)
+    assert out["xi"] == [round(math.sqrt(2.0) / 11.0, 6), None]
+    assert out["xi_median"] == out["xi"][0]
+    assert _strict_json(json.dumps(out)) == out
+
+
+def test_sweep_files_are_strict_json(clean_n3_sweep, ring_sweep):
+    ring_out, _ = ring_sweep
+    paths = [*clean_n3_sweep.rglob("*.json"), *ring_out.rglob("*.json")]
+    assert len(paths) == 9 + 4 + 1 + 6 * 2 + 1
+    for path in paths:
+        _strict_json(path.read_text())
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mixcacc.controllers import ControllerSet
 from mixcacc.metrics import sinusoidal_window
 from mixcacc.scenarios import (
     BRAKING,
@@ -211,6 +212,31 @@ def test_non_finite_command_fails_its_row_and_a_single_run_raises():
     assert trace.serialize() == run_single_platoon(good).serialize()
     with pytest.raises(ValueError, match="non-finite control input"):
         run_single_platoon(bad)
+
+
+def test_batch_ends_every_row_its_own_way():
+    """One n=8 batch, in either order, whose rows end every way a row can:
+    a collision mid-run, a collision on the first tick, an error, and the
+    end of either timeline.  Each trace equals its run alone byte for byte,
+    and the error row gets the error a run alone raises."""
+    inside = -ControllerSet().equilibrium_gap("A", 27.78) - 1.0   # 1 m into the head
+    scns = [
+        SingleScenario(kind=BRAKING, config="-GPGPGPL"),
+        SingleScenario(kind=SINUSOIDAL, config="-AAAAAAA", initial_gap_offsets={1: inside}),
+        SingleScenario(kind=BRAKING, config="-AAAAAAA", initial_gap_offsets={2: float("nan")}),
+        SingleScenario(kind=SINUSOIDAL, config="-PPPPPPP"),
+        SingleScenario(kind=BRAKING, config="-GGGGGGG"),
+    ]
+    alone = [run_single_platoon(scn) for scn in scns[:2] + scns[3:]]
+    with pytest.raises(ValueError) as error:
+        run_single_platoon(scns[2])
+    assert [(tr.terminated_by_collision, round(tr.times[-1], 6)) for tr in alone] == [
+        (True, 34.6), (True, 0.1), (False, 100.0), (False, 60.0)]
+    for order in (slice(None), slice(None, None, -1)):
+        crash, first, failed, sine, brake = run_platoon_batch(scns[order])[order]
+        assert type(failed) is ValueError and str(failed) == str(error.value)
+        for trace, want in zip((crash, first, sine, brake), alone):
+            assert trace.serialize() == want.serialize()
 
 
 # ---------------------------------------------------------------------------
