@@ -6,7 +6,10 @@ trace of ``sweep_single(4)`` (both scenarios) and for a few direct cases that
 reach the remaining code paths: an independent spring-damper head, long
 homogeneous chains, a collision on the first tick, a coarser control period
 and ``-GGPGGPG``, whose spring-damper members are the ones that tell two
-summation orders of the spring-damper field apart.  ``golden_ring.json`` holds
+summation orders of the spring-damper field apart.  Its ``gap`` entry holds
+the sha256 of the raw ``Trace.gap`` bytes of the direct cases and of one
+n=4 sweep batch that runs both scenarios' rows: the CSV rounds to 6
+decimals, the raw bytes pin every last bit.  ``golden_ring.json`` holds
 the sha256 of ``RingTrace.serialize()`` for short full-trace ring runs of the
 PATH and Ploeg policies and both baselines, with lane changes and without any
 car under auto-hold, of a mixed-policy run whose spring-damper cars enter
@@ -91,6 +94,20 @@ def digest(trace) -> str:
     return hashlib.sha256(trace.serialize()).hexdigest()
 
 
+def gap_digest(trace) -> str:
+    return hashlib.sha256(trace.gap.tobytes()).hexdigest()
+
+
+def sweep_gap_digests() -> dict:
+    """Raw gap digests of one batch holding both scenarios' sweep rows."""
+    rows = [(kind, c) for kind in (SINUSOIDAL, BRAKING) for c in sweep_configs()]
+    traces = run_platoon_batch([SingleScenario(kind=kind, config=c) for kind, c in rows])
+    out = {SINUSOIDAL: {}, BRAKING: {}}
+    for (kind, c), trace in zip(rows, traces):
+        out[kind][c] = gap_digest(trace)
+    return out
+
+
 def direct_trace(name: str):
     kind, config, extra, control_dt = DIRECT[name]
     scn = SingleScenario(kind=kind, config=config, **extra)
@@ -123,6 +140,10 @@ def record() -> dict:
             for kind in (SINUSOIDAL, BRAKING)
         },
         "direct": {name: digest(direct_trace(name)) for name in DIRECT},
+        "gap": {
+            "direct": {name: gap_digest(direct_trace(name)) for name in DIRECT},
+            "sweep": sweep_gap_digests(),
+        },
     }
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     rings = {name: digest(ring_trace(name)) for name in RING}
@@ -146,6 +167,15 @@ def test_sweep_batch_reproduces_golden_traces(golden, kind):
 @pytest.mark.parametrize("name", sorted(DIRECT))
 def test_direct_run_reproduces_golden_trace(golden, name):
     assert digest(direct_trace(name)) == golden["direct"][name]
+
+
+def test_sweep_batch_reproduces_golden_gap_bytes(golden):
+    assert sweep_gap_digests() == golden["gap"]["sweep"]
+
+
+@pytest.mark.parametrize("name", sorted(DIRECT))
+def test_direct_run_reproduces_golden_gap_bytes(golden, name):
+    assert gap_digest(direct_trace(name)) == golden["gap"]["direct"][name]
 
 
 @pytest.mark.parametrize("name", sorted(RING))
