@@ -254,6 +254,8 @@ def _run_store(files: dict, plan, run_batch, jobs: int) -> tuple[dict, list]:
     for is written, stamped with its hash, as its batch returns.  Returns the
     payloads and the ``(key, error)`` failures, both in the order of ``files``.
     """
+    if jobs < 1:
+        raise ConfigError("jobs must be at least 1")
     for folder in {os.path.dirname(path) for path, _ in files.values()}:
         os.makedirs(folder, exist_ok=True)
     done = {key: payload for key, (path, h) in files.items()
@@ -293,6 +295,8 @@ def sweep_single(
     """
     cfg = cfg or Config()
     configs = configs_for_sweep(n, seed)
+    for kind in kinds:  # a duration no run can use fails before any folder is made
+        scenario_for(kind, baseline_configs(n)[0], duration)
     hashes = {kind: spec_hash(cfg, {"sweep": "single", "n": n, "kind": kind,
                                     "duration": duration, "seed": seed})
               for kind in kinds}
@@ -308,7 +312,7 @@ def sweep_single(
         chunks = {}
         for kind in dict.fromkeys(k for k, _, _ in keys):
             names = [c for k, role, c in keys if k == kind and role == "mixed"]
-            size = max(1, min(BATCH_ROWS, -(-len(names) // max(jobs, 1))))
+            size = max(1, min(BATCH_ROWS, -(-len(names) // jobs)))
             chunks[kind] = [names[i:i + size] for i in range(0, max(len(names), 1), size)]
         return [
             ([(kind, [scenario_for(kind, c, duration)

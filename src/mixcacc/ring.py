@@ -131,6 +131,18 @@ class RingSpec:
             raise SpawnError("volatility sample dt must be a whole number of control periods")
         if self.seed < 0:
             raise SpawnError("seed must not be negative")
+        # not even bumper to bumper: fail before a spawn sizes arrays from the density
+        if math.floor(self.density * self.circumference / 1000.0) * VEHICLE_LENGTH > (
+                self.lanes * self.circumference):
+            raise _does_not_fit(self)
+
+
+def _does_not_fit(spec: RingSpec) -> SpawnError:
+    """The error of a density beyond what the ring's lanes can hold."""
+    C = spec.circumference
+    feasible = spec.lanes * C / (VEHICLE_LENGTH + MIN_INTER_GAP) / (C / 1000.0)
+    return SpawnError(f"density {spec.density} veh/km does not fit; "
+                      f"roughly {feasible:.0f} veh/km is the geometric limit")
 
 
 @dataclass
@@ -304,11 +316,7 @@ def spawn_ring_traffic(spec: RingSpec, ctrl: ControllerSet | None = None) -> Rin
             overflow.append(k)
     for k in overflow:
         if not fit(k, sorted(range(spec.lanes), key=lambda l: used[l] / C), MIN_INTER_GAP):
-            feasible = spec.lanes * C / (VEHICLE_LENGTH + MIN_INTER_GAP) / (C / 1000.0)
-            raise SpawnError(
-                f"density {spec.density} veh/km does not fit; "
-                f"roughly {feasible:.0f} veh/km is the geometric limit"
-            )
+            raise _does_not_fit(spec)
 
     # each lane's blocks in random order, a cursor walking back from a random front
     for l in range(spec.lanes):

@@ -134,6 +134,9 @@ class Trace:
     All 2-D arrays have shape (ticks, vehicles).  ``gap`` is the bumper gap to
     the predecessor (NaN where there is none), ``mode`` holds the supervisory
     state of spring-damper vehicles (-1 elsewhere: 0 cruise, 1 override).
+    A platoon trace is given ``gap=None``: its ``gap`` is computed from
+    ``position`` on each read, by the engine's own float operations, so it
+    equals the gap the engine stepped with bit for bit.
     """
 
     times: np.ndarray
@@ -142,13 +145,24 @@ class Trace:
     speed: np.ndarray
     accel: np.ndarray
     ctrl_input: np.ndarray
-    gap: np.ndarray
+    gap: np.ndarray | None
     lane: np.ndarray
     mode: np.ndarray
     events: list[TraceEvent] = field(default_factory=list)
     scenario_kind: str = ""
     config: str = ""
     terminated_by_collision: bool = False
+
+    def __post_init__(self):
+        if self.gap is None:
+            del self.gap            # read through __getattr__
+
+    def __getattr__(self, name):
+        """A platoon trace's ``gap``, as the engine computes it."""
+        if name != "gap":
+            raise AttributeError(f"'Trace' object has no attribute {name!r}")
+        pos = self.position
+        return _ahead(pos, np.full_like(pos, np.nan)) - VEHICLE_LENGTH - pos
 
     @property
     def n_vehicles(self) -> int:
@@ -293,7 +307,7 @@ def run_platoon_batch(
     for (neg_last, _), same in itertools.groupby(map(key.get, rows)):
         lo, m = m, m + sum(1 for _ in same)
         shape = (m - lo, 1 - neg_last, n)
-        blocks = [np.empty(shape) for _ in range(5)] + [np.zeros(shape, np.int8),
+        blocks = [np.empty(shape) for _ in range(4)] + [np.zeros(shape, np.int8),
                                                         np.empty(shape, np.int8)]
         groups.append((lo, m, scns[rows[lo]], -neg_last, blocks))
     home = [(blocks, j - lo) for lo, hi, _, _, blocks in groups for j in range(lo, hi)]
@@ -303,8 +317,9 @@ def run_platoon_batch(
         """End state row ``j`` at tick ``k`` with a view of its record."""
         cfg = setups[rows[j]][0]
         blocks, i = home[j]
+        *floats, lane, mode = (block[i, :k + 1] for block in blocks)
         results[rows[j]] = Trace(
-            times[:k + 1], cfg.controllers, *(block[i, :k + 1] for block in blocks),
+            times[:k + 1], cfg.controllers, *floats, None, lane, mode,
             events=events[j], scenario_kind=scns[rows[j]].kind, config=str(cfg),
             terminated_by_collision=collided,
         )
@@ -336,9 +351,9 @@ def run_platoon_batch(
 
     for k, t in enumerate(times):
         gap = _ahead(pos, shifted[0]) - VEHICLE_LENGTH - pos
-        now = (pos, spd, acc, uin, gap, np.where(is_gsbl, over, -1))
+        now = (pos, spd, acc, uin, np.where(is_gsbl, over, -1))
         for lo, hi, _, _, blocks in groups:
-            for block, a in zip(blocks[:5] + blocks[6:], now):   # lane blocks stay 0
+            for block, a in zip(blocks[:4] + blocks[5:], now):   # lane blocks stay 0
                 block[:, k] = a[lo:hi]
         hit = gap <= 0.0
         if k > 0 and hit.any():

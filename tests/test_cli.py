@@ -190,6 +190,11 @@ def test_unknown_params_key_is_a_config_error(tmp_path, capsys):
     ["sweep-single", "-n", "3", "--duration", "nan"],
     ["sweep-single", "-n", "3", "--duration", "inf"],
     ["sweep-ring", "--duration", "nan", "--repetitions", "1", "--density", "10"],
+    ["sweep-single", "-n", "3", "--jobs", "0"],
+    ["sweep-single", "-n", "3", "--jobs", "-2"],
+    ["sweep-ring", "--jobs", "0", "--density", "10", "--repetitions", "1",
+     "--duration", "5", "--warmup", "0"],
+    ["ring", "--density", "1e9", "--duration", "5", "--warmup", "0"],
 ], ids=["platoon-of-one", "braking-ends-before-onset", "sinusoidal-ends-in-warmup",
         "braking-ends-before-onset-is-recorded", "sinusoidal-ends-in-window",
         "ring-ends-before-it-starts", "ring-warmup-negative", "ring-sweep-ends-before-it-starts",
@@ -198,11 +203,13 @@ def test_unknown_params_key_is_a_config_error(tmp_path, capsys):
         "sweep-single-seed-negative",
         "ring-duration-infinite", "ring-warmup-nan", "ring-density-nan", "single-duration-nan",
         "single-duration-infinite", "sweep-single-duration-nan",
-        "sweep-single-duration-infinite", "ring-sweep-duration-nan"])
+        "sweep-single-duration-infinite", "ring-sweep-duration-nan",
+        "sweep-single-no-jobs", "sweep-single-negative-jobs", "ring-sweep-no-jobs",
+        "ring-beyond-bumper-to-bumper"])
 def test_unusable_run_settings_are_config_errors(tmp_path, capsys, argv):
     assert main(["--out", str(tmp_path)] + argv) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error:")
-    assert not (tmp_path / "ring").exists()
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("params,argv", [

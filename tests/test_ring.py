@@ -127,6 +127,13 @@ def test_spawn_rejects_impossible_density():
         spawn_ring_traffic(RingSpec(density=500))
 
 
+def test_spec_rejects_a_density_beyond_bumper_to_bumper():
+    """A spec whose cars do not fit even bumper to bumper fails at once,
+    before a spawn sizes any array from the density."""
+    with pytest.raises(SpawnError, match="geometric limit"):
+        RingSpec(density=1e9)
+
+
 @pytest.mark.parametrize("kwargs", [
     {"density": 0.0},
     {"density": 60, "penetration": 1.5},

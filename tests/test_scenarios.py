@@ -1,5 +1,8 @@
 """End-to-end behavior of the single-platoon disturbance engine."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -237,6 +240,25 @@ def test_batch_ends_every_row_its_own_way():
         assert type(failed) is ValueError and str(failed) == str(error.value)
         for trace, want in zip((crash, first, sine, brake), alone):
             assert trace.serialize() == want.serialize()
+
+
+def test_batch_record_holds_four_float_blocks():
+    """A batch records position, speed, acceleration and command per
+    vehicle-tick, plus two int8 blocks; the gap is derived from the
+    positions, so its peak stays below 4.5 float64 blocks."""
+    configs = ["-" + "".join(p) for p in itertools.islice(itertools.product("AGLP", repeat=7), 64)]
+    scns = [SingleScenario(kind=SINUSOIDAL, config=c) for c in configs]
+    ticks = round(scns[0].duration / 0.1) + 1
+    # a first tiny run takes the one-off lazy imports (np.unique loads numpy.ma)
+    run_platoon_batch([SingleScenario(kind=SINUSOIDAL, config=configs[0], duration=0.1)])
+    tracemalloc.start()
+    try:
+        traces = run_platoon_batch(scns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(tr.times.size == ticks for tr in traces)
+    assert peak < 4.5 * len(scns) * ticks * 8 * 8
 
 
 # ---------------------------------------------------------------------------
