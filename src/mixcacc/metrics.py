@@ -113,11 +113,8 @@ def delta_a(
 
 def min_gap(trace, window: Window) -> dict[int, float]:
     """Smallest bumper gap per follower inside the window."""
-    mask = _window_slice(trace, window)
-    return {
-        i: float(np.nanmin(trace.gap[mask, i]))
-        for i in range(1, trace.n_vehicles)
-    }
+    gap = trace.gap[_window_slice(trace, window)]   # a platoon trace derives it per read
+    return {i: float(np.nanmin(gap[:, i])) for i in range(1, trace.n_vehicles)}
 
 
 def delta_d(

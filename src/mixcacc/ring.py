@@ -16,10 +16,14 @@ Within a lane, order changes only at lane changes: two cars swap only by
 colliding, and a collision ends the run.  So the lane index is carried from
 tick to tick and patched at each lane change instead of re-sorted; gaps keep
 their formula, and a tick with a gap <= 0, or with a lane out of order
-other than by wrap-around, re-sorts from scratch.  The
-lane-change pass skips a target lane that no car fits into, by necessary
+other than by wrap-around, re-sorts from scratch.  The sort also keeps the
+least gap, and only a tick where it is not positive scans for collisions.
+The lane-change pass skips a target lane that no car fits into, by necessary
 conditions of the gap check only, so it accepts exactly the cars the check
-alone would.
+alone would.  It then prefilters the candidates of every surviving (lane,
+target) pair in one call of the gap check, which searches each target lane
+for its run of candidates and does the arithmetic once, and re-checks the
+accepted ones one by one, in vehicle-index order, as it moves them.
 """
 
 from __future__ import annotations
@@ -126,9 +130,11 @@ class RingSpec:
                 and 0.0 < self.volatility_sample_dt < math.inf):
             raise SpawnError("control period, counter window and volatility sample dt"
                              " must be positive, the sample dt finite")
-        every = round(self.volatility_sample_dt / self.control_dt)
-        if abs(every * self.control_dt - self.volatility_sample_dt) > 1e-9 or every < 1:
-            raise SpawnError("volatility sample dt must be a whole number of control periods")
+        for name, span, least in (("duration", self.duration, 1), ("warmup", self.warmup, 0),
+                                  ("volatility sample dt", self.volatility_sample_dt, 1)):
+            periods = round(span / self.control_dt)
+            if abs(periods * self.control_dt - span) > 1e-9 or periods < least:
+                raise SpawnError(f"{name} must be a whole number of control periods")
         if self.seed < 0:
             raise SpawnError("seed must not be negative")
         # not even bumper to bumper: fail before a spawn sizes arrays from the density
@@ -175,6 +181,7 @@ class _LaneIndex:
     lanes: list[tuple[np.ndarray, np.ndarray]]   # (sorted positions, indices)
     pred: np.ndarray
     gap: np.ndarray
+    min_gap: float = math.nan                    # least gap as sorted
 
 
 def _link_lane(world, L, srt, p):
@@ -212,7 +219,8 @@ def _lane_sort(world: RingWorld, prev: _LaneIndex | None = None) -> _LaneIndex:
                 k = down[0] + 1
                 srt, p = np.concatenate((srt[k:], srt[:k])), np.concatenate((p[k:], p[:k]))
         L.lanes.append(_link_lane(world, L, srt, p))
-    if prev is not None and not L.gap.min() > 0.0:
+    L.min_gap = L.gap.min()
+    if prev is not None and not L.min_gap > 0.0:
         return _lane_sort(world)
     return L
 
@@ -383,21 +391,34 @@ def lane_change_decision(
 
 def _vec_target_check(world, L, cand, target, acc_headway, want_right):
     """Vectorized desire and safety test of vehicles ``cand`` against the
-    adjacent lane ``target``.
+    adjacent lane ``target``.  ``target`` and ``want_right`` are scalars or
+    numpy arrays with one entry per candidate; each run of candidates with
+    one target is searched in that lane, and an empty lane takes them all.
 
-    Run once over a snapshot to prefilter candidates, then again for each of
-    them, against the current lane index, by :func:`lane_change_decision`.
+    Run once per tick over a snapshot to prefilter candidates, then for each
+    of them against the current lane index by :func:`lane_change_decision`.
     """
     C = world.spec.circumference
     x = world.pos[cand]
     v = world.speed[cand]
     vd = world.desired[cand]
-    positions, idxs = L.lanes[target]
-    if idxs.size == 0:
-        return np.ones(cand.size, dtype=bool)
-    j = np.searchsorted(positions, x)
-    front = idxs[j % idxs.size]
-    rear = idxs[(j - 1) % idxs.size]
+    if isinstance(target, np.ndarray):
+        cut = (np.flatnonzero(target[1:] != target[:-1]) + 1).tolist()
+        runs = [(lo, hi, target[lo]) for lo, hi in zip([0, *cut], [*cut, cand.size])]
+    else:
+        runs = [(0, cand.size, target)]
+    front, rear, empty = [], [], []
+    for lo, hi, lane in runs:
+        positions, idxs = L.lanes[lane]
+        if idxs.size:
+            j = np.searchsorted(positions, x[lo:hi])
+            front.append(idxs.take(j, mode="wrap"))
+            rear.append(idxs.take(j - 1, mode="wrap"))
+        else:                   # no neighbours: each candidate stands in for them
+            front.append(cand[lo:hi])
+            rear.append(cand[lo:hi])
+            empty.append(slice(lo, hi))
+    front, rear = (front[0], rear[0]) if len(runs) == 1 else map(np.concatenate, (front, rear))
     front_gap = (world.pos[front] - x) % C - world.length[front]
     rear_gap = (x - world.pos[rear]) % C - world.length[cand]
     vf = world.speed[front]
@@ -406,11 +427,13 @@ def _vec_target_check(world, L, cand, target, acc_headway, want_right):
     ok &= rear_gap >= LC_MARGIN + LC_HEADWAY * vr + CLOSING_TIME * np.maximum(0.0, vr - v)
     pf = world.platoon_id[front]
     ok &= ~((front != rear) & (pf >= 0) & (pf == world.platoon_id[rear]))
-    if want_right:
+    if isinstance(want_right, np.ndarray) or want_right:
         room = LC_MARGIN + acc_headway * vd
-        ok &= (front_gap >= FREE_GAP) | (
+        ok &= np.logical_not(want_right) | (front_gap >= FREE_GAP) | (
             (front_gap >= room) & (vf >= RIGHT_SPEED_FACTOR * vd)
         )
+    for run in empty:
+        ok[run] = True
     return ok
 
 
@@ -441,7 +464,7 @@ def _lane_change_pass(world, L, t, acc_headway, events):
     movers = {True: eligible, False: eligible & (v < SPEED_SATISFACTION * world.desired)
               & (L.gap < FOLLOW_FACTOR * (LC_MARGIN + acc_headway * v))}
     room, least = _slot_screens(world, L, acc_headway)
-    candidates: set[int] = set()
+    pairs = []
     for l, (_, members) in enumerate(L.lanes):
         for target, right in ((l - 1, True), (l + 1, False)):
             if not 0 <= target < world.spec.lanes:
@@ -452,9 +475,17 @@ def _lane_change_pass(world, L, t, acc_headway, events):
                 continue
             cand = members[movers[right][members]]
             if cand.size:
-                ok = _vec_target_check(world, L, cand, target, acc_headway, right)
-                candidates.update(int(i) for i in cand[ok])
-    for i in sorted(candidates):
+                pairs.append((cand, target, right))
+    if not pairs:
+        return
+    cand, target, right = pairs[0]
+    if len(pairs) > 1:          # one call for all pairs, in runs of one target lane
+        cands, targets, rights = zip(*pairs)
+        sizes = [c.size for c in cands]
+        cand = np.concatenate(cands)
+        target, right = np.repeat(targets, sizes), np.repeat(rights, sizes)
+    ok = _vec_target_check(world, L, cand, target, acc_headway, right)
+    for i in sorted(set(cand[ok].tolist())):
         decision = lane_change_decision(world, i, L, acc_headway)
         if decision == "stay":
             continue
@@ -485,7 +516,7 @@ def _control_tick(world, L, ctrl, families):
         families, v, world.accel,
         Neighbour(v[pred], u[pred], L.gap, pred != world.ids),
         Neighbour(v[lead], u[lead], None, lead >= 0),
-        _gsbl_tick(world),
+        _gsbl_tick(world) if any(f == CODE_GSBL for f, _ in families) else None,
         world.desired, world.desired, world.gsbl_override, ctrl,
     )
     return u_new, hold
@@ -591,7 +622,7 @@ def run_ring(
     for k in range(ticks + 1):
         t = k * spec.control_dt
         L = _lane_sort(world, L)
-        crash = detect_collisions(world, L, t)
+        crash = [] if L.min_gap > 0.0 else detect_collisions(world, L, t)
         if crash:
             events.extend(crash)
             collided = True

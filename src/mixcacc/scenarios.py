@@ -293,7 +293,7 @@ def run_platoon_batch(
         return results
     n = next(iter(setups.values()))[0].size
     if any(cfg.size != n for cfg, _ in setups.values()):
-        raise ScenarioError("a batch runs one platoon size")
+        raise RuntimeError("a batch runs one platoon size")   # the caller's grouping is at fault
 
     # longest timeline first (the key leads with minus the last tick), and
     # each timeline's rows side by side

@@ -195,6 +195,10 @@ def test_unknown_params_key_is_a_config_error(tmp_path, capsys):
     ["sweep-ring", "--jobs", "0", "--density", "10", "--repetitions", "1",
      "--duration", "5", "--warmup", "0"],
     ["ring", "--density", "1e9", "--duration", "5", "--warmup", "0"],
+    ["ring", "--density", "10", "--duration", "0.05", "--warmup", "0"],
+    ["ring", "--density", "10", "--duration", "0.26", "--warmup", "0.05"],
+    ["sweep-ring", "--density", "10", "--repetitions", "1", "--duration", "2",
+     "--warmup", "0.05"],
 ], ids=["platoon-of-one", "braking-ends-before-onset", "sinusoidal-ends-in-warmup",
         "braking-ends-before-onset-is-recorded", "sinusoidal-ends-in-window",
         "ring-ends-before-it-starts", "ring-warmup-negative", "ring-sweep-ends-before-it-starts",
@@ -205,7 +209,8 @@ def test_unknown_params_key_is_a_config_error(tmp_path, capsys):
         "single-duration-infinite", "sweep-single-duration-nan",
         "sweep-single-duration-infinite", "ring-sweep-duration-nan",
         "sweep-single-no-jobs", "sweep-single-negative-jobs", "ring-sweep-no-jobs",
-        "ring-beyond-bumper-to-bumper"])
+        "ring-beyond-bumper-to-bumper", "ring-shorter-than-a-tick",
+        "ring-ends-between-ticks", "ring-sweep-warmup-between-ticks"])
 def test_unusable_run_settings_are_config_errors(tmp_path, capsys, argv):
     assert main(["--out", str(tmp_path)] + argv) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error:")

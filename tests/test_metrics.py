@@ -140,6 +140,25 @@ def test_min_gap_per_follower():
     assert gaps == {1: 30.0, 2: 7.5}
 
 
+def test_min_gap_reads_a_derived_gap_once(monkeypatch):
+    """A platoon trace derives its whole gap array on every read, so one
+    call reads it once; the values are those of one read per follower."""
+    tr = run_single_platoon(SingleScenario(kind="sinusoidal", config="-PLGA", duration=10.0))
+    w = Window(2.0, 8.0)
+    mask = tr.window_mask(w.t0, w.t1)
+    per_column = {i: float(np.nanmin(tr.gap[mask, i])) for i in range(1, tr.n_vehicles)}
+    reads = []
+    derive = Trace.__getattr__
+
+    def counted(self, name):
+        reads.append(name)
+        return derive(self, name)
+
+    monkeypatch.setattr(Trace, "__getattr__", counted)
+    assert min_gap(tr, w) == per_column
+    assert reads == ["gap"]
+
+
 def test_delta_d_self_comparison_is_zero():
     tr = flat_trace(controllers=("-", "L", "L"))
     w = Window(0.0, 1.0)

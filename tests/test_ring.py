@@ -359,6 +359,60 @@ def test_a_car_takes_a_slot_that_just_fits(right, frac, vd, slack, slots):
     assert [(e.veh_a, e.detail) for e in events] == [(0, f"{src}->{dst}")]
 
 
+# the (source lane, target lane) pairs of a three-lane ring
+LANE_PAIRS = ((0, 1), (1, 0), (1, 2), (2, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), lone=st.sampled_from([None, "empty", "one car"]),
+       pairs=st.lists(st.integers(0, len(LANE_PAIRS) - 1), min_size=1, max_size=6))
+@example(seed=3, lone="empty", pairs=[0, 1, 2, 3])
+@example(seed=3, lone="one car", pairs=[0, 1, 2, 3])
+@example(seed=5, lone=None, pairs=[1, 2])         # every lane-1 car in both directions
+def test_one_prefilter_call_equals_the_per_pair_calls(seed, lone, pairs):
+    """One gap check over the concatenated candidates, targets and
+    directions of several (lane, target) pairs accepts exactly what one
+    scalar call per pair accepts.  Each pair lists its lane's cars in random
+    order, so index order differs from position order, a pair may repeat,
+    a lane-1 car may be a candidate in both directions, and a random lane
+    may be emptied or left with one car."""
+    w = _random_world(seed)
+    rng = np.random.default_rng(seed)
+    if lone is not None:
+        lane = int(rng.integers(3))
+        members = np.flatnonzero(w.lane == lane)
+        w.lane[members[1:] if lone == "one car" else members] = (lane + 1) % 3
+    L = _lane_sort(w)
+    checks = []
+    for source, target in (LANE_PAIRS[k] for k in pairs):
+        cand = rng.permutation(np.flatnonzero(w.lane == source))
+        if cand.size:
+            checks.append((cand, target, target < source))
+    if not checks:
+        return
+    sizes = [cand.size for cand, _, _ in checks]
+    one = ring._vec_target_check(
+        w, L, np.concatenate([cand for cand, _, _ in checks]),
+        np.repeat([target for _, target, _ in checks], sizes), ACC_H,
+        np.repeat([right for _, _, right in checks], sizes))
+    per_pair = [ring._vec_target_check(w, L, cand, target, ACC_H, right)
+                for cand, target, right in checks]
+    assert np.array_equal(one, np.concatenate(per_pair))
+
+
+def test_competing_candidates_move_in_index_order():
+    """Cars 3 and 6 both pass the prefilter into the one open slot of the
+    right lane, car 6 behind car 3.  The re-check walks vehicle indices, so
+    car 3 moves and car 6, now 6 m behind it, stays; walking the lane in
+    position order would move car 6 instead."""
+    w = sandbox_world()
+    w.lane[[3, 6]] = 1
+    w.pos[[3, 6]] = [5010.0, 5000.0]
+    events = []
+    _lane_change_pass(w, _lane_sort(w), 10.0, ACC_H, events)
+    assert [(e.veh_a, e.detail) for e in events] == [(3, "1->0")]
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_RING))
 def test_screened_pass_keeps_the_candidates_of_the_golden_runs(name, monkeypatch):
     calls = _decisions(monkeypatch)
@@ -441,6 +495,7 @@ def test_ring_run_invariants(density, penetration, size, policy, baseline, warmu
     """On rings of at most 60 cars and 30 s: no car appears or vanishes, a
     lane's cyclic order changes only with a lane change or a collision, and
     counter crossings come in time order."""
+    warmup, duration = (round(span / control_dt) * control_dt for span in (warmup, duration))
     spec = RingSpec(density=density, penetration=penetration, platoon_size=size,
                     platoon_policy=policy, baseline=baseline, circumference=2000.0,
                     warmup=warmup, duration=duration, control_dt=control_dt, seed=seed,

@@ -200,9 +200,12 @@ def test_batch_row_with_a_rejected_setup_leaves_the_others_running():
 
 
 def test_batch_needs_one_platoon_size():
-    with pytest.raises(ScenarioError, match="one platoon size"):
+    """Mixed sizes are the caller's fault, not bad configuration: the error
+    is none of the types the CLI reports with exit 2."""
+    with pytest.raises(RuntimeError, match="one platoon size") as err:
         run_platoon_batch([SingleScenario(kind=SINUSOIDAL, config="-PL"),
                            SingleScenario(kind=SINUSOIDAL, config="-PLG")])
+    assert type(err.value) is RuntimeError
 
 
 def test_non_finite_command_fails_its_row_and_a_single_run_raises():
