@@ -1,6 +1,6 @@
 """Simulator and analysis toolkit for mixed cooperative platoons."""
 
-from .config import Config, ConfigFileError, load_config_file, spec_hash
+from .config import Config, UsageError, load_config_file, spec_hash
 from .controllers import (
     AccParams,
     Beacon,
@@ -29,10 +29,9 @@ from .metrics import (
     throughput_series,
     volatility,
 )
-from .ring import RingSpec, RingTrace, SpawnError, run_ring
-from .scenarios import ScenarioError, SingleScenario, Trace, run_single_platoon
+from .ring import RingSpec, RingTrace, run_ring
+from .scenarios import SingleScenario, Trace, run_single_platoon
 from .topology import (
-    ConfigError,
     ConnectivityMatrix,
     PlatoonConfig,
     connectivity_matrix,
@@ -47,8 +46,6 @@ __all__ = [
     "AccParams",
     "Beacon",
     "Config",
-    "ConfigError",
-    "ConfigFileError",
     "ConnectivityMatrix",
     "ControllerSet",
     "DynamicsParams",
@@ -60,10 +57,9 @@ __all__ = [
     "PloegParams",
     "RingSpec",
     "RingTrace",
-    "ScenarioError",
     "SingleScenario",
-    "SpawnError",
     "Trace",
+    "UsageError",
     "VehicleState",
     "Window",
     "acc_accel",

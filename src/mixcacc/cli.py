@@ -9,8 +9,9 @@ sweep-ring   run the density / policy / size / penetration grid
 matrix       print the communication matrix of a platoon configuration
 report       render text tables from persisted sweep output
 
-Exit codes: 0 success, 2 bad configuration, 3 single run ended in a
-collision, 4 sweep finished with failed runs.
+Exit codes: 0 success, 2 bad configuration (a ``UsageError``; any other
+exception is an internal error and escapes with its traceback), 3 single run
+ended in a collision, 4 sweep finished with failed runs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import json
 import os
 import sys
 
-from .config import Config, ConfigFileError, load_config_file, spec_hash
+from .config import Config, UsageError, load_config_file, spec_hash
 from .experiments import (
     SUMMARY_PICKS,
     analysis_window,
@@ -32,15 +33,9 @@ from .experiments import (
     sweep_single,
 )
 from .metrics import min_gap, peak_abs_accel
-from .ring import BASELINES, PLATOON_POLICIES, SpawnError, run_ring
-from .scenarios import (BRAKING, CONTROL_DT, SINUSOIDAL, ScenarioError, events_csv,
-                        run_single_platoon)
-from .topology import (
-    ConfigError,
-    connectivity_matrix,
-    extended_connectivity_matrix,
-    parse_config,
-)
+from .ring import BASELINES, PLATOON_POLICIES, run_ring
+from .scenarios import BRAKING, CONTROL_DT, SINUSOIDAL, events_csv, run_single_platoon
+from .topology import connectivity_matrix, extended_connectivity_matrix, parse_config
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -252,7 +247,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ScenarioError, SpawnError, ConfigFileError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -21,8 +21,9 @@ from .controllers import ControllerSet
 from .dynamics import DynamicsParams
 
 
-class ConfigFileError(ValueError):
-    """Raised for malformed or inconsistent configuration files."""
+class UsageError(ValueError):
+    """Bad configuration: a parameter, composition, scenario or ring setting
+    that cannot be run.  The command line maps it, and only it, to exit 2."""
 
 
 @dataclass
@@ -151,23 +152,23 @@ def load_config(text: str) -> Config:
     try:
         parser.read_string(text)
     except configparser.Error as exc:
-        raise ConfigFileError(f"cannot parse configuration: {exc}") from exc
+        raise UsageError(f"cannot parse configuration: {exc}") from exc
 
     if parser.defaults():   # their keys would be copied into every section
-        raise ConfigFileError(f"unknown section [{parser.default_section}]")
+        raise UsageError(f"unknown section [{parser.default_section}]")
     known = {section for section, _, _ in SCHEMA}
     updates: dict[str, dict] = {}     # owner path -> {field: value}
     for section in parser.sections():
         if section not in known:
-            raise ConfigFileError(f"unknown section [{section}]")
+            raise UsageError(f"unknown section [{section}]")
         for key, raw in parser.items(section):
             path = _FIELD_BY_KEY.get((section, key))
             if path is None:
-                raise ConfigFileError(f"unknown key {key!r} in [{section}]")
+                raise UsageError(f"unknown key {key!r} in [{section}]")
             try:
                 value = _CASTS.get(path, _finite)(raw)
             except ValueError as exc:
-                raise ConfigFileError(f"bad value {raw!r} for [{section}] {key}") from exc
+                raise UsageError(f"bad value {raw!r} for [{section}] {key}") from exc
             owner, _, name = path.rpartition(".")
             updates.setdefault(owner, {})[name] = value
 
@@ -178,7 +179,7 @@ def load_config(text: str) -> Config:
             holder = _get(cfg, parent) if parent else cfg
             setattr(holder, name, replace(getattr(holder, name), **values))
     except ValueError as exc:
-        raise ConfigFileError(str(exc)) from exc
+        raise UsageError(str(exc)) from exc
     return cfg
 
 

@@ -300,6 +300,10 @@ class IdmParams:
     s0: float = 2.0       # standstill gap [m]
     delta: float = 4.0    # free acceleration exponent
 
+    def __post_init__(self):
+        if not (self.a_max > 0.0 and self.b_comf > 0.0):
+            raise ValueError("IDM a_max and b_comf must be positive")
+
 
 def idm_accel(v, gap, v_pred, p: IdmParams, v0):
     """IDM acceleration toward the desired speed ``v0``.

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .config import Config, MobilitySpec, spec_hash
+from .config import Config, MobilitySpec, UsageError, spec_hash
 from .metrics import (
     SPEED_FLOOR,
     Window,
@@ -37,9 +37,7 @@ from .metrics import (
     volatility,
 )
 from .ring import BASELINES, DEVICES, PLATOON_POLICIES, RingSpec, run_ring
-from .scenarios import (BRAKING, CONTROL_DT, SINUSOIDAL, ScenarioError, SingleScenario,
-                        run_platoon_batch)
-from .topology import ConfigError
+from .scenarios import BRAKING, CONTROL_DT, SINUSOIDAL, SingleScenario, run_platoon_batch
 
 # Not called here since sweeps run batches; bound here only for perfbench's
 # layer tracer, until the tracer reads spans from the package.
@@ -88,9 +86,9 @@ def sampled_configs(n: int, seed: int = 0) -> list[str]:
 
 def configs_for_sweep(n: int, seed: int = 0) -> list[str]:
     if n - 1 <= 0:
-        raise ConfigError("platoon size must be at least 2")
+        raise UsageError("platoon size must be at least 2")
     if seed < 0:
-        raise ConfigError("seed must not be negative")
+        raise UsageError("seed must not be negative")
     if n <= FULL_ENUMERATION_MAX:
         return mixed_configs(n)
     return sampled_configs(n, seed)
@@ -115,7 +113,7 @@ def scenario_for(kind: str, config: str, duration: float | None = None,
     sinusoidal run until the window closes, a braking run until it records
     the head's onset command, one tick after the first tick past the onset."""
     if not 0.0 < control_dt < math.inf:
-        raise ScenarioError("control_dt must be positive and finite")
+        raise UsageError("control_dt must be positive and finite")
     scn = SingleScenario(kind=kind, config=config, duration=duration)
     times = np.arange(round(scn.duration / control_dt) + 1) * control_dt  # recorded ticks
     if kind == SINUSOIDAL:
@@ -125,7 +123,7 @@ def scenario_for(kind: str, config: str, duration: float | None = None,
         short = not (times[:-1] >= scn.brake_onset).any()
         what = f"the head's braking onset at {scn.brake_onset:g} s is recorded"
     if short:
-        raise ScenarioError(f"a {kind} run of {scn.duration:g} s ends before {what}")
+        raise UsageError(f"a {kind} run of {scn.duration:g} s ends before {what}")
     return scn
 
 
@@ -148,7 +146,7 @@ def build_reference(kind: str, baselines: dict) -> ReferenceData:
     """
     for letter, (trace, _) in baselines.items():
         if trace.terminated_by_collision:
-            raise ScenarioError(f"homogeneous {letter} reference platoon collided")
+            raise UsageError(f"homogeneous {letter} reference platoon collided")
     acc_trace, acc_scn = baselines["A"]
     acc_window = analysis_window(acc_trace, acc_scn)
     ref = ReferenceData(
@@ -204,7 +202,7 @@ def _sweep_batch(args) -> dict[tuple[str, str, str], tuple[dict | None, str | No
         baselines = dict(zip(BASELINE_LETTERS, rows))
         for letter, (trace, _) in baselines.items():
             if isinstance(trace, Exception):
-                raise ScenarioError(f"homogeneous {letter} reference platoon failed: {trace}")
+                raise UsageError(f"homogeneous {letter} reference platoon failed: {trace}")
         ref = build_reference(kind, baselines)
         for i, (trace, scn) in enumerate(rows):
             try:
@@ -255,7 +253,7 @@ def _run_store(files: dict, plan, run_batch, jobs: int) -> tuple[dict, list]:
     payloads and the ``(key, error)`` failures, both in the order of ``files``.
     """
     if jobs < 1:
-        raise ConfigError("jobs must be at least 1")
+        raise UsageError("jobs must be at least 1")
     for folder in {os.path.dirname(path) for path, _ in files.values()}:
         os.makedirs(folder, exist_ok=True)
     done = {key: payload for key, (path, h) in files.items()
@@ -460,9 +458,9 @@ def sweep_ring(
     cfg = cfg or Config()
     mob = cfg.mobility
     if repetitions < 1:
-        raise ConfigError("repetitions must be at least 1")
+        raise UsageError("repetitions must be at least 1")
     if seed < 0:
-        raise ConfigError("seed must not be negative")
+        raise UsageError("seed must not be negative")
     cells = ring_cells(mob, densities)
     specs = {(cell, rep): ring_spec(mob, duration, warmup, seed=run_seed(seed, cell, rep),
                                     **fields)

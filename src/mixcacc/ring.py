@@ -48,7 +48,7 @@ from .controllers import (  # noqa: F401  (codes re-exported for callers)
     family_masks,
 )
 from .dynamics import DynamicsParams, VEHICLE_LENGTH, advance
-from .config import MobilitySpec
+from .config import MobilitySpec, UsageError
 from .scenarios import CONTROL_DT, Trace, TraceEvent, events_csv, substeps
 from .topology import elect_ego_leaders, parse_config
 
@@ -84,10 +84,6 @@ def _wrap(x, C):
     return x
 
 
-class SpawnError(ValueError):
-    """Raised when the requested traffic does not fit on the ring."""
-
-
 @dataclass
 class RingSpec:
     """Parameters of one ring experiment."""
@@ -111,43 +107,42 @@ class RingSpec:
 
     def __post_init__(self):
         if not 0.0 < self.density < math.inf:
-            raise SpawnError("density must be positive and finite")
+            raise UsageError("density must be positive and finite")
         if not 0.0 <= self.penetration <= 1.0:
-            raise SpawnError("penetration must lie in [0, 1]")
+            raise UsageError("penetration must lie in [0, 1]")
         if self.platoon_policy not in PLATOON_POLICIES:
-            raise SpawnError(f"unknown platoon policy {self.platoon_policy!r}")
+            raise UsageError(f"unknown platoon policy {self.platoon_policy!r}")
         if self.baseline not in BASELINES:
-            raise SpawnError(f"unknown baseline {self.baseline!r}")
-        if self.penetration > 0.0 and self.platoon_size < 2:
-            raise SpawnError("platoons need at least 2 vehicles")
+            raise UsageError(f"unknown baseline {self.baseline!r}")
+        if self.platoon_size < 2:
+            raise UsageError("platoons need at least 2 vehicles")
         if len(self.speed_classes_kmh) != self.lanes:
-            raise SpawnError("need one speed class per lane")
+            raise UsageError("need one speed class per lane")
         if not 0.0 < self.duration < math.inf:
-            raise SpawnError("duration must be positive and finite")
+            raise UsageError("duration must be positive and finite")
         if not 0.0 <= self.warmup < math.inf:
-            raise SpawnError("warmup must be finite and not negative")
-        if not (self.control_dt > 0.0 and self.counter_window > 0.0
-                and 0.0 < self.volatility_sample_dt < math.inf):
-            raise SpawnError("control period, counter window and volatility sample dt"
-                             " must be positive, the sample dt finite")
+            raise UsageError("warmup must be finite and not negative")
+        if not self.control_dt > 0.0:
+            raise UsageError("control period must be positive")
         for name, span, least in (("duration", self.duration, 1), ("warmup", self.warmup, 0),
+                                  ("counter window", self.counter_window, 1),
                                   ("volatility sample dt", self.volatility_sample_dt, 1)):
-            periods = round(span / self.control_dt)
+            periods = round(span / self.control_dt) if math.isfinite(span) else -1
             if abs(periods * self.control_dt - span) > 1e-9 or periods < least:
-                raise SpawnError(f"{name} must be a whole number of control periods")
+                raise UsageError(f"{name} must be a whole number of control periods")
         if self.seed < 0:
-            raise SpawnError("seed must not be negative")
+            raise UsageError("seed must not be negative")
         # not even bumper to bumper: fail before a spawn sizes arrays from the density
         if math.floor(self.density * self.circumference / 1000.0) * VEHICLE_LENGTH > (
                 self.lanes * self.circumference):
             raise _does_not_fit(self)
 
 
-def _does_not_fit(spec: RingSpec) -> SpawnError:
+def _does_not_fit(spec: RingSpec) -> UsageError:
     """The error of a density beyond what the ring's lanes can hold."""
     C = spec.circumference
     feasible = spec.lanes * C / (VEHICLE_LENGTH + MIN_INTER_GAP) / (C / 1000.0)
-    return SpawnError(f"density {spec.density} veh/km does not fit; "
+    return UsageError(f"density {spec.density} veh/km does not fit; "
                       f"roughly {feasible:.0f} veh/km is the geometric limit")
 
 
@@ -269,7 +264,7 @@ def spawn_ring_traffic(spec: RingSpec, ctrl: ControllerSet | None = None) -> Rin
     C = spec.circumference
     total = int(math.floor(spec.density * C / 1000.0))
     if total < 1:
-        raise SpawnError("density too low for a single vehicle")
+        raise UsageError("density too low for a single vehicle")
     size = spec.platoon_size
     n_platoons = int(math.floor(total * spec.penetration / size))
     classes = np.asarray(spec.speed_classes_kmh, dtype=float)
@@ -317,7 +312,7 @@ def spawn_ring_traffic(spec: RingSpec, ctrl: ControllerSet | None = None) -> Rin
         entities.append((letters, v_des, headway))
         length.append(block(letters, v_des)[1])
         if platoon and not fit(k, [ci], MIN_INTER_GAP):
-            raise SpawnError(
+            raise UsageError(
                 f"platoon traffic exceeds lane {ci} capacity at density {spec.density}"
             )
         if not platoon and not fit(k, range(spec.lanes), SPAWN_MARGIN + headway * v_des):

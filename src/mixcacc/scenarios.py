@@ -32,6 +32,7 @@ from .controllers import (
     control_tick,
     family_masks,
 )
+from .config import UsageError
 from .dynamics import DynamicsParams, VEHICLE_LENGTH, advance
 from .topology import EXTERNAL_REF, PlatoonConfig, elect_ego_leaders, parse_config
 
@@ -58,10 +59,6 @@ _DEFAULT_DURATION = {SINUSOIDAL: 100.0, BRAKING: 60.0}
 _MODE_NAME = {False: GsblMode.CRUISE.value, True: GsblMode.OVERRIDE.value}
 
 
-class ScenarioError(ValueError):
-    """Raised for scenario setups that cannot be simulated."""
-
-
 @dataclass
 class SingleScenario:
     """Parameters of one open-road platoon experiment."""
@@ -79,13 +76,13 @@ class SingleScenario:
 
     def __post_init__(self):
         if self.kind not in (SINUSOIDAL, BRAKING):
-            raise ScenarioError(f"unknown scenario kind {self.kind!r}")
+            raise UsageError(f"unknown scenario kind {self.kind!r}")
         if self.duration is None:
             self.duration = _DEFAULT_DURATION[self.kind]
         if not 0.0 < self.duration < math.inf:
-            raise ScenarioError("duration must be positive and finite")
+            raise UsageError("duration must be positive and finite")
         if self.kind == SINUSOIDAL and self.frequency <= 0.0:
-            raise ScenarioError("sinusoidal scenario needs a positive frequency")
+            raise UsageError("sinusoidal scenario needs a positive frequency")
 
 
 def leader_target_speed(scn: SingleScenario, t: float) -> float:
@@ -197,7 +194,7 @@ class Trace:
 def _validate_supported(cfg: PlatoonConfig, leaders: dict[int, int | None]) -> None:
     for i in range(1, cfg.size):
         if cfg[i] == "P" and leaders[i] is EXTERNAL_REF:
-            raise ScenarioError(
+            raise UsageError(
                 f"follower {i} in {cfg} runs the constant-spacing controller "
                 "without any leader to elect"
             )
@@ -208,7 +205,7 @@ def substeps(control_dt: float, dyn: DynamicsParams) -> int:
     number of them."""
     sub = round(control_dt / dyn.dt)
     if abs(sub * dyn.dt - control_dt) > 1e-9 or sub < 1:
-        raise ScenarioError("control_dt must be a multiple of the dynamics dt")
+        raise UsageError("control_dt must be a multiple of the dynamics dt")
     return sub
 
 
@@ -285,7 +282,7 @@ def run_platoon_batch(
             cfg = parse_config(scn.config) if isinstance(scn.config, str) else scn.config
             leaders = elect_ego_leaders(cfg)
             _validate_supported(cfg, leaders)
-        except ValueError as exc:
+        except UsageError as exc:
             results[r] = exc
         else:
             setups[r] = (cfg, leaders)

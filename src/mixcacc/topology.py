@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import UsageError
+
 INDEPENDENT = "-"
 CONTROLLER_LETTERS = "APLG"
 ALPHABET = INDEPENDENT + CONTROLLER_LETTERS
@@ -24,10 +26,6 @@ ALPHABET = INDEPENDENT + CONTROLLER_LETTERS
 #: Election result of a vehicle that tracks an external reference instead of
 #: a platoon member.
 EXTERNAL_REF = None
-
-
-class ConfigError(ValueError):
-    """Raised for malformed platoon composition strings."""
 
 
 @dataclass(frozen=True)
@@ -53,14 +51,14 @@ class PlatoonConfig:
 def parse_config(text: str) -> PlatoonConfig:
     """Parse and validate a composition string such as ``-PLG``."""
     if len(text) < 2:
-        raise ConfigError(f"platoon needs at least 2 vehicles, got {text!r}")
+        raise UsageError(f"platoon needs at least 2 vehicles, got {text!r}")
     for pos, letter in enumerate(text):
         if letter not in ALPHABET:
-            raise ConfigError(
+            raise UsageError(
                 f"invalid controller letter {letter!r} at position {pos} in {text!r}"
             )
         if letter == INDEPENDENT and pos != 0:
-            raise ConfigError(
+            raise UsageError(
                 f"independent head marker only allowed at position 0, found at {pos} in {text!r}"
             )
     return PlatoonConfig(tuple(text))

@@ -5,18 +5,20 @@ exit codes and the files left on disk.  Configuration strings start with a
 dash, so they are passed after a ``--`` separator exactly as a user would.
 """
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from mixcacc import cli
-from mixcacc.config import Config
+from mixcacc.config import Config, UsageError, load_config
 from mixcacc.experiments import ring_spec, scenario_for
-from mixcacc.ring import run_ring
-from mixcacc.scenarios import CONTROL_DT, run_single_platoon
+from mixcacc.ring import RingSpec, run_ring
+from mixcacc.scenarios import CONTROL_DT, SingleScenario, run_single_platoon
 from mixcacc.cli import (
     EXIT_COLLISION,
     EXIT_CONFIG,
@@ -31,6 +33,7 @@ from mixcacc.topology import (
 )
 
 CSV_COLUMNS = "t,veh,lane,x,v,a,u,gap,ctrl,mode"
+SRC = Path(cli.__file__).parent
 
 
 def test_matrix_prints_connectivity_table(capsys):
@@ -199,6 +202,8 @@ def test_unknown_params_key_is_a_config_error(tmp_path, capsys):
     ["ring", "--density", "10", "--duration", "0.26", "--warmup", "0.05"],
     ["sweep-ring", "--density", "10", "--repetitions", "1", "--duration", "2",
      "--warmup", "0.05"],
+    ["ring", "--density", "10", "--platoon-size", "0", "--penetration", "0",
+     "--duration", "1", "--warmup", "0"],
 ], ids=["platoon-of-one", "braking-ends-before-onset", "sinusoidal-ends-in-warmup",
         "braking-ends-before-onset-is-recorded", "sinusoidal-ends-in-window",
         "ring-ends-before-it-starts", "ring-warmup-negative", "ring-sweep-ends-before-it-starts",
@@ -210,7 +215,8 @@ def test_unknown_params_key_is_a_config_error(tmp_path, capsys):
         "sweep-single-duration-infinite", "ring-sweep-duration-nan",
         "sweep-single-no-jobs", "sweep-single-negative-jobs", "ring-sweep-no-jobs",
         "ring-beyond-bumper-to-bumper", "ring-shorter-than-a-tick",
-        "ring-ends-between-ticks", "ring-sweep-warmup-between-ticks"])
+        "ring-ends-between-ticks", "ring-sweep-warmup-between-ticks",
+        "ring-platoon-of-none"])
 def test_unusable_run_settings_are_config_errors(tmp_path, capsys, argv):
     assert main(["--out", str(tmp_path)] + argv) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error:")
@@ -229,6 +235,19 @@ def test_non_finite_params_are_config_errors(tmp_path, capsys, params, argv):
     assert not (tmp_path / "ring_run").exists() and not (tmp_path / "single_run").exists()
 
 
+@pytest.mark.parametrize("params", ["[idm]\nb_comf = -1\n", "[idm]\na_max = 0\n"],
+                         ids=["idm-braking-negative", "idm-acceleration-zero"])
+def test_unusable_idm_params_are_config_errors(tmp_path, capsys, params):
+    """IDM gains that are not positive fail on load; they used to reach
+    ``idm_accel`` and end in a math domain error or a NaN command."""
+    path = tmp_path / "idm.ini"
+    path.write_text(params)
+    argv = ["ring", "--density", "20", "--baseline", "IDM", "--duration", "1", "--warmup", "0"]
+    assert main(["--params", str(path), "--out", str(tmp_path), *argv]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "ring_run").exists()
+
+
 @pytest.mark.parametrize("mobility", [
     "platoon sizes = 1, 4",
     "penetration rates = 0.5, 1.5",
@@ -237,14 +256,15 @@ def test_non_finite_params_are_config_errors(tmp_path, capsys, params, argv):
     "volatility sample dt = -1",
     "volatility sample dt = 0.26",
     "volatility sample dt = inf",
+    "counter window = 0.05",
 ], ids=["platoon-of-one", "penetration-above-one", "counter-window-zero",
         "counter-window-negative", "volatility-sample-negative",
-        "volatility-sample-between-ticks", "volatility-sample-infinite"])
+        "volatility-sample-between-ticks", "volatility-sample-infinite",
+        "counter-window-between-ticks"])
 def test_unusable_ring_grid_settings_are_config_errors(tmp_path, capsys, mobility):
-    """A grid value that only platoon cells use, a counter or sampling
-    window that is not positive, or a sampling period that is infinite or
-    falls between control ticks, fails before any run or file, and a dry run
-    rejects it too."""
+    """A grid value that only platoon cells use, or a counter or sampling
+    window that is not a positive whole number of control periods, fails
+    before any run or file, and a dry run rejects it too."""
     params = tmp_path / "grid.ini"
     params.write_text(f"[mobility]\n{mobility}\n")
     run = ["--density", "10", "--repetitions", "1", "--duration", "2", "--warmup", "0"]
@@ -262,6 +282,31 @@ def test_ring_step_mismatch_is_a_config_error(tmp_path, capsys):
                  "ring", "--density", "5", "--duration", "30", "--warmup", "15"])
     assert code == EXIT_CONFIG
     assert "multiple of the dynamics dt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("make", [
+    lambda: parse_config("-PX"),
+    lambda: SingleScenario(kind="slalom", config="-PP"),
+    lambda: RingSpec(density=10, platoon_size=0),
+    lambda: load_config("[acc]\nH = 0\n"),
+], ids=["composition", "scenario", "ring-spec", "ini-text"])
+def test_every_configuration_error_is_exactly_a_usage_error(make):
+    with pytest.raises(UsageError) as info:
+        make()
+    assert type(info.value) is UsageError
+
+
+def test_usage_error_is_the_only_configuration_error_class():
+    """The package defines one exception for bad configuration and one for
+    an undefined score; a new class would split the exit-2 decision again."""
+    found = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                    getattr(base, "id", getattr(base, "attr", "")).endswith(("Error", "Exception"))
+                    for base in node.bases):
+                found.add(node.name)
+    assert found == {"UsageError", "MetricsError"}
 
 
 def test_internal_value_error_is_not_reported_as_bad_configuration(tmp_path, monkeypatch):

@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 from mixcacc.config import (
     SCHEMA,
     Config,
-    ConfigFileError,
     MobilitySpec,
+    UsageError,
     config_to_text,
     load_config,
     spec_hash,
@@ -122,7 +122,7 @@ def test_list_casts():
     ("[DEFAULT]\nH = 2.0\n[acc]\nlambda = 0.1\n", "[DEFAULT]"),
 ])
 def test_unknown_section_or_key_is_rejected(text, name):
-    with pytest.raises(ConfigFileError) as info:
+    with pytest.raises(UsageError) as info:
         load_config(text)
     assert name in str(info.value)
 
@@ -134,7 +134,7 @@ def test_unknown_section_or_key_is_rejected(text, name):
     "[path]\nC1 = 1.5\n",
 ])
 def test_bad_values_are_config_file_errors(text):
-    with pytest.raises(ConfigFileError):
+    with pytest.raises(UsageError):
         load_config(text)
 
 
@@ -160,7 +160,8 @@ def configs(draw):
             path=PathParams(c1=f(1e-3, 0.999), xi=f(1.0, 10.0), omega_n=f(1e-3, 10.0), dd=f()),
             gsbl=GsblParams(k=f(), h=f(), r_default=f(), r_min=r_min,
                             r_max=r_min + f(0.0, 10.0), d=f(), delta_a=f(), delta_t=f()),
-            idm=IdmParams(v0=f(), T=f(), a_max=f(), b_comf=f(), s0=f(), delta=f()),
+            idm=IdmParams(v0=f(), T=f(), a_max=f(1e-3, 1e6), b_comf=f(1e-3, 1e6), s0=f(),
+                          delta=f()),
         ),
         mobility=MobilitySpec(
             lanes=draw(st.integers(1, 6)), circumference=f(),

@@ -16,7 +16,7 @@ car under auto-hold, of a mixed-policy run whose spring-damper cars enter
 override, and of a mixed-policy run under a coarse control period that ends
 in two collisions on one tick (which pins collision events and their
 order).  Its ``spawn`` entry holds, for spawns on the default ring, the
-sha256 of every ``RingWorld`` array or the ``SpawnError`` text: together they
+sha256 of every ``RingWorld`` array or the ``UsageError`` text: together they
 reach comfortable placement, overflow at jam spacing, mixed-policy letters
 and each way a spawn fails.  ``python tests/test_golden_traces.py --record``
 rewrites both files from whatever engine is current.
@@ -32,8 +32,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mixcacc.config import UsageError
 from mixcacc.experiments import baseline_configs, mixed_configs
-from mixcacc.ring import RingSpec, SpawnError, run_ring, spawn_ring_traffic
+from mixcacc.ring import RingSpec, run_ring, spawn_ring_traffic
 from mixcacc.scenarios import (
     BRAKING,
     CONTROL_DT,
@@ -122,7 +123,7 @@ def ring_trace(name: str):
 def spawn_digest(name: str) -> dict | str:
     try:
         world = spawn_ring_traffic(RingSpec(seed=0, **SPAWN[name]))
-    except SpawnError as exc:
+    except UsageError as exc:
         return str(exc)
     return {
         field: hashlib.sha256(v.dtype.str.encode() + v.tobytes()).hexdigest()

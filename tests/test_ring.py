@@ -1,6 +1,7 @@
 """Ring-road spawning, lane changes and full-run bookkeeping."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixcacc import ring
+from mixcacc.config import UsageError
 from mixcacc.controllers import AccParams, ControllerSet, PloegParams, ploeg_target
 from mixcacc.dynamics import STANDSTILL_BRAKE, DynamicsParams
 from mixcacc.experiments import ring_run_metrics
@@ -18,7 +20,6 @@ from mixcacc.ring import (
     CODE_PATH,
     CODE_PLOEG,
     RingSpec,
-    SpawnError,
     _change_lane,
     _lane_change_pass,
     _lane_sort,
@@ -123,14 +124,14 @@ def test_spawn_mixed_policy_draws_from_three_laws():
 
 
 def test_spawn_rejects_impossible_density():
-    with pytest.raises(SpawnError):
+    with pytest.raises(UsageError):
         spawn_ring_traffic(RingSpec(density=500))
 
 
 def test_spec_rejects_a_density_beyond_bumper_to_bumper():
     """A spec whose cars do not fit even bumper to bumper fails at once,
     before a spawn sizes any array from the density."""
-    with pytest.raises(SpawnError, match="geometric limit"):
+    with pytest.raises(UsageError, match="geometric limit"):
         RingSpec(density=1e9)
 
 
@@ -144,9 +145,13 @@ def test_spec_rejects_a_density_beyond_bumper_to_bumper():
     {"density": 60, "duration": 0.0},
     {"density": 60, "duration": -200.0},
     {"density": 60, "warmup": -50.0, "duration": 20.0},
+    {"density": 60, "platoon_size": 0},
+    {"density": 60, "counter_window": 0.05},
+    {"density": 60, "counter_window": math.inf},
+    {"density": 60, "counter_window": math.nan},
 ])
 def test_ring_spec_validation(kwargs):
-    with pytest.raises(SpawnError):
+    with pytest.raises(UsageError):
         RingSpec(**kwargs)
 
 
@@ -502,7 +507,7 @@ def test_ring_run_invariants(density, penetration, size, policy, baseline, warmu
                     record_full_trace=True)
     try:
         tr = run_ring(spec)
-    except SpawnError:
+    except UsageError:
         return
     full = tr.full
     assert tr.n_vehicles == int(density * 2) <= 60

@@ -6,12 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mixcacc.config import UsageError
 from mixcacc.controllers import ControllerSet
 from mixcacc.metrics import sinusoidal_window
 from mixcacc.scenarios import (
     BRAKING,
     SINUSOIDAL,
-    ScenarioError,
     SingleScenario,
     events_csv,
     leader_target_accel,
@@ -61,13 +61,13 @@ def test_default_durations():
     {"kind": SINUSOIDAL, "frequency": 0.0},
 ])
 def test_invalid_scenarios_rejected(kwargs):
-    with pytest.raises(ScenarioError):
+    with pytest.raises(UsageError):
         SingleScenario(config="-L", **{"kind": SINUSOIDAL, **kwargs})
 
 
 def test_constant_spacing_follower_needs_a_leader():
     # a platoon of only 'P' vehicles has nobody to elect
-    with pytest.raises(ScenarioError):
+    with pytest.raises(UsageError):
         run_single_platoon(SingleScenario(kind=SINUSOIDAL, config="PPP"))
 
 
@@ -180,7 +180,7 @@ def test_trace_is_byte_deterministic():
 
 
 def test_control_period_must_divide_into_physics_steps():
-    with pytest.raises(ScenarioError):
+    with pytest.raises(UsageError):
         run_single_platoon(
             SingleScenario(kind=SINUSOIDAL, config="-L"), control_dt=0.015
         )
@@ -194,7 +194,7 @@ def test_batch_row_with_a_rejected_setup_leaves_the_others_running():
     scns = [SingleScenario(kind=SINUSOIDAL, config=c, duration=5.0)
             for c in ("-PL", "PPP", "-LL")]
     got = run_platoon_batch(scns)
-    assert isinstance(got[1], ScenarioError)
+    assert isinstance(got[1], UsageError)
     for scn, trace in zip(scns[::2], got[::2]):
         assert trace.serialize() == run_single_platoon(scn).serialize()
 

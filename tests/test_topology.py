@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from mixcacc.config import UsageError
 from mixcacc.topology import (
-    ConfigError,
     EXTERNAL_REF,
     connectivity_matrix,
     elect_ego_leaders,
@@ -29,17 +29,17 @@ def test_parse_roundtrip():
 
 @pytest.mark.parametrize("bad", ["", "-", "P"])
 def test_parse_rejects_too_short(bad):
-    with pytest.raises(ConfigError):
+    with pytest.raises(UsageError):
         parse_config(bad)
 
 
 def test_parse_rejects_unknown_letter_with_position():
-    with pytest.raises(ConfigError, match="2"):
+    with pytest.raises(UsageError, match="2"):
         parse_config("-PXP")
 
 
 def test_parse_rejects_misplaced_independent_head():
-    with pytest.raises(ConfigError):
+    with pytest.raises(UsageError):
         parse_config("P-LP")
 
 
