@@ -109,11 +109,18 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(_finite(x) for x in text.split(","))
 
 
+def _integral(text: str) -> int:
+    value = _finite(text)
+    if not value.is_integer():
+        raise ValueError(f"{text!r} is not a whole number")
+    return int(value)
+
+
 _CASTS = {
     "mobility.lanes": int,
     "mobility.speed_classes_kmh": _floats,
     "mobility.densities": _floats,
-    "mobility.platoon_sizes": lambda s: tuple(int(_finite(x)) for x in s.split(",")),
+    "mobility.platoon_sizes": lambda s: tuple(map(_integral, s.split(","))),
     "mobility.penetration_rates": _floats,
 }
 _FIELD_BY_KEY = {(section, key): path for section, key, path in SCHEMA}

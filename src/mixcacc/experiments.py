@@ -37,7 +37,8 @@ from .metrics import (
     volatility,
 )
 from .ring import BASELINES, DEVICES, PLATOON_POLICIES, RingSpec, run_ring
-from .scenarios import BRAKING, CONTROL_DT, SINUSOIDAL, SingleScenario, run_platoon_batch
+from .scenarios import (BRAKING, CONTROL_DT, FREQUENCY, SINUSOIDAL, WARMUP, SingleScenario,
+                        run_platoon_batch, whole_periods)
 
 # Not called here since sweeps run batches; bound here only for perfbench's
 # layer tracer, until the tracer reads spans from the package.
@@ -115,9 +116,9 @@ def scenario_for(kind: str, config: str, duration: float | None = None,
     if not 0.0 < control_dt < math.inf:
         raise UsageError("control_dt must be positive and finite")
     scn = SingleScenario(kind=kind, config=config, duration=duration)
-    times = np.arange(round(scn.duration / control_dt) + 1) * control_dt  # recorded ticks
+    times = np.arange(whole_periods(scn.duration, control_dt, "duration") + 1) * control_dt
     if kind == SINUSOIDAL:
-        end = sinusoidal_window(scn.warmup, scn.frequency).t1
+        end = sinusoidal_window(WARMUP, FREQUENCY).t1
         short, what = times[-1] < end - 1e-9, f"its analysis window closes at {end:g} s"
     else:
         short = not (times[:-1] >= scn.brake_onset).any()
@@ -129,7 +130,7 @@ def scenario_for(kind: str, config: str, duration: float | None = None,
 
 def analysis_window(trace, scn: SingleScenario) -> Window:
     if scn.kind == SINUSOIDAL:
-        return sinusoidal_window(scn.warmup, scn.frequency)
+        return sinusoidal_window(WARMUP, FREQUENCY)
     return braking_window(trace)
 
 

@@ -49,7 +49,7 @@ from .controllers import (  # noqa: F401  (codes re-exported for callers)
 )
 from .dynamics import DynamicsParams, VEHICLE_LENGTH, advance
 from .config import MobilitySpec, UsageError
-from .scenarios import CONTROL_DT, Trace, TraceEvent, events_csv, substeps
+from .scenarios import CONTROL_DT, Trace, TraceEvent, events_csv, whole_periods
 from .topology import elect_ego_leaders, parse_config
 
 # Integration goes through dynamics.advance; this name stays bound here only
@@ -118,18 +118,12 @@ class RingSpec:
             raise UsageError("platoons need at least 2 vehicles")
         if len(self.speed_classes_kmh) != self.lanes:
             raise UsageError("need one speed class per lane")
-        if not 0.0 < self.duration < math.inf:
-            raise UsageError("duration must be positive and finite")
-        if not 0.0 <= self.warmup < math.inf:
-            raise UsageError("warmup must be finite and not negative")
         if not self.control_dt > 0.0:
             raise UsageError("control period must be positive")
-        for name, span, least in (("duration", self.duration, 1), ("warmup", self.warmup, 0),
-                                  ("counter window", self.counter_window, 1),
-                                  ("volatility sample dt", self.volatility_sample_dt, 1)):
-            periods = round(span / self.control_dt) if math.isfinite(span) else -1
-            if abs(periods * self.control_dt - span) > 1e-9 or periods < least:
-                raise UsageError(f"{name} must be a whole number of control periods")
+        for name, span in (("duration", self.duration), ("warmup", self.warmup),
+                           ("counter window", self.counter_window),
+                           ("volatility sample dt", self.volatility_sample_dt)):
+            whole_periods(span, self.control_dt, name, positive=name != "warmup")
         if self.seed < 0:
             raise UsageError("seed must not be negative")
         # not even bumper to bumper: fail before a spawn sizes arrays from the density
@@ -373,22 +367,26 @@ def lane_change_decision(
     lane changes already accepted this tick.
     """
     lane = int(world.lane[i])
-    one = np.array([i])
-    if lane > 0 and _vec_target_check(world, L, one, lane - 1, acc_headway, True)[0]:
-        return "right"
     v = world.speed[i]
+    targets = [lane - 1] if lane > 0 else []
     if (lane + 1 < world.spec.lanes and v < SPEED_SATISFACTION * world.desired[i]
-            and L.gap[i] < FOLLOW_FACTOR * (LC_MARGIN + acc_headway * v)
-            and _vec_target_check(world, L, one, lane + 1, acc_headway, False)[0]):
-        return "left"
+            and L.gap[i] < FOLLOW_FACTOR * (LC_MARGIN + acc_headway * v)):
+        targets.append(lane + 1)
+    if targets:         # one check of both sides
+        target = np.array(targets)
+        ok = _vec_target_check(world, L, np.full(target.size, i), target, acc_headway,
+                               target < lane)
+        if ok.any():    # the first side accepted: keep right wins
+            return "right" if target[ok][0] < lane else "left"
     return "stay"
 
 
 def _vec_target_check(world, L, cand, target, acc_headway, want_right):
     """Vectorized desire and safety test of vehicles ``cand`` against the
-    adjacent lane ``target``.  ``target`` and ``want_right`` are scalars or
-    numpy arrays with one entry per candidate; each run of candidates with
-    one target is searched in that lane, and an empty lane takes them all.
+    adjacent lanes ``target``, keeping right where ``want_right`` holds;
+    both are arrays with one entry per candidate.  Each run of candidates
+    with one target is searched in that lane, and an empty lane takes them
+    all.
 
     Run once per tick over a snapshot to prefilter candidates, then for each
     of them against the current lane index by :func:`lane_change_decision`.
@@ -396,15 +394,10 @@ def _vec_target_check(world, L, cand, target, acc_headway, want_right):
     C = world.spec.circumference
     x = world.pos[cand]
     v = world.speed[cand]
-    vd = world.desired[cand]
-    if isinstance(target, np.ndarray):
-        cut = (np.flatnonzero(target[1:] != target[:-1]) + 1).tolist()
-        runs = [(lo, hi, target[lo]) for lo, hi in zip([0, *cut], [*cut, cand.size])]
-    else:
-        runs = [(0, cand.size, target)]
+    cut = (np.flatnonzero(target[1:] != target[:-1]) + 1).tolist()
     front, rear, empty = [], [], []
-    for lo, hi, lane in runs:
-        positions, idxs = L.lanes[lane]
+    for lo, hi in zip([0, *cut], [*cut, cand.size]):
+        positions, idxs = L.lanes[target[lo]]
         if idxs.size:
             j = np.searchsorted(positions, x[lo:hi])
             front.append(idxs.take(j, mode="wrap"))
@@ -413,7 +406,7 @@ def _vec_target_check(world, L, cand, target, acc_headway, want_right):
             front.append(cand[lo:hi])
             rear.append(cand[lo:hi])
             empty.append(slice(lo, hi))
-    front, rear = (front[0], rear[0]) if len(runs) == 1 else map(np.concatenate, (front, rear))
+    front, rear = map(np.concatenate, (front, rear))
     front_gap = (world.pos[front] - x) % C - world.length[front]
     rear_gap = (x - world.pos[rear]) % C - world.length[cand]
     vf = world.speed[front]
@@ -422,11 +415,10 @@ def _vec_target_check(world, L, cand, target, acc_headway, want_right):
     ok &= rear_gap >= LC_MARGIN + LC_HEADWAY * vr + CLOSING_TIME * np.maximum(0.0, vr - v)
     pf = world.platoon_id[front]
     ok &= ~((front != rear) & (pf >= 0) & (pf == world.platoon_id[rear]))
-    if isinstance(want_right, np.ndarray) or want_right:
-        room = LC_MARGIN + acc_headway * vd
-        ok &= np.logical_not(want_right) | (front_gap >= FREE_GAP) | (
-            (front_gap >= room) & (vf >= RIGHT_SPEED_FACTOR * vd)
-        )
+    if want_right.any():    # keep-right terms, needed only if some candidate keeps right
+        vd = world.desired[cand]
+        ok &= ~want_right | (front_gap >= FREE_GAP) | (
+            (front_gap >= LC_MARGIN + acc_headway * vd) & (vf >= RIGHT_SPEED_FACTOR * vd))
     for run in empty:
         ok[run] = True
     return ok
@@ -473,13 +465,11 @@ def _lane_change_pass(world, L, t, acc_headway, events):
                 pairs.append((cand, target, right))
     if not pairs:
         return
-    cand, target, right = pairs[0]
-    if len(pairs) > 1:          # one call for all pairs, in runs of one target lane
-        cands, targets, rights = zip(*pairs)
-        sizes = [c.size for c in cands]
-        cand = np.concatenate(cands)
-        target, right = np.repeat(targets, sizes), np.repeat(rights, sizes)
-    ok = _vec_target_check(world, L, cand, target, acc_headway, right)
+    cands, targets, rights = zip(*pairs)    # one call, in runs of one target lane
+    sizes = [c.size for c in cands]
+    cand = np.concatenate(cands)
+    ok = _vec_target_check(world, L, cand, np.repeat(targets, sizes), acc_headway,
+                           np.repeat(rights, sizes))
     for i in sorted(set(cand[ok].tolist())):
         decision = lane_change_decision(world, i, L, acc_headway)
         if decision == "stay":
@@ -583,7 +573,7 @@ def run_ring(
     ctrl = ctrl or ControllerSet()
     world = spawn_ring_traffic(spec, ctrl)
     C = spec.circumference
-    sub = substeps(spec.control_dt, dyn)
+    sub = whole_periods(spec.control_dt, dyn.dt, "control_dt", "dynamics dt")
     # IDM stands in for human drivers simulated without powertrain lag
     tau = np.where(world.code == CODE_IDM, dyn.dt, dyn.tau)
     m_ploeg = world.code == CODE_PLOEG
@@ -592,14 +582,15 @@ def run_ring(
     device_names = np.array(DEVICES, dtype="U1")
     families = family_masks(world.code)
     ticks = round((spec.warmup + spec.duration) / spec.control_dt)
-    sample_every = round(spec.volatility_sample_dt / spec.control_dt)
+    every = round(spec.volatility_sample_dt / spec.control_dt)
+    # the sampled ticks: every sampling period from the first past the warmup
+    sampled = range(-(-round(spec.warmup / spec.control_dt) // every) * every, ticks + 1, every)
 
     # counter crossings of each tick: times, devices, vehicles, lanes
     crossings = [(np.empty(0), device_names[:0], np.empty(0, dtype=np.int64),
                   np.empty(0, dtype=np.int64))]
     # every car's speed at each sampled tick; a collision leaves rows unfilled
-    samples = np.empty((sum(k * spec.control_dt >= spec.warmup - 1e-9
-                            for k in range(0, ticks + 1, sample_every)), world.n))
+    samples = np.empty((len(sampled), world.n))
     sample_t: list[float] = []
     events: list[TraceEvent] = []
     collided = False
@@ -629,7 +620,7 @@ def run_ring(
                                         L.gap, world.lane, mode)):
                 block[k] = row
             rec_rows = k + 1
-        if t >= spec.warmup - 1e-9 and k % sample_every == 0:
+        if k in sampled:
             samples[len(sample_t)] = world.speed
             sample_t.append(t)
         if k == ticks:

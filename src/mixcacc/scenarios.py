@@ -55,6 +55,11 @@ SINUSOIDAL = "sinusoidal"
 BRAKING = "braking"
 
 _DEFAULT_DURATION = {SINUSOIDAL: 100.0, BRAKING: 60.0}
+WARMUP = 30.0          # s before the sinusoidal analysis window opens
+BASE_SPEED = 27.78     # m/s (100 km/h), the head's cruise speed
+FREQUENCY = 0.1        # Hz, sinusoidal speed swing
+BRAKE_DECEL = 8.0      # m/s^2, emergency ramp
+MAX_SPAN = 2.0 ** 23   # s; float64 spacing beyond it exceeds the 1e-9 s whole-period rule
 # names of the override latch in events and of 0/1 in the trace CSV's mode
 _MODE_NAME = {False: GsblMode.CRUISE.value, True: GsblMode.OVERRIDE.value}
 
@@ -66,11 +71,7 @@ class SingleScenario:
     kind: str
     config: str
     duration: float | None = None
-    warmup: float = 30.0
-    base_speed: float = 27.78       # m/s, 100 km/h
     amplitude: float = 2.78         # m/s, sinusoidal speed swing
-    frequency: float = 0.1          # Hz
-    brake_decel: float = 8.0        # m/s^2, emergency ramp
     brake_onset: float = 30.0       # s
     initial_gap_offsets: dict[int, float] | None = None
 
@@ -81,29 +82,25 @@ class SingleScenario:
             self.duration = _DEFAULT_DURATION[self.kind]
         if not 0.0 < self.duration < math.inf:
             raise UsageError("duration must be positive and finite")
-        if self.kind == SINUSOIDAL and self.frequency <= 0.0:
-            raise UsageError("sinusoidal scenario needs a positive frequency")
 
 
 def leader_target_speed(scn: SingleScenario, t: float) -> float:
     """Commanded speed of the profile-driven head at time t."""
     if scn.kind == SINUSOIDAL:
-        return scn.base_speed + scn.amplitude * math.sin(
-            2.0 * math.pi * scn.frequency * t
-        )
+        return BASE_SPEED + scn.amplitude * math.sin(2.0 * math.pi * FREQUENCY * t)
     if t < scn.brake_onset:
-        return scn.base_speed
-    return max(0.0, scn.base_speed - scn.brake_decel * (t - scn.brake_onset))
+        return BASE_SPEED
+    return max(0.0, BASE_SPEED - BRAKE_DECEL * (t - scn.brake_onset))
 
 
 def leader_target_accel(scn: SingleScenario, t: float) -> float:
     """Feed-forward acceleration of the commanded profile."""
     if scn.kind == SINUSOIDAL:
-        w = 2.0 * math.pi * scn.frequency
+        w = 2.0 * math.pi * FREQUENCY
         return scn.amplitude * w * math.cos(w * t)
     if t < scn.brake_onset:
         return 0.0
-    return -scn.brake_decel if leader_target_speed(scn, t) > 0.0 else 0.0
+    return -BRAKE_DECEL if leader_target_speed(scn, t) > 0.0 else 0.0
 
 
 @dataclass
@@ -200,13 +197,16 @@ def _validate_supported(cfg: PlatoonConfig, leaders: dict[int, int | None]) -> N
             )
 
 
-def substeps(control_dt: float, dyn: DynamicsParams) -> int:
-    """Dynamics steps per control period, which must be a positive whole
-    number of them."""
-    sub = round(control_dt / dyn.dt)
-    if abs(sub * dyn.dt - control_dt) > 1e-9 or sub < 1:
-        raise UsageError("control_dt must be a multiple of the dynamics dt")
-    return sub
+def whole_periods(span: float, period: float, name: str, unit: str = "control period",
+                  positive: bool = True) -> int:
+    """The number of ``period``s in ``span``, which must be a whole number
+    of them to within 1e-9 s, positive (or else not negative) and below
+    :data:`MAX_SPAN`."""
+    n = round(span / period) if 0.0 <= span < MAX_SPAN else -1
+    if abs(n * period - span) > 1e-9 or n < positive:
+        raise UsageError(f"{name} must be a {'positive' if positive else 'non-negative'} "
+                         f"multiple of the {unit} below 2**23 s")
+    return n
 
 
 def _timeline(scn: SingleScenario) -> tuple:
@@ -222,7 +222,7 @@ def _start_positions(cfg: PlatoonConfig, scn: SingleScenario, ctrl: ControllerSe
     offsets = scn.initial_gap_offsets or {}
     pos = [0.0]
     for i in range(1, cfg.size):
-        gap = ctrl.equilibrium_gap(cfg[i], scn.base_speed) + offsets.get(i, 0.0)
+        gap = ctrl.equilibrium_gap(cfg[i], BASE_SPEED) + offsets.get(i, 0.0)
         pos.append(pos[-1] - VEHICLE_LENGTH - gap)
     return pos
 
@@ -273,28 +273,28 @@ def run_platoon_batch(
     """
     dyn = dyn or DynamicsParams()
     ctrl = ctrl or ControllerSet()
-    sub = substeps(control_dt, dyn)
+    sub = whole_periods(control_dt, dyn.dt, "control_dt", "dynamics dt")
 
     results: list = [None] * len(scns)
-    setups = {}
+    # longest timeline first (the key leads with minus the last tick), and
+    # each timeline's rows side by side
+    setups, key = {}, {}
     for r, scn in enumerate(scns):
         try:
             cfg = parse_config(scn.config) if isinstance(scn.config, str) else scn.config
             leaders = elect_ego_leaders(cfg)
             _validate_supported(cfg, leaders)
+            last = whole_periods(scn.duration, control_dt, "duration")
         except UsageError as exc:
             results[r] = exc
         else:
-            setups[r] = (cfg, leaders)
+            setups[r], key[r] = (cfg, leaders), (-last, _timeline(scn))
     if not setups:
         return results
     n = next(iter(setups.values()))[0].size
     if any(cfg.size != n for cfg, _ in setups.values()):
         raise RuntimeError("a batch runs one platoon size")   # the caller's grouping is at fault
 
-    # longest timeline first (the key leads with minus the last tick), and
-    # each timeline's rows side by side
-    key = {r: (-round(scns[r].duration / control_dt), _timeline(scns[r])) for r in setups}
     rows = sorted(setups, key=key.get)
     times = np.arange(1 - key[rows[0]][0]) * control_dt
     # each timeline's rows get their own (rows, ticks, vehicles) record
@@ -333,7 +333,7 @@ def run_platoon_batch(
         for _, leaders in map(setups.get, rows)
     ])
     pos = np.array([_start_positions(setups[r][0], scns[r], ctrl) for r in rows])
-    spd = np.repeat([[scns[r].base_speed] for r in rows], n, axis=1)
+    spd = np.full((m, n), BASE_SPEED)
     acc = np.zeros((m, n))
     uin = np.zeros((m, n))                    # last clamped commands
     ufilt = np.zeros((m, n))                  # Ploeg actuation filter states

@@ -204,6 +204,10 @@ def test_unknown_params_key_is_a_config_error(tmp_path, capsys):
      "--warmup", "0.05"],
     ["ring", "--density", "10", "--platoon-size", "0", "--penetration", "0",
      "--duration", "1", "--warmup", "0"],
+    ["single", "--scenario", "braking", "--duration", "60.26", "--", "-PL"],
+    ["single", "--control-dt", "0.3", "--", "-PL"],
+    ["sweep-single", "-n", "3", "--duration", "100.05"],
+    ["single", "--duration", "1e300", "--", "-PL"],
 ], ids=["platoon-of-one", "braking-ends-before-onset", "sinusoidal-ends-in-warmup",
         "braking-ends-before-onset-is-recorded", "sinusoidal-ends-in-window",
         "ring-ends-before-it-starts", "ring-warmup-negative", "ring-sweep-ends-before-it-starts",
@@ -216,7 +220,8 @@ def test_unknown_params_key_is_a_config_error(tmp_path, capsys):
         "sweep-single-no-jobs", "sweep-single-negative-jobs", "ring-sweep-no-jobs",
         "ring-beyond-bumper-to-bumper", "ring-shorter-than-a-tick",
         "ring-ends-between-ticks", "ring-sweep-warmup-between-ticks",
-        "ring-platoon-of-none"])
+        "ring-platoon-of-none", "single-ends-between-ticks", "single-default-between-ticks",
+        "sweep-single-ends-between-ticks", "single-beyond-the-span-bound"])
 def test_unusable_run_settings_are_config_errors(tmp_path, capsys, argv):
     assert main(["--out", str(tmp_path)] + argv) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error:")
@@ -257,10 +262,11 @@ def test_unusable_idm_params_are_config_errors(tmp_path, capsys, params):
     "volatility sample dt = 0.26",
     "volatility sample dt = inf",
     "counter window = 0.05",
+    "platoon sizes = 4.7",
 ], ids=["platoon-of-one", "penetration-above-one", "counter-window-zero",
         "counter-window-negative", "volatility-sample-negative",
         "volatility-sample-between-ticks", "volatility-sample-infinite",
-        "counter-window-between-ticks"])
+        "counter-window-between-ticks", "platoon-size-not-integral"])
 def test_unusable_ring_grid_settings_are_config_errors(tmp_path, capsys, mobility):
     """A grid value that only platoon cells use, or a counter or sampling
     window that is not a positive whole number of control periods, fails

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -149,6 +150,7 @@ def test_spec_rejects_a_density_beyond_bumper_to_bumper():
     {"density": 60, "counter_window": 0.05},
     {"density": 60, "counter_window": math.inf},
     {"density": 60, "counter_window": math.nan},
+    {"density": 10, "duration": 1.0, "warmup": 1e12},
 ])
 def test_ring_spec_validation(kwargs):
     with pytest.raises(UsageError):
@@ -175,6 +177,27 @@ def test_blocked_vehicle_overtakes_left():
     w.speed[[0, 1]] = 20.0       # below 90 percent of the desired 30
     L = _lane_sort(w)
     assert lane_change_decision(w, 0, L, ACC_H) == "left"
+
+
+@pytest.mark.parametrize("alongside,decision", [(True, "left"), (False, "right")])
+def test_blocked_middle_lane_car_checks_both_sides_in_one_call(monkeypatch, alongside,
+                                                                decision):
+    """A blocked car in the middle lane may keep right or overtake.  One
+    gap check tries both sides, and keep right wins where both are open."""
+    w = sandbox_world()
+    w.lane[[0, 1]] = 1
+    w.pos[0] = 5000.0
+    w.pos[1] = 5030.0            # 26 m bumper gap ahead
+    w.speed[[0, 1]] = 20.0       # below 90 percent of the desired 30
+    if alongside:                # the right lane is taken
+        w.pos[2], w.speed[2] = 5002.0, 20.0
+    L = _lane_sort(w)
+    targets = []
+    real = ring._vec_target_check
+    monkeypatch.setattr(ring, "_vec_target_check",
+                        lambda *args: targets.append(np.ravel(args[3]).tolist()) or real(*args))
+    assert lane_change_decision(w, 0, L, ACC_H) == decision
+    assert targets == [[0, 2]]
 
 
 def test_unsafe_target_gap_stays():
@@ -377,7 +400,7 @@ LANE_PAIRS = ((0, 1), (1, 0), (1, 2), (2, 1))
 def test_one_prefilter_call_equals_the_per_pair_calls(seed, lone, pairs):
     """One gap check over the concatenated candidates, targets and
     directions of several (lane, target) pairs accepts exactly what one
-    scalar call per pair accepts.  Each pair lists its lane's cars in random
+    call per pair accepts.  Each pair lists its lane's cars in random
     order, so index order differs from position order, a pair may repeat,
     a lane-1 car may be a candidate in both directions, and a random lane
     may be emptied or left with one car."""
@@ -400,7 +423,8 @@ def test_one_prefilter_call_equals_the_per_pair_calls(seed, lone, pairs):
         w, L, np.concatenate([cand for cand, _, _ in checks]),
         np.repeat([target for _, target, _ in checks], sizes), ACC_H,
         np.repeat([right for _, _, right in checks], sizes))
-    per_pair = [ring._vec_target_check(w, L, cand, target, ACC_H, right)
+    per_pair = [ring._vec_target_check(w, L, cand, np.full(cand.size, target), ACC_H,
+                                       np.full(cand.size, right))
                 for cand, target, right in checks]
     assert np.array_equal(one, np.concatenate(per_pair))
 
@@ -416,6 +440,19 @@ def test_competing_candidates_move_in_index_order():
     events = []
     _lane_change_pass(w, _lane_sort(w), 10.0, ACC_H, events)
     assert [(e.veh_a, e.detail) for e in events] == [(3, "1->0")]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RING))
+def test_one_gap_check_per_pass_and_at_most_one_per_re_check(name, monkeypatch):
+    """In the golden runs, a pass checks all its candidates in one call,
+    and each re-check makes at most one call, whatever sides it tries."""
+    calls = _decisions(monkeypatch)
+    real = ring._vec_target_check
+    monkeypatch.setattr(ring, "_vec_target_check",
+                        lambda *args: calls.append(("check", None)) or real(*args))
+    ring_trace(name)
+    seq = "".join({"pass": "p", "candidate": "c", "check": "k"}[kind] for kind, _ in calls)
+    assert "c" in seq and re.fullmatch(r"(p(k(ck?)*)?)*", seq)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RING))
@@ -481,6 +518,20 @@ def test_ring_bookkeeping(short_free_flow):
     lines = tr.counters_csv().splitlines()
     assert lines[0] == "t,device,veh,lane"
     assert len(lines) == 1 + tr.counter_times.size
+
+
+@pytest.mark.parametrize("warmup", [0.0, 0.3, 0.5, 0.7, 1.0])
+def test_samples_start_at_the_first_sampling_tick_past_the_warmup(warmup):
+    """Speeds are sampled on the ticks k with k * dt >= warmup - 1e-9 and
+    k a multiple of the sampling period, also for a warmup between two
+    sampling ticks."""
+    spec = RingSpec(density=10, duration=2.0, warmup=warmup, volatility_sample_dt=0.5)
+    tr = run_ring(spec)
+    dt, every = spec.control_dt, 5
+    ticks = round((warmup + 2.0) / dt)
+    expect = [k * dt for k in range(0, ticks + 1, every) if k * dt >= warmup - 1e-9]
+    assert tr.sample_times.tolist() == expect
+    assert tr.speed_samples.shape == (len(expect), tr.n_vehicles)
 
 
 def _cyclic_order(ids: np.ndarray) -> tuple:

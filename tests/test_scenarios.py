@@ -58,7 +58,6 @@ def test_default_durations():
 @pytest.mark.parametrize("kwargs", [
     {"kind": "zigzag"},
     {"kind": SINUSOIDAL, "duration": -1.0},
-    {"kind": SINUSOIDAL, "frequency": 0.0},
 ])
 def test_invalid_scenarios_rejected(kwargs):
     with pytest.raises(UsageError):
@@ -197,6 +196,15 @@ def test_batch_row_with_a_rejected_setup_leaves_the_others_running():
     assert isinstance(got[1], UsageError)
     for scn, trace in zip(scns[::2], got[::2]):
         assert trace.serialize() == run_single_platoon(scn).serialize()
+
+
+def test_batch_row_ending_between_ticks_is_a_setup_error():
+    """A row whose duration is not a whole number of control periods gets
+    a ``UsageError``; it used to run to the nearest tick."""
+    scns = [SingleScenario(kind=SINUSOIDAL, config="-PL", duration=d) for d in (5.04, 5.0)]
+    got = run_platoon_batch(scns)
+    assert isinstance(got[0], UsageError)
+    assert got[1].serialize() == run_single_platoon(scns[1]).serialize()
 
 
 def test_batch_needs_one_platoon_size():
