@@ -14,9 +14,9 @@ for human-driven baseline traffic:
 
 The raw control laws are plain arithmetic and accept scalars or numpy arrays
 interchangeably.  Both simulation engines make every control decision through
-one call of :func:`control_tick` over arrays of gathered neighbour state.  The
-per-vehicle ``*_control`` functions and :func:`gsbl_mode_update` take one
-vehicle's state and beacons and run the same raw laws and supervisor on it.
+one call of :func:`control_tick`, which runs each law and the supervisor on
+its own family's vehicles only.  The per-vehicle ``*_control`` functions and
+:func:`gsbl_mode_update` run the same on one vehicle's state and beacons.
 """
 
 from __future__ import annotations
@@ -324,7 +324,7 @@ def idm_accel(v, gap, v_pred, p: IdmParams, v0):
 # ---------------------------------------------------------------------------
 
 class Neighbour(NamedTuple):
-    """Gathered state of one neighbour of every vehicle.
+    """Gathered state of one neighbour of every vehicle, in the vehicles' shape.
 
     ``present`` marks the vehicles that have this neighbour; elsewhere the
     other fields hold placeholders that no law reads.  A field that no law
@@ -337,62 +337,59 @@ class Neighbour(NamedTuple):
     present: np.ndarray
 
 
-def family_masks(code):
-    """``(family, mask)`` of every family present in ``code``."""
-    return [(family, code == family) for family in np.unique(code)]
+def family_indices(code):
+    """``(family, flat indices)`` of every family in ``code``, of any shape."""
+    return [(family, np.flatnonzero(code.ravel() == family)) for family in np.unique(code)]
 
 
 def control_tick(families, v, a, pred: Neighbour, lead: Neighbour, succ: Neighbour,
                  v_ref, desired, override, ctrl: ControllerSet):
     """Commands of every vehicle for one control period.
 
-    ``families`` holds the :func:`family_masks` of the vehicles' codes
-    (``CODE_*``; any other family gets a zero command for its engine to
-    replace), which never change during a run.  ``v`` and ``a`` are each
-    vehicle's speed and realized acceleration.  ``pred`` is the physical
+    ``families`` holds the :func:`family_indices` of the vehicles' codes
+    (``CODE_*``; any other family gets a zero command), fixed for the run.
+    ``v`` and ``a`` are each vehicle's speed and realized acceleration and
+    ``override`` its latched supervisor mode.  ``pred`` is the physical
     predecessor (speed, command, bumper gap), ``lead`` the elected leader
-    (speed, command) and ``succ`` the platoon successor (speed, and its own
-    front gap, which is the vehicle's rear gap).  ``v_ref`` is the speed
-    reference of a spring-damper car without a leader and ``desired`` the
-    cruise speed that caps ACC (``inf`` leaves the ACC law alone) and drives
-    IDM.  ``override`` holds the latched supervisor modes.  Every array
-    broadcasts against ``v``, and each entry equals the per-vehicle law float
-    for float.
+    (speed, command) and ``succ`` the platoon successor (speed, and its front
+    gap: the vehicle's rear gap).  ``v_ref`` is a leaderless spring-damper
+    car's speed reference and ``desired`` the cruise speed that caps ACC
+    (``inf`` leaves it alone) and drives IDM.  Every array has ``v``'s shape.
+    Each law runs on its own family's entries only and equals the
+    per-vehicle law float for float.
 
     Returns the commands, the auto-hold mask and the new override latches,
-    which only spring-damper cars with a leader can hold.  Held vehicles
-    still get their law's command: what they may apply is capped by
-    :func:`dynamics.advance`.
+    which only spring-damper cars with a leader hold.  Held vehicles still
+    get their law's command: :func:`dynamics.advance` caps what they apply.
     """
-    u = np.zeros(np.shape(v))
-    latch = np.zeros(np.shape(v), dtype=bool)
-    for family, m in families:
+    u, latch = np.zeros(np.shape(v)), np.zeros(np.shape(v), dtype=bool)
+    for family, i in families:
+        vi, v_pred, gap = v.take(i), pred.speed.take(i), pred.gap.take(i)
         if family == CODE_ACC:
-            law = np.minimum(acc_accel(v, pred.speed, pred.gap, ctrl.acc.H, ctrl.acc.lam),
-                             SET_SPEED_GAIN * (desired - v))
+            law = np.minimum(acc_accel(vi, v_pred, gap, ctrl.acc.H, ctrl.acc.lam),
+                             SET_SPEED_GAIN * (desired.take(i) - vi))
         elif family == CODE_PLOEG:
             p = ctrl.ploeg
-            law = ploeg_target(pred.gap, v, a, pred.speed, pred.cmd, p.H, p.kp, p.kd)
+            law = ploeg_target(gap, vi, a.take(i), v_pred, pred.cmd.take(i), p.H, p.kp, p.kd)
         elif family == CODE_PATH:
-            law = path_accel(pred.cmd, lead.cmd, v, pred.speed, lead.speed, pred.gap,
-                             ctrl.path.dd, ctrl.path.gains)
+            law = path_accel(pred.cmd.take(i), lead.cmd.take(i), vi, v_pred, lead.speed.take(i),
+                             gap, ctrl.path.dd, ctrl.path.gains)
         elif family == CODE_IDM:
-            law = idm_accel(v, pred.gap, pred.speed, ctrl.idm, v0=desired)
+            law = idm_accel(vi, gap, v_pred, ctrl.idm, v0=desired.take(i))
         elif family == CODE_GSBL:
             p = ctrl.gsbl
-            new, v_r, r = gsbl_mode_arrays(override, lead.speed, lead.cmd, v, pred.speed,
-                                           pred.gap, p)
-            led = m & lead.present
-            latch = new & led
-            v_r = np.where(led, v_r, v_ref)
-            r = np.where(led, r, p.r_default)
-            law = gsbl_accel(np.where(pred.present, pred.gap, p.d),
-                             np.where(pred.present, pred.speed, v),
-                             np.where(succ.present, succ.gap, p.d),
-                             np.where(succ.present, succ.speed, v), v, v_r, p.k, p.h, r, p.d)
+            new, v_r, r = gsbl_mode_arrays(override.take(i), lead.speed.take(i),
+                                           lead.cmd.take(i), vi, v_pred, gap, p)
+            led, front, rear = lead.present.take(i), pred.present.take(i), succ.present.take(i)
+            latch.reshape(-1)[i] = new & led
+            law = gsbl_accel(np.where(front, gap, p.d), np.where(front, v_pred, vi),
+                             np.where(rear, succ.gap.take(i), p.d),
+                             np.where(rear, succ.speed.take(i), vi), vi,
+                             np.where(led, v_r, v_ref.take(i)), p.k, p.h,
+                             np.where(led, r, p.r_default), p.d)
         else:
             continue
-        np.copyto(u, law, where=m)
+        u.reshape(-1)[i] = law
     # auto-hold keeps crawling queues parked instead of creeping into contact
     hold = pred.present & (v < STANDSTILL_SPEED) & (pred.speed < STANDSTILL_SPEED) \
         & (pred.gap < STANDSTILL_GAP)

@@ -77,8 +77,8 @@ def step_vehicle(state: VehicleState, u_cmd: float, params: DynamicsParams,
     if not emergency:
         u_cmd = max(params.u_min, u_cmd)
     x, v, a = (np.array([f], dtype=float) for f in (state.position, state.speed, state.accel))
-    nobody = np.zeros(1, dtype=bool)
-    u = advance(x, v, a, np.array([u_cmd], dtype=float), params, 1, nobody, nobody, None, 1.0)
+    u = advance(x, v, a, np.array([u_cmd], dtype=float), params, 1, np.zeros(1, dtype=bool),
+                np.empty(0, dtype=np.intp), None, 1.0)
     return replace(state, position=float(x[0]), speed=float(v[0]), accel=float(a[0]),
                    ctrl_input=float(u[0]))
 
@@ -99,17 +99,17 @@ def step_arrays(
     ``u_cmd`` is clamped in place; commands below ``u_min`` count as commanded
     emergency braking and are admitted down to ``emergency_u_min``.
     """
-    nobody = np.zeros(np.shape(pos), dtype=bool)
-    u_cmd[...] = advance(pos, speed, accel, u_cmd, params, 1, nobody, nobody, None, 1.0, tau)
+    u_cmd[...] = advance(pos, speed, accel, u_cmd, params, 1, np.zeros(np.shape(pos), dtype=bool),
+                         np.empty(0, dtype=np.intp), None, 1.0, tau)
 
 
 def advance(pos, speed, accel, u, params: DynamicsParams, steps: int,
             hold, ploeg, filt, filter_tau: float, tau=None) -> np.ndarray:
     """Integrate one control period of ``steps`` physics steps under ``u``.
 
-    Vehicles in the mask ``ploeg`` apply the state ``filt`` of a first-order
-    actuation filter with time constant ``filter_tau`` that runs at the
-    physics rate towards their command; the other vehicles' entries of
+    Vehicles at the flat indices ``ploeg`` apply the state ``filt`` of a
+    first-order actuation filter with time constant ``filter_tau`` that runs
+    at the physics rate towards their command; the other vehicles' entries of
     ``filt`` are left alone.  Vehicles in the mask ``hold`` apply at most
     :data:`STANDSTILL_BRAKE`; the cap acts on what they apply, so a held
     vehicle's filter keeps tracking its unclamped command.  Mutates the
@@ -119,25 +119,24 @@ def advance(pos, speed, accel, u, params: DynamicsParams, steps: int,
     lag_gain = params.dt / (params.tau if tau is None else tau)
     cmd = _clamp(u.copy(), hold, params)
     filtered = None
-    if ploeg.any():
+    if ploeg.size:
         # the filter reads only its own state and the held command, so all
         # its substeps run first, as one (steps x Ploeg cars) block
-        at = np.flatnonzero(ploeg)
-        target, state = u[ploeg], filt[ploeg]
-        filtered = np.empty((steps, at.size))
+        target, state = u.take(ploeg), filt.take(ploeg)
+        filtered = np.empty((steps, ploeg.size))
         gain = params.dt / filter_tau
         for row in filtered:
             np.subtract(target, state, out=row)
             row *= gain
             row += state
             state = row
-        filt[ploeg] = state
-        _clamp(filtered, hold[ploeg], params)
+        np.put(filt, ploeg, state)
+        _clamp(filtered, hold.take(ploeg), params)
         flat = cmd.reshape(-1)
     buf = np.empty_like(pos)
     for step in range(steps):
         if filtered is not None:
-            flat[at] = filtered[step]
+            flat[ploeg] = filtered[step]
         np.subtract(cmd, accel, out=buf)
         buf *= lag_gain
         accel += buf

@@ -45,7 +45,7 @@ from .controllers import (  # noqa: F401  (codes re-exported for callers)
     ControllerSet,
     Neighbour,
     control_tick,
-    family_masks,
+    family_indices,
 )
 from .dynamics import DynamicsParams, VEHICLE_LENGTH, advance
 from .config import MobilitySpec, UsageError
@@ -486,12 +486,13 @@ def _lane_change_pass(world, L, t, acc_headway, events):
 # Controller tick
 # ---------------------------------------------------------------------------
 
-def _gsbl_tick(world):
-    """Platoon successor of every vehicle: its speed and the modular rear gap
-    (named for the spring-damper law, the only one that reads them)."""
+def _gsbl_tick(world, L):
+    """Platoon successor of every vehicle: its speed and the rear gap, which
+    is the successor's own front gap in the lane index ``L``, since no car
+    cuts in between two platoon members (named for the spring-damper law,
+    the only one that reads them)."""
     succ = world.member_succ
-    gap_rear = _wrap(world.pos - world.length - world.pos[succ], world.spec.circumference)
-    return Neighbour(world.speed[succ], None, gap_rear, succ >= 0)
+    return Neighbour(world.speed[succ], None, L.gap[succ], succ >= 0)
 
 
 def _control_tick(world, L, ctrl, families):
@@ -501,7 +502,7 @@ def _control_tick(world, L, ctrl, families):
         families, v, world.accel,
         Neighbour(v[pred], u[pred], L.gap, pred != world.ids),
         Neighbour(v[lead], u[lead], None, lead >= 0),
-        _gsbl_tick(world) if any(f == CODE_GSBL for f, _ in families) else None,
+        _gsbl_tick(world, L) if any(f == CODE_GSBL for f, _ in families) else None,
         world.desired, world.desired, world.gsbl_override, ctrl,
     )
     return u_new, hold
@@ -576,11 +577,11 @@ def run_ring(
     sub = whole_periods(spec.control_dt, dyn.dt, "control_dt", "dynamics dt")
     # IDM stands in for human drivers simulated without powertrain lag
     tau = np.where(world.code == CODE_IDM, dyn.dt, dyn.tau)
-    m_ploeg = world.code == CODE_PLOEG
+    ploeg = np.flatnonzero(world.code == CODE_PLOEG)
 
     device_pos = np.array([i * C / len(DEVICES) for i in range(len(DEVICES))])[:, None]
     device_names = np.array(DEVICES, dtype="U1")
-    families = family_masks(world.code)
+    families = family_indices(world.code)
     ticks = round((spec.warmup + spec.duration) / spec.control_dt)
     every = round(spec.volatility_sample_dt / spec.control_dt)
     # the sampled ticks: every sampling period from the first past the warmup
@@ -632,7 +633,7 @@ def run_ring(
             raise ValueError(f"non-finite control input: {float(u[~np.isfinite(u)][0])!r}")
         pos_before = world.pos.copy()
         world.u_cmd = advance(world.pos, world.speed, world.accel, u, dyn, sub, hold,
-                              m_ploeg, world.ploeg_u, ctrl.ploeg.H, tau)
+                              ploeg, world.ploeg_u, ctrl.ploeg.H, tau)
         _wrap(world.pos, C)
         dist = _wrap(world.pos - pos_before, C)
         # only cars that end up within reach of a device can pass it

@@ -30,7 +30,7 @@ from .controllers import (
     GsblMode,
     Neighbour,
     control_tick,
-    family_masks,
+    family_indices,
 )
 from .config import UsageError
 from .dynamics import DynamicsParams, VEHICLE_LENGTH, advance
@@ -242,10 +242,10 @@ def _behind(a: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _row_masks(code: np.ndarray) -> tuple:
-    """Family masks, spring-damper and Ploeg masks, and the profile-driven
-    heads of the rows ``code``."""
+    """Family indices, the spring-damper mask, the Ploeg indices and the
+    profile-driven heads of the rows ``code``."""
     gsbl = code == CODE_GSBL
-    return family_masks(code), gsbl, code == CODE_PLOEG, ~gsbl[:, 0]
+    return family_indices(code), gsbl, np.flatnonzero(code == CODE_PLOEG), ~gsbl[:, 0]
 
 
 def run_platoon_batch(
@@ -338,13 +338,15 @@ def run_platoon_batch(
     uin = np.zeros((m, n))                    # last clamped commands
     ufilt = np.zeros((m, n))                  # Ploeg actuation filter states
     over = np.zeros((m, n), dtype=bool)       # spring-damper override latch
-    v_t = np.empty((m, 1))                    # each row's head profile
+    v_t = np.empty((m, n))                    # each row's head profile
     a_t = np.empty(m)
     done = np.zeros(m, dtype=bool)            # rows whose result is settled
     row_at = np.arange(m)[:, None]            # state rows, for leader gathers
     shifted = [np.full((m, n), np.nan) for _ in range(5)]  # _ahead/_behind outputs
-    families, is_gsbl, is_ploeg, profile_head = _row_masks(code)
-    has_pred, has_succ = np.arange(n) > 0, np.arange(n) < n - 1
+    families, is_gsbl, ploeg, profile_head = _row_masks(code)
+    col = np.broadcast_to(np.arange(n), (m, n))
+    has_pred, has_succ = col > 0, col < n - 1
+    free = np.full((m, n), np.inf)            # no cruise cap
 
     for k, t in enumerate(times):
         gap = _ahead(pos, shifted[0]) - VEHICLE_LENGTH - pos
@@ -371,9 +373,10 @@ def run_platoon_batch(
         live = groups[-1][1]
         if live < len(done):
             (code, lead, row_at, pos, spd, acc, uin, ufilt, over, gap, v_t, a_t, done,
-             *shifted) = (a[:live] for a in (code, lead, row_at, pos, spd, acc, uin, ufilt,
-                                             over, gap, v_t, a_t, done, *shifted))
-            families, is_gsbl, is_ploeg, profile_head = _row_masks(code)
+             has_pred, has_succ, free, *shifted) = (
+                a[:live] for a in (code, lead, row_at, pos, spd, acc, uin, ufilt, over, gap,
+                                   v_t, a_t, done, has_pred, has_succ, free, *shifted))
+            families, is_gsbl, ploeg, profile_head = _row_masks(code)
 
         for lo, hi, scn, _, _ in groups:
             v_t[lo:hi] = leader_target_speed(scn, t)
@@ -384,7 +387,7 @@ def run_platoon_batch(
             Neighbour(_ahead(spd, ahead_spd), _ahead(uin, ahead_u), gap, has_pred),
             Neighbour(spd[row_at, lead], uin[row_at, lead], None, lead >= 0),
             Neighbour(_behind(spd, behind_spd), None, _behind(gap, behind_gap), has_succ),
-            v_t, np.inf, over, ctrl,
+            v_t, free, over, ctrl,
         )
         np.copyto(u[:, 0], a_t + PROFILE_GAIN * (v_t[:, 0] - spd[:, 0]),
                   where=profile_head)
@@ -406,7 +409,7 @@ def run_platoon_batch(
 
         # the head is never allowed the emergency floor
         np.maximum(u[:, 0], dyn.u_min, out=u[:, 0])
-        uin = advance(pos, spd, acc, u, dyn, sub, hold, is_ploeg, ufilt, ctrl.ploeg.H)
+        uin = advance(pos, spd, acc, u, dyn, sub, hold, ploeg, ufilt, ctrl.ploeg.H)
     return results
 
 

@@ -25,7 +25,7 @@ from mixcacc.controllers import (
     _gap,
     acc_control,
     control_tick,
-    family_masks,
+    family_indices,
     gsbl_accel,
     gsbl_control,
     gsbl_mode_arrays,
@@ -525,16 +525,13 @@ def _reference(c, ctrl):
     return u, hold, over
 
 
-@given(st.lists(_vehicle, min_size=1, max_size=10))
-def test_control_tick_equals_the_per_vehicle_laws(cases):
-    """control_tick reproduces every family's per-vehicle law bit for bit,
-    spring-damper heads, tails and cars without a leader included."""
-    ctrl = ControllerSet()
+def _tick_columns(cases):
+    """control_tick's arguments for the drawn vehicles, each a 1-D array."""
     col = {k: np.array([c[k] for c in cases]) for k in cases[0]}
     has_pred = np.array([c["family"] != "G-head" for c in cases])
     nan = np.full(len(cases), np.nan)
-    u, hold, over = control_tick(
-        family_masks(np.array([CODE_BY_LETTER[c["family"][0]] for c in cases])),
+    return (
+        np.array([CODE_BY_LETTER[c["family"][0]] for c in cases]),
         col["v"], col["a"],
         Neighbour(np.where(has_pred, col["v_pred"], nan), np.where(has_pred, col["u_pred"], nan),
                   np.where(has_pred, (col["pred_x"] - 4.0) - 0.0, nan), has_pred),
@@ -543,13 +540,45 @@ def test_control_tick_equals_the_per_vehicle_laws(cases):
                             for c in cases])),
         Neighbour(col["v_succ"], None, (0.0 - 4.0) - col["succ_x"],
                   np.array([c["family"] != "G-tail" for c in cases])),
-        col["v_ref"], col["desired"], col["over"], ctrl,
+        col["v_ref"], col["desired"], col["over"],
     )
+
+
+@given(st.lists(_vehicle, min_size=1, max_size=10))
+def test_control_tick_equals_the_per_vehicle_laws(cases):
+    """control_tick reproduces every family's per-vehicle law bit for bit,
+    spring-damper heads, tails and cars without a leader included."""
+    ctrl = ControllerSet()
+    code, *args = _tick_columns(cases)
+    u, hold, over = control_tick(family_indices(code), *args, ctrl)
     for j, c in enumerate(cases):
         want_u, want_hold, want_over = _reference(c, ctrl)
         assert float(u[j]).hex() == float(want_u).hex(), c["family"]
         assert bool(hold[j]) == want_hold
         assert bool(over[j]) == want_over
+
+
+def _laid_out(a, layout):
+    """One (n,) array as the rows of a state: (1, n), (n, 1) or two copies."""
+    if isinstance(a, Neighbour):
+        return Neighbour(*(None if f is None else _laid_out(f, layout) for f in a))
+    return {"row": a[None, :], "column": a[:, None], "stacked": np.stack([a, a])}[layout]
+
+
+@given(st.lists(_vehicle, min_size=1, max_size=10),
+       st.sampled_from(["row", "column", "stacked"]))
+def test_control_tick_on_rows_equals_the_one_dimensional_tick(cases, layout):
+    """The same vehicles laid out as (rows, n) state, as the batched engine
+    holds them, get the commands, holds and latches of the 1-D tick, with
+    the family indices flat over the 2-D codes."""
+    ctrl = ControllerSet()
+    code, *args = _tick_columns(cases)
+    want = control_tick(family_indices(code), *args, ctrl)
+    got = control_tick(family_indices(_laid_out(code, layout)),
+                       *(_laid_out(a, layout) for a in args), ctrl)
+    for g, w in zip(got, want):
+        w = np.broadcast_to(w, (g.size // len(cases), len(cases)))
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()    # bit for bit, in row order
 
 
 # ---------------------------------------------------------------------------

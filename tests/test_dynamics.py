@@ -278,9 +278,34 @@ def test_block_filter_advance_equals_the_substep_loop(case):
     want = [a.copy() for a in (pos, speed, accel, filt)]
     want_cmd = reference_advance(*want[:3], u, p, steps, hold, ploeg, want[3], filter_tau, tau)
     before = filt.copy()
-    cmd = advance(pos, speed, accel, u, p, steps, hold, ploeg, filt, filter_tau, tau)
+    cmd = advance(pos, speed, accel, u, p, steps, hold, np.flatnonzero(ploeg), filt, filter_tau,
+                  tau)
     for got, ref in zip((pos, speed, accel, cmd), (*want[:3], want_cmd)):
         assert got.tobytes() == ref.tobytes()
     assert filt[ploeg].tobytes() == want[3][ploeg].tobytes()
     # only Ploeg cars read their filter, so no other entry moves
     assert filt[~ploeg].tobytes() == before[~ploeg].tobytes()
+
+
+def test_block_filter_advance_writes_back_into_a_prefix_view():
+    """After a batch shrinks, its filter states are ``block[:k]``, a prefix
+    view of the rows it started with: the filter's write-back lands in the
+    block, and the dropped rows are left alone."""
+    p = DynamicsParams()
+    rng = np.random.default_rng(3)
+    pos, speed, accel, u = (rng.uniform(lo, hi, (2, 5)) for lo, hi in
+                            ((-50.0, 50.0), (5.0, 30.0), (-2.0, 2.0), (-3.0, 2.0)))
+    ploeg = rng.uniform(size=(2, 5)) < 0.5
+    ploeg[0, 1] = True
+    hold = np.zeros((2, 5), dtype=bool)
+    block = rng.uniform(-2.0, 2.0, (4, 5))
+    want = [a.copy() for a in (pos, speed, accel)] + [block[:2].copy()]
+    want_cmd = reference_advance(*want[:3], u, p, 10, hold, ploeg, want[3], 0.5)
+    before = block.copy()
+    filt = block[:2]
+    cmd = advance(pos, speed, accel, u, p, 10, hold, np.flatnonzero(ploeg), filt, 0.5)
+    for got, ref in zip((pos, speed, accel, cmd), (*want[:3], want_cmd)):
+        assert got.tobytes() == ref.tobytes()
+    assert block[:2][ploeg].tobytes() == want[3][ploeg].tobytes()
+    assert block[:2][~ploeg].tobytes() == before[:2][~ploeg].tobytes()
+    assert block[2:].tobytes() == before[2:].tobytes()

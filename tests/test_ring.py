@@ -623,3 +623,32 @@ def test_held_ploeg_filter_tracks_the_unclamped_target(monkeypatch):
         filt += dyn.dt / p.H * (target - filt)
     assert w.ploeg_u[0] == pytest.approx(filt, rel=1e-12)
     assert w.u_cmd[0] == STANDSTILL_BRAKE
+
+
+@pytest.mark.parametrize("name", ["G-d100", "MIX-d100-N4-R0.5-dt0.5-collision"])
+def test_rear_gap_is_the_successors_front_gap(name, monkeypatch):
+    """The spring-damper rear gap comes from the lane index: each platoon
+    member is its successor's lane predecessor, since no car cuts in between
+    two members, so the successor's front gap has the bytes of the modular
+    gap formula, on every control tick, wrapped gaps included."""
+    real = ring._gsbl_tick
+    wrapped = []
+
+    def gsbl_tick(world, L):
+        succ = world.member_succ
+        members = np.flatnonzero(succ >= 0)
+        assert (L.pred[succ[members]] == members).all()
+        got = real(world, L)
+        want = ring._wrap(world.pos - world.length - world.pos[succ], world.spec.circumference)
+        assert got.gap[members].tobytes() == want[members].tobytes()
+        wrapped.append((world.pos[succ[members]] > world.pos[members]).any())
+        return got
+
+    monkeypatch.setattr(ring, "_gsbl_tick", gsbl_tick)
+    if name == "G-d100":
+        trace = run_ring(RingSpec(density=100, penetration=0.5, platoon_policy="G",
+                                  circumference=2000.0, duration=60.0, warmup=0.0))
+    else:
+        trace = ring_trace(name)
+        assert trace.terminated_by_collision
+    assert len(wrapped) == round(trace.end_time / trace.spec.control_dt) and any(wrapped)
