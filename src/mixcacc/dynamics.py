@@ -24,6 +24,7 @@ VEHICLE_LENGTH = 4.0  # m, every vehicle is a passenger car
 STANDSTILL_SPEED = 0.5   # m/s
 STANDSTILL_GAP = 3.0     # m
 STANDSTILL_BRAKE = -0.5  # m/s^2
+STOP_MARGIN = 1e-6       # m/s, far above the rounding of a period's speed bound
 
 
 @dataclass
@@ -115,6 +116,10 @@ def advance(pos, speed, accel, u, params: DynamicsParams, steps: int,
     vehicle's filter keeps tracking its unclamped command.  Mutates the
     state arrays and ``filt``; returns the clamped commands of the last step.
     The other vehicles apply one command throughout, capped and clamped once.
+    While ``dt / tau <= 1`` each substep's acceleration lies between its last
+    value and its command, so speeds stay above ``speed + steps * dt *
+    min(accel, command, 0)``: only a period where that comes within
+    :data:`STOP_MARGIN` of zero, or is NaN, tests each substep for standstill.
     """
     lag_gain = params.dt / (params.tau if tau is None else tau)
     cmd = _clamp(u.copy(), hold, params)
@@ -133,6 +138,10 @@ def advance(pos, speed, accel, u, params: DynamicsParams, steps: int,
         np.put(filt, ploeg, state)
         _clamp(filtered, hold.take(ploeg), params)
         flat = cmd.reshape(-1)
+    low = np.minimum(accel, cmd)
+    if filtered is not None:
+        np.put(low, ploeg, np.minimum(accel.take(ploeg), filtered.min(axis=0)))
+    may_stop = not (speed + steps * params.dt * np.minimum(low, 0.0)).min() > STOP_MARGIN
     buf = np.empty_like(pos)
     for step in range(steps):
         if filtered is not None:
@@ -142,10 +151,11 @@ def advance(pos, speed, accel, u, params: DynamicsParams, steps: int,
         accel += buf
         np.multiply(accel, params.dt, out=buf)
         speed += buf
-        stopped = speed <= 0.0
-        if stopped.any():
-            speed[stopped] = 0.0
-            accel[stopped & (accel < 0.0)] = 0.0
+        if may_stop:
+            stopped = speed <= 0.0
+            if stopped.any():
+                speed[stopped] = 0.0
+                accel[stopped & (accel < 0.0)] = 0.0
         np.multiply(speed, params.dt, out=buf)
         pos += buf
     return cmd

@@ -13,17 +13,19 @@ the control tick and the integrator it shares with the single-platoon engine,
 :func:`controllers.control_tick` and :func:`dynamics.advance`.
 
 Within a lane, order changes only at lane changes: two cars swap only by
-colliding, and a collision ends the run.  So the lane index is carried from
-tick to tick and patched at each lane change instead of re-sorted; gaps keep
-their formula, and a tick with a gap <= 0, or with a lane out of order
-other than by wrap-around, re-sorts from scratch.  The sort also keeps the
-least gap, and only a tick where it is not positive scans for collisions.
+colliding, and a collision ends the run.  So the lane index, predecessor
+links included, is carried from tick to tick, and a lane change re-links
+only the car and its old and new followers.  Each tick gaps every car in
+one pass, and a tick with a gap <= 0, or with a lane out of order other
+than by wrap-around, re-sorts from scratch.  The sort also keeps the least
+gap, and only a tick where it is not positive scans for collisions.
 The lane-change pass skips a target lane that no car fits into, by necessary
 conditions of the gap check only, so it accepts exactly the cars the check
 alone would.  It then prefilters the candidates of every surviving (lane,
 target) pair in one call of the gap check, which searches each target lane
-for its run of candidates and does the arithmetic once, and re-checks the
-accepted ones one by one, in vehicle-index order, as it moves them.
+for its run of candidates and does the arithmetic once, and moves the
+accepted ones one by one, in vehicle-index order.  The first sees the index
+the prefilter saw and takes its verdict; each later one is re-checked.
 """
 
 from __future__ import annotations
@@ -173,33 +175,34 @@ class _LaneIndex:
     min_gap: float = math.nan                    # least gap as sorted
 
 
-def _link_lane(world, L, srt, p):
-    """Enter one lane, its vehicles ``srt`` sorted by their positions ``p``,
-    into ``L``: each vehicle's predecessor is the next one, cyclically."""
-    if srt.size:
-        ahead = np.concatenate((srt[1:], srt[:1]))
-        g = world.pos[ahead] - world.length[ahead] - p
-        g[-1] += world.spec.circumference
-        L.pred[srt] = ahead
-        L.gap[srt] = g
-    return p, srt
+def _link(world, L, srt, ks):
+    """Point the cars at places ``ks`` of lane order ``srt`` at the next car,
+    cyclically, and gap them as :func:`_lane_sort` does."""
+    ks = np.asarray(ks) % srt.size
+    car, ahead = srt[ks], srt[(ks + 1) % srt.size]
+    g = world.pos[ahead] - world.length[ahead] - world.pos[car]
+    g[ks == srt.size - 1] += world.spec.circumference
+    L.pred[car], L.gap[car] = ahead, g
 
 
 def _lane_sort(world: RingWorld, prev: _LaneIndex | None = None) -> _LaneIndex:
     """Lane index of the current state, by a stable sort of every lane.
     From ``prev``, the last index with every lane change since entered, each
-    lane keeps its order and cars that wrapped round move to the front; a
-    lane out of order in any other way, or a gap <= 0, rebuilds it all, so
-    collisions and ties are unchanged.
-    """
-    L = _LaneIndex([], np.arange(world.n), np.full(world.n, world.spec.circumference))
-    for l in range(world.spec.lanes):
-        if prev is None:
+    lane keeps its order and predecessor links, and cars that wrapped round
+    move to the front; a lane out of order in any other way, or a gap <= 0,
+    rebuilds it all, so collisions and ties are unchanged.  One pass gaps
+    every car, adding the circumference at each lane's last car."""
+    lanes = []
+    if prev is None:
+        pred = world.ids.copy()
+        for l in range(world.spec.lanes):
             idx = np.flatnonzero(world.lane == l)
             srt = idx[np.argsort(world.pos[idx], kind="stable")]
-            p = world.pos[srt]
-        else:
-            srt = prev.lanes[l][1]
+            pred[srt] = np.roll(srt, -1)
+            lanes.append((world.pos[srt], srt))
+    else:
+        pred = prev.pred
+        for _, srt in prev.lanes:
             p = world.pos[srt]
             down = np.flatnonzero(p[1:] < p[:-1])
             if down.size > 1 or down.size and p[-1] > p[0]:
@@ -207,8 +210,10 @@ def _lane_sort(world: RingWorld, prev: _LaneIndex | None = None) -> _LaneIndex:
             if down.size:
                 k = down[0] + 1
                 srt, p = np.concatenate((srt[k:], srt[:k])), np.concatenate((p[k:], p[:k]))
-        L.lanes.append(_link_lane(world, L, srt, p))
-    L.min_gap = L.gap.min()
+            lanes.append((p, srt))
+    gap = world.pos[pred] - world.length[pred] - world.pos
+    gap[[srt[-1] for _, srt in lanes if srt.size]] += world.spec.circumference
+    L = _LaneIndex(lanes, pred, gap, gap.min())
     if prev is not None and not L.min_gap > 0.0:
         return _lane_sort(world)
     return L
@@ -216,13 +221,20 @@ def _lane_sort(world: RingWorld, prev: _LaneIndex | None = None) -> _LaneIndex:
 
 def _change_lane(world, L, i, old, new):
     """Move vehicle ``i`` from lane ``old`` to lane ``new`` in ``L``, behind
-    the cars at its position with a lower index, as a stable sort puts it."""
+    the cars at its position with a lower index, as a stable sort puts it,
+    and re-link only the car and its old and new followers."""
     p, srt = L.lanes[old]
-    L.lanes[old] = _link_lane(world, L, srt[srt != i], p[srt != i])
+    j = int(np.flatnonzero(srt == i)[0])
+    L.lanes[old] = p, srt = (np.concatenate((p[:j], p[j + 1:])),
+                             np.concatenate((srt[:j], srt[j + 1:])))
+    if srt.size:
+        _link(world, L, srt, [j - 1])
     p, srt, x = *L.lanes[new], world.pos[i]
     k = np.searchsorted(p, x)
     k += np.count_nonzero(srt[k:np.searchsorted(p, x, "right")] < i)
-    L.lanes[new] = _link_lane(world, L, np.insert(srt, k, i), np.insert(p, k, x))
+    L.lanes[new] = p, srt = (np.concatenate((p[:k], [x], p[k:])),
+                             np.concatenate((srt[:k], [i], srt[k:])))
+    _link(world, L, srt, [k - 1, k])
 
 
 def detect_collisions(world: RingWorld, L: _LaneIndex, t: float = 0.0) -> list[TraceEvent]:
@@ -360,12 +372,17 @@ def lane_change_decision(
     i: int,
     L: _LaneIndex,
     acc_headway: float,
+    keep_right: bool | None = None,
 ) -> str:
     """Keep-right / overtake decision of one non-cooperative single.
 
     Re-checks the vehicle against the lane index as it stands, after the
-    lane changes already accepted this tick.
+    lane changes already accepted this tick.  A car the prefilter accepted
+    on this same index passes ``keep_right``, the verdict of its keep-right
+    entry, instead: it keeps right if that passed and overtakes otherwise.
     """
+    if keep_right is not None:
+        return "right" if keep_right else "left"
     lane = int(world.lane[i])
     v = world.speed[i]
     targets = [lane - 1] if lane > 0 else []
@@ -451,14 +468,12 @@ def _lane_change_pass(world, L, t, acc_headway, events):
     movers = {True: eligible, False: eligible & (v < SPEED_SATISFACTION * world.desired)
               & (L.gap < FOLLOW_FACTOR * (LC_MARGIN + acc_headway * v))}
     room, least = _slot_screens(world, L, acc_headway)
+    widest = [room[slots].max() if slots.size else np.inf for _, slots in L.lanes]
     pairs = []
     for l, (_, members) in enumerate(L.lanes):
         for target, right in ((l - 1, True), (l + 1, False)):
-            if not 0 <= target < world.spec.lanes:
-                continue
-            slots = L.lanes[target][1]
             # a lane whose widest slot fits no car is skipped
-            if slots.size and room[slots].max() < least[right]:
+            if not 0 <= target < world.spec.lanes or widest[target] < least[right]:
                 continue
             cand = members[movers[right][members]]
             if cand.size:
@@ -468,10 +483,13 @@ def _lane_change_pass(world, L, t, acc_headway, events):
     cands, targets, rights = zip(*pairs)    # one call, in runs of one target lane
     sizes = [c.size for c in cands]
     cand = np.concatenate(cands)
-    ok = _vec_target_check(world, L, cand, np.repeat(targets, sizes), acc_headway,
-                           np.repeat(rights, sizes))
-    for i in sorted(set(cand[ok].tolist())):
-        decision = lane_change_decision(world, i, L, acc_headway)
+    right = np.repeat(rights, sizes)
+    ok = _vec_target_check(world, L, cand, np.repeat(targets, sizes), acc_headway, right)
+    accepted = sorted(set(cand[ok].tolist()))
+    # until the first move the index is the prefilter's, so its verdict stands
+    first = [accepted[0] in cand[ok & right]] if accepted else []
+    for i, keep_right in itertools.zip_longest(accepted, first):
+        decision = lane_change_decision(world, i, L, acc_headway, keep_right)
         if decision == "stay":
             continue
         old = int(world.lane[i])

@@ -271,10 +271,8 @@ def _advance_case(draw):
             mask(), floats((-10.0, 4.0)), draw(st.sampled_from([0.2, 0.5])), tau)
 
 
-@settings(max_examples=300, deadline=None)
-@given(_advance_case())
-def test_block_filter_advance_equals_the_substep_loop(case):
-    pos, speed, accel, u, p, steps, hold, ploeg, filt, filter_tau, tau = case
+def _assert_advance_equals_the_substep_loop(pos, speed, accel, u, p, steps, hold, ploeg, filt,
+                                            filter_tau, tau=None):
     want = [a.copy() for a in (pos, speed, accel, filt)]
     want_cmd = reference_advance(*want[:3], u, p, steps, hold, ploeg, want[3], filter_tau, tau)
     before = filt.copy()
@@ -285,6 +283,12 @@ def test_block_filter_advance_equals_the_substep_loop(case):
     assert filt[ploeg].tobytes() == want[3][ploeg].tobytes()
     # only Ploeg cars read their filter, so no other entry moves
     assert filt[~ploeg].tobytes() == before[~ploeg].tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_advance_case())
+def test_block_filter_advance_equals_the_substep_loop(case):
+    _assert_advance_equals_the_substep_loop(*case)
 
 
 def test_block_filter_advance_writes_back_into_a_prefix_view():
@@ -309,3 +313,57 @@ def test_block_filter_advance_writes_back_into_a_prefix_view():
     assert block[:2][ploeg].tobytes() == want[3][ploeg].tobytes()
     assert block[:2][~ploeg].tobytes() == before[:2][~ploeg].tobytes()
     assert block[2:].tobytes() == before[2:].tobytes()
+
+
+
+@st.composite
+def _standstill_case(draw):
+    """An :func:`_advance_case` whose speeds sit at or near standstill, or
+    at and around the period's speed bound of the standstill screen, and
+    whose commands may hold a NaN row.  At the bound, every car may already
+    apply its command, where the bound is tight."""
+    case = list(draw(_advance_case()))
+    speed, accel, u, p, steps, hold, ploeg, filt = case[1:9]
+    near = draw(hnp.arrays(np.float64, speed.shape, elements=st.sampled_from(
+        [0.0, -1e-6, 1e-9, 1e-6, 2e-6, 1e-3])))
+    pick = draw(st.sampled_from(["as drawn", "standstill", "at the bound", "tight"]))
+    if pick == "tight":
+        np.copyto(filt, u, where=ploeg)
+        accel[...] = np.clip(np.where(hold, np.minimum(u, STANDSTILL_BRAKE), u),
+                             p.emergency_u_min, p.u_max)
+    if pick == "standstill":
+        speed[...] = np.abs(near)
+    elif pick != "as drawn":
+        low = np.minimum(np.minimum(accel, np.maximum(u, p.emergency_u_min)), 0.0)
+        speed[...] = np.maximum(near - steps * p.dt * low, 0.0)
+    if draw(st.booleans()):
+        u[0] = np.nan
+    return case
+
+
+
+@settings(max_examples=300, deadline=None)
+@given(_standstill_case())
+def test_the_standstill_screen_changes_no_bit(case):
+    """advance, which tests for standstill only in a period where some car
+    may stop, equals the loop that tests every substep, bit for bit."""
+    _assert_advance_equals_the_substep_loop(*case)
+
+
+@pytest.mark.parametrize("case", ["at its command", "Ploeg filter", "NaN row"])
+def test_the_standstill_screen_tests_a_car_that_stops(case):
+    """A car that stops in the period's last substep, braking at its
+    command; a Ploeg car whose filter brakes harder than its command; and a
+    stopping car beside a row of NaN commands."""
+    p = DynamicsParams()
+    # a cruising car, and one braking at its command that stops in substep 10
+    speed, accel, u = np.array([[10.0, 0.8 - 1e-6], [0.0, -8.0], [0.0, -8.0]])[:, :, None]
+    filt, ploeg = np.zeros((2, 1)), np.zeros((2, 1), dtype=bool)
+    if case == "Ploeg filter":      # the braking car cruises, the other filters
+        speed[1], accel[1], u[1] = 10.0, 0.0, 0.0
+        speed[0], filt[0], ploeg[0] = 0.05, -9.0, True
+    elif case == "NaN row":
+        u[0] = np.nan
+    _assert_advance_equals_the_substep_loop(np.zeros((2, 1)), speed, accel, u, p, 10,
+                                            np.zeros((2, 1), dtype=bool), ploeg, filt, 0.5)
+    assert speed[0 if case == "Ploeg filter" else 1] == 0.0

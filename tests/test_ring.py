@@ -291,6 +291,12 @@ def _assert_same_index(a, b):
               st.tuples(st.integers(0, 10**6), st.booleans())),
     max_size=25))
 @example(seed=152, steps=[146, (1586, False), (11811, False)])   # a car lands on a tie
+@example(seed=1, steps=[(56, False)])     # the lane change empties a lane
+@example(seed=2, steps=[(16, False)])     # it leaves a lone car behind
+@example(seed=1, steps=[(53, False)])     # spliced in before the new lane's first car
+@example(seed=1, steps=[(55, False)])     # spliced in after its last car, into the wrap pair
+@example(seed=0, steps=[(20, False)])     # the old lane's last car leaves it
+@example(seed=5, steps=[(0, False), 0.5])  # a wrap step after a lane change
 def test_maintained_lane_index_equals_a_fresh_sort(seed, steps):
     """The index carried from tick to tick equals a from-scratch sort.
 
@@ -357,6 +363,37 @@ def test_screened_pass_accepts_the_unscreened_candidates(seed):
     assert runs[0][0] == runs[1][0]
     assert runs[0][1] == runs[1][1]
     assert np.array_equal(runs[0][2], runs[1][2])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_the_first_mover_takes_the_prefilter_verdict(seed, scatter):
+    """A pass's first decision takes the car's prefilter verdict instead of
+    a gap check; it equals the decision a check against the snapshot world
+    and a fresh sort of it makes.  Spawned worlds mostly overtake; with
+    ``scatter``, the singles are dealt to random lanes and mostly keep
+    right."""
+    w = _random_world(seed)
+    if scatter:
+        singles = np.flatnonzero(w.platoon_id < 0)
+        w.lane[singles] = np.random.default_rng(seed).integers(0, 3, singles.size)
+    snapshot = dataclasses.replace(w, **{f.name: getattr(w, f.name).copy()
+                                         for f in dataclasses.fields(w)
+                                         if isinstance(getattr(w, f.name), np.ndarray)})
+    calls = []
+    real = ring.lane_change_decision
+
+    def decision(world, i, *args):
+        calls.append((i, args[-1], real(world, i, *args)))
+        return calls[-1][-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ring, "lane_change_decision", decision)
+        ring._lane_change_pass(w, _lane_sort(w), 10.0, ACC_H, [])
+    if calls:
+        (i, keep_right, first), *later = calls
+        assert keep_right is not None and all(v is None for _, v, _ in later)
+        assert first == real(snapshot, i, _lane_sort(snapshot), ACC_H) != "stay"
 
 
 @settings(max_examples=60, deadline=None)
@@ -445,14 +482,15 @@ def test_competing_candidates_move_in_index_order():
 @pytest.mark.parametrize("name", sorted(GOLDEN_RING))
 def test_one_gap_check_per_pass_and_at_most_one_per_re_check(name, monkeypatch):
     """In the golden runs, a pass checks all its candidates in one call,
-    and each re-check makes at most one call, whatever sides it tries."""
+    its first candidate takes the verdict of that call, and each later
+    re-check makes at most one call, whatever sides it tries."""
     calls = _decisions(monkeypatch)
     real = ring._vec_target_check
     monkeypatch.setattr(ring, "_vec_target_check",
                         lambda *args: calls.append(("check", None)) or real(*args))
     ring_trace(name)
     seq = "".join({"pass": "p", "candidate": "c", "check": "k"}[kind] for kind, _ in calls)
-    assert "c" in seq and re.fullmatch(r"(p(k(ck?)*)?)*", seq)
+    assert "c" in seq and re.fullmatch(r"(p(k(c(ck?)*)?)?)*", seq)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RING))
