@@ -14,8 +14,9 @@ for human-driven baseline traffic:
 
 The raw control laws are plain arithmetic and accept scalars or numpy arrays
 interchangeably.  Both simulation engines make every control decision through
-one call of :func:`control_tick`, which runs each law and the supervisor on
-its own family's vehicles only.  The per-vehicle ``*_control`` functions and
+one call of :func:`control_tick`: they hand it index arrays of each vehicle's
+neighbours, and it gathers them and runs each law and the supervisor on its
+own family's vehicles only.  The per-vehicle ``*_control`` functions and
 :func:`gsbl_mode_update` run the same on one vehicle's state and beacons.
 """
 
@@ -24,7 +25,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -323,77 +323,65 @@ def idm_accel(v, gap, v_pred, p: IdmParams, v0):
 # One control tick over arrays
 # ---------------------------------------------------------------------------
 
-class Neighbour(NamedTuple):
-    """Gathered state of one neighbour of every vehicle, in the vehicles' shape.
-
-    ``present`` marks the vehicles that have this neighbour; elsewhere the
-    other fields hold placeholders that no law reads.  A field that no law
-    reads for this neighbour is ``None``.
-    """
-
-    speed: np.ndarray
-    cmd: np.ndarray | None
-    gap: np.ndarray | None
-    present: np.ndarray
-
-
 def family_indices(code):
     """``(family, flat indices)`` of every family in ``code``, of any shape."""
     return [(family, np.flatnonzero(code.ravel() == family)) for family in np.unique(code)]
 
 
-def control_tick(families, v, a, pred: Neighbour, lead: Neighbour, succ: Neighbour,
-                 v_ref, desired, override, ctrl: ControllerSet):
+def control_tick(families, v, a, u, gap, pred, has_pred, lead, succ, v_ref, desired,
+                 override, ctrl: ControllerSet):
     """Commands of every vehicle for one control period.
 
     ``families`` holds the :func:`family_indices` of the vehicles' codes
     (``CODE_*``; any other family gets a zero command), fixed for the run.
-    ``v`` and ``a`` are each vehicle's speed and realized acceleration and
-    ``override`` its latched supervisor mode.  ``pred`` is the physical
-    predecessor (speed, command, bumper gap), ``lead`` the elected leader
-    (speed, command) and ``succ`` the platoon successor (speed, and its front
-    gap: the vehicle's rear gap).  ``v_ref`` is a leaderless spring-damper
-    car's speed reference and ``desired`` the cruise speed that caps ACC
-    (``inf`` leaves it alone) and drives IDM.  Every array has ``v``'s shape.
-    Each law runs on its own family's entries only and equals the
-    per-vehicle law float for float.
+    Every array has the vehicles' shape.  ``v``, ``a``, ``u`` and ``gap`` are
+    each vehicle's speed, realized acceleration, last command and front
+    bumper gap, ``override`` its latched supervisor mode.  The neighbours are
+    flat indices into them: ``pred`` the physical predecessor (the vehicle
+    itself where ``has_pred`` is False), ``lead`` the elected leader and
+    ``succ`` the platoon successor, whose front gap is the rear gap; -1 marks
+    no leader or successor.  ``v_ref`` is a leaderless spring-damper car's
+    speed reference, ``desired`` the cruise speed that caps ACC (``inf``
+    leaves it alone) and drives IDM.  Each law gathers its neighbours at its
+    own family's entries only and equals the per-vehicle law float for float.
 
     Returns the commands, the auto-hold mask and the new override latches,
     which only spring-damper cars with a leader hold.  Held vehicles still
     get their law's command: :func:`dynamics.advance` caps what they apply.
     """
-    u, latch = np.zeros(np.shape(v)), np.zeros(np.shape(v), dtype=bool)
+    cmd, latch = np.zeros(v.shape), np.zeros(v.shape, dtype=bool)
     for family, i in families:
-        vi, v_pred, gap = v.take(i), pred.speed.take(i), pred.gap.take(i)
+        vi, gi, j = v.take(i), gap.take(i), pred.take(i)
+        v_pred = v.take(j)
         if family == CODE_ACC:
-            law = np.minimum(acc_accel(vi, v_pred, gap, ctrl.acc.H, ctrl.acc.lam),
+            law = np.minimum(acc_accel(vi, v_pred, gi, ctrl.acc.H, ctrl.acc.lam),
                              SET_SPEED_GAIN * (desired.take(i) - vi))
         elif family == CODE_PLOEG:
             p = ctrl.ploeg
-            law = ploeg_target(gap, vi, a.take(i), v_pred, pred.cmd.take(i), p.H, p.kp, p.kd)
+            law = ploeg_target(gi, vi, a.take(i), v_pred, u.take(j), p.H, p.kp, p.kd)
         elif family == CODE_PATH:
-            law = path_accel(pred.cmd.take(i), lead.cmd.take(i), vi, v_pred, lead.speed.take(i),
-                             gap, ctrl.path.dd, ctrl.path.gains)
+            ld = lead.take(i)
+            law = path_accel(u.take(j), u.take(ld), vi, v_pred, v.take(ld),
+                             gi, ctrl.path.dd, ctrl.path.gains)
         elif family == CODE_IDM:
-            law = idm_accel(vi, gap, v_pred, ctrl.idm, v0=desired.take(i))
+            law = idm_accel(vi, gi, v_pred, ctrl.idm, v0=desired.take(i))
         elif family == CODE_GSBL:
-            p = ctrl.gsbl
-            new, v_r, r = gsbl_mode_arrays(override.take(i), lead.speed.take(i),
-                                           lead.cmd.take(i), vi, v_pred, gap, p)
-            led, front, rear = lead.present.take(i), pred.present.take(i), succ.present.take(i)
+            p, ld, s = ctrl.gsbl, lead.take(i), succ.take(i)
+            new, v_r, r = gsbl_mode_arrays(override.take(i), v.take(ld), u.take(ld),
+                                           vi, v_pred, gi, p)
+            led, front, rear = ld >= 0, has_pred.take(i), s >= 0
             latch.reshape(-1)[i] = new & led
-            law = gsbl_accel(np.where(front, gap, p.d), np.where(front, v_pred, vi),
-                             np.where(rear, succ.gap.take(i), p.d),
-                             np.where(rear, succ.speed.take(i), vi), vi,
+            law = gsbl_accel(np.where(front, gi, p.d), v_pred,
+                             np.where(rear, gap.take(s), p.d), np.where(rear, v.take(s), vi), vi,
                              np.where(led, v_r, v_ref.take(i)), p.k, p.h,
                              np.where(led, r, p.r_default), p.d)
         else:
             continue
-        u.reshape(-1)[i] = law
+        cmd.reshape(-1)[i] = law
     # auto-hold keeps crawling queues parked instead of creeping into contact
-    hold = pred.present & (v < STANDSTILL_SPEED) & (pred.speed < STANDSTILL_SPEED) \
-        & (pred.gap < STANDSTILL_GAP)
-    return u, hold, latch
+    hold = has_pred & (v < STANDSTILL_SPEED) & (v.take(pred) < STANDSTILL_SPEED) \
+        & (gap < STANDSTILL_GAP)
+    return cmd, hold, latch
 
 
 # ---------------------------------------------------------------------------

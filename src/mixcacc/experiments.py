@@ -218,11 +218,17 @@ def _sweep_batch(args) -> dict[tuple[str, str, str], tuple[dict | None, str | No
 
 
 def _atomic_write_json(path: str, payload: dict) -> None:
+    """Write ``payload`` to ``path`` through ``<path>.tmp``, removed on failure."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=1, sort_keys=True, allow_nan=False)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _reject_constant(name: str):
@@ -486,14 +492,13 @@ def sweep_ring(
         runs = [results[cell, rep] for rep in range(repetitions) if (cell, rep) in results]
         ok = [r for r in runs if not r["collided"] and r["throughput"] is not None]
         thr = [r["throughput"] for r in ok]
+        xi = [r["xi_median"] for r in ok if r["xi_median"] is not None]
         aggregate[cell] = {
             "runs": len(runs),
             "collisions": sum(1 for r in runs if r["collided"]),
             "throughput_mean": round(float(np.mean(thr)), 3) if thr else None,
             "throughput_ci95": round(confidence_halfwidth(thr), 3) if len(thr) > 1 else None,
-            "xi_median": round(float(np.median([r["xi_median"] for r in ok
-                                                if r["xi_median"] is not None])), 6)
-            if ok else None,
+            "xi_median": round(float(np.median(xi)), 6) if xi else None,
         }
     summary = {
         "spec_hash": h,

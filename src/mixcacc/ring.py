@@ -8,9 +8,11 @@ throughput estimation and vehicle speeds are sampled for volatility analysis.
 
 The state is kept in flat numpy arrays and all per-tick work is vectorized.
 The engine keeps only the road's topology (lane index, lane changes,
-counters, sampling); it gathers each vehicle's neighbours and hands them to
-the control tick and the integrator it shares with the single-platoon engine,
-:func:`controllers.control_tick` and :func:`dynamics.advance`.
+counters, sampling); it hands each vehicle's neighbours as index arrays (the
+lane predecessor, the elected leader, the platoon successor) to the control
+tick, which gathers them, and to the integrator it shares with the
+single-platoon engine, :func:`controllers.control_tick` and
+:func:`dynamics.advance`.
 
 Within a lane, order changes only at lane changes: two cars swap only by
 colliding, and a collision ends the run.  So the lane index, predecessor
@@ -45,14 +47,13 @@ from .controllers import (  # noqa: F401  (codes re-exported for callers)
     CODE_PLOEG,
     LETTER_BY_CODE,
     ControllerSet,
-    Neighbour,
     control_tick,
     family_indices,
 )
 from .dynamics import DynamicsParams, VEHICLE_LENGTH, advance
 from .config import MobilitySpec, UsageError
 from .scenarios import CONTROL_DT, Trace, TraceEvent, events_csv, whole_periods
-from .topology import elect_ego_leaders, parse_config
+from .topology import elect_ego_leaders
 
 # Integration goes through dynamics.advance; this name stays bound here only
 # for perfbench's layer tracer, until the tracer reads spans from the package.
@@ -384,10 +385,8 @@ def lane_change_decision(
     if keep_right is not None:
         return "right" if keep_right else "left"
     lane = int(world.lane[i])
-    v = world.speed[i]
     targets = [lane - 1] if lane > 0 else []
-    if (lane + 1 < world.spec.lanes and v < SPEED_SATISFACTION * world.desired[i]
-            and L.gap[i] < FOLLOW_FACTOR * (LC_MARGIN + acc_headway * v)):
+    if lane + 1 < world.spec.lanes and _blocked(world, L, i, acc_headway):
         targets.append(lane + 1)
     if targets:         # one check of both sides
         target = np.array(targets)
@@ -396,6 +395,13 @@ def lane_change_decision(
         if ok.any():    # the first side accepted: keep right wins
             return "right" if target[ok][0] < lane else "left"
     return "stay"
+
+
+def _blocked(world, L, i, acc_headway):
+    """Whether the cars ``i`` (an index, array or slice) are blocked: slow and close behind."""
+    v = world.speed[i]
+    return (v < SPEED_SATISFACTION * world.desired[i]) & (
+        L.gap[i] < FOLLOW_FACTOR * (LC_MARGIN + acc_headway * v))
 
 
 def _vec_target_check(world, L, cand, target, acc_headway, want_right):
@@ -464,9 +470,7 @@ def _lane_change_pass(world, L, t, acc_headway, events):
     eligible = (world.platoon_id < 0) & (t - world.lc_last >= LC_COOLDOWN)
     if not eligible.any():
         return
-    v = world.speed
-    movers = {True: eligible, False: eligible & (v < SPEED_SATISFACTION * world.desired)
-              & (L.gap < FOLLOW_FACTOR * (LC_MARGIN + acc_headway * v))}
+    movers = {True: eligible, False: eligible & _blocked(world, L, slice(None), acc_headway)}
     room, least = _slot_screens(world, L, acc_headway)
     widest = [room[slots].max() if slots.size else np.inf for _, slots in L.lanes]
     pairs = []
@@ -505,25 +509,21 @@ def _lane_change_pass(world, L, t, acc_headway, events):
 # ---------------------------------------------------------------------------
 
 def _gsbl_tick(world, L):
-    """Platoon successor of every vehicle: its speed and the rear gap, which
-    is the successor's own front gap in the lane index ``L``, since no car
-    cuts in between two platoon members (named for the spring-damper law,
-    the only one that reads them)."""
-    succ = world.member_succ
-    return Neighbour(world.speed[succ], None, L.gap[succ], succ >= 0)
+    """Platoon successor of every vehicle, -1 for none.  Its front gap in the
+    lane index ``L`` is the vehicle's rear gap, since no car cuts in between
+    two platoon members (named for the spring-damper law, the only one that
+    reads it)."""
+    return world.member_succ
 
 
 def _control_tick(world, L, ctrl, families):
-    """Gather every vehicle's neighbours and run the shared control tick."""
-    v, u, pred, lead = world.speed, world.u_cmd, L.pred, world.ego_leader
-    u_new, hold, world.gsbl_override = control_tick(
-        families, v, world.accel,
-        Neighbour(v[pred], u[pred], L.gap, pred != world.ids),
-        Neighbour(v[lead], u[lead], None, lead >= 0),
-        _gsbl_tick(world, L) if any(f == CODE_GSBL for f, _ in families) else None,
-        world.desired, world.desired, world.gsbl_override, ctrl,
+    """Hand every vehicle's neighbours to the shared control tick."""
+    u, hold, world.gsbl_override = control_tick(
+        families, world.speed, world.accel, world.u_cmd, L.gap, L.pred, L.pred != world.ids,
+        world.ego_leader, _gsbl_tick(world, L), world.desired, world.desired,
+        world.gsbl_override, ctrl,
     )
-    return u_new, hold
+    return u, hold
 
 
 # ---------------------------------------------------------------------------

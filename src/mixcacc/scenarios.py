@@ -7,8 +7,9 @@ beacons run on a 10 Hz grid while the vehicle dynamics integrate at 100 Hz.
 
 One engine steps a whole batch of platoons of the same size as a
 (rows x vehicles) state, each row with its own scenario and timeline; a
-single run is a batch of one.  It keeps only the platoon's topology and the
-profile-driven heads: the control decisions and the physics substeps are
+single run is a batch of one.  It keeps only the platoon's topology, as
+flat neighbour index arrays, and the profile-driven heads: the control
+decisions, which gather the neighbours, and the physics substeps are
 :func:`controllers.control_tick` and :func:`dynamics.advance`, the core the
 ring engine runs too.  No float operation of a row reads another row, so
 a row's trace does not depend on the batch it ran in.
@@ -28,7 +29,6 @@ from .controllers import (
     CODE_PLOEG,
     ControllerSet,
     GsblMode,
-    Neighbour,
     control_tick,
     family_indices,
 )
@@ -156,7 +156,9 @@ class Trace:
         if name != "gap":
             raise AttributeError(f"'Trace' object has no attribute {name!r}")
         pos = self.position
-        return _ahead(pos, np.full_like(pos, np.nan)) - VEHICLE_LENGTH - pos
+        gap = np.full_like(pos, np.nan)
+        gap[:, 1:] = pos[:, :-1] - VEHICLE_LENGTH - pos[:, 1:]
+        return gap
 
     @property
     def n_vehicles(self) -> int:
@@ -225,20 +227,6 @@ def _start_positions(cfg: PlatoonConfig, scn: SingleScenario, ctrl: ControllerSe
         gap = ctrl.equilibrium_gap(cfg[i], BASE_SPEED) + offsets.get(i, 0.0)
         pos.append(pos[-1] - VEHICLE_LENGTH - gap)
     return pos
-
-
-def _ahead(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Each vehicle's predecessor's entry of ``a`` in ``out``, whose head
-    column stays NaN."""
-    out[:, 1:] = a[:, :-1]
-    return out
-
-
-def _behind(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Each vehicle's successor's entry of ``a`` in ``out``, whose last
-    column stays NaN."""
-    out[:, :-1] = a[:, 1:]
-    return out
 
 
 def _row_masks(code: np.ndarray) -> tuple:
@@ -328,9 +316,13 @@ def run_platoon_batch(
         + [CODE_BY_LETTER[c] for c in cfg.controllers[1:]]
         for cfg, _ in map(setups.get, rows)
     ], dtype=np.int8)
-    lead = np.array([                         # elected leader, -1 for none
-        [-1] + [-1 if leaders[i] is EXTERNAL_REF else leaders[i] for i in range(1, n)]
-        for _, leaders in map(setups.get, rows)
+    # neighbours as flat indices: the head is its own predecessor, -1 is none
+    at = np.arange(m * n).reshape(m, n)
+    has_pred = at % n > 0
+    pred, succ = at - has_pred, np.where(at % n < n - 1, at + 1, -1)
+    lead = np.array([                         # elected leader
+        [-1] + [-1 if leaders[i] is EXTERNAL_REF else r * n + leaders[i] for i in range(1, n)]
+        for r, (_, leaders) in enumerate(map(setups.get, rows))
     ])
     pos = np.array([_start_positions(setups[r][0], scns[r], ctrl) for r in rows])
     spd = np.full((m, n), BASE_SPEED)
@@ -341,20 +333,16 @@ def run_platoon_batch(
     v_t = np.empty((m, n))                    # each row's head profile
     a_t = np.empty(m)
     done = np.zeros(m, dtype=bool)            # rows whose result is settled
-    row_at = np.arange(m)[:, None]            # state rows, for leader gathers
-    shifted = [np.full((m, n), np.nan) for _ in range(5)]  # _ahead/_behind outputs
     families, is_gsbl, ploeg, profile_head = _row_masks(code)
-    col = np.broadcast_to(np.arange(n), (m, n))
-    has_pred, has_succ = col > 0, col < n - 1
     free = np.full((m, n), np.inf)            # no cruise cap
 
     for k, t in enumerate(times):
-        gap = _ahead(pos, shifted[0]) - VEHICLE_LENGTH - pos
+        gap = pos.take(pred) - VEHICLE_LENGTH - pos
         now = (pos, spd, acc, uin, np.where(is_gsbl, over, -1))
         for lo, hi, _, _, blocks in groups:
             for block, a in zip(blocks[:4] + blocks[5:], now):   # lane blocks stay 0
                 block[:, k] = a[lo:hi]
-        hit = gap <= 0.0
+        hit = (gap <= 0.0) & has_pred
         if k > 0 and hit.any():
             for j in np.flatnonzero(hit.any(axis=1) & ~done):
                 crash = int(np.argmax(hit[j]))
@@ -372,29 +360,22 @@ def run_platoon_batch(
             break
         live = groups[-1][1]
         if live < len(done):
-            (code, lead, row_at, pos, spd, acc, uin, ufilt, over, gap, v_t, a_t, done,
-             has_pred, has_succ, free, *shifted) = (
-                a[:live] for a in (code, lead, row_at, pos, spd, acc, uin, ufilt, over, gap,
-                                   v_t, a_t, done, has_pred, has_succ, free, *shifted))
+            (code, pred, has_pred, lead, succ, pos, spd, acc, uin, ufilt, over, gap, v_t, a_t,
+             done, free) = (a[:live] for a in (code, pred, has_pred, lead, succ, pos, spd, acc,
+                                               uin, ufilt, over, gap, v_t, a_t, done, free))
             families, is_gsbl, ploeg, profile_head = _row_masks(code)
 
         for lo, hi, scn, _, _ in groups:
             v_t[lo:hi] = leader_target_speed(scn, t)
             a_t[lo:hi] = leader_target_accel(scn, t)
-        _, ahead_spd, ahead_u, behind_spd, behind_gap = shifted
-        u, hold, new = control_tick(
-            families, spd, acc,
-            Neighbour(_ahead(spd, ahead_spd), _ahead(uin, ahead_u), gap, has_pred),
-            Neighbour(spd[row_at, lead], uin[row_at, lead], None, lead >= 0),
-            Neighbour(_behind(spd, behind_spd), None, _behind(gap, behind_gap), has_succ),
-            v_t, free, over, ctrl,
-        )
+        u, hold, new = control_tick(families, spd, acc, uin, gap, pred, has_pred, lead, succ,
+                                    v_t, free, over, ctrl)
         np.copyto(u[:, 0], a_t + PROFILE_GAIN * (v_t[:, 0] - spd[:, 0]),
                   where=profile_head)
         for j, c in zip(*np.nonzero(new != over)):
             if not done[j]:
                 events[j].append(TraceEvent(
-                    t, "mode_switch", int(c), int(lead[j, c]),
+                    t, "mode_switch", int(c), int(lead[j, c] % n),
                     f"{_MODE_NAME[over[j, c]]}->{_MODE_NAME[new[j, c]]}",
                 ))
         over = new

@@ -31,14 +31,13 @@ from mixcacc.controllers import (
     gsbl_mode_arrays,
     gsbl_mode_update,
     idm_accel,
-    Neighbour,
     path_accel,
     path_control,
     path_gains,
     ploeg_control,
     ploeg_target,
 )
-from mixcacc.dynamics import STANDSTILL_GAP, STANDSTILL_SPEED, VehicleState
+from mixcacc.dynamics import STANDSTILL_GAP, STANDSTILL_SPEED, VEHICLE_LENGTH, VehicleState
 
 
 def beacon(vid=0, position=0.0, speed=0.0, accel=0.0, ctrl_input=0.0):
@@ -525,44 +524,61 @@ def _reference(c, ctrl):
     return u, hold, over
 
 
-def _tick_columns(cases):
-    """control_tick's arguments for the drawn vehicles, each a 1-D array."""
-    col = {k: np.array([c[k] for c in cases]) for k in cases[0]}
-    has_pred = np.array([c["family"] != "G-head" for c in cases])
-    nan = np.full(len(cases), np.nan)
-    return (
-        np.array([CODE_BY_LETTER[c["family"][0]] for c in cases]),
-        col["v"], col["a"],
-        Neighbour(np.where(has_pred, col["v_pred"], nan), np.where(has_pred, col["u_pred"], nan),
-                  np.where(has_pred, (col["pred_x"] - 4.0) - 0.0, nan), has_pred),
-        Neighbour(col["v_lead"], col["u_lead"], None,
-                  np.array([c["family"] == "P" or c["led"] and c["family"] != "G-head"
-                            for c in cases])),
-        Neighbour(col["v_succ"], None, (0.0 - 4.0) - col["succ_x"],
-                  np.array([c["family"] != "G-tail" for c in cases])),
-        col["v_ref"], col["desired"], col["over"],
-    )
+_INDICES = ("pred", "lead", "succ")     # control_tick's neighbour index arrays
+
+
+def _tick_state(cases):
+    """The family codes and control_tick's arguments for the drawn vehicles,
+    laid out as one 1-D state of four cars each: car 4k is the k-th drawn
+    vehicle and cars 4k+1, 4k+2 and 4k+3 its predecessor, elected leader
+    and platoon successor, which run no law.  A spring-damper head is its
+    own predecessor."""
+    nan, inf = math.nan, math.inf
+    rows = []   # code, v, a, u, gap, pred, has_pred, lead, succ, v_ref, desired, override
+    for k, c in enumerate(cases):
+        e, family = 4 * k, c["family"]
+        has_pred = family != "G-head"
+        led = family == "P" or c["led"] and has_pred
+        rows += [
+            (CODE_BY_LETTER[family[0]], c["v"], c["a"], 0.0,
+             (c["pred_x"] - 4.0) - 0.0 if has_pred else nan, e + has_pred, has_pred,
+             e + 2 if led else -1, e + 3 if family != "G-tail" else -1,
+             c["v_ref"], c["desired"], c["over"]),
+            (-1, c["v_pred"], 0.0, c["u_pred"], nan, e + 1, False, -1, -1, 0.0, inf, False),
+            (-1, c["v_lead"], 0.0, c["u_lead"], nan, e + 2, False, -1, -1, 0.0, inf, False),
+            (-1, c["v_succ"], 0.0, 0.0, (0.0 - 4.0) - c["succ_x"], e + 3, False, -1, -1,
+             0.0, inf, False),
+        ]
+    code, *cols = map(np.array, zip(*rows))
+    names = ("v", "a", "u", "gap", "pred", "has_pred", "lead", "succ", "v_ref", "desired",
+             "override")
+    return code, dict(zip(names, cols))
 
 
 @given(st.lists(_vehicle, min_size=1, max_size=10))
 def test_control_tick_equals_the_per_vehicle_laws(cases):
     """control_tick reproduces every family's per-vehicle law bit for bit,
-    spring-damper heads, tails and cars without a leader included."""
+    spring-damper heads, tails and cars without a leader included, gathering
+    each car's neighbours from the state by index."""
     ctrl = ControllerSet()
-    code, *args = _tick_columns(cases)
-    u, hold, over = control_tick(family_indices(code), *args, ctrl)
-    for j, c in enumerate(cases):
+    code, state = _tick_state(cases)
+    u, hold, over = control_tick(family_indices(code), ctrl=ctrl, **state)
+    for k, c in enumerate(cases):
         want_u, want_hold, want_over = _reference(c, ctrl)
-        assert float(u[j]).hex() == float(want_u).hex(), c["family"]
-        assert bool(hold[j]) == want_hold
-        assert bool(over[j]) == want_over
+        assert float(u[4 * k]).hex() == float(want_u).hex(), c["family"]
+        assert bool(hold[4 * k]) == want_hold
+        assert bool(over[4 * k]) == want_over
+    others = code == -1
+    assert not u[others].any() and not hold[others].any() and not over[others].any()
 
 
-def _laid_out(a, layout):
-    """One (n,) array as the rows of a state: (1, n), (n, 1) or two copies."""
-    if isinstance(a, Neighbour):
-        return Neighbour(*(None if f is None else _laid_out(f, layout) for f in a))
-    return {"row": a[None, :], "column": a[:, None], "stacked": np.stack([a, a])}[layout]
+def _laid_out(name, a, layout):
+    """One (n,) state array as the rows of a state: (1, n), (n, 1) or two
+    copies, where the second copy's neighbour indices point into its own
+    row."""
+    if layout == "stacked":
+        return np.stack([a, np.where(a >= 0, a + a.size, -1) if name in _INDICES else a])
+    return {"row": a[None, :], "column": a[:, None]}[layout]
 
 
 @given(st.lists(_vehicle, min_size=1, max_size=10),
@@ -570,15 +586,38 @@ def _laid_out(a, layout):
 def test_control_tick_on_rows_equals_the_one_dimensional_tick(cases, layout):
     """The same vehicles laid out as (rows, n) state, as the batched engine
     holds them, get the commands, holds and latches of the 1-D tick, with
-    the family indices flat over the 2-D codes."""
+    the family and neighbour indices flat over the 2-D state."""
     ctrl = ControllerSet()
-    code, *args = _tick_columns(cases)
-    want = control_tick(family_indices(code), *args, ctrl)
-    got = control_tick(family_indices(_laid_out(code, layout)),
-                       *(_laid_out(a, layout) for a in args), ctrl)
+    code, state = _tick_state(cases)
+    want = control_tick(family_indices(code), ctrl=ctrl, **state)
+    got = control_tick(family_indices(_laid_out("code", code, layout)), ctrl=ctrl,
+                       **{name: _laid_out(name, a, layout) for name, a in state.items()})
     for g, w in zip(got, want):
-        w = np.broadcast_to(w, (g.size // len(cases), len(cases)))
+        w = np.broadcast_to(w, (g.size // code.size, code.size))
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()    # bit for bit, in row order
+
+
+@given(st.sampled_from("AI"), _speed, st.floats(10.0, 40.0), st.floats(10.0, 5000.0))
+def test_a_lone_ring_car_follows_itself(letter, v, desired, circumference):
+    """A car alone in its lane is its own predecessor, at the gap the lane
+    index gives it, C - L, and ACC and IDM read that gap and the car's own
+    speed, bit for bit as the per-vehicle laws do; it is never held."""
+    ctrl = ControllerSet()
+    gap = circumference - VEHICLE_LENGTH
+    ego = VehicleState(position=0.0, speed=v)
+    ahead = beacon(position=circumference, speed=v)     # itself, one lap on
+    one = np.array([0])
+    u, hold, over = control_tick(
+        family_indices(np.array([CODE_BY_LETTER[letter]])), np.array([v]), np.zeros(1),
+        np.zeros(1), np.array([gap]), one, one != 0, one - 1, one - 1, np.zeros(1),
+        np.array([desired]), np.zeros(1, dtype=bool), ctrl)
+    if letter == "A":
+        want = min(acc_control(ego, ahead, ctrl.acc), SET_SPEED_GAIN * (desired - v))
+    else:
+        want = idm_accel(np.array([v]), np.array([_gap(ego, ahead)]), np.array([v]), ctrl.idm,
+                         v0=np.array([desired]))[0]
+    assert float(u[0]).hex() == float(want).hex()
+    assert not hold[0] and not over[0]
 
 
 # ---------------------------------------------------------------------------

@@ -495,6 +495,28 @@ def test_emit_reports_lists_collided_mixes(tmp_path):
     assert "  collisions: -GPGPGPL, -GPGPPLG" in open(path).read().splitlines()
 
 
+def test_a_ring_cell_without_volatility_has_a_null_median(tmp_path):
+    """Runs that sample each car's speed once have a throughput but no
+    volatility: their cell's median is null, and the summary is written."""
+    cfg = replace(TOY_GRID, mobility=replace(TOY_GRID.mobility, circumference=2000.0,
+                                             volatility_sample_dt=30.0))
+    summary = sweep_ring(str(tmp_path), cfg, repetitions=1, duration=20.0, warmup=0.0)
+    assert summary["failed"] == [] and len(summary["cells"]) == 6
+    for agg in summary["cells"].values():
+        assert agg["throughput_mean"] is not None and agg["xi_median"] is None
+    assert _strict_json((tmp_path / "ring" / "summary.json").read_text()) == summary
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def test_a_failed_json_write_leaves_the_old_file_and_no_temporary(tmp_path):
+    path = tmp_path / "out.json"
+    experiments._atomic_write_json(str(path), {"x": 1.0})
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        experiments._atomic_write_json(str(path), {"x": math.nan})
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+    assert json.loads(path.read_text()) == {"x": 1.0}
+
+
 def test_ring_metrics_write_null_for_undefined_volatility():
     """A car whose sampled mean speed is zero has no volatility: its entry
     is null, not NaN."""

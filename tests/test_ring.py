@@ -678,7 +678,7 @@ def test_rear_gap_is_the_successors_front_gap(name, monkeypatch):
         assert (L.pred[succ[members]] == members).all()
         got = real(world, L)
         want = ring._wrap(world.pos - world.length - world.pos[succ], world.spec.circumference)
-        assert got.gap[members].tobytes() == want[members].tobytes()
+        assert L.gap[got[members]].tobytes() == want[members].tobytes()
         wrapped.append((world.pos[succ[members]] > world.pos[members]).any())
         return got
 

@@ -1,0 +1,56 @@
+"""Every module-level import in the package is used: the unused-import rule
+(pyflakes' F401) as a test, with no linter needed.
+
+An import kept for another module's sake, such as a name re-exported or one
+bound for the layer tracer, carries ``# noqa: F401`` on one of its lines.
+"""
+
+import ast
+import pathlib
+import re
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "mixcacc"
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+NOQA_F401 = re.compile(r"#\s*noqa:[A-Z0-9,\s]*\bF401\b")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names the module-level imports of ``source`` bind and nothing reads."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any(NOQA_F401.search(line) for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        unused += [name for alias in node.names
+                   if (name := alias.asname or alias.name.split(".")[0]) not in used]
+    return unused
+
+
+def test_the_check_flags_unused_names_and_honours_noqa():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from typing import NamedTuple, Optional\n"
+        "from json import (  # noqa: F401\n"
+        "    dumps,\n"
+        ")\n"
+        "from json import loads  # noqa: E402,F401\n"
+        "from json import load  # noqa: E402\n"
+        "def f(x: Optional[int]):\n"
+        "    return np.zeros(x)\n"
+    )
+    assert unused_imports(source) == ["os", "NamedTuple", "load"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_module_level_import_is_used(module):
+    assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
