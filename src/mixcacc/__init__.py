@@ -33,7 +33,6 @@ from .ring import RingSpec, RingTrace, run_ring
 from .scenarios import SingleScenario, Trace, run_single_platoon
 from .topology import (
     ConnectivityMatrix,
-    PlatoonConfig,
     connectivity_matrix,
     elect_ego_leaders,
     extended_connectivity_matrix,
@@ -53,7 +52,6 @@ __all__ = [
     "GsblParams",
     "IdmParams",
     "PathParams",
-    "PlatoonConfig",
     "PloegParams",
     "RingSpec",
     "RingTrace",

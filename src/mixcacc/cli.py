@@ -17,13 +17,14 @@ ended in a collision, 4 sweep finished with failed runs.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from .config import Config, UsageError, load_config_file, spec_hash
 from .experiments import (
     SUMMARY_PICKS,
+    _atomic_write,
+    _atomic_write_json,
     analysis_window,
     emit_reports,
     ring_run_metrics,
@@ -49,13 +50,6 @@ def _load_params(path: str | None) -> Config:
     return load_config_file(path)
 
 
-def _write(path: str, chunks) -> None:
-    """Write the strings of ``chunks`` to ``path`` one after another."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(chunks)
-
-
 def cmd_single(args) -> int:
     cfg = _load_params(args.params)
     scn = scenario_for(args.scenario, args.config, args.duration, args.control_dt)
@@ -64,19 +58,19 @@ def cmd_single(args) -> int:
     h = spec_hash(cfg, {"command": "single", "config": args.config, "scenario": args.scenario,
                         "duration": args.duration, "control_dt": args.control_dt})
     stem = os.path.join(args.out, "single_run", f"{args.config}_{args.scenario}")
-    _write(stem + ".csv", trace.rows_csv_chunks(header_comment=f"spec_hash={h}"))
-    _write(stem + "_events.csv", [events_csv(trace.events)])
+    os.makedirs(os.path.dirname(stem), exist_ok=True)
+    _atomic_write(stem + ".csv", trace.rows_csv_chunks(header_comment=f"spec_hash={h}"))
+    _atomic_write(stem + "_events.csv", [events_csv(trace.events)])
 
     facts = {"spec_hash": h, "config": args.config, "scenario": args.scenario,
              "collided": trace.terminated_by_collision}
     if not trace.terminated_by_collision:
         window = analysis_window(trace, scn)
         facts["window"] = [round(window.t0, 6), round(window.t1, 6)]
-        facts["min_gap"] = {str(i): round(g, 6)
-                            for i, g in min_gap(trace, window).items()}
-        facts["peak_abs_accel"] = {str(i): round(a, 6)
-                                   for i, a in peak_abs_accel(trace, window).items()}
-    _write(stem + ".json", [json.dumps(facts, indent=1, sort_keys=True, allow_nan=False) + "\n"])
+        for name, per in (("min_gap", min_gap), ("peak_abs_accel", peak_abs_accel)):
+            facts[name] = {str(i): round(x, 6)
+                           for i, x in enumerate(per(trace, window).tolist(), 1)}
+    _atomic_write_json(stem + ".json", facts)
     print(f"wrote {stem}.csv ({trace.times.size * trace.n_vehicles} rows)")
     if trace.terminated_by_collision:
         print("run terminated by collision")
@@ -100,12 +94,14 @@ def cmd_ring(args) -> int:
                         "seed": args.seed, "duration": spec.duration,
                         "warmup": spec.warmup})
     stem = os.path.join(args.out, "ring_run", f"seed{args.seed}")
-    _write(stem + "_counters.csv", trace.counters_csv_chunks())
-    _write(stem + "_events.csv", [events_csv(trace.events)])
+    os.makedirs(os.path.dirname(stem), exist_ok=True)
+    _atomic_write(stem + "_counters.csv", trace.counters_csv_chunks())
+    _atomic_write(stem + "_events.csv", [events_csv(trace.events)])
     metrics = {"spec_hash": h, **ring_run_metrics(trace)}
-    _write(stem + ".json", [json.dumps(metrics, indent=1, sort_keys=True, allow_nan=False) + "\n"])
+    _atomic_write_json(stem + ".json", metrics)
     if args.full_trace and trace.full is not None:
-        _write(stem + "_trace.csv", trace.full.rows_csv_chunks(header_comment=f"spec_hash={h}"))
+        _atomic_write(stem + "_trace.csv",
+                      trace.full.rows_csv_chunks(header_comment=f"spec_hash={h}"))
     print(f"{trace.n_vehicles} vehicles, end_time={trace.end_time:.1f}s")
     if metrics["throughput"] is not None:
         print(f"road throughput: {metrics['throughput']:.0f} veh/h")

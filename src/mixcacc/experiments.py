@@ -16,7 +16,7 @@ import json
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -101,11 +101,12 @@ def configs_for_sweep(n: int, seed: int = 0) -> list[str]:
 
 @dataclass
 class ReferenceData:
-    """Per-scenario reference curves extracted from the homogeneous runs."""
+    """Per-scenario reference values from the homogeneous runs; the arrays
+    hold one value per follower, follower 1 first."""
 
-    acc_peaks: dict[int, float]
+    acc_peaks: np.ndarray
     acc_occupancy: float
-    min_gaps: dict[str, dict[int, float]] = field(default_factory=dict)
+    min_gaps: dict[str, np.ndarray]
 
 
 def scenario_for(kind: str, config: str, duration: float | None = None,
@@ -150,13 +151,12 @@ def build_reference(kind: str, baselines: dict) -> ReferenceData:
             raise UsageError(f"homogeneous {letter} reference platoon collided")
     acc_trace, acc_scn = baselines["A"]
     acc_window = analysis_window(acc_trace, acc_scn)
-    ref = ReferenceData(
+    return ReferenceData(
         acc_peaks=peak_abs_accel(acc_trace, acc_window, _speed_floor(kind)),
         acc_occupancy=max_platoon_occupancy(acc_trace, acc_window),
+        min_gaps={letter: min_gap(trace, analysis_window(trace, scn))
+                  for letter, (trace, scn) in baselines.items()},
     )
-    for letter, (trace, scn) in baselines.items():
-        ref.min_gaps[letter] = min_gap(trace, analysis_window(trace, scn))
-    return ref
 
 
 def _rounded(x: float) -> float | None:
@@ -175,10 +175,10 @@ def build_report(trace, scn: SingleScenario, ref: ReferenceData) -> dict:
         return {**report, "delta_a": None, "delta_a_vehicle": -1, "delta_d": None,
                 "delta_d_vehicle": -1, "eta": None, "window": None}
     window = analysis_window(trace, scn)
-    da = delta_a(trace, window, ref.acc_peaks, _speed_floor(scn.kind))
-    dd = delta_d(trace, window, ref.min_gaps)
-    return {**report, "delta_a": _rounded(da.value), "delta_a_vehicle": da.vehicle,
-            "delta_d": _rounded(dd.value), "delta_d_vehicle": dd.vehicle,
+    da, da_vehicle = delta_a(trace, window, ref.acc_peaks, _speed_floor(scn.kind))
+    dd, dd_vehicle = delta_d(trace, window, ref.min_gaps)
+    return {**report, "delta_a": _rounded(da), "delta_a_vehicle": da_vehicle,
+            "delta_d": _rounded(dd), "delta_d_vehicle": dd_vehicle,
             "eta": _rounded(eta(trace, window, ref.acc_occupancy)),
             "window": [round(window.t0, 6), round(window.t1, 6)]}
 
@@ -217,18 +217,24 @@ def _sweep_batch(args) -> dict[tuple[str, str, str], tuple[dict | None, str | No
     return out
 
 
-def _atomic_write_json(path: str, payload: dict) -> None:
-    """Write ``payload`` to ``path`` through ``<path>.tmp``, removed on failure."""
+def _atomic_write(path: str, chunks) -> None:
+    """Write the strings of ``chunks`` to ``path`` through ``<path>.tmp``,
+    which replaces ``path`` once complete and is removed on failure, so an
+    interrupted write leaves no partial file."""
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True, allow_nan=False)
-            fh.write("\n")
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def _atomic_write_json(path: str, payload: dict) -> None:
+    """Write ``payload`` to ``path`` as strict, indented JSON, atomically."""
+    _atomic_write(path, [json.dumps(payload, indent=1, sort_keys=True, allow_nan=False), "\n"])
 
 
 def _reject_constant(name: str):
@@ -539,8 +545,7 @@ def emit_reports(out_dir: str) -> list[str]:
                 lines.append(f"  collisions: {', '.join(info['collisions'])}")
             lines.append("")
         path = os.path.join(out_dir, "single", "table.txt")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines))
+        _atomic_write(path, ["\n".join(lines)])
         written.append(path)
 
     ring_summary = os.path.join(out_dir, "ring", "summary.json")
@@ -559,7 +564,6 @@ def emit_reports(out_dir: str) -> list[str]:
                 f" {thr:>10s} {ci:>8s} {xi:>8s}"
             )
         path = os.path.join(out_dir, "ring", "table.txt")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _atomic_write(path, ["\n".join(lines), "\n"])
         written.append(path)
     return written

@@ -10,7 +10,7 @@ roadside counters and per-vehicle speed volatility.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,80 +63,70 @@ def _window_slice(trace, window: Window) -> np.ndarray:
     return mask
 
 
-@dataclass
-class PlatoonMetric:
-    """Per-platoon scalar with the extremal follower attached."""
-
-    value: float
-    vehicle: int
-    per_vehicle: dict[int, float] = field(default_factory=dict)
-
-
-def peak_abs_accel(
-    trace, window: Window, speed_floor: float | None = None
-) -> dict[int, float]:
-    """Largest absolute realized acceleration per follower inside the window.
+def peak_abs_accel(trace, window: Window, speed_floor: float | None = None) -> np.ndarray:
+    """Largest absolute realized acceleration of each follower inside the
+    window, follower 1 first.
 
     With ``speed_floor`` set, ticks where the vehicle is slower than the floor
     are ignored (jerky standstill samples are not representative).
     """
     mask = _window_slice(trace, window)
-    out: dict[int, float] = {}
-    for i in range(1, trace.n_vehicles):
-        a = np.abs(trace.accel[mask, i])
-        if speed_floor is not None:
-            keep = trace.speed[mask, i] >= speed_floor
-            a = a[keep]
-        if a.size == 0:
-            raise MetricsError(f"no usable acceleration samples for vehicle {i}")
-        out[i] = float(a.max())
-    return out
+    a = np.abs(trace.accel[mask, 1:])
+    if speed_floor is not None:
+        a = np.where(trace.speed[mask, 1:] >= speed_floor, a, -np.inf)
+    peaks = a.max(axis=0)
+    empty = np.flatnonzero(np.isneginf(peaks))
+    if empty.size:
+        raise MetricsError(f"no usable acceleration samples for vehicle {empty[0] + 1}")
+    return peaks
+
+
+def _worst(per: np.ndarray) -> tuple[float, int]:
+    """The smallest margin and its vehicle, the first such on ties."""
+    i = int(np.argmin(per))
+    return float(per[i]), i + 1
 
 
 def delta_a(
-    trace, window: Window, ref_peaks: dict[int, float], speed_floor: float | None = None
-) -> PlatoonMetric:
+    trace, window: Window, ref_peaks: np.ndarray, speed_floor: float | None = None
+) -> tuple[float, int]:
     """Acceleration margin of a platoon against the all-ACC reference.
 
     ``ref_peaks`` are the :func:`peak_abs_accel` values of the all-ACC
-    platoon.  Positive per-vehicle values mean the studied controller needed
-    milder accelerations than ACC in the same seat; the platoon value is the
-    worst (smallest) follower margin.
+    platoon.  A positive margin means the studied controller needed milder
+    accelerations than ACC in the same seat; returns the worst (smallest)
+    follower margin and its vehicle.
     """
     own = peak_abs_accel(trace, window, speed_floor)
-    if set(ref_peaks) != set(own):
+    if len(ref_peaks) != len(own):
         raise MetricsError("platoon size mismatch between trace and reference")
-    per = {i: ref_peaks[i] - own[i] for i in own}
-    worst = min(per, key=lambda i: (per[i], i))
-    return PlatoonMetric(per[worst], worst, per)
+    return _worst(ref_peaks - own)
 
 
-def min_gap(trace, window: Window) -> dict[int, float]:
-    """Smallest bumper gap per follower inside the window."""
-    gap = trace.gap[_window_slice(trace, window)]   # a platoon trace derives it per read
-    return {i: float(np.nanmin(gap[:, i])) for i in range(1, trace.n_vehicles)}
+def min_gap(trace, window: Window) -> np.ndarray:
+    """Smallest bumper gap of each follower inside the window, follower 1 first."""
+    # a platoon trace derives its gap on every read, so read it once
+    return np.nanmin(trace.gap[_window_slice(trace, window), 1:], axis=0)
 
 
-def delta_d(
-    trace, window: Window, ref_gaps: dict[str, dict[int, float]]
-) -> PlatoonMetric:
+def delta_d(trace, window: Window, ref_gaps: dict[str, np.ndarray]) -> tuple[float, int]:
     """Gap margin of each follower against its own-controller homogeneous run.
 
     ``ref_gaps`` maps a controller letter to the :func:`min_gap` values of
-    its homogeneous platoon.  Negative per-vehicle values mean the mixed
-    platoon compressed that follower's gap below what the controller
-    achieves among its own kind.
+    its homogeneous platoon.  A negative margin means the mixed platoon
+    compressed that follower's gap below what the controller achieves among
+    its own kind; returns the worst (smallest) follower margin and its
+    vehicle.
     """
-    per: dict[int, float] = {}
-    for i, g in min_gap(trace, window).items():
-        letter = trace.controllers[i]
+    own = min_gap(trace, window)
+    ref = np.empty_like(own)
+    for i, letter in enumerate(trace.controllers[1:], 1):
         if letter not in ref_gaps:
             raise MetricsError(f"missing homogeneous reference for controller {letter!r}")
-        if i not in ref_gaps[letter]:
+        if i > len(ref_gaps[letter]):
             raise MetricsError(f"homogeneous reference shorter than platoon at vehicle {i}")
-        per[i] = g - ref_gaps[letter][i]
-    worst = min(per, key=lambda i: (per[i], i))
-    return PlatoonMetric(per[worst], worst, per)
+        ref[i - 1] = ref_gaps[letter][i - 1]
+    return _worst(own - ref)
 
 
 def max_platoon_occupancy(trace, window: Window) -> float:

@@ -34,7 +34,7 @@ from .controllers import (
 )
 from .config import UsageError
 from .dynamics import DynamicsParams, VEHICLE_LENGTH, advance
-from .topology import EXTERNAL_REF, PlatoonConfig, elect_ego_leaders, parse_config
+from .topology import EXTERNAL_REF, elect_ego_leaders, parse_config
 
 # The engine calls none of these per-vehicle names; they are bound here only
 # for perfbench's layer tracer, until the tracer reads spans from the package.
@@ -190,8 +190,8 @@ class Trace:
         return (self.rows_csv() + events_csv(self.events)).encode()
 
 
-def _validate_supported(cfg: PlatoonConfig, leaders: dict[int, int | None]) -> None:
-    for i in range(1, cfg.size):
+def _validate_supported(cfg: str, leaders: dict[int, int | None]) -> None:
+    for i in range(1, len(cfg)):
         if cfg[i] == "P" and leaders[i] is EXTERNAL_REF:
             raise UsageError(
                 f"follower {i} in {cfg} runs the constant-spacing controller "
@@ -219,11 +219,11 @@ def _timeline(scn: SingleScenario) -> tuple:
     )
 
 
-def _start_positions(cfg: PlatoonConfig, scn: SingleScenario, ctrl: ControllerSet) -> list[float]:
+def _start_positions(cfg: str, scn: SingleScenario, ctrl: ControllerSet) -> list[float]:
     """Front bumpers at each follower's equilibrium gap plus its offset."""
     offsets = scn.initial_gap_offsets or {}
     pos = [0.0]
-    for i in range(1, cfg.size):
+    for i in range(1, len(cfg)):
         gap = ctrl.equilibrium_gap(cfg[i], BASE_SPEED) + offsets.get(i, 0.0)
         pos.append(pos[-1] - VEHICLE_LENGTH - gap)
     return pos
@@ -269,7 +269,7 @@ def run_platoon_batch(
     setups, key = {}, {}
     for r, scn in enumerate(scns):
         try:
-            cfg = parse_config(scn.config) if isinstance(scn.config, str) else scn.config
+            cfg = parse_config(scn.config)
             leaders = elect_ego_leaders(cfg)
             _validate_supported(cfg, leaders)
             last = whole_periods(scn.duration, control_dt, "duration")
@@ -279,8 +279,8 @@ def run_platoon_batch(
             setups[r], key[r] = (cfg, leaders), (-last, _timeline(scn))
     if not setups:
         return results
-    n = next(iter(setups.values()))[0].size
-    if any(cfg.size != n for cfg, _ in setups.values()):
+    n = len(next(iter(setups.values()))[0])
+    if any(len(cfg) != n for cfg, _ in setups.values()):
         raise RuntimeError("a batch runs one platoon size")   # the caller's grouping is at fault
 
     rows = sorted(setups, key=key.get)
@@ -304,8 +304,8 @@ def run_platoon_batch(
         blocks, i = home[j]
         *floats, lane, mode = (block[i, :k + 1] for block in blocks)
         results[rows[j]] = Trace(
-            times[:k + 1], cfg.controllers, *floats, None, lane, mode,
-            events=events[j], scenario_kind=scns[rows[j]].kind, config=str(cfg),
+            times[:k + 1], tuple(cfg), *floats, None, lane, mode,
+            events=events[j], scenario_kind=scns[rows[j]].kind, config=cfg,
             terminated_by_collision=collided,
         )
         done[j] = True
@@ -313,7 +313,7 @@ def run_platoon_batch(
     # the head follows the speed profile unless it runs the spring-damper law
     code = np.array([
         [CODE_GSBL if cfg[0] == "G" else _PROFILE_HEAD]
-        + [CODE_BY_LETTER[c] for c in cfg.controllers[1:]]
+        + [CODE_BY_LETTER[c] for c in cfg[1:]]
         for cfg, _ in map(setups.get, rows)
     ], dtype=np.int8)
     # neighbours as flat indices: the head is its own predecessor, -1 is none

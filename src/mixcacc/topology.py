@@ -1,10 +1,11 @@
 """Platoon composition strings, leader election and connectivity matrices.
 
-A platoon is described by a string over ``-APLG``: an optional independent
-head ``-`` (profile-driven, position 0 only) followed by controller letters.
-Every follower elects as its communication leader the nearest vehicle ahead
-running a different controller; if no such vehicle exists, the follower falls
-back to an external reference (encoded as ``None``).
+A platoon is a plain string over ``-APLG``, one letter per vehicle from the
+head back: an optional independent head ``-`` (profile-driven, position 0
+only) followed by controller letters, checked by :func:`parse_config`.  Every
+follower elects as its communication leader the nearest vehicle ahead running
+a different controller; if no such vehicle exists, the follower falls back to
+an external reference (encoded as ``None``).
 
 The information flow induced by the controllers is summarized in a binary
 matrix: row i marks the vehicles whose state vehicle i needs.  The extended
@@ -28,28 +29,10 @@ ALPHABET = INDEPENDENT + CONTROLLER_LETTERS
 EXTERNAL_REF = None
 
 
-@dataclass(frozen=True)
-class PlatoonConfig:
-    """Immutable, validated platoon composition."""
-
-    controllers: tuple[str, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.controllers)
-
-    def __str__(self) -> str:
-        return "".join(self.controllers)
-
-    def __iter__(self):
-        return iter(self.controllers)
-
-    def __getitem__(self, i):
-        return self.controllers[i]
-
-
-def parse_config(text: str) -> PlatoonConfig:
-    """Parse and validate a composition string such as ``-PLG``."""
+def parse_config(text: str) -> str:
+    """Return the composition string ``text``, such as ``-PLG``, once it is
+    checked: at least two vehicles, letters from ``-APLG``, ``-`` only at
+    the head.  Raises :class:`UsageError` naming the first fault."""
     if len(text) < 2:
         raise UsageError(f"platoon needs at least 2 vehicles, got {text!r}")
     for pos, letter in enumerate(text):
@@ -61,26 +44,20 @@ def parse_config(text: str) -> PlatoonConfig:
             raise UsageError(
                 f"independent head marker only allowed at position 0, found at {pos} in {text!r}"
             )
-    return PlatoonConfig(tuple(text))
+    return text
 
 
-def elect_ego_leaders(cfg: PlatoonConfig | str) -> dict[int, int | None]:
+def elect_ego_leaders(cfg: str) -> dict[int, int | None]:
     """Leader election for every follower.
 
     Returns a map from follower index (1..N-1) to the index of the nearest
     preceding vehicle with a different controller, or :data:`EXTERNAL_REF`
     when all preceding vehicles run the same controller.
     """
-    if isinstance(cfg, str):
-        cfg = parse_config(cfg)
-    leaders: dict[int, int | None] = {}
-    for i in range(1, cfg.size):
-        leaders[i] = EXTERNAL_REF
-        for j in range(i - 1, -1, -1):
-            if cfg[j] != cfg[i]:
-                leaders[i] = j
-                break
-    return leaders
+    cfg = parse_config(cfg)
+    # the vehicle ahead of the run of cfg[i]'s letter that ends at i, or -1
+    ahead = {i: len(cfg[:i].rstrip(cfg[i])) - 1 for i in range(1, len(cfg))}
+    return {i: EXTERNAL_REF if j < 0 else j for i, j in ahead.items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,12 +87,11 @@ class ConnectivityMatrix:
         return "\n".join(lines)
 
 
-def connectivity_matrix(cfg: PlatoonConfig | str) -> ConnectivityMatrix:
+def connectivity_matrix(cfg: str) -> ConnectivityMatrix:
     """Square N x N matrix restricted to platoon members."""
-    if isinstance(cfg, str):
-        cfg = parse_config(cfg)
+    cfg = parse_config(cfg)
     leaders = elect_ego_leaders(cfg)
-    cells = np.zeros((cfg.size, cfg.size), dtype=np.int8)
+    cells = np.zeros((len(cfg), len(cfg)), dtype=np.int8)
     for i, letter in enumerate(cfg):
         cells[i, i] = 1
         if letter == INDEPENDENT:
@@ -124,13 +100,13 @@ def connectivity_matrix(cfg: PlatoonConfig | str) -> ConnectivityMatrix:
             cells[i, i - 1] = 1
         if letter in ("P", "G") and leaders.get(i, EXTERNAL_REF) is not EXTERNAL_REF:
             cells[i, leaders[i]] = 1
-        if letter == "G" and i + 1 < cfg.size:
+        if letter == "G" and i + 1 < len(cfg):
             cells[i, i + 1] = 1
     return ConnectivityMatrix(cells, has_external_ref=False)
 
 
 def extended_connectivity_matrix(
-    cfg: PlatoonConfig | str,
+    cfg: str,
     head_externally_guided: bool = False,
 ) -> ConnectivityMatrix:
     """N x (N+1) matrix with a leading external-reference column.
@@ -140,8 +116,7 @@ def extended_connectivity_matrix(
     the spring-damper law too, and for the independent head when it is
     driven by an external speed profile.
     """
-    if isinstance(cfg, str):
-        cfg = parse_config(cfg)
+    cfg = parse_config(cfg)
     external = [letter == "G" and set(cfg[:i]) <= {"G"}
                 or letter == INDEPENDENT and head_externally_guided
                 for i, letter in enumerate(cfg)]

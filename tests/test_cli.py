@@ -18,7 +18,7 @@ from mixcacc import cli
 from mixcacc.config import Config, UsageError, load_config
 from mixcacc.experiments import ring_spec, scenario_for
 from mixcacc.ring import RingSpec, run_ring
-from mixcacc.scenarios import CONTROL_DT, SingleScenario, run_single_platoon
+from mixcacc.scenarios import CONTROL_DT, SingleScenario, Trace, run_single_platoon
 from mixcacc.cli import (
     EXIT_COLLISION,
     EXIT_CONFIG,
@@ -82,6 +82,19 @@ def test_single_run_writes_trace_events_and_facts(tmp_path, capsys):
     assert set(facts["min_gap"]) == {"1", "2"}
     assert set(facts["peak_abs_accel"]) == {"1", "2"}
     assert facts["window"][0] < facts["window"][1]
+
+
+def test_an_interrupted_single_leaves_no_partial_trace(tmp_path, monkeypatch):
+    """A run stopped while its trace streams out leaves no trace file."""
+    def two_chunks_then_stop(self, header_comment=None):
+        yield f"# {header_comment}\n"
+        yield CSV_COLUMNS + "\n"
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(Trace, "rows_csv_chunks", two_chunks_then_stop)
+    with pytest.raises(KeyboardInterrupt):
+        main(["--out", str(tmp_path), "single", "--", "-PLG"])
+    assert list((tmp_path / "single_run").iterdir()) == []
 
 
 def test_single_reports_the_rows_it_wrote(tmp_path, capsys):

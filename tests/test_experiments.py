@@ -517,6 +517,18 @@ def test_a_failed_json_write_leaves_the_old_file_and_no_temporary(tmp_path):
     assert json.loads(path.read_text()) == {"x": 1.0}
 
 
+def test_an_interrupted_chunk_stream_leaves_neither_the_file_nor_a_temporary(tmp_path):
+    def chunks():
+        yield "t,veh\n"
+        yield "0.0,0\n"
+        raise KeyboardInterrupt
+
+    path = tmp_path / "trace.csv"
+    with pytest.raises(KeyboardInterrupt):
+        experiments._atomic_write(str(path), chunks())
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_ring_metrics_write_null_for_undefined_volatility():
     """A car whose sampled mean speed is zero has no volatility: its entry
     is null, not NaN."""

@@ -100,7 +100,7 @@ def test_peak_abs_accel_takes_magnitude():
     tr = flat_trace()
     tr.accel[:, 1] = -2.0
     peaks = peak_abs_accel(tr, Window(0.0, 1.0))
-    assert peaks == {1: 2.0, 2: 1.0}
+    assert peaks.tolist() == [2.0, 1.0]
 
 
 def test_peak_abs_accel_speed_floor_drops_crawl_samples():
@@ -110,16 +110,23 @@ def test_peak_abs_accel_speed_floor_drops_crawl_samples():
     tr.accel[5:, 1] = -1.5
     with_floor = peak_abs_accel(tr, Window(0.0, 1.0), speed_floor=SPEED_FLOOR)
     without = peak_abs_accel(tr, Window(0.0, 1.0))
-    assert without[1] == 5.0
-    assert with_floor[1] == 1.5
+    assert without[0] == 5.0
+    assert with_floor[0] == 1.5
+
+
+def test_peak_abs_accel_names_a_follower_with_no_sample_above_the_floor():
+    tr = flat_trace()
+    tr.speed[:, 2] = 0.5
+    with pytest.raises(MetricsError, match="no usable acceleration samples for vehicle 2"):
+        peak_abs_accel(tr, Window(0.0, 1.0), speed_floor=SPEED_FLOOR)
 
 
 def test_delta_a_self_comparison_is_zero():
     tr = flat_trace()
     w = Window(0.0, 1.0)
-    m = delta_a(tr, w, peak_abs_accel(tr, w))
-    assert m.value == 0.0
-    assert all(v == 0.0 for v in m.per_vehicle.values())
+    peaks = peak_abs_accel(tr, w)
+    assert delta_a(tr, w, peaks) == (0.0, 1)    # every follower ties at zero
+    assert (peaks - peak_abs_accel(tr, w) == 0.0).all()
 
 
 def test_delta_a_negative_when_mix_shakes_harder():
@@ -127,17 +134,25 @@ def test_delta_a_negative_when_mix_shakes_harder():
     worse = flat_trace(accel=1.0)
     worse.accel[:, 2] = 1.5
     w = Window(0.0, 1.0)
-    m = delta_a(worse, w, peak_abs_accel(ref, w))
-    assert m.value == pytest.approx(-0.5)
-    assert m.vehicle == 2
-    assert m.per_vehicle[1] == 0.0
+    ref_peaks = peak_abs_accel(ref, w)
+    value, vehicle = delta_a(worse, w, ref_peaks)
+    assert value == pytest.approx(-0.5)
+    assert vehicle == 2
+    assert (ref_peaks - peak_abs_accel(worse, w))[0] == 0.0
+
+
+def test_delta_a_rejects_a_reference_of_another_size():
+    tr = flat_trace()
+    w = Window(0.0, 1.0)
+    with pytest.raises(MetricsError, match="platoon size mismatch"):
+        delta_a(tr, w, peak_abs_accel(flat_trace(n=4, controllers=("-", "A", "A", "A")), w))
 
 
 def test_min_gap_per_follower():
     tr = flat_trace(gap=30.0)
     tr.gap[4, 2] = 7.5
     gaps = min_gap(tr, Window(0.0, 1.0))
-    assert gaps == {1: 30.0, 2: 7.5}
+    assert gaps.tolist() == [30.0, 7.5]
 
 
 def test_min_gap_reads_a_derived_gap_once(monkeypatch):
@@ -146,7 +161,7 @@ def test_min_gap_reads_a_derived_gap_once(monkeypatch):
     tr = run_single_platoon(SingleScenario(kind="sinusoidal", config="-PLGA", duration=10.0))
     w = Window(2.0, 8.0)
     mask = tr.window_mask(w.t0, w.t1)
-    per_column = {i: float(np.nanmin(tr.gap[mask, i])) for i in range(1, tr.n_vehicles)}
+    per_column = [float(np.nanmin(tr.gap[mask, i])) for i in range(1, tr.n_vehicles)]
     reads = []
     derive = Trace.__getattr__
 
@@ -155,15 +170,15 @@ def test_min_gap_reads_a_derived_gap_once(monkeypatch):
         return derive(self, name)
 
     monkeypatch.setattr(Trace, "__getattr__", counted)
-    assert min_gap(tr, w) == per_column
+    assert min_gap(tr, w).tolist() == per_column
     assert reads == ["gap"]
 
 
 def test_delta_d_self_comparison_is_zero():
     tr = flat_trace(controllers=("-", "L", "L"))
     w = Window(0.0, 1.0)
-    m = delta_d(tr, w, {"L": min_gap(tr, w)})
-    assert m.value == 0.0
+    value, _ = delta_d(tr, w, {"L": min_gap(tr, w)})
+    assert value == 0.0
 
 
 def test_delta_d_flags_compressed_follower():
@@ -171,9 +186,9 @@ def test_delta_d_flags_compressed_follower():
     ref = flat_trace(controllers=("-", "L", "L"), gap=30.0)
     mixed = flat_trace(controllers=("-", "L", "L"), gap=30.0)
     mixed.gap[3, 1] = 26.0
-    m = delta_d(mixed, w, {"L": min_gap(ref, w)})
-    assert m.value == pytest.approx(-4.0)
-    assert m.vehicle == 1
+    value, vehicle = delta_d(mixed, w, {"L": min_gap(ref, w)})
+    assert value == pytest.approx(-4.0)
+    assert vehicle == 1
 
 
 def test_delta_d_requires_matching_reference():
@@ -181,6 +196,13 @@ def test_delta_d_requires_matching_reference():
     w = Window(0.0, 1.0)
     with pytest.raises(MetricsError):
         delta_d(tr, w, {"L": min_gap(tr, w)})
+
+
+def test_delta_d_rejects_a_reference_shorter_than_the_platoon():
+    w = Window(0.0, 1.0)
+    tr = flat_trace(n=4, controllers=("-", "L", "L", "L"))
+    with pytest.raises(MetricsError, match="shorter than platoon at vehicle 3"):
+        delta_d(tr, w, {"L": min_gap(flat_trace(controllers=("-", "L", "L")), w)})
 
 
 def test_occupancy_and_eta():

@@ -22,7 +22,7 @@ configs = st.one_of(
 
 def test_parse_roundtrip():
     cfg = parse_config("-PLG")
-    assert cfg.size == 4
+    assert len(cfg) == 4
     assert tuple(cfg) == ("-", "P", "L", "G")
     assert str(cfg) == "-PLG"
 
@@ -75,7 +75,7 @@ def test_election_matches_backward_scan(text):
     """The election must equal a plain backward scan for a different letter."""
     cfg = parse_config(text)
     leaders = elect_ego_leaders(cfg)
-    for i in range(1, cfg.size):
+    for i in range(1, len(cfg)):
         expect = EXTERNAL_REF
         for j in range(i - 1, -1, -1):
             # the profile-driven head counts as different from every policy
@@ -168,7 +168,7 @@ def test_row_membership_bounds(text):
     cfg = parse_config(text)
     m = connectivity_matrix(cfg)
     sums = m.cells.sum(axis=1)
-    for i in range(cfg.size):
+    for i in range(len(cfg)):
         assert m.cells[i, i] == 1
         assert 1 <= sums[i] <= 4
         if cfg[i] == "L" and i > 0:

@@ -3,6 +3,8 @@
 
 An import kept for another module's sake, such as a name re-exported or one
 bound for the layer tracer, carries ``# noqa: F401`` on one of its lines.
+The package's ``__init__.py`` imports only to re-export: its imports and its
+``__all__`` must name the same things.
 """
 
 import ast
@@ -49,6 +51,33 @@ def test_the_check_flags_unused_names_and_honours_noqa():
         "    return np.zeros(x)\n"
     )
     assert unused_imports(source) == ["os", "NamedTuple", "load"]
+
+
+def export_mismatch(source: str) -> tuple[list[str], list[str]]:
+    """The names ``source`` imports but leaves out of ``__all__``, and the
+    ``__all__`` entries other than ``__version__`` that it does not import."""
+    tree = ast.parse(source)
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names]
+    exported = next(ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["__all__"])
+    return ([name for name in imported if name not in exported],
+            [name for name in exported if name != "__version__" and name not in imported])
+
+
+def test_the_export_check_flags_both_directions():
+    source = (
+        "from .a import kept, unlisted\n"
+        "__version__ = '1'\n"
+        "__all__ = ['kept', 'stale', '__version__']\n"
+    )
+    assert export_mismatch(source) == (["unlisted"], ["stale"])
+
+
+def test_the_package_exports_exactly_what_it_imports():
+    assert export_mismatch((PACKAGE / "__init__.py").read_text(encoding="utf-8")) == ([], [])
 
 
 @pytest.mark.parametrize("module", MODULES)
