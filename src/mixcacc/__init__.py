@@ -17,16 +17,14 @@ from .controllers import (
 )
 from .dynamics import DynamicsParams, VehicleState, step_vehicle
 from .metrics import (
-    Window,
-    boxplot_stats,
     braking_window,
     delta_a,
     delta_d,
     eta,
     min_gap,
     peak_abs_accel,
+    road_throughput,
     sinusoidal_window,
-    throughput_series,
     volatility,
 )
 from .ring import RingSpec, RingTrace, run_ring
@@ -59,9 +57,7 @@ __all__ = [
     "Trace",
     "UsageError",
     "VehicleState",
-    "Window",
     "acc_accel",
-    "boxplot_stats",
     "braking_window",
     "connectivity_matrix",
     "delta_a",
@@ -76,12 +72,12 @@ __all__ = [
     "parse_config",
     "path_gains",
     "peak_abs_accel",
+    "road_throughput",
     "run_ring",
     "run_single_platoon",
     "sinusoidal_window",
     "spec_hash",
     "step_vehicle",
-    "throughput_series",
     "volatility",
     "__version__",
 ]

@@ -66,7 +66,7 @@ def cmd_single(args) -> int:
              "collided": trace.terminated_by_collision}
     if not trace.terminated_by_collision:
         window = analysis_window(trace, scn)
-        facts["window"] = [round(window.t0, 6), round(window.t1, 6)]
+        facts["window"] = [round(t, 6) for t in window]
         for name, per in (("min_gap", min_gap), ("peak_abs_accel", peak_abs_accel)):
             facts[name] = {str(i): round(x, 6)
                            for i, x in enumerate(per(trace, window).tolist(), 1)}

@@ -23,17 +23,15 @@ import numpy as np
 from .config import Config, MobilitySpec, UsageError, spec_hash
 from .metrics import (
     SPEED_FLOOR,
-    Window,
     braking_window,
     delta_a,
     delta_d,
     eta,
     max_platoon_occupancy,
-    mean_throughput,
     min_gap,
     peak_abs_accel,
+    road_throughput,
     sinusoidal_window,
-    throughput_series,
     volatility,
 )
 from .ring import BASELINES, DEVICES, PLATOON_POLICIES, RingSpec, run_ring
@@ -119,7 +117,7 @@ def scenario_for(kind: str, config: str, duration: float | None = None,
     scn = SingleScenario(kind=kind, config=config, duration=duration)
     times = np.arange(whole_periods(scn.duration, control_dt, "duration") + 1) * control_dt
     if kind == SINUSOIDAL:
-        end = sinusoidal_window(WARMUP, FREQUENCY).t1
+        end = sinusoidal_window(WARMUP, FREQUENCY)[1]
         short, what = times[-1] < end - 1e-9, f"its analysis window closes at {end:g} s"
     else:
         short = not (times[:-1] >= scn.brake_onset).any()
@@ -129,7 +127,7 @@ def scenario_for(kind: str, config: str, duration: float | None = None,
     return scn
 
 
-def analysis_window(trace, scn: SingleScenario) -> Window:
+def analysis_window(trace, scn: SingleScenario) -> tuple[float, float]:
     if scn.kind == SINUSOIDAL:
         return sinusoidal_window(WARMUP, FREQUENCY)
     return braking_window(trace)
@@ -180,7 +178,7 @@ def build_report(trace, scn: SingleScenario, ref: ReferenceData) -> dict:
     return {**report, "delta_a": _rounded(da), "delta_a_vehicle": da_vehicle,
             "delta_d": _rounded(dd), "delta_d_vehicle": dd_vehicle,
             "eta": _rounded(eta(trace, window, ref.acc_occupancy)),
-            "window": [round(window.t0, 6), round(window.t1, 6)]}
+            "window": [round(t, 6) for t in window]}
 
 
 def _sweep_batch(args) -> dict[tuple[str, str, str], tuple[dict | None, str | None]]:
@@ -413,11 +411,10 @@ def ring_run_metrics(trace) -> dict:
     }
     spec = trace.spec
     if trace.counter_times.size and trace.end_time > spec.warmup + spec.counter_window:
-        series = throughput_series(
+        out["throughput"] = round(road_throughput(
             trace.counter_times, trace.counter_devices, DEVICES,
             spec.warmup, trace.end_time, spec.counter_window,
-        )
-        out["throughput"] = round(mean_throughput(series), 6)
+        ), 6)
     if trace.speed_samples.shape[0] >= 2:
         xi = volatility(trace.speed_samples)
         out["xi"] = [_rounded(x) for x in xi.tolist()]

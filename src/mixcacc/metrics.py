@@ -1,16 +1,16 @@
 """Comfort, safety and efficiency metrics over simulation traces.
 
-Single-platoon metrics compare a mixed platoon against reference runs: the
-acceleration margin against the all-ACC platoon, the gap margin against the
-homogeneous platoon of each follower's own controller, and the occupancy gain
-as the ratio of maximum platoon footprints.  Ring metrics are throughput from
-roadside counters and per-vehicle speed volatility.
+Single-platoon metrics compare a mixed platoon against reference runs over
+one analysis window, a ``(t0, t1)`` pair of times: the acceleration margin
+against the all-ACC platoon, the gap margin against the homogeneous platoon
+of each follower's own controller, and the occupancy gain as the ratio of
+maximum platoon footprints.  Ring metrics are the road throughput from
+roadside counters, one float in veh/h, and per-vehicle speed volatility.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,23 +23,13 @@ class MetricsError(ValueError):
     """Raised when a metric is undefined for the given inputs."""
 
 
-@dataclass(frozen=True)
-class Window:
-    t0: float
-    t1: float
-
-    @property
-    def span(self) -> float:
-        return self.t1 - self.t0
-
-
-def sinusoidal_window(warmup: float, frequency: float) -> Window:
+def sinusoidal_window(warmup: float, frequency: float) -> tuple[float, float]:
     """Analysis window: :data:`SINUSOIDAL_PERIODS` leader periods after warmup."""
-    return Window(warmup, warmup + SINUSOIDAL_PERIODS / frequency)
+    return warmup, warmup + SINUSOIDAL_PERIODS / frequency
 
 
-def braking_window(trace) -> Window:
-    """Window from the head's emergency onset until the platoon has stopped.
+def braking_window(trace) -> tuple[float, float]:
+    """Analysis window from the head's emergency onset until the platoon has stopped.
 
     The window opens at the first tick where the head commands at most
     :data:`BRAKE_DETECT_U` and closes at the first subsequent tick where every
@@ -53,17 +43,18 @@ def braking_window(trace) -> Window:
     slow = np.all(trace.speed[k0:] < SPEED_FLOOR, axis=1)
     stopped = np.flatnonzero(slow)
     k1 = k0 + int(stopped[0]) if stopped.size else len(trace.times) - 1
-    return Window(float(trace.times[k0]), float(trace.times[k1]))
+    return float(trace.times[k0]), float(trace.times[k1])
 
 
-def _window_slice(trace, window: Window) -> np.ndarray:
-    mask = trace.window_mask(window.t0, window.t1)
+def _window_slice(trace, window: tuple[float, float]) -> np.ndarray:
+    mask = trace.window_mask(*window)
     if not mask.any():
         raise MetricsError(f"empty analysis window {window}")
     return mask
 
 
-def peak_abs_accel(trace, window: Window, speed_floor: float | None = None) -> np.ndarray:
+def peak_abs_accel(trace, window: tuple[float, float],
+                   speed_floor: float | None = None) -> np.ndarray:
     """Largest absolute realized acceleration of each follower inside the
     window, follower 1 first.
 
@@ -88,7 +79,7 @@ def _worst(per: np.ndarray) -> tuple[float, int]:
 
 
 def delta_a(
-    trace, window: Window, ref_peaks: np.ndarray, speed_floor: float | None = None
+    trace, window: tuple[float, float], ref_peaks: np.ndarray, speed_floor: float | None = None
 ) -> tuple[float, int]:
     """Acceleration margin of a platoon against the all-ACC reference.
 
@@ -103,13 +94,14 @@ def delta_a(
     return _worst(ref_peaks - own)
 
 
-def min_gap(trace, window: Window) -> np.ndarray:
+def min_gap(trace, window: tuple[float, float]) -> np.ndarray:
     """Smallest bumper gap of each follower inside the window, follower 1 first."""
     # a platoon trace derives its gap on every read, so read it once
     return np.nanmin(trace.gap[_window_slice(trace, window), 1:], axis=0)
 
 
-def delta_d(trace, window: Window, ref_gaps: dict[str, np.ndarray]) -> tuple[float, int]:
+def delta_d(trace, window: tuple[float, float],
+            ref_gaps: dict[str, np.ndarray]) -> tuple[float, int]:
     """Gap margin of each follower against its own-controller homogeneous run.
 
     ``ref_gaps`` maps a controller letter to the :func:`min_gap` values of
@@ -129,14 +121,14 @@ def delta_d(trace, window: Window, ref_gaps: dict[str, np.ndarray]) -> tuple[flo
     return _worst(own - ref)
 
 
-def max_platoon_occupancy(trace, window: Window) -> float:
+def max_platoon_occupancy(trace, window: tuple[float, float]) -> float:
     """Largest total follower gap length inside the window (lengths excluded)."""
     mask = _window_slice(trace, window)
     total = np.nansum(trace.gap[mask, 1:], axis=1)
     return float(total.max())
 
 
-def eta(trace, window: Window, ref_occupancy: float) -> float:
+def eta(trace, window: tuple[float, float], ref_occupancy: float) -> float:
     """Occupancy gain: maximum ACC footprint over maximum studied footprint.
 
     ``ref_occupancy`` is the :func:`max_platoon_occupancy` of the all-ACC
@@ -152,39 +144,28 @@ def eta(trace, window: Window, ref_occupancy: float) -> float:
 # Ring metrics
 # ---------------------------------------------------------------------------
 
-def throughput_series(
+def road_throughput(
     counter_times: np.ndarray,
     counter_devices: np.ndarray,
     devices: tuple[str, ...],
     t_start: float,
     t_end: float,
-    window_s: float = 15.0,
-) -> dict[str, np.ndarray]:
-    """Per-device vehicle flux in veh/h over consecutive counting windows.
-
-    Returns the window start times, one series per device, and the road-level
-    series (mean across devices).
-    """
+    window_s: float,
+) -> float:
+    """Road-level vehicle flux in veh/h: each device's count per whole
+    counting window from ``t_start``, averaged over devices, then over
+    windows."""
     n_windows = int(math.floor((t_end - t_start) / window_s))
     if n_windows < 1:
         raise MetricsError("observation period shorter than one counting window")
     edges = t_start + np.arange(n_windows + 1) * window_s
-    out: dict[str, np.ndarray] = {"t": edges[:-1]}
     per_device = []
     for dev in devices:
         sel = counter_times[counter_devices == dev]
         sel = sel[(sel >= t_start) & (sel < edges[-1])]
         counts, _ = np.histogram(sel, bins=edges)
-        series = counts * (3600.0 / window_s)
-        out[dev] = series
-        per_device.append(series)
-    out["road"] = np.mean(per_device, axis=0)
-    return out
-
-
-def mean_throughput(series: dict[str, np.ndarray]) -> float:
-    """Average road-level throughput across counting windows, veh/h."""
-    return float(series["road"].mean())
+        per_device.append(counts * (3600.0 / window_s))
+    return float(np.mean(per_device, axis=0).mean())
 
 
 def volatility(speed_samples: np.ndarray) -> np.ndarray:
@@ -201,27 +182,3 @@ def volatility(speed_samples: np.ndarray) -> np.ndarray:
     ok = np.abs(mean) > 0.0
     out[ok] = std[ok] / np.abs(mean[ok])
     return out
-
-
-def boxplot_stats(values: np.ndarray) -> dict[str, float | list[float]]:
-    """Quartiles, median, 1.5 IQR whiskers and outliers of a sample."""
-    vals = np.asarray(values, dtype=float)
-    vals = vals[~np.isnan(vals)]
-    if vals.size == 0:
-        raise MetricsError("no finite values to summarize")
-    q1, med, q3 = np.percentile(vals, [25.0, 50.0, 75.0])
-    iqr = q3 - q1
-    lo_lim = q1 - 1.5 * iqr
-    hi_lim = q3 + 1.5 * iqr
-    inside = vals[(vals >= lo_lim) & (vals <= hi_lim)]
-    whisk_lo = float(inside.min()) if inside.size else float(q1)
-    whisk_hi = float(inside.max()) if inside.size else float(q3)
-    outliers = vals[(vals < lo_lim) | (vals > hi_lim)]
-    return {
-        "q1": float(q1),
-        "median": float(med),
-        "q3": float(q3),
-        "whisker_low": whisk_lo,
-        "whisker_high": whisk_hi,
-        "outliers": sorted(float(x) for x in outliers),
-    }

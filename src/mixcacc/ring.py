@@ -38,12 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controllers import (  # noqa: F401  (codes re-exported for callers)
-    CODE_ACC,
+from .controllers import (
     CODE_BY_LETTER,
     CODE_GSBL,
     CODE_IDM,
-    CODE_PATH,
     CODE_PLOEG,
     LETTER_BY_CODE,
     ControllerSet,
@@ -119,8 +117,15 @@ class RingSpec:
             raise UsageError(f"unknown baseline {self.baseline!r}")
         if self.platoon_size < 2:
             raise UsageError("platoons need at least 2 vehicles")
+        if not 0.0 < self.circumference < math.inf:
+            raise UsageError("circumference must be positive and finite")
         if len(self.speed_classes_kmh) != self.lanes:
             raise UsageError("need one speed class per lane")
+        # a spawn draws each desired speed from class ± jitter, which must stay above zero
+        if not 0.0 <= self.speed_jitter_kmh < math.inf:
+            raise UsageError("speed jitter must be non-negative and finite")
+        if not all(0.0 < v - self.speed_jitter_kmh < math.inf for v in self.speed_classes_kmh):
+            raise UsageError("every desired speed less the speed jitter must be positive")
         if not self.control_dt > 0.0:
             raise UsageError("control period must be positive")
         for name, span in (("duration", self.duration), ("warmup", self.warmup),

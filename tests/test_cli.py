@@ -276,14 +276,18 @@ def test_unusable_idm_params_are_config_errors(tmp_path, capsys, params):
     "volatility sample dt = inf",
     "counter window = 0.05",
     "platoon sizes = 4.7",
+    "speed jitter = -5",
+    "desired speeds = 3, 3, 3",
 ], ids=["platoon-of-one", "penetration-above-one", "counter-window-zero",
         "counter-window-negative", "volatility-sample-negative",
         "volatility-sample-between-ticks", "volatility-sample-infinite",
-        "counter-window-between-ticks", "platoon-size-not-integral"])
+        "counter-window-between-ticks", "platoon-size-not-integral",
+        "speed-jitter-negative", "desired-speed-within-jitter"])
 def test_unusable_ring_grid_settings_are_config_errors(tmp_path, capsys, mobility):
-    """A grid value that only platoon cells use, or a counter or sampling
-    window that is not a positive whole number of control periods, fails
-    before any run or file, and a dry run rejects it too."""
+    """A grid value that only platoon cells use, a counter or sampling
+    window that is not a positive whole number of control periods, or a
+    desired speed that the jitter can bring to zero, fails before any run or
+    file, and a dry run rejects it too."""
     params = tmp_path / "grid.ini"
     params.write_text(f"[mobility]\n{mobility}\n")
     run = ["--density", "10", "--repetitions", "1", "--duration", "2", "--warmup", "0"]

@@ -6,18 +6,15 @@ import pytest
 from mixcacc.metrics import (
     MetricsError,
     SPEED_FLOOR,
-    Window,
-    boxplot_stats,
     braking_window,
     delta_a,
     delta_d,
     eta,
     max_platoon_occupancy,
-    mean_throughput,
     min_gap,
     peak_abs_accel,
+    road_throughput,
     sinusoidal_window,
-    throughput_series,
     volatility,
 )
 from mixcacc.scenarios import SingleScenario, Trace, run_single_platoon
@@ -55,8 +52,8 @@ def flat_trace(ticks=11, n=3, speed=20.0, accel=1.0, gap=30.0, controllers=("-",
 
 def test_sinusoidal_window_covers_five_periods():
     w = sinusoidal_window(30.0, 0.1)
-    assert (w.t0, w.t1) == (30.0, 80.0)
-    assert w.span == 50.0
+    assert w == (30.0, 80.0)
+    assert w[1] - w[0] == 50.0
 
 
 @pytest.fixture(scope="module")
@@ -66,16 +63,16 @@ def braking_trace():
 
 def test_braking_window_opens_one_tick_after_onset(braking_trace):
     """The recorded command trails the tick that computed it by one period."""
-    w = braking_window(braking_trace)
-    assert w.t0 == pytest.approx(30.1)
+    t0, _ = braking_window(braking_trace)
+    assert t0 == pytest.approx(30.1)
 
 
 def test_braking_window_closes_when_platoon_is_slow(braking_trace):
-    w = braking_window(braking_trace)
+    _, t1 = braking_window(braking_trace)
     # profile reaches zero at 30 + 27.78/8 = 33.47 s; the lagged vehicles
     # drop below the 5 km/h floor a little later
-    assert 33.3 <= w.t1 <= 34.2
-    k1 = np.flatnonzero(braking_trace.times >= w.t1 - 1e-9)[0]
+    assert 33.3 <= t1 <= 34.2
+    k1 = np.flatnonzero(braking_trace.times >= t1 - 1e-9)[0]
     assert (braking_trace.speed[k1] < SPEED_FLOOR).all()
     assert not (braking_trace.speed[k1 - 1] < SPEED_FLOOR).all()
 
@@ -89,7 +86,7 @@ def test_braking_window_requires_onset():
 def test_empty_window_rejected():
     tr = flat_trace()
     with pytest.raises(MetricsError):
-        peak_abs_accel(tr, Window(5.0, 6.0))
+        peak_abs_accel(tr, (5.0, 6.0))
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +96,7 @@ def test_empty_window_rejected():
 def test_peak_abs_accel_takes_magnitude():
     tr = flat_trace()
     tr.accel[:, 1] = -2.0
-    peaks = peak_abs_accel(tr, Window(0.0, 1.0))
+    peaks = peak_abs_accel(tr, (0.0, 1.0))
     assert peaks.tolist() == [2.0, 1.0]
 
 
@@ -108,8 +105,8 @@ def test_peak_abs_accel_speed_floor_drops_crawl_samples():
     tr.speed[:5, 1] = 0.5
     tr.accel[:5, 1] = -5.0
     tr.accel[5:, 1] = -1.5
-    with_floor = peak_abs_accel(tr, Window(0.0, 1.0), speed_floor=SPEED_FLOOR)
-    without = peak_abs_accel(tr, Window(0.0, 1.0))
+    with_floor = peak_abs_accel(tr, (0.0, 1.0), speed_floor=SPEED_FLOOR)
+    without = peak_abs_accel(tr, (0.0, 1.0))
     assert without[0] == 5.0
     assert with_floor[0] == 1.5
 
@@ -118,12 +115,12 @@ def test_peak_abs_accel_names_a_follower_with_no_sample_above_the_floor():
     tr = flat_trace()
     tr.speed[:, 2] = 0.5
     with pytest.raises(MetricsError, match="no usable acceleration samples for vehicle 2"):
-        peak_abs_accel(tr, Window(0.0, 1.0), speed_floor=SPEED_FLOOR)
+        peak_abs_accel(tr, (0.0, 1.0), speed_floor=SPEED_FLOOR)
 
 
 def test_delta_a_self_comparison_is_zero():
     tr = flat_trace()
-    w = Window(0.0, 1.0)
+    w = (0.0, 1.0)
     peaks = peak_abs_accel(tr, w)
     assert delta_a(tr, w, peaks) == (0.0, 1)    # every follower ties at zero
     assert (peaks - peak_abs_accel(tr, w) == 0.0).all()
@@ -133,7 +130,7 @@ def test_delta_a_negative_when_mix_shakes_harder():
     ref = flat_trace(accel=1.0)
     worse = flat_trace(accel=1.0)
     worse.accel[:, 2] = 1.5
-    w = Window(0.0, 1.0)
+    w = (0.0, 1.0)
     ref_peaks = peak_abs_accel(ref, w)
     value, vehicle = delta_a(worse, w, ref_peaks)
     assert value == pytest.approx(-0.5)
@@ -143,7 +140,7 @@ def test_delta_a_negative_when_mix_shakes_harder():
 
 def test_delta_a_rejects_a_reference_of_another_size():
     tr = flat_trace()
-    w = Window(0.0, 1.0)
+    w = (0.0, 1.0)
     with pytest.raises(MetricsError, match="platoon size mismatch"):
         delta_a(tr, w, peak_abs_accel(flat_trace(n=4, controllers=("-", "A", "A", "A")), w))
 
@@ -151,7 +148,7 @@ def test_delta_a_rejects_a_reference_of_another_size():
 def test_min_gap_per_follower():
     tr = flat_trace(gap=30.0)
     tr.gap[4, 2] = 7.5
-    gaps = min_gap(tr, Window(0.0, 1.0))
+    gaps = min_gap(tr, (0.0, 1.0))
     assert gaps.tolist() == [30.0, 7.5]
 
 
@@ -159,8 +156,8 @@ def test_min_gap_reads_a_derived_gap_once(monkeypatch):
     """A platoon trace derives its whole gap array on every read, so one
     call reads it once; the values are those of one read per follower."""
     tr = run_single_platoon(SingleScenario(kind="sinusoidal", config="-PLGA", duration=10.0))
-    w = Window(2.0, 8.0)
-    mask = tr.window_mask(w.t0, w.t1)
+    w = (2.0, 8.0)
+    mask = tr.window_mask(*w)
     per_column = [float(np.nanmin(tr.gap[mask, i])) for i in range(1, tr.n_vehicles)]
     reads = []
     derive = Trace.__getattr__
@@ -176,13 +173,13 @@ def test_min_gap_reads_a_derived_gap_once(monkeypatch):
 
 def test_delta_d_self_comparison_is_zero():
     tr = flat_trace(controllers=("-", "L", "L"))
-    w = Window(0.0, 1.0)
+    w = (0.0, 1.0)
     value, _ = delta_d(tr, w, {"L": min_gap(tr, w)})
     assert value == 0.0
 
 
 def test_delta_d_flags_compressed_follower():
-    w = Window(0.0, 1.0)
+    w = (0.0, 1.0)
     ref = flat_trace(controllers=("-", "L", "L"), gap=30.0)
     mixed = flat_trace(controllers=("-", "L", "L"), gap=30.0)
     mixed.gap[3, 1] = 26.0
@@ -193,20 +190,20 @@ def test_delta_d_flags_compressed_follower():
 
 def test_delta_d_requires_matching_reference():
     tr = flat_trace(controllers=("-", "G", "G"))
-    w = Window(0.0, 1.0)
+    w = (0.0, 1.0)
     with pytest.raises(MetricsError):
         delta_d(tr, w, {"L": min_gap(tr, w)})
 
 
 def test_delta_d_rejects_a_reference_shorter_than_the_platoon():
-    w = Window(0.0, 1.0)
+    w = (0.0, 1.0)
     tr = flat_trace(n=4, controllers=("-", "L", "L", "L"))
     with pytest.raises(MetricsError, match="shorter than platoon at vehicle 3"):
         delta_d(tr, w, {"L": min_gap(flat_trace(controllers=("-", "L", "L")), w)})
 
 
 def test_occupancy_and_eta():
-    w = Window(0.0, 1.0)
+    w = (0.0, 1.0)
     ref = flat_trace(gap=30.0)
     own = flat_trace(gap=10.0)
     assert max_platoon_occupancy(ref, w) == pytest.approx(60.0)
@@ -218,7 +215,7 @@ def test_occupancy_and_eta():
 
 
 def test_eta_rejects_degenerate_occupancy():
-    w = Window(0.0, 1.0)
+    w = (0.0, 1.0)
     ref = flat_trace(gap=30.0)
     broken = flat_trace(gap=0.0)
     with pytest.raises(MetricsError):
@@ -237,14 +234,10 @@ def test_throughput_ten_crossings_per_window():
         for w in range(2):
             times.extend(100.0 + w * 15.0 + np.linspace(0.5, 14.5, 10))
             names.extend([dev] * 10)
-    series = throughput_series(
-        np.asarray(times), np.asarray(names), devices, 100.0, 130.0, 15.0
-    )
-    assert list(series["t"]) == [100.0, 115.0]
+    times, names = np.asarray(times), np.asarray(names)
     for dev in devices:
-        assert list(series[dev]) == [2400.0, 2400.0]
-    assert list(series["road"]) == [2400.0, 2400.0]
-    assert mean_throughput(series) == pytest.approx(2400.0)
+        assert road_throughput(times, names, (dev,), 100.0, 130.0, 15.0) == 2400.0
+    assert road_throughput(times, names, devices, 100.0, 130.0, 15.0) == 2400.0
 
 
 def test_throughput_counts_are_conserved():
@@ -252,14 +245,15 @@ def test_throughput_counts_are_conserved():
     devices = ("N", "E", "S", "W")
     times = rng.uniform(0.0, 60.0, 200)
     names = rng.choice(devices, 200)
-    series = throughput_series(times, names, devices, 0.0, 60.0, 15.0)
-    total = sum(series[d].sum() for d in devices) * 15.0 / 3600.0
+    flux = road_throughput(times, names, devices, 0.0, 60.0, 15.0)
+    assert isinstance(flux, float)
+    total = flux * 4 * len(devices) * 15.0 / 3600.0      # four whole windows
     assert total == pytest.approx(np.sum(times < 60.0))
 
 
 def test_throughput_needs_one_full_window():
     with pytest.raises(MetricsError):
-        throughput_series(np.empty(0), np.empty(0, dtype="U1"), ("N",), 0.0, 10.0, 15.0)
+        road_throughput(np.empty(0), np.empty(0, dtype="U1"), ("N",), 0.0, 10.0, 15.0)
 
 
 def test_volatility_known_value():
@@ -283,10 +277,3 @@ def test_volatility_needs_two_samples():
     with pytest.raises(MetricsError):
         volatility(np.ones((1, 3)))
 
-
-def test_boxplot_stats_with_outlier():
-    stats = boxplot_stats([1, 2, 3, 4, 5, 6, 7, 8, 9, 100])
-    assert stats["median"] == 5.5
-    assert stats["q1"] == 3.25 and stats["q3"] == 7.75
-    assert stats["whisker_low"] == 1.0 and stats["whisker_high"] == 9.0
-    assert stats["outliers"] == [100.0]

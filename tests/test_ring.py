@@ -11,15 +11,20 @@ from hypothesis import strategies as st
 
 from mixcacc import ring
 from mixcacc.config import UsageError
-from mixcacc.controllers import AccParams, ControllerSet, PloegParams, ploeg_target
-from mixcacc.dynamics import STANDSTILL_BRAKE, DynamicsParams
-from mixcacc.experiments import ring_run_metrics
-from mixcacc.ring import (
+from mixcacc.controllers import (
     CODE_ACC,
     CODE_GSBL,
     CODE_IDM,
     CODE_PATH,
     CODE_PLOEG,
+    AccParams,
+    ControllerSet,
+    PloegParams,
+    ploeg_target,
+)
+from mixcacc.dynamics import STANDSTILL_BRAKE, DynamicsParams
+from mixcacc.experiments import ring_run_metrics
+from mixcacc.ring import (
     RingSpec,
     _change_lane,
     _lane_change_pass,
@@ -136,6 +141,11 @@ def test_spec_rejects_a_density_beyond_bumper_to_bumper():
         RingSpec(density=1e9)
 
 
+def test_spec_names_a_circumference_that_is_not_positive():
+    with pytest.raises(UsageError, match="circumference must be positive"):
+        RingSpec(density=10, circumference=-5000.0)
+
+
 @pytest.mark.parametrize("kwargs", [
     {"density": 0.0},
     {"density": 60, "penetration": 1.5},
@@ -151,6 +161,9 @@ def test_spec_rejects_a_density_beyond_bumper_to_bumper():
     {"density": 60, "counter_window": math.inf},
     {"density": 60, "counter_window": math.nan},
     {"density": 10, "duration": 1.0, "warmup": 1e12},
+    {"density": 60, "speed_jitter_kmh": -5.0},
+    {"density": 60, "speed_classes_kmh": (3.0, 3.0, 3.0)},
+    {"density": 10, "circumference": -5000.0},
 ])
 def test_ring_spec_validation(kwargs):
     with pytest.raises(UsageError):

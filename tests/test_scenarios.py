@@ -134,7 +134,7 @@ def test_string_amplitude_decays_towards_the_tail():
     w = sinusoidal_window(30.0, 0.1)
     for config in ("-LLLLLLL", "-PPPPPPP"):
         tr = run_single_platoon(SingleScenario(kind=SINUSOIDAL, config=config))
-        m = tr.window_mask(w.t0, w.t1)
+        m = tr.window_mask(*w)
         amp = [
             (tr.speed[m, i].max() - tr.speed[m, i].min()) / 2.0
             for i in range(tr.n_vehicles)
@@ -142,7 +142,7 @@ def test_string_amplitude_decays_towards_the_tail():
         assert amp[7] <= amp[1]
     # predecessor following attenuates monotonically behind the first follower
     tr = run_single_platoon(SingleScenario(kind=SINUSOIDAL, config="-LLLLLLL"))
-    m = tr.window_mask(w.t0, w.t1)
+    m = tr.window_mask(*w)
     amp = [(tr.speed[m, i].max() - tr.speed[m, i].min()) / 2.0 for i in range(8)]
     assert all(amp[i] > amp[i + 1] for i in range(1, 7))
 
