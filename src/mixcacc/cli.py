@@ -9,9 +9,10 @@ sweep-ring   run the density / policy / size / penetration grid
 matrix       print the communication matrix of a platoon configuration
 report       render text tables from persisted sweep output
 
-Exit codes: 0 success, 2 bad configuration (a ``UsageError``; any other
-exception is an internal error and escapes with its traceback), 3 single run
-ended in a collision, 4 sweep finished with failed runs.
+Exit codes: 0 success, 2 bad configuration (a ``UsageError``), 3 single run
+ended in a collision, 4 sweep finished with failed runs.  Any other exception,
+even a ``ValueError`` raised while loading a config, is an internal error: it
+escapes with its traceback and exits 1.
 """
 
 from __future__ import annotations

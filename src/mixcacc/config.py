@@ -11,7 +11,6 @@ from __future__ import annotations
 import configparser
 import functools
 import hashlib
-import io
 import itertools
 import json
 import math
@@ -43,6 +42,9 @@ class MobilitySpec:
     counter_window: float = 15.0
     volatility_sample_dt: float = 0.5
 
+    def __post_init__(self):
+        check(self, "mobility")
+
 
 @dataclass
 class Config:
@@ -51,66 +53,68 @@ class Config:
     mobility: MobilitySpec = field(default_factory=MobilitySpec)
 
 
-# One row per INI entry: (section, key, owning field of the Config).  The
-# hash names a [dynamics] or [mobility] value by its field and a controller
-# value by its INI key.  Every value is a float unless _CASTS says otherwise.
+# One row per INI entry: (section, key, owning field of the Config, domain).  The
+# hash names a [dynamics] or [mobility] value by its field and a controller value
+# by its INI key.  Values are floats unless _CASTS says otherwise, and finite.
 SCHEMA = (
-    ("dynamics", "powertrain lag", "dynamics.tau"),
-    ("dynamics", "dt", "dynamics.dt"),
-    ("dynamics", "u_min", "dynamics.u_min"),
-    ("dynamics", "u_max", "dynamics.u_max"),
-    ("dynamics", "emergency u_min", "dynamics.emergency_u_min"),
-    ("acc", "H", "controllers.acc.H"),
-    ("acc", "lambda", "controllers.acc.lam"),
-    ("ploeg", "H", "controllers.ploeg.H"),
-    ("ploeg", "kp", "controllers.ploeg.kp"),
-    ("ploeg", "kd", "controllers.ploeg.kd"),
-    ("path", "C1", "controllers.path.c1"),
-    ("path", "xi", "controllers.path.xi"),
-    ("path", "omega_n", "controllers.path.omega_n"),
-    ("path", "dd", "controllers.path.dd"),
-    ("gsbl", "k", "controllers.gsbl.k"),
-    ("gsbl", "h", "controllers.gsbl.h"),
-    ("gsbl", "r", "controllers.gsbl.r_default"),
-    ("gsbl", "r_min", "controllers.gsbl.r_min"),
-    ("gsbl", "r_max", "controllers.gsbl.r_max"),
-    ("gsbl", "d", "controllers.gsbl.d"),
-    ("gsbl", "delta_a", "controllers.gsbl.delta_a"),
-    ("gsbl", "delta_t", "controllers.gsbl.delta_t"),
-    ("idm", "v0", "controllers.idm.v0"),
-    ("idm", "T", "controllers.idm.T"),
-    ("idm", "a_max", "controllers.idm.a_max"),
-    ("idm", "b_comf", "controllers.idm.b_comf"),
-    ("idm", "s0", "controllers.idm.s0"),
-    ("idm", "delta", "controllers.idm.delta"),
-    ("mobility", "lanes", "mobility.lanes"),
-    ("mobility", "circumference", "mobility.circumference"),
-    ("mobility", "desired speeds", "mobility.speed_classes_kmh"),
-    ("mobility", "speed jitter", "mobility.speed_jitter_kmh"),
-    ("mobility", "densities", "mobility.densities"),
-    ("mobility", "platoon sizes", "mobility.platoon_sizes"),
-    ("mobility", "penetration rates", "mobility.penetration_rates"),
-    ("mobility", "duration", "mobility.ring_duration"),
-    ("mobility", "warmup", "mobility.ring_warmup"),
-    ("mobility", "counter window", "mobility.counter_window"),
-    ("mobility", "volatility sample dt", "mobility.volatility_sample_dt"),
+    ("dynamics", "powertrain lag", "dynamics.tau", "positive"),
+    ("dynamics", "dt", "dynamics.dt", "positive"),
+    ("dynamics", "u_min", "dynamics.u_min", "negative"),
+    ("dynamics", "u_max", "dynamics.u_max", "positive"),
+    ("dynamics", "emergency u_min", "dynamics.emergency_u_min", "negative"),
+    ("acc", "H", "controllers.acc.H", "positive"),
+    ("acc", "lambda", "controllers.acc.lam", "positive"),
+    ("ploeg", "H", "controllers.ploeg.H", "positive"),
+    ("ploeg", "kp", "controllers.ploeg.kp", "positive"),
+    ("ploeg", "kd", "controllers.ploeg.kd", "positive"),
+    ("path", "C1", "controllers.path.c1", "in (0, 1)"),
+    ("path", "xi", "controllers.path.xi", "at least 1"),
+    ("path", "omega_n", "controllers.path.omega_n", "positive"),
+    ("path", "dd", "controllers.path.dd", "positive"),
+    ("gsbl", "k", "controllers.gsbl.k", "positive"),
+    ("gsbl", "h", "controllers.gsbl.h", "non-negative"),
+    ("gsbl", "r", "controllers.gsbl.r_default", "positive"),
+    ("gsbl", "r_min", "controllers.gsbl.r_min", "positive"),
+    ("gsbl", "r_max", "controllers.gsbl.r_max", "positive"),
+    ("gsbl", "d", "controllers.gsbl.d", "positive"),
+    ("gsbl", "delta_a", "controllers.gsbl.delta_a", "negative"),
+    ("gsbl", "delta_t", "controllers.gsbl.delta_t", "non-negative"),
+    ("idm", "v0", "controllers.idm.v0", "positive"),
+    ("idm", "T", "controllers.idm.T", "positive"),
+    ("idm", "a_max", "controllers.idm.a_max", "positive"),
+    ("idm", "b_comf", "controllers.idm.b_comf", "positive"),
+    ("idm", "s0", "controllers.idm.s0", "non-negative"),
+    ("idm", "delta", "controllers.idm.delta", "positive"),
+    ("mobility", "lanes", "mobility.lanes", "at least 1"),
+    ("mobility", "circumference", "mobility.circumference", "positive"),
+    ("mobility", "desired speeds", "mobility.speed_classes_kmh", "positive"),
+    ("mobility", "speed jitter", "mobility.speed_jitter_kmh", "non-negative"),
+    ("mobility", "densities", "mobility.densities", "positive"),
+    ("mobility", "platoon sizes", "mobility.platoon_sizes", "at least 2"),
+    ("mobility", "penetration rates", "mobility.penetration_rates", "in [0, 1]"),
+    ("mobility", "duration", "mobility.ring_duration", "positive"),
+    ("mobility", "warmup", "mobility.ring_warmup", "non-negative"),
+    ("mobility", "counter window", "mobility.counter_window", "positive"),
+    ("mobility", "volatility sample dt", "mobility.volatility_sample_dt", "positive"),
 )
 _HASH_BY_FIELD = ("dynamics", "mobility")
-
-
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text!r} is not a finite number")
-    return value
+DOMAINS = {
+    "positive": lambda x: 0 < x < math.inf,
+    "negative": lambda x: -math.inf < x < 0,
+    "non-negative": lambda x: 0 <= x < math.inf,
+    "at least 1": lambda x: 1 <= x < math.inf,
+    "at least 2": lambda x: 2 <= x < math.inf,
+    "in (0, 1)": lambda x: 0 < x < 1,
+    "in [0, 1]": lambda x: 0 <= x <= 1,
+}
 
 
 def _floats(text: str) -> tuple[float, ...]:
-    return tuple(_finite(x) for x in text.split(","))
+    return tuple(map(float, text.split(",")))
 
 
 def _integral(text: str) -> int:
-    value = _finite(text)
+    value = float(text)
     if not value.is_integer():
         raise ValueError(f"{text!r} is not a whole number")
     return int(value)
@@ -123,7 +127,7 @@ _CASTS = {
     "mobility.platoon_sizes": lambda s: tuple(map(_integral, s.split(","))),
     "mobility.penetration_rates": _floats,
 }
-_FIELD_BY_KEY = {(section, key): path for section, key, path in SCHEMA}
+_FIELD_BY_KEY = {(section, key): path for section, key, path, _ in SCHEMA}
 
 
 def _get(cfg: Config, path: str):
@@ -138,12 +142,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def check(obj, section: str) -> None:
+    """Raise :class:`UsageError` if a field of ``obj`` lies outside its ``section`` domain."""
+    for sec, key, path, domain in SCHEMA:
+        value = getattr(obj, path.rpartition(".")[2], None)
+        entries = value if isinstance(value, (tuple, list)) else (value,)
+        if sec == section and value is not None and not all(map(DOMAINS[domain], entries)):
+            raise UsageError(f"[{section}] {key} must be {domain}, got {_fmt(value)}")
+
+
 def config_to_text(cfg: Config) -> str:
     """Serialize a configuration to the INI text format."""
     out = []
     for section, rows in itertools.groupby(SCHEMA, key=lambda row: row[0]):
         out.append(f"[{section}]")
-        out.extend(f"{key} = {_fmt(_get(cfg, path))}" for _, key, path in rows)
+        out.extend(f"{key} = {_fmt(_get(cfg, path))}" for _, key, path, _ in rows)
         out.append("")
     return "\n".join(out)
 
@@ -163,7 +176,7 @@ def load_config(text: str) -> Config:
 
     if parser.defaults():   # their keys would be copied into every section
         raise UsageError(f"unknown section [{parser.default_section}]")
-    known = {section for section, _, _ in SCHEMA}
+    known = {section for section, *_ in SCHEMA}
     updates: dict[str, dict] = {}     # owner path -> {field: value}
     for section in parser.sections():
         if section not in known:
@@ -173,32 +186,29 @@ def load_config(text: str) -> Config:
             if path is None:
                 raise UsageError(f"unknown key {key!r} in [{section}]")
             try:
-                value = _CASTS.get(path, _finite)(raw)
+                value = _CASTS.get(path, float)(raw)
             except ValueError as exc:
                 raise UsageError(f"bad value {raw!r} for [{section}] {key}") from exc
             owner, _, name = path.rpartition(".")
             updates.setdefault(owner, {})[name] = value
 
     cfg = Config()
-    try:
-        for owner, values in updates.items():
-            parent, _, name = owner.rpartition(".")
-            holder = _get(cfg, parent) if parent else cfg
-            setattr(holder, name, replace(getattr(holder, name), **values))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    for owner, values in updates.items():
+        parent, _, name = owner.rpartition(".")
+        holder = _get(cfg, parent) if parent else cfg
+        setattr(holder, name, replace(getattr(holder, name), **values))
     return cfg
 
 
 def load_config_file(path) -> Config:
-    with io.open(path, "r", encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh:
         return load_config(fh.read())
 
 
 def resolved_dict(cfg: Config) -> dict:
     """Canonical nested dict of every resolved parameter."""
     out: dict[str, dict] = {}
-    for section, key, path in SCHEMA:
+    for section, key, path, _ in SCHEMA:
         value = _get(cfg, path)
         name = path.rpartition(".")[2] if section in _HASH_BY_FIELD else key
         out.setdefault(section, {})[name] = list(value) if isinstance(value, tuple) else value

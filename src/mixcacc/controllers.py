@@ -75,8 +75,8 @@ class AccParams:
     lam: float = 0.1      # spacing error gain [1/s]
 
     def __post_init__(self):
-        if self.H <= 0.0:
-            raise ValueError("ACC headway must be positive")
+        from .config import check   # config imports this module
+        check(self, "acc")
 
 
 def acc_accel(v, v_pred, gap, H, lam):
@@ -101,8 +101,8 @@ class PloegParams:
     kd: float = 0.7
 
     def __post_init__(self):
-        if self.H <= 0.0:
-            raise ValueError("Ploeg headway must be positive")
+        from .config import check
+        check(self, "ploeg")
 
 
 def ploeg_target(gap, v, a, v_pred, u_pred, H, kp, kd):
@@ -138,12 +138,6 @@ def path_gains(c1: float, xi: float, omega_n: float) -> tuple[float, float, floa
 
     Requires 0 < c1 < 1, xi >= 1 and omega_n > 0 so the roots stay real.
     """
-    if not 0.0 < c1 < 1.0:
-        raise ValueError("c1 must lie in (0, 1)")
-    if xi < 1.0:
-        raise ValueError("xi must be >= 1")
-    if omega_n <= 0.0:
-        raise ValueError("omega_n must be positive")
     root = xi + math.sqrt(xi * xi - 1.0)
     alpha1 = 1.0 - c1
     alpha2 = c1
@@ -162,6 +156,8 @@ class PathParams:
     gains: tuple[float, float, float, float, float] = field(init=False)
 
     def __post_init__(self):
+        from .config import check
+        check(self, "path")
         self.gains = path_gains(self.c1, self.xi, self.omega_n)
 
 
@@ -210,8 +206,10 @@ class GsblParams:
     mode: GsblMode = GsblMode.CRUISE
 
     def __post_init__(self):
+        from .config import UsageError, check
+        check(self, "gsbl")
         if not self.r_min <= self.r_max:
-            raise ValueError("need r_min <= r_max")
+            raise UsageError("[gsbl] r_min must not exceed r_max")
 
 
 def gsbl_accel(gap_front, v_pred, gap_rear, v_succ, v, v_r, k, h, r, d):
@@ -301,8 +299,8 @@ class IdmParams:
     delta: float = 4.0    # free acceleration exponent
 
     def __post_init__(self):
-        if not (self.a_max > 0.0 and self.b_comf > 0.0):
-            raise ValueError("IDM a_max and b_comf must be positive")
+        from .config import check
+        check(self, "idm")
 
 
 def idm_accel(v, gap, v_pred, p: IdmParams, v0):

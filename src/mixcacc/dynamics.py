@@ -38,14 +38,12 @@ class DynamicsParams:
     emergency_u_min: float = -9.0  # clamp while emergency braking is commanded
 
     def __post_init__(self):
-        if self.tau <= 0.0 or self.dt <= 0.0:
-            raise ValueError("tau and dt must be positive")
+        from .config import UsageError, check   # config imports this module
+        check(self, "dynamics")
         if self.dt > self.tau:   # the lag update would overshoot its command
-            raise ValueError("powertrain lag tau must not be shorter than the step dt")
-        if not self.u_min < 0.0 < self.u_max:
-            raise ValueError("input clamp must satisfy u_min < 0 < u_max")
+            raise UsageError("[dynamics] powertrain lag must not be shorter than the step dt")
         if self.emergency_u_min > self.u_min:
-            raise ValueError("emergency_u_min cannot be tighter than u_min")
+            raise UsageError("[dynamics] emergency u_min cannot be tighter than u_min")
 
 
 @dataclass

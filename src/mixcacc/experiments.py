@@ -489,10 +489,19 @@ def sweep_ring(
     # one run per batch, so --jobs spreads runs over the workers
     results, failed = _run_store(
         files, lambda keys: [[(*key, specs[key], cfg)] for key in keys], _ring_batch, jobs)
+    # the summary covers every current result file of the grid, so a grid run
+    # in --density subsets ends with the summary of one whole run
+    grid = {**ring_cells(mob), **cells}
+    for cell, rep in itertools.product(grid.keys() - cells.keys(), range(repetitions)):
+        path = os.path.join(out_dir, "ring", cell, f"rep{rep}.json")
+        if (payload := _load_if_current(path, h)) is not None:
+            results[cell, rep] = payload
 
     aggregate = {}
-    for cell in cells:
+    for cell in grid:
         runs = [results[cell, rep] for rep in range(repetitions) if (cell, rep) in results]
+        if not runs and cell not in cells:
+            continue   # another subset's cell, not run yet
         ok = [r for r in runs if not r["collided"] and r["throughput"] is not None]
         thr = [r["throughput"] for r in ok]
         xi = [r["xi_median"] for r in ok if r["xi_median"] is not None]
@@ -505,7 +514,7 @@ def sweep_ring(
         }
     summary = {
         "spec_hash": h,
-        "cell_count": len(cells),
+        "cell_count": len(aggregate),
         "repetitions": repetitions,
         "cells": aggregate,
         "failed": [{"cell": cell_id, "rep": rep, "error": error}

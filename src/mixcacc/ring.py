@@ -49,7 +49,7 @@ from .controllers import (
     family_indices,
 )
 from .dynamics import DynamicsParams, VEHICLE_LENGTH, advance
-from .config import MobilitySpec, UsageError
+from .config import MobilitySpec, UsageError, check
 from .scenarios import CONTROL_DT, Trace, TraceEvent, events_csv, whole_periods
 from .topology import elect_ego_leaders
 
@@ -107,24 +107,18 @@ class RingSpec:
     record_full_trace: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.density < math.inf:
-            raise UsageError("density must be positive and finite")
-        if not 0.0 <= self.penetration <= 1.0:
-            raise UsageError("penetration must lie in [0, 1]")
         if self.platoon_policy not in PLATOON_POLICIES:
             raise UsageError(f"unknown platoon policy {self.platoon_policy!r}")
         if self.baseline not in BASELINES:
             raise UsageError(f"unknown baseline {self.baseline!r}")
-        if self.platoon_size < 2:
-            raise UsageError("platoons need at least 2 vehicles")
-        if not 0.0 < self.circumference < math.inf:
-            raise UsageError("circumference must be positive and finite")
+        # the road, and the run's point of the grid, each in its [mobility] key's domain
+        check(self, "mobility")
+        MobilitySpec(densities=(self.density,), platoon_sizes=(self.platoon_size,),
+                     penetration_rates=(self.penetration,))
         if len(self.speed_classes_kmh) != self.lanes:
             raise UsageError("need one speed class per lane")
         # a spawn draws each desired speed from class ± jitter, which must stay above zero
-        if not 0.0 <= self.speed_jitter_kmh < math.inf:
-            raise UsageError("speed jitter must be non-negative and finite")
-        if not all(0.0 < v - self.speed_jitter_kmh < math.inf for v in self.speed_classes_kmh):
+        if not self.speed_jitter_kmh < min(self.speed_classes_kmh):
             raise UsageError("every desired speed less the speed jitter must be positive")
         if not self.control_dt > 0.0:
             raise UsageError("control period must be positive")

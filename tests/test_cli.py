@@ -241,16 +241,45 @@ def test_unusable_run_settings_are_config_errors(tmp_path, capsys, argv):
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("params,argv", [
-    ("[acc]\nH = nan\n", ["ring", "--density", "5", "--duration", "10", "--warmup", "0"]),
-    ("[dynamics]\ndt = nan\n", ["single", "--", "-PL"]),
+@pytest.mark.parametrize("params,argv,name", [
+    ("[acc]\nH = nan\n", ["ring", "--density", "5", "--duration", "10", "--warmup", "0"],
+     "[acc] H"),
+    ("[dynamics]\ndt = nan\n", ["single", "--", "-PL"], "[dynamics] dt"),
 ], ids=["acc-headway-nan", "dynamics-step-nan"])
-def test_non_finite_params_are_config_errors(tmp_path, capsys, params, argv):
+def test_non_finite_params_are_config_errors(tmp_path, capsys, params, argv, name):
+    """No domain holds NaN or an infinity."""
     path = tmp_path / "nan.ini"
     path.write_text(params)
     assert main(["--params", str(path), "--out", str(tmp_path), *argv]) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("error: bad value 'nan'")
+    assert capsys.readouterr().err.startswith(f"error: {name} must be positive, got nan")
     assert not (tmp_path / "ring_run").exists() and not (tmp_path / "single_run").exists()
+
+
+PROBE_RING = ["ring", "--density", "20", "--baseline", "IDM", "--penetration", "0.5",
+              "--policy", "MIX", "--duration", "5", "--warmup", "0"]
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("idm", "T", "0"),
+    ("acc", "lambda", "-1"),
+    ("ploeg", "kp", "-5"),
+    ("idm", "T", "-1"),
+    ("idm", "s0", "-5"),
+    ("gsbl", "r", "-1"),
+    ("gsbl", "k", "-1"),
+    ("path", "dd", "-1"),
+])
+def test_params_outside_their_domain_are_config_errors(tmp_path, capsys, section, key, value):
+    """Before the key domains, ``[idm] T = 0`` failed the spawn with a
+    ZeroDivisionError (exit 1), ``lambda``, ``k`` and ``dd`` ran into a
+    collision (exit 3) and the others ran to exit 0."""
+    path = tmp_path / "domain.ini"
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["--params", str(path), "--out", str(out), *PROBE_RING]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: [{section}] {key} must be ")
+    assert not any(out.iterdir())
 
 
 @pytest.mark.parametrize("params", ["[idm]\nb_comf = -1\n", "[idm]\na_max = 0\n"],

@@ -1,6 +1,9 @@
 """INI parameter files: one schema drives loading, writing and hashing."""
 
 import configparser
+import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -95,7 +98,7 @@ def test_every_key_file_hash_is_pinned():
     parser.optionxform = str
     parser.read_string(EVERY_KEY)
     assert {(s, k) for s in parser.sections() for k in parser[s]} == {
-        (s, k) for s, k, _ in SCHEMA
+        (s, k) for s, k, _, _ in SCHEMA
     }
     cfg = load_config(EVERY_KEY)
     default_lines = config_to_text(Config()).splitlines()
@@ -127,48 +130,79 @@ def test_unknown_section_or_key_is_rejected(text, name):
     assert name in str(info.value)
 
 
-@pytest.mark.parametrize("text", [
+# a value just outside each domain
+OUTSIDE = {"positive": "0", "negative": "0", "non-negative": "-1", "at least 1": "0",
+           "at least 2": "1", "in (0, 1)": "1", "in [0, 1]": "-1"}
+
+
+@pytest.mark.parametrize("text", list(dict.fromkeys([
     "[dynamics]\ndt = fast\n",
     "[mobility]\nlanes = 2.5\n",
     "[acc]\nH = 0\n",
     "[path]\nC1 = 1.5\n",
-])
+    *(f"[{section}]\n{key} = {OUTSIDE[domain]}\n" for section, key, _, domain in SCHEMA),
+])))
 def test_bad_values_are_config_file_errors(text):
-    with pytest.raises(UsageError):
+    """Every row's domain is checked on load, and the error names the key."""
+    name = text.replace("]\n", "] ").partition(" = ")[0]
+    with pytest.raises(UsageError, match=re.escape(name)):
         load_config(text)
+
+
+# numbers inside each domain
+INSIDE = {
+    "positive": st.floats(0.0, 1e6, exclude_min=True),
+    "negative": st.floats(-1e6, -0.0, exclude_max=True),
+    "non-negative": st.floats(0.0, 1e6),
+    "at least 1": st.floats(1.0, 1e6),
+    "at least 2": st.floats(2.0, 1e6),
+    "in (0, 1)": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    "in [0, 1]": st.floats(0.0, 1.0),
+}
+DOMAIN = {(section, key): domain for section, key, _, domain in SCHEMA}
 
 
 @st.composite
 def configs(draw):
-    def f(lo=-1e6, hi=1e6):
-        return draw(st.floats(lo, hi))
+    """A configuration that sets every key, each drawn from its domain; a
+    key that a cross-field rule bounds is drawn as an offset from its bound."""
+    def f(section, key):
+        return draw(INSIDE[DOMAIN[section, key]])
 
-    def many(elements):
-        return tuple(draw(st.lists(elements, min_size=1, max_size=4)))
+    def whole(section, key):
+        return draw(INSIDE[DOMAIN[section, key]].map(math.floor))
 
-    u_min = f(-100.0, -1e-3)
-    r_min = f(0.0, 10.0)
-    dt = f(1e-4, 1.0)
+    def many(key, one=f):
+        return tuple(one("mobility", key) for _ in range(draw(st.integers(1, 4))))
+
+    u_min, r_min, dt = f("dynamics", "u_min"), f("gsbl", "r_min"), f("dynamics", "dt")
     return Config(
         dynamics=DynamicsParams(
-            tau=dt + f(0.0, 10.0), dt=dt, u_min=u_min, u_max=f(1e-3, 100.0),
-            emergency_u_min=u_min - f(0.0, 10.0),
+            tau=dt + f("dynamics", "powertrain lag"), dt=dt, u_min=u_min,
+            u_max=f("dynamics", "u_max"),
+            emergency_u_min=u_min + f("dynamics", "emergency u_min"),
         ),
         controllers=ControllerSet(
-            acc=AccParams(H=f(1e-3, 10.0), lam=f()),
-            ploeg=PloegParams(H=f(1e-3, 10.0), kp=f(), kd=f()),
-            path=PathParams(c1=f(1e-3, 0.999), xi=f(1.0, 10.0), omega_n=f(1e-3, 10.0), dd=f()),
-            gsbl=GsblParams(k=f(), h=f(), r_default=f(), r_min=r_min,
-                            r_max=r_min + f(0.0, 10.0), d=f(), delta_a=f(), delta_t=f()),
-            idm=IdmParams(v0=f(), T=f(), a_max=f(1e-3, 1e6), b_comf=f(1e-3, 1e6), s0=f(),
-                          delta=f()),
+            acc=AccParams(H=f("acc", "H"), lam=f("acc", "lambda")),
+            ploeg=PloegParams(H=f("ploeg", "H"), kp=f("ploeg", "kp"), kd=f("ploeg", "kd")),
+            path=PathParams(c1=f("path", "C1"), xi=f("path", "xi"),
+                            omega_n=f("path", "omega_n"), dd=f("path", "dd")),
+            gsbl=GsblParams(k=f("gsbl", "k"), h=f("gsbl", "h"), r_default=f("gsbl", "r"),
+                            r_min=r_min, r_max=r_min + f("gsbl", "r_max"), d=f("gsbl", "d"),
+                            delta_a=f("gsbl", "delta_a"), delta_t=f("gsbl", "delta_t")),
+            idm=IdmParams(v0=f("idm", "v0"), T=f("idm", "T"), a_max=f("idm", "a_max"),
+                          b_comf=f("idm", "b_comf"), s0=f("idm", "s0"),
+                          delta=f("idm", "delta")),
         ),
         mobility=MobilitySpec(
-            lanes=draw(st.integers(1, 6)), circumference=f(),
-            speed_classes_kmh=many(st.floats(-1e6, 1e6)), speed_jitter_kmh=f(),
-            densities=many(st.floats(-1e6, 1e6)), platoon_sizes=many(st.integers(0, 64)),
-            penetration_rates=many(st.floats(-1e6, 1e6)), ring_duration=f(),
-            ring_warmup=f(), counter_window=f(), volatility_sample_dt=f(),
+            lanes=whole("mobility", "lanes"), circumference=f("mobility", "circumference"),
+            speed_classes_kmh=many("desired speeds"),
+            speed_jitter_kmh=f("mobility", "speed jitter"), densities=many("densities"),
+            platoon_sizes=many("platoon sizes", whole),
+            penetration_rates=many("penetration rates"),
+            ring_duration=f("mobility", "duration"), ring_warmup=f("mobility", "warmup"),
+            counter_window=f("mobility", "counter window"),
+            volatility_sample_dt=f("mobility", "volatility sample dt"),
         ),
     )
 
@@ -178,3 +212,10 @@ def test_text_round_trip(cfg):
     again = load_config(config_to_text(cfg))
     assert again == cfg
     assert spec_hash(again) == spec_hash(cfg)
+
+
+def test_readme_key_table_lists_the_schema():
+    """The README's key table is SCHEMA's sections, keys and domains, row for row."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `\[(\w+)\]` \| `([^`]+)`[^|]* \| ([^|]+?) \|", readme, re.M)
+    assert rows == [(section, key, domain) for section, key, _, domain in SCHEMA]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from mixcacc.config import UsageError
 from mixcacc.controllers import (
     CODE_BY_LETTER,
     SET_SPEED_GAIN,
@@ -206,8 +207,9 @@ def test_path_gains_reference_point():
     (0.5, 1.0, 0.0),
 ])
 def test_path_gains_domain(c1, xi, omega_n):
-    with pytest.raises(ValueError):
-        path_gains(c1, xi, omega_n)
+    """The parameters check the gains' precondition against the key domains."""
+    with pytest.raises(UsageError):
+        PathParams(c1=c1, xi=xi, omega_n=omega_n)
 
 
 @given(

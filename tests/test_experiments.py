@@ -14,7 +14,7 @@ from scipy import stats
 
 from mixcacc import experiments
 from mixcacc.config import Config, MobilitySpec, spec_hash
-from mixcacc.controllers import AccParams, ControllerSet
+from mixcacc.controllers import ControllerSet
 from mixcacc.experiments import (
     baseline_configs,
     confidence_halfwidth,
@@ -431,7 +431,8 @@ def test_sweep_ring_resume_skips_finished_runs(ring_sweep):
 def test_sweep_ring_records_non_finite_runs_as_failed(tmp_path, jobs):
     """A NaN ACC gain poisons every cell with ACC cars; the IDM baseline,
     which has none, still runs, serially and in parallel alike."""
-    cfg = replace(TOY_GRID, controllers=ControllerSet(acc=AccParams(lam=float("nan"))))
+    cfg = replace(TOY_GRID, controllers=ControllerSet())
+    cfg.controllers.acc.lam = float("nan")   # past the parameter check
     summary = sweep_ring(str(tmp_path), cfg, jobs=jobs, **{**RING_KW, "repetitions": 1,
                                                           "duration": 2.0, "warmup": 1.0})
     cells = [c for c in summary["cells"] if c != "d10-IDM"]
@@ -466,6 +467,22 @@ def test_ring_sweep_bytes_do_not_depend_on_how_it_ran(tmp_path):
     sweep_ring(str(serial), **kw)
     for root in (parallel, subset, serial):
         assert _ring_files(root) == want, root.name
+
+
+def test_ring_sweep_in_density_subsets_ends_with_the_whole_grid_summary(tmp_path):
+    """Each subset's summary covers every current result of the grid, so
+    the last of them equals, byte for byte, the summary of one whole run."""
+    cfg = replace(TOY_GRID, mobility=replace(TOY_GRID.mobility, circumference=2000.0,
+                                             densities=(10.0, 20.0)))
+    kw = dict(cfg=cfg, repetitions=1, seed=5, duration=20.0, warmup=2.0)
+    whole, split = tmp_path / "whole", tmp_path / "split"
+    sweep_ring(str(whole), **kw)
+    first = sweep_ring(str(split), densities=(10.0,), **kw)
+    assert first["cell_count"] == 6
+    last = sweep_ring(str(split), densities=(20.0,), **kw)
+    assert last["cell_count"] == 12
+    assert ((split / "ring" / "summary.json").read_bytes()
+            == (whole / "ring" / "summary.json").read_bytes())
 
 
 def test_emit_reports_renders_both_tables(single_sweep, ring_sweep):

@@ -17,7 +17,6 @@ from mixcacc.controllers import (
     CODE_IDM,
     CODE_PATH,
     CODE_PLOEG,
-    AccParams,
     ControllerSet,
     PloegParams,
     ploeg_target,
@@ -164,10 +163,14 @@ def test_spec_names_a_circumference_that_is_not_positive():
     {"density": 60, "speed_jitter_kmh": -5.0},
     {"density": 60, "speed_classes_kmh": (3.0, 3.0, 3.0)},
     {"density": 10, "circumference": -5000.0},
+    {"density": 10, "lanes": 0, "speed_classes_kmh": ()},
+    {"density": 10, "lanes": -1, "speed_classes_kmh": ()},
 ])
 def test_ring_spec_validation(kwargs):
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError) as info:
         RingSpec(**kwargs)
+    if "lanes" in kwargs:   # blamed on the lane count, not on the density or speed classes
+        assert "lanes" in str(info.value)
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +640,8 @@ def test_ring_run_invariants(density, penetration, size, policy, baseline, warmu
 def test_non_finite_command_fails_the_run():
     """A NaN gain makes every ACC command NaN; the run fails at once instead
     of carrying NaN positions past collision detection."""
-    ctrl = ControllerSet(acc=AccParams(lam=float("nan")))
+    ctrl = ControllerSet()
+    ctrl.acc.lam = float("nan")   # assigned past the parameter check
     with pytest.raises(ValueError, match="non-finite control input: nan"):
         run_ring(RingSpec(density=10, duration=5.0, warmup=0.0), ctrl=ctrl)
 
