@@ -66,7 +66,7 @@ def cmd_single(args) -> int:
     facts = {"spec_hash": h, "config": args.config, "scenario": args.scenario,
              "collided": trace.terminated_by_collision}
     if not trace.terminated_by_collision:
-        window = analysis_window(trace, scn)
+        window = analysis_window(trace)
         facts["window"] = [round(t, 6) for t in window]
         for name, per in (("min_gap", min_gap), ("peak_abs_accel", peak_abs_accel)):
             facts[name] = {str(i): round(x, 6)

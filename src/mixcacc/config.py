@@ -52,6 +52,11 @@ class Config:
     controllers: ControllerSet = field(default_factory=ControllerSet)
     mobility: MobilitySpec = field(default_factory=MobilitySpec)
 
+    def __post_init__(self):
+        # the Ploeg filter takes Euler steps of gain dt / H, which overshoot above 1
+        if self.dynamics.dt > self.controllers.ploeg.H:
+            raise UsageError("[ploeg] H must not be shorter than the [dynamics] dt")
+
 
 # One row per INI entry: (section, key, owning field of the Config, domain).  The
 # hash names a [dynamics] or [mobility] value by its field and a controller value
@@ -197,7 +202,7 @@ def load_config(text: str) -> Config:
         parent, _, name = owner.rpartition(".")
         holder = _get(cfg, parent) if parent else cfg
         setattr(holder, name, replace(getattr(holder, name), **values))
-    return cfg
+    return replace(cfg)   # built anew, so the rule across sections runs
 
 
 def load_config_file(path) -> Config:

@@ -16,7 +16,7 @@ import json
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -97,64 +97,52 @@ def configs_for_sweep(n: int, seed: int = 0) -> list[str]:
 # Single-platoon evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ReferenceData:
-    """Per-scenario reference values from the homogeneous runs; the arrays
-    hold one value per follower, follower 1 first."""
-
-    acc_peaks: np.ndarray
-    acc_occupancy: float
-    min_gaps: dict[str, np.ndarray]
-
-
 def scenario_for(kind: str, config: str, duration: float | None = None,
                  control_dt: float = CONTROL_DT) -> SingleScenario:
     """Scenario of a scored run, which must cover its analysis window: a
     sinusoidal run until the window closes, a braking run until it records
     the head's onset command, one tick after the first tick past the onset."""
-    if not 0.0 < control_dt < math.inf:
-        raise UsageError("control_dt must be positive and finite")
     scn = SingleScenario(kind=kind, config=config, duration=duration)
-    times = np.arange(whole_periods(scn.duration, control_dt, "duration") + 1) * control_dt
+    last = whole_periods(scn.duration, control_dt, "duration")   # tick k runs at k * control_dt
     if kind == SINUSOIDAL:
         end = sinusoidal_window(WARMUP, FREQUENCY)[1]
-        short, what = times[-1] < end - 1e-9, f"its analysis window closes at {end:g} s"
+        short, what = last * control_dt < end - 1e-9, f"its analysis window closes at {end:g} s"
     else:
-        short = not (times[:-1] >= scn.brake_onset).any()
+        short = not (last - 1) * control_dt >= scn.brake_onset
         what = f"the head's braking onset at {scn.brake_onset:g} s is recorded"
     if short:
         raise UsageError(f"a {kind} run of {scn.duration:g} s ends before {what}")
     return scn
 
 
-def analysis_window(trace, scn: SingleScenario) -> tuple[float, float]:
-    if scn.kind == SINUSOIDAL:
+def analysis_window(trace) -> tuple[float, float]:
+    if trace.scenario_kind == SINUSOIDAL:
         return sinusoidal_window(WARMUP, FREQUENCY)
     return braking_window(trace)
 
 
-def _speed_floor(kind: str) -> float | None:
-    return SPEED_FLOOR if kind == BRAKING else None
+def _speed_floor(trace) -> float | None:
+    return SPEED_FLOOR if trace.scenario_kind == BRAKING else None
 
 
-def build_reference(kind: str, baselines: dict) -> ReferenceData:
-    """Collect the reference curves from the four homogeneous platoons.
+def build_reference(baselines: dict) -> tuple[np.ndarray, float, dict[str, np.ndarray]]:
+    """Reference values of one scenario from its four homogeneous platoons:
+    the all-ACC platoon's ``peak_abs_accel`` and ``max_platoon_occupancy``,
+    and each platoon's ``min_gap`` keyed by its letter.
 
-    ``baselines`` maps each letter of :data:`BASELINE_LETTERS` to the
-    ``(trace, scenario)`` of its homogeneous run.  A reference that collides
-    means the parameters leave nothing to score against.
+    ``baselines`` maps each letter of :data:`BASELINE_LETTERS` to the trace
+    of its homogeneous run, or to the exception its row failed with.  A
+    reference that failed or collided leaves nothing to score against.
     """
-    for letter, (trace, _) in baselines.items():
+    for letter in BASELINE_LETTERS:
+        if isinstance(trace := baselines[letter], Exception):
+            raise UsageError(f"homogeneous {letter} reference platoon failed: {trace}")
         if trace.terminated_by_collision:
             raise UsageError(f"homogeneous {letter} reference platoon collided")
-    acc_trace, acc_scn = baselines["A"]
-    acc_window = analysis_window(acc_trace, acc_scn)
-    return ReferenceData(
-        acc_peaks=peak_abs_accel(acc_trace, acc_window, _speed_floor(kind)),
-        acc_occupancy=max_platoon_occupancy(acc_trace, acc_window),
-        min_gaps={letter: min_gap(trace, analysis_window(trace, scn))
-                  for letter, (trace, scn) in baselines.items()},
-    )
+    acc = baselines["A"]
+    window = analysis_window(acc)
+    return (peak_abs_accel(acc, window, _speed_floor(acc)), max_platoon_occupancy(acc, window),
+            {letter: min_gap(t, analysis_window(t)) for letter, t in baselines.items()})
 
 
 def _rounded(x: float) -> float | None:
@@ -163,21 +151,22 @@ def _rounded(x: float) -> float | None:
     return None if math.isnan(x) else round(x, 6)
 
 
-def build_report(trace, scn: SingleScenario, ref: ReferenceData) -> dict:
-    """Score one platoon trace against the reference curves, as the JSON
-    record of its report; a collided run leaves its metrics and window
-    ``None``."""
-    report = {"config": trace.config, "scenario": scn.kind,
+def build_report(trace, ref: tuple) -> dict:
+    """Score one platoon trace against the reference values of its
+    scenario, as the JSON record of its report; a collided run leaves its
+    metrics and window ``None``."""
+    report = {"config": trace.config, "scenario": trace.scenario_kind,
               "collided": trace.terminated_by_collision}
     if trace.terminated_by_collision:
         return {**report, "delta_a": None, "delta_a_vehicle": -1, "delta_d": None,
                 "delta_d_vehicle": -1, "eta": None, "window": None}
-    window = analysis_window(trace, scn)
-    da, da_vehicle = delta_a(trace, window, ref.acc_peaks, _speed_floor(scn.kind))
-    dd, dd_vehicle = delta_d(trace, window, ref.min_gaps)
+    acc_peaks, acc_occupancy, min_gaps = ref
+    window = analysis_window(trace)
+    da, da_vehicle = delta_a(trace, window, acc_peaks, _speed_floor(trace))
+    dd, dd_vehicle = delta_d(trace, window, min_gaps)
     return {**report, "delta_a": _rounded(da), "delta_a_vehicle": da_vehicle,
             "delta_d": _rounded(dd), "delta_d_vehicle": dd_vehicle,
-            "eta": _rounded(eta(trace, window, ref.acc_occupancy)),
+            "eta": _rounded(eta(trace, window, acc_occupancy)),
             "window": [round(t, 6) for t in window]}
 
 
@@ -197,20 +186,16 @@ def _sweep_batch(args) -> dict[tuple[str, str, str], tuple[dict | None, str | No
                                     cfg.dynamics, cfg.controllers))
     out = {}
     for kind, scns in groups:
-        rows = [(trace, scn) for scn, trace in zip(scns, traces)]
-        baselines = dict(zip(BASELINE_LETTERS, rows))
-        for letter, (trace, _) in baselines.items():
-            if isinstance(trace, Exception):
-                raise UsageError(f"homogeneous {letter} reference platoon failed: {trace}")
-        ref = build_reference(kind, baselines)
-        for i, (trace, scn) in enumerate(rows):
+        rows = list(zip(scns, traces))
+        ref = build_reference(dict(zip(BASELINE_LETTERS, (trace for _, trace in rows))))
+        for i, (scn, trace) in enumerate(rows):
             try:
                 if isinstance(trace, Exception):
                     raise trace
-                report, error = build_report(trace, scn, ref), None
+                report, error = build_report(trace, ref), None
             except Exception as exc:  # keep scoring the other rows
                 report, error = None, str(exc)
-            for role in ("baseline", "mixed") if i < len(baselines) else ("mixed",):
+            for role in ("baseline", "mixed") if i < len(BASELINE_LETTERS) else ("mixed",):
                 out[kind, role, scn.config] = (report and {"role": role, **report}, error)
     return out
 

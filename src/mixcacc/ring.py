@@ -120,8 +120,6 @@ class RingSpec:
         # a spawn draws each desired speed from class ± jitter, which must stay above zero
         if not self.speed_jitter_kmh < min(self.speed_classes_kmh):
             raise UsageError("every desired speed less the speed jitter must be positive")
-        if not self.control_dt > 0.0:
-            raise UsageError("control period must be positive")
         for name, span in (("duration", self.duration), ("warmup", self.warmup),
                            ("counter window", self.counter_window),
                            ("volatility sample dt", self.volatility_sample_dt)):

@@ -201,9 +201,11 @@ def _validate_supported(cfg: str, leaders: dict[int, int | None]) -> None:
 
 def whole_periods(span: float, period: float, name: str, unit: str = "control period",
                   positive: bool = True) -> int:
-    """The number of ``period``s in ``span``, which must be a whole number
-    of them to within 1e-9 s, positive (or else not negative) and below
-    :data:`MAX_SPAN`."""
+    """The number of ``period``s in ``span``.  The period must be positive
+    and finite, and the span a whole number of periods to within 1e-9 s,
+    positive (or else not negative) and below :data:`MAX_SPAN`."""
+    if not 0.0 < period < math.inf:
+        raise UsageError(f"the {unit} must be positive and finite, got {period:g}")
     n = round(span / period) if 0.0 <= span < MAX_SPAN else -1
     if abs(n * period - span) > 1e-9 or n < positive:
         raise UsageError(f"{name} must be a {'positive' if positive else 'non-negative'} "

@@ -161,14 +161,23 @@ def test_malformed_params_file_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "single_run").exists()
 
 
-def test_powertrain_lag_shorter_than_the_step_is_a_config_error(tmp_path, capsys):
-    """A lag shorter than the 0.01 s step would make the lag update
-    overshoot its command; it used to run to a peak |a| of 1,884 m/s^2."""
-    params = tmp_path / "lag.ini"
-    params.write_text("[dynamics]\npowertrain lag = 0.004\n")
-    code = main(["--params", str(params), "--out", str(tmp_path), "single", "--", "-PL"])
+@pytest.mark.parametrize("params,names", [
+    ("[dynamics]\npowertrain lag = 0.004\n", ("powertrain lag", "shorter than the step dt")),
+    ("[ploeg]\nH = 0.004\n", ("[ploeg] H", "[dynamics] dt")),
+    ("[gsbl]\nr_min = 9\n", ("r_min", "r_max")),
+], ids=["powertrain-lag-below-the-step", "ploeg-headway-below-the-step",
+        "gsbl-r-min-above-r-max"])
+def test_cross_field_rules_are_config_errors(tmp_path, capsys, params, names):
+    """A lag or a Ploeg headway shorter than the 0.01 s step would make the
+    lag update or the Ploeg filter overshoot its command: the lag used to
+    run to a peak |a| of 1,884 m/s^2, the headway to a NaN command."""
+    path = tmp_path / "cross.ini"
+    path.write_text(params)
+    code = main(["--params", str(path), "--out", str(tmp_path),
+                 "single", "--scenario", "braking", "--", "-LLL"])
     assert code == EXIT_CONFIG
-    assert "shorter than the step" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert all(name in err for name in names), err
     assert not (tmp_path / "single_run").exists()
 
 
@@ -221,6 +230,8 @@ def test_unknown_params_key_is_a_config_error(tmp_path, capsys):
     ["single", "--control-dt", "0.3", "--", "-PL"],
     ["sweep-single", "-n", "3", "--duration", "100.05"],
     ["single", "--duration", "1e300", "--", "-PL"],
+    ["single", "--control-dt", "1e-9", "--scenario", "braking", "--", "-PL"],
+    ["single", "--control-dt", "nan", "--", "-PL"],
 ], ids=["platoon-of-one", "braking-ends-before-onset", "sinusoidal-ends-in-warmup",
         "braking-ends-before-onset-is-recorded", "sinusoidal-ends-in-window",
         "ring-ends-before-it-starts", "ring-warmup-negative", "ring-sweep-ends-before-it-starts",
@@ -234,7 +245,8 @@ def test_unknown_params_key_is_a_config_error(tmp_path, capsys):
         "ring-beyond-bumper-to-bumper", "ring-shorter-than-a-tick",
         "ring-ends-between-ticks", "ring-sweep-warmup-between-ticks",
         "ring-platoon-of-none", "single-ends-between-ticks", "single-default-between-ticks",
-        "sweep-single-ends-between-ticks", "single-beyond-the-span-bound"])
+        "sweep-single-ends-between-ticks", "single-beyond-the-span-bound",
+        "control-period-below-the-step", "control-period-nan"])
 def test_unusable_run_settings_are_config_errors(tmp_path, capsys, argv):
     assert main(["--out", str(tmp_path)] + argv) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error:")
@@ -462,6 +474,29 @@ def test_sweep_ring_reports_partial_failure(tmp_path, capsys):
         assert len(summary["failed"]) == summary["cell_count"] == 38
         failed[jobs] = summary["failed"]
     assert failed["2"] == failed["1"]
+
+
+def test_sweep_single_with_a_failing_reference_is_a_config_error(tmp_path, capsys, poison):
+    """A reference row that fails to simulate leaves nothing to score the
+    mixes against, like one that collides."""
+    poison("-LL")
+    code = main(["--out", str(tmp_path), "sweep-single", "-n", "3", "--scenario", "braking"])
+    assert code == EXIT_CONFIG
+    assert "homogeneous L reference platoon failed" in capsys.readouterr().err
+
+
+def test_sweep_ring_writes_its_summary(tmp_path, capsys):
+    params = tmp_path / "small.ini"
+    params.write_text("[mobility]\ncircumference = 2000\nplatoon sizes = 4\n"
+                      "penetration rates = 0.5\n")
+    code = main(["--params", str(params), "--out", str(tmp_path), "sweep-ring",
+                 "--density", "20", "--repetitions", "1", "--duration", "20", "--warmup", "0"])
+    assert code == EXIT_OK
+    assert "6 cells x 1 reps" in capsys.readouterr().out
+    summary = json.loads((tmp_path / "ring" / "summary.json").read_text())
+    assert sorted(summary["cells"]) == sorted(["d20-ACC", "d20-IDM", *(
+        f"d20-{pol}-N4-R0.5" for pol in ("P", "L", "G", "MIX"))])
+    assert summary["failed"] == []
 
 
 def test_sweep_single_with_a_failing_config_exits_partial(tmp_path, capsys, poisoned_config):

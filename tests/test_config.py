@@ -184,7 +184,7 @@ def configs(draw):
         ),
         controllers=ControllerSet(
             acc=AccParams(H=f("acc", "H"), lam=f("acc", "lambda")),
-            ploeg=PloegParams(H=f("ploeg", "H"), kp=f("ploeg", "kp"), kd=f("ploeg", "kd")),
+            ploeg=PloegParams(H=dt + f("ploeg", "H"), kp=f("ploeg", "kp"), kd=f("ploeg", "kd")),
             path=PathParams(c1=f("path", "C1"), xi=f("path", "xi"),
                             omega_n=f("path", "omega_n"), dd=f("path", "dd")),
             gsbl=GsblParams(k=f("gsbl", "k"), h=f("gsbl", "h"), r_default=f("gsbl", "r"),
@@ -214,8 +214,20 @@ def test_text_round_trip(cfg):
     assert spec_hash(again) == spec_hash(cfg)
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_readme_key_table_lists_the_schema():
     """The README's key table is SCHEMA's sections, keys and domains, row for row."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     rows = re.findall(r"^\| `\[(\w+)\]` \| `([^`]+)`[^|]* \| ([^|]+?) \|", readme, re.M)
     assert rows == [(section, key, domain) for section, key, _, domain in SCHEMA]
+
+
+def test_readme_python_examples_run():
+    """Every ``python`` block of the README runs as it stands."""
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                        re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {"__name__": "readme"})

@@ -165,6 +165,8 @@ def test_spec_names_a_circumference_that_is_not_positive():
     {"density": 10, "circumference": -5000.0},
     {"density": 10, "lanes": 0, "speed_classes_kmh": ()},
     {"density": 10, "lanes": -1, "speed_classes_kmh": ()},
+    {"density": 10, "control_dt": 0.0},
+    {"density": 10, "control_dt": math.nan},
 ])
 def test_ring_spec_validation(kwargs):
     with pytest.raises(UsageError) as info:
