@@ -21,7 +21,7 @@ import argparse
 import os
 import sys
 
-from .config import Config, UsageError, load_config_file, spec_hash
+from .config import UsageError, load_config_file, spec_hash
 from .experiments import (
     SUMMARY_PICKS,
     _atomic_write,
@@ -45,15 +45,10 @@ EXIT_COLLISION = 3
 EXIT_PARTIAL = 4
 
 
-def _load_params(path: str | None) -> Config:
-    if path is None:
-        return Config()
-    return load_config_file(path)
-
-
 def cmd_single(args) -> int:
-    cfg = _load_params(args.params)
-    scn = scenario_for(args.scenario, args.config, args.duration, args.control_dt)
+    cfg = load_config_file(args.params)
+    scn = scenario_for(args.scenario, args.config, args.duration, args.control_dt,
+                       cfg.dynamics.u_min)
     trace = run_single_platoon(scn, cfg.dynamics, cfg.controllers,
                                control_dt=args.control_dt)
     h = spec_hash(cfg, {"command": "single", "config": args.config, "scenario": args.scenario,
@@ -80,7 +75,7 @@ def cmd_single(args) -> int:
 
 
 def cmd_ring(args) -> int:
-    cfg = _load_params(args.params)
+    cfg = load_config_file(args.params)
     spec = ring_spec(
         cfg.mobility, args.duration, args.warmup,
         density=args.density, penetration=args.penetration,
@@ -115,7 +110,7 @@ def cmd_ring(args) -> int:
 
 
 def cmd_sweep_single(args) -> int:
-    cfg = _load_params(args.params)
+    cfg = load_config_file(args.params)
     kinds = (SINUSOIDAL, BRAKING) if args.scenario == "both" else (args.scenario,)
     summary = sweep_single(args.platoon_size, args.out, kinds=kinds, cfg=cfg,
                            jobs=args.jobs, seed=args.seed,
@@ -134,7 +129,7 @@ def cmd_sweep_single(args) -> int:
 
 
 def cmd_sweep_ring(args) -> int:
-    cfg = _load_params(args.params)
+    cfg = load_config_file(args.params)
     summary = sweep_ring(
         args.out, cfg=cfg, repetitions=args.repetitions, jobs=args.jobs,
         seed=args.seed, dry_run=args.dry_run,

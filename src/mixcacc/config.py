@@ -206,8 +206,13 @@ def load_config(text: str) -> Config:
 
 
 def load_config_file(path) -> Config:
-    with open(path, encoding="utf-8") as fh:
-        return load_config(fh.read())
+    if path is None:
+        return Config()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return load_config(fh.read())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read parameter file {path}: {exc}") from exc
 
 
 def resolved_dict(cfg: Config) -> dict:

@@ -21,7 +21,9 @@ from dataclasses import fields
 import numpy as np
 
 from .config import Config, MobilitySpec, UsageError, spec_hash
+from .dynamics import DynamicsParams
 from .metrics import (
+    BRAKE_DETECT_U,
     SPEED_FLOOR,
     braking_window,
     delta_a,
@@ -98,10 +100,12 @@ def configs_for_sweep(n: int, seed: int = 0) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def scenario_for(kind: str, config: str, duration: float | None = None,
-                 control_dt: float = CONTROL_DT) -> SingleScenario:
+                 control_dt: float = CONTROL_DT,
+                 u_min: float = DynamicsParams.u_min) -> SingleScenario:
     """Scenario of a scored run, which must cover its analysis window: a
     sinusoidal run until the window closes, a braking run until it records
-    the head's onset command, one tick after the first tick past the onset."""
+    the head's onset command (which its floor ``u_min`` must let reach
+    :data:`BRAKE_DETECT_U`), one tick after the first tick past the onset."""
     scn = SingleScenario(kind=kind, config=config, duration=duration)
     last = whole_periods(scn.duration, control_dt, "duration")   # tick k runs at k * control_dt
     if kind == SINUSOIDAL:
@@ -110,6 +114,8 @@ def scenario_for(kind: str, config: str, duration: float | None = None,
     else:
         short = not (last - 1) * control_dt >= scn.brake_onset
         what = f"the head's braking onset at {scn.brake_onset:g} s is recorded"
+        if u_min > BRAKE_DETECT_U:
+            raise UsageError(f"[dynamics] u_min must reach the braking onset {BRAKE_DETECT_U:g}")
     if short:
         raise UsageError(f"a {kind} run of {scn.duration:g} s ends before {what}")
     return scn
@@ -290,7 +296,7 @@ def sweep_single(
     cfg = cfg or Config()
     configs = configs_for_sweep(n, seed)
     for kind in kinds:  # a duration no run can use fails before any folder is made
-        scenario_for(kind, baseline_configs(n)[0], duration)
+        scenario_for(kind, baseline_configs(n)[0], duration, u_min=cfg.dynamics.u_min)
     hashes = {kind: spec_hash(cfg, {"sweep": "single", "n": n, "kind": kind,
                                     "duration": duration, "seed": seed})
               for kind in kinds}

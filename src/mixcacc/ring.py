@@ -126,9 +126,11 @@ class RingSpec:
             whole_periods(span, self.control_dt, name, positive=name != "warmup")
         if self.seed < 0:
             raise UsageError("seed must not be negative")
-        # not even bumper to bumper: fail before a spawn sizes arrays from the density
-        if math.floor(self.density * self.circumference / 1000.0) * VEHICLE_LENGTH > (
-                self.lanes * self.circumference):
+        # no car, or not even bumper to bumper: fail before a spawn sizes arrays from the density
+        total = math.floor(self.density * self.circumference / 1000.0)
+        if total < 1:
+            raise UsageError("density too low for a single vehicle")
+        if total * VEHICLE_LENGTH > self.lanes * self.circumference:
             raise _does_not_fit(self)
 
 
@@ -267,8 +269,6 @@ def spawn_ring_traffic(spec: RingSpec, ctrl: ControllerSet | None = None) -> Rin
     rng = np.random.default_rng(spec.seed)
     C = spec.circumference
     total = int(math.floor(spec.density * C / 1000.0))
-    if total < 1:
-        raise UsageError("density too low for a single vehicle")
     size = spec.platoon_size
     n_platoons = int(math.floor(total * spec.penetration / size))
     classes = np.asarray(spec.speed_classes_kmh, dtype=float)

@@ -266,9 +266,9 @@ def run_platoon_batch(
     sub = whole_periods(control_dt, dyn.dt, "control_dt", "dynamics dt")
 
     results: list = [None] * len(scns)
-    # longest timeline first (the key leads with minus the last tick), and
-    # each timeline's rows side by side
-    setups, key = {}, {}
+    # (sort key, input row, config, leaders) per accepted row: the key puts the
+    # longest timeline first (minus its last tick) and each timeline's rows side by side
+    accepted = []
     for r, scn in enumerate(scns):
         try:
             cfg = parse_config(scn.config)
@@ -278,45 +278,33 @@ def run_platoon_batch(
         except UsageError as exc:
             results[r] = exc
         else:
-            setups[r], key[r] = (cfg, leaders), (-last, _timeline(scn))
-    if not setups:
+            accepted.append(((-last, _timeline(scn)), r, cfg, leaders))
+    if not accepted:
         return results
-    n = len(next(iter(setups.values()))[0])
-    if any(len(cfg) != n for cfg, _ in setups.values()):
+    keys, rows, cfgs, leaders_of = zip(*sorted(accepted, key=lambda row: row[0]))
+    n = len(cfgs[0])
+    if any(len(cfg) != n for cfg in cfgs):
         raise RuntimeError("a batch runs one platoon size")   # the caller's grouping is at fault
 
-    rows = sorted(setups, key=key.get)
-    times = np.arange(1 - key[rows[0]][0]) * control_dt
+    times = np.arange(1 - keys[0][0]) * control_dt
     # each timeline's rows get their own (rows, ticks, vehicles) record
     # blocks: a row's trace is a view, and no block holds ticks its rows
     # never run
     groups, m = [], 0                         # (first row, end row, scenario, last tick, blocks)
-    for (neg_last, _), same in itertools.groupby(map(key.get, rows)):
+    for (neg_last, _), same in itertools.groupby(keys):
         lo, m = m, m + sum(1 for _ in same)
         shape = (m - lo, 1 - neg_last, n)
-        blocks = [np.empty(shape) for _ in range(4)] + [np.zeros(shape, np.int8),
-                                                        np.empty(shape, np.int8)]
+        blocks = [np.empty(shape) for _ in range(4)] + [np.empty(shape, np.int8)]
         groups.append((lo, m, scns[rows[lo]], -neg_last, blocks))
-    home = [(blocks, j - lo) for lo, hi, _, _, blocks in groups for j in range(lo, hi)]
+    running = groups                          # the groups whose timeline goes on
     events: list[list[TraceEvent]] = [[] for _ in rows]
-
-    def finish(j, k, collided):
-        """End state row ``j`` at tick ``k`` with a view of its record."""
-        cfg = setups[rows[j]][0]
-        blocks, i = home[j]
-        *floats, lane, mode = (block[i, :k + 1] for block in blocks)
-        results[rows[j]] = Trace(
-            times[:k + 1], tuple(cfg), *floats, None, lane, mode,
-            events=events[j], scenario_kind=scns[rows[j]].kind, config=cfg,
-            terminated_by_collision=collided,
-        )
-        done[j] = True
+    collided = {}                             # state row -> the tick its collision ended it
 
     # the head follows the speed profile unless it runs the spring-damper law
     code = np.array([
         [CODE_GSBL if cfg[0] == "G" else _PROFILE_HEAD]
         + [CODE_BY_LETTER[c] for c in cfg[1:]]
-        for cfg, _ in map(setups.get, rows)
+        for cfg in cfgs
     ], dtype=np.int8)
     # neighbours as flat indices: the head is its own predecessor, -1 is none
     at = np.arange(m * n).reshape(m, n)
@@ -324,9 +312,9 @@ def run_platoon_batch(
     pred, succ = at - has_pred, np.where(at % n < n - 1, at + 1, -1)
     lead = np.array([                         # elected leader
         [-1] + [-1 if leaders[i] is EXTERNAL_REF else r * n + leaders[i] for i in range(1, n)]
-        for r, (_, leaders) in enumerate(map(setups.get, rows))
+        for r, leaders in enumerate(leaders_of)
     ])
-    pos = np.array([_start_positions(setups[r][0], scns[r], ctrl) for r in rows])
+    pos = np.array([_start_positions(cfg, scns[r], ctrl) for r, cfg in zip(rows, cfgs)])
     spd = np.full((m, n), BASE_SPEED)
     acc = np.zeros((m, n))
     uin = np.zeros((m, n))                    # last clamped commands
@@ -341,33 +329,28 @@ def run_platoon_batch(
     for k, t in enumerate(times):
         gap = pos.take(pred) - VEHICLE_LENGTH - pos
         now = (pos, spd, acc, uin, np.where(is_gsbl, over, -1))
-        for lo, hi, _, _, blocks in groups:
-            for block, a in zip(blocks[:4] + blocks[5:], now):   # lane blocks stay 0
+        for lo, hi, _, _, blocks in running:
+            for block, a in zip(blocks, now):
                 block[:, k] = a[lo:hi]
         hit = (gap <= 0.0) & has_pred
         if k > 0 and hit.any():
             for j in np.flatnonzero(hit.any(axis=1) & ~done):
                 crash = int(np.argmax(hit[j]))
-                events[j].append(TraceEvent(
-                    t, "collision", crash, crash - 1, f"gap={gap[j, crash]:.3f}",
-                ))
-                finish(j, k, True)
-        # the shortest timelines that end here finish their rows and leave
-        # the state, which keeps the rows of the groups left
-        while groups and groups[-1][3] == k:
-            lo, hi = groups.pop()[:2]
-            for j in np.flatnonzero(~done[lo:hi]):
-                finish(lo + j, k, False)
-        if not groups:
+                events[j].append(TraceEvent(t, "collision", crash, crash - 1,
+                                            f"gap={gap[j, crash]:.3f}"))
+                collided[j], done[j] = k, True
+        # the rows of the timelines that end here leave the state
+        running = [g for g in running if g[3] > k]
+        if not running:
             break
-        live = groups[-1][1]
+        live = running[-1][1]
         if live < len(done):
             (code, pred, has_pred, lead, succ, pos, spd, acc, uin, ufilt, over, gap, v_t, a_t,
              done, free) = (a[:live] for a in (code, pred, has_pred, lead, succ, pos, spd, acc,
                                                uin, ufilt, over, gap, v_t, a_t, done, free))
             families, is_gsbl, ploeg, profile_head = _row_masks(code)
 
-        for lo, hi, scn, _, _ in groups:
+        for lo, hi, scn, _, _ in running:
             v_t[lo:hi] = leader_target_speed(scn, t)
             a_t[lo:hi] = leader_target_accel(scn, t)
         u, hold, new = control_tick(families, spd, acc, uin, gap, pred, has_pred, lead, succ,
@@ -393,6 +376,17 @@ def run_platoon_batch(
         # the head is never allowed the emergency floor
         np.maximum(u[:, 0], dyn.u_min, out=u[:, 0])
         uin = advance(pos, spd, acc, u, dyn, sub, hold, ploeg, ufilt, ctrl.ploeg.H)
+
+    # a trace views the ticks its row ran (to the end of its timeline unless it collided)
+    for lo, hi, scn, last, blocks in groups:
+        for j in range(lo, hi):
+            if results[rows[j]] is None:
+                k = collided.get(j, last)
+                *floats, mode = (block[j - lo, :k + 1] for block in blocks)
+                results[rows[j]] = Trace(   # a platoon drives in lane 0
+                    times[:k + 1], tuple(cfgs[j]), *floats, None,
+                    np.broadcast_to(np.int8(0), mode.shape), mode, events=events[j],
+                    scenario_kind=scn.kind, config=cfgs[j], terminated_by_collision=j in collided)
     return results
 
 

@@ -15,8 +15,8 @@ def poison(monkeypatch):
     real = experiments.scenario_for
 
     def poison(config):
-        def scenario_for(kind, cfg, duration=None):
-            scn = real(kind, cfg, duration)
+        def scenario_for(kind, cfg, duration=None, **kwargs):
+            scn = real(kind, cfg, duration, **kwargs)
             if cfg == config:
                 scn.initial_gap_offsets = {1: float("nan")}
             return scn

@@ -151,22 +151,33 @@ def test_single_leaderless_config_is_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_malformed_params_file_is_a_config_error(tmp_path, capsys):
-    params = tmp_path / "broken.ini"
-    params.write_text("powertrain lag = not even a section\n")
-    code = main(["--params", str(params), "--out", str(tmp_path),
-                 "single", "--", "-PP"])
+@pytest.mark.parametrize("make,named", [
+    (lambda p: p.write_text("powertrain lag = not even a section\n"), False),
+    (lambda p: None, True),
+    (lambda p: p.mkdir(), True),
+    (lambda p: p.write_bytes(b"\xff\xfe[\x00a\x00c\x00c\x00]\x00"), True),
+], ids=["not-ini", "missing", "directory", "not-utf8"])
+def test_malformed_params_file_is_a_config_error(tmp_path, capsys, make, named):
+    """A parameter file that cannot be parsed is a configuration error, and
+    one that cannot be found, opened or decoded is named in it."""
+    params = tmp_path / "params.ini"
+    make(params)
+    out = tmp_path / "out"
+    code = main(["--params", str(params), "--out", str(out), "single", "--", "-PP"])
     assert code == EXIT_CONFIG
-    assert "error:" in capsys.readouterr().err
-    assert not (tmp_path / "single_run").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert (f"cannot read parameter file {params}" in err) == named, err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("params,names", [
     ("[dynamics]\npowertrain lag = 0.004\n", ("powertrain lag", "shorter than the step dt")),
     ("[ploeg]\nH = 0.004\n", ("[ploeg] H", "[dynamics] dt")),
     ("[gsbl]\nr_min = 9\n", ("r_min", "r_max")),
+    ("[dynamics]\nu_min = -7.19\n", ("u_min", "-7.2")),
 ], ids=["powertrain-lag-below-the-step", "ploeg-headway-below-the-step",
-        "gsbl-r-min-above-r-max"])
+        "gsbl-r-min-above-r-max", "braking-head-floor-above-the-onset"])
 def test_cross_field_rules_are_config_errors(tmp_path, capsys, params, names):
     """A lag or a Ploeg headway shorter than the 0.01 s step would make the
     lag update or the Ploeg filter overshoot its command: the lag used to
@@ -232,6 +243,8 @@ def test_unknown_params_key_is_a_config_error(tmp_path, capsys):
     ["single", "--duration", "1e300", "--", "-PL"],
     ["single", "--control-dt", "1e-9", "--scenario", "braking", "--", "-PL"],
     ["single", "--control-dt", "nan", "--", "-PL"],
+    ["sweep-ring", "--density", "0.05", "--repetitions", "1", "--duration", "2",
+     "--warmup", "0"],
 ], ids=["platoon-of-one", "braking-ends-before-onset", "sinusoidal-ends-in-warmup",
         "braking-ends-before-onset-is-recorded", "sinusoidal-ends-in-window",
         "ring-ends-before-it-starts", "ring-warmup-negative", "ring-sweep-ends-before-it-starts",
@@ -246,7 +259,8 @@ def test_unknown_params_key_is_a_config_error(tmp_path, capsys):
         "ring-ends-between-ticks", "ring-sweep-warmup-between-ticks",
         "ring-platoon-of-none", "single-ends-between-ticks", "single-default-between-ticks",
         "sweep-single-ends-between-ticks", "single-beyond-the-span-bound",
-        "control-period-below-the-step", "control-period-nan"])
+        "control-period-below-the-step", "control-period-nan",
+        "ring-sweep-below-one-car"])
 def test_unusable_run_settings_are_config_errors(tmp_path, capsys, argv):
     assert main(["--out", str(tmp_path)] + argv) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error:")

@@ -428,7 +428,9 @@ def test_a_car_takes_a_slot_that_just_fits(right, frac, vd, slack, slots):
     rear = ring.LC_MARGIN + ring.LC_HEADWAY * v
     s = 8.0 + front + rear + 2.0 * slack     # slot pitch; cars are 4 m long
     w = sandbox_world()
-    w.spec = dataclasses.replace(w.spec, circumference=slots * s)
+    # the world's cars on a ring of the slots' length
+    w.spec = dataclasses.replace(w.spec, circumference=slots * s,
+                                 density=1000.0 * w.n / (slots * s))
     w.speed[:], w.desired[:] = v, vd
     src, dst = (1, 0) if right else (0, 1)
     chain = np.arange(2, 2 + slots)          # the target lane, evenly spaced

@@ -255,8 +255,8 @@ def test_batch_ends_every_row_its_own_way():
 
 def test_batch_record_holds_four_float_blocks():
     """A batch records position, speed, acceleration and command per
-    vehicle-tick, plus two int8 blocks; the gap is derived from the
-    positions, so its peak stays below 4.5 float64 blocks."""
+    vehicle-tick, plus one int8 block; the gap is derived from the
+    positions, so its peak stays below 4.25 float64 blocks."""
     configs = ["-" + "".join(p) for p in itertools.islice(itertools.product("AGLP", repeat=7), 64)]
     scns = [SingleScenario(kind=SINUSOIDAL, config=c) for c in configs]
     ticks = round(scns[0].duration / 0.1) + 1
@@ -269,7 +269,7 @@ def test_batch_record_holds_four_float_blocks():
     finally:
         tracemalloc.stop()
     assert all(tr.times.size == ticks for tr in traces)
-    assert peak < 4.5 * len(scns) * ticks * 8 * 8
+    assert peak < 4.25 * len(scns) * ticks * 8 * 8
 
 
 # ---------------------------------------------------------------------------
