@@ -54,7 +54,6 @@ def cmd_single(args) -> int:
     h = spec_hash(cfg, {"command": "single", "config": args.config, "scenario": args.scenario,
                         "duration": args.duration, "control_dt": args.control_dt})
     stem = os.path.join(args.out, "single_run", f"{args.config}_{args.scenario}")
-    os.makedirs(os.path.dirname(stem), exist_ok=True)
     _atomic_write(stem + ".csv", trace.rows_csv_chunks(header_comment=f"spec_hash={h}"))
     _atomic_write(stem + "_events.csv", [events_csv(trace.events)])
 
@@ -90,7 +89,6 @@ def cmd_ring(args) -> int:
                         "seed": args.seed, "duration": spec.duration,
                         "warmup": spec.warmup})
     stem = os.path.join(args.out, "ring_run", f"seed{args.seed}")
-    os.makedirs(os.path.dirname(stem), exist_ok=True)
     _atomic_write(stem + "_counters.csv", trace.counters_csv_chunks())
     _atomic_write(stem + "_events.csv", [events_csv(trace.events)])
     metrics = {"spec_hash": h, **ring_run_metrics(trace)}

@@ -38,7 +38,7 @@ from .metrics import (
 )
 from .ring import BASELINES, DEVICES, PLATOON_POLICIES, RingSpec, run_ring
 from .scenarios import (BRAKING, CONTROL_DT, FREQUENCY, SINUSOIDAL, WARMUP, SingleScenario,
-                        run_platoon_batch, whole_periods)
+                        run_platoon_batch, substeps, whole_periods)
 
 # Not called here since sweeps run batches; bound here only for perfbench's
 # layer tracer, until the tracer reads spans from the package.
@@ -207,10 +207,11 @@ def _sweep_batch(args) -> dict[tuple[str, str, str], tuple[dict | None, str | No
 
 
 def _atomic_write(path: str, chunks) -> None:
-    """Write the strings of ``chunks`` to ``path`` through ``<path>.tmp``,
-    which replaces ``path`` once complete and is removed on failure, so an
-    interrupted write leaves no partial file."""
+    """Write the strings of ``chunks`` to ``path``, in a folder made if need
+    be, through ``<path>.tmp``, which replaces ``path`` once complete and is
+    removed on failure, so an interrupted write leaves no partial file."""
     tmp = path + ".tmp"
+    os.makedirs(os.path.dirname(tmp) or os.curdir, exist_ok=True)
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
@@ -248,7 +249,7 @@ def _run_store(files: dict, plan, run_batch, jobs: int) -> tuple[dict, list]:
     """Read, compute and write one JSON result file per key.
 
     ``files`` maps each key to its file's ``(path, spec hash)``.  Current
-    files are read; ``plan`` groups the other keys into batches, and
+    files are read; ``plan`` groups the other keys it can run into batches, and
     ``run_batch`` maps a batch to ``key -> (payload, error)``, in ``jobs``
     worker processes when there is more than one batch.  Each payload asked
     for is written, stamped with its hash, as its batch returns.  Returns the
@@ -256,8 +257,6 @@ def _run_store(files: dict, plan, run_batch, jobs: int) -> tuple[dict, list]:
     """
     if jobs < 1:
         raise UsageError("jobs must be at least 1")
-    for folder in {os.path.dirname(path) for path, _ in files.values()}:
-        os.makedirs(folder, exist_ok=True)
     done = {key: payload for key, (path, h) in files.items()
             if (payload := _load_if_current(path, h)) is not None}
     pending = [key for key in files if key not in done]
@@ -295,8 +294,6 @@ def sweep_single(
     """
     cfg = cfg or Config()
     configs = configs_for_sweep(n, seed)
-    for kind in kinds:  # a duration no run can use fails before any folder is made
-        scenario_for(kind, baseline_configs(n)[0], duration, u_min=cfg.dynamics.u_min)
     hashes = {kind: spec_hash(cfg, {"sweep": "single", "n": n, "kind": kind,
                                     "duration": duration, "seed": seed})
               for kind in kinds}
@@ -315,7 +312,7 @@ def sweep_single(
             size = max(1, min(BATCH_ROWS, -(-len(names) // jobs)))
             chunks[kind] = [names[i:i + size] for i in range(0, max(len(names), 1), size)]
         return [
-            ([(kind, [scenario_for(kind, c, duration)
+            ([(kind, [scenario_for(kind, c, duration, u_min=cfg.dynamics.u_min)
                       for c in dict.fromkeys(baseline_configs(n) + parts[i])])
               for kind, parts in chunks.items() if i < len(parts)], cfg)
             for i in range(max(map(len, chunks.values())))
@@ -466,6 +463,7 @@ def sweep_ring(
     specs = {(cell, rep): ring_spec(mob, duration, warmup, seed=run_seed(seed, cell, rep),
                                     **fields)
              for cell, fields in cells.items() for rep in range(repetitions)}
+    substeps(CONTROL_DT, cfg.dynamics.dt)   # every spec's control period
     if dry_run:
         return {
             "cells": list(cells),
@@ -475,18 +473,14 @@ def sweep_ring(
         }
     h = spec_hash(cfg, {"sweep": "ring", "engine": ENGINE_VERSION,
                         "duration": duration, "warmup": warmup, "seed": seed})
-    files = {key: (os.path.join(out_dir, "ring", key[0], f"rep{key[1]}.json"), h)
-             for key in specs}
-    # one run per batch, so --jobs spreads runs over the workers
-    results, failed = _run_store(
-        files, lambda keys: [[(*key, specs[key], cfg)] for key in keys], _ring_batch, jobs)
-    # the summary covers every current result file of the grid, so a grid run
-    # in --density subsets ends with the summary of one whole run
+    # every current result of the grid is read, so a grid run in --density subsets
+    # ends with the summary of one whole run; a batch is one run of this subset
     grid = {**ring_cells(mob), **cells}
-    for cell, rep in itertools.product(grid.keys() - cells.keys(), range(repetitions)):
-        path = os.path.join(out_dir, "ring", cell, f"rep{rep}.json")
-        if (payload := _load_if_current(path, h)) is not None:
-            results[cell, rep] = payload
+    files = {(cell, rep): (os.path.join(out_dir, "ring", cell, f"rep{rep}.json"), h)
+             for cell in grid for rep in range(repetitions)}
+    results, failed = _run_store(
+        files, lambda keys: [[(*key, specs[key], cfg)] for key in keys if key in specs],
+        _ring_batch, jobs)
 
     aggregate = {}
     for cell in grid:
@@ -519,48 +513,50 @@ def sweep_ring(
 # Report rendering
 # ---------------------------------------------------------------------------
 
-def emit_reports(out_dir: str) -> list[str]:
-    """Render text tables from persisted sweep results; returns paths written."""
-    written = []
-    single_summary = os.path.join(out_dir, "single", "summary.json")
-    if os.path.exists(single_summary):
-        with open(single_summary, "r", encoding="utf-8") as fh:
-            summary = json.load(fh)
-        lines = []
-        for kind, info in sorted(summary.get("scenarios", {}).items()):
-            lines.append(f"scenario: {kind}  (spec_hash={info['spec_hash']})")
-            lines.append(
-                f"  reports: {info['mixed_reports']} mixed"
-                f" + {info['baseline_reports']} baseline"
-            )
-            for key, _, _ in SUMMARY_PICKS:
-                if key in info:
-                    e = info[key]
-                    veh = f" (vehicle {e['vehicle']})" if "vehicle" in e else ""
-                    lines.append(f"  {key}: {e['config']} = {e['value']:.3f}{veh}")
-            if info.get("collisions"):
-                lines.append(f"  collisions: {', '.join(info['collisions'])}")
-            lines.append("")
-        path = os.path.join(out_dir, "single", "table.txt")
-        _atomic_write(path, ["\n".join(lines)])
-        written.append(path)
+def _single_table(summary: dict) -> str:
+    lines = []
+    for kind, info in sorted(summary.get("scenarios", {}).items()):
+        lines.append(f"scenario: {kind}  (spec_hash={info['spec_hash']})")
+        lines.append(f"  reports: {info['mixed_reports']} mixed"
+                     f" + {info['baseline_reports']} baseline")
+        for key, _, _ in SUMMARY_PICKS:
+            if key in info:
+                e = info[key]
+                veh = f" (vehicle {e['vehicle']})" if "vehicle" in e else ""
+                lines.append(f"  {key}: {e['config']} = {e['value']:.3f}{veh}")
+        if info.get("collisions"):
+            lines.append(f"  collisions: {', '.join(info['collisions'])}")
+        lines.append("")
+    return "\n".join(lines)
 
-    ring_summary = os.path.join(out_dir, "ring", "summary.json")
-    if os.path.exists(ring_summary):
-        with open(ring_summary, "r", encoding="utf-8") as fh:
-            summary = json.load(fh)
-        lines = [f"spec_hash={summary['spec_hash']}"]
-        header = f"{'cell':32s} {'runs':>4s} {'crash':>5s} {'thr veh/h':>10s} {'ci95':>8s} {'xi_med':>8s}"
-        lines.append(header)
-        for cell_id, agg in summary["cells"].items():
-            thr = "-" if agg["throughput_mean"] is None else f"{agg['throughput_mean']:.0f}"
-            ci = "-" if agg["throughput_ci95"] is None else f"{agg['throughput_ci95']:.0f}"
-            xi = "-" if agg["xi_median"] is None else f"{agg['xi_median']:.3f}"
-            lines.append(
-                f"{cell_id:32s} {agg['runs']:4d} {agg['collisions']:5d}"
-                f" {thr:>10s} {ci:>8s} {xi:>8s}"
-            )
-        path = os.path.join(out_dir, "ring", "table.txt")
-        _atomic_write(path, ["\n".join(lines), "\n"])
-        written.append(path)
-    return written
+
+def _ring_table(summary: dict) -> str:
+    header = f"{'cell':32s} {'runs':>4s} {'crash':>5s} {'thr veh/h':>10s} {'ci95':>8s} {'xi_med':>8s}"
+    lines = [f"spec_hash={summary['spec_hash']}", header]
+    for cell_id, agg in summary["cells"].items():
+        thr = "-" if agg["throughput_mean"] is None else f"{agg['throughput_mean']:.0f}"
+        ci = "-" if agg["throughput_ci95"] is None else f"{agg['throughput_ci95']:.0f}"
+        xi = "-" if agg["xi_median"] is None else f"{agg['xi_median']:.3f}"
+        lines.append(f"{cell_id:32s} {agg['runs']:4d} {agg['collisions']:5d}"
+                     f" {thr:>10s} {ci:>8s} {xi:>8s}")
+    return "\n".join(lines) + "\n"
+
+
+def emit_reports(out_dir: str) -> list[str]:
+    """Render a table from each sweep summary under ``out_dir``, all before
+    writing any; returns the paths written.  A summary that cannot be read, is
+    not strict JSON or lacks a field its table needs is a UsageError naming it."""
+    tables = {}
+    for sweep, render in (("single", _single_table), ("ring", _ring_table)):
+        path = os.path.join(out_dir, sweep, "summary.json")
+        if not os.path.exists(path):
+            continue
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = render(_STRICT_JSON.decode(fh.read()))
+        except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
+            raise UsageError(f"cannot render sweep summary {path}: {exc!r}") from None
+        tables[os.path.join(out_dir, sweep, "table.txt")] = text
+    for path, text in tables.items():
+        _atomic_write(path, [text])
+    return list(tables)

@@ -50,7 +50,7 @@ from .controllers import (
 )
 from .dynamics import DynamicsParams, VEHICLE_LENGTH, advance
 from .config import MobilitySpec, UsageError, check
-from .scenarios import CONTROL_DT, Trace, TraceEvent, events_csv, whole_periods
+from .scenarios import CONTROL_DT, Trace, TraceEvent, events_csv, substeps, whole_periods
 from .topology import elect_ego_leaders
 
 # Integration goes through dynamics.advance; this name stays bound here only
@@ -75,6 +75,7 @@ LC_HEADWAY = 0.5            # s, kinematic part of accepted gaps
 CLOSING_TIME = 2.0          # s, allowance against closing speed
 RIGHT_SPEED_FACTOR = 0.95   # right lane must admit this * desired
 FREE_GAP = 150.0            # m, gaps beyond this count as open road
+MAX_CARS = 100_000          # cars of one ring; the paper's grid has at most 1,800
 
 _ROAD = MobilitySpec()      # the road and run defaults of every ring run
 
@@ -132,6 +133,8 @@ class RingSpec:
             raise UsageError("density too low for a single vehicle")
         if total * VEHICLE_LENGTH > self.lanes * self.circumference:
             raise _does_not_fit(self)
+        if total > MAX_CARS:
+            raise UsageError(f"{total:.3g} cars exceed the bound of {MAX_CARS} on one ring")
 
 
 def _does_not_fit(spec: RingSpec) -> UsageError:
@@ -587,9 +590,9 @@ def run_ring(
     """Simulate one ring experiment; stops early if a collision occurs."""
     dyn = dyn or DynamicsParams()
     ctrl = ctrl or ControllerSet()
+    sub = substeps(spec.control_dt, dyn.dt)
     world = spawn_ring_traffic(spec, ctrl)
     C = spec.circumference
-    sub = whole_periods(spec.control_dt, dyn.dt, "control_dt", "dynamics dt")
     # IDM stands in for human drivers simulated without powertrain lag
     tau = np.where(world.code == CODE_IDM, dyn.dt, dyn.tau)
     ploeg = np.flatnonzero(world.code == CODE_PLOEG)

@@ -60,6 +60,7 @@ BASE_SPEED = 27.78     # m/s (100 km/h), the head's cruise speed
 FREQUENCY = 0.1        # Hz, sinusoidal speed swing
 BRAKE_DECEL = 8.0      # m/s^2, emergency ramp
 MAX_SPAN = 2.0 ** 23   # s; float64 spacing beyond it exceeds the 1e-9 s whole-period rule
+MAX_SUBSTEPS = 1000    # dynamics steps per control period (dt = 1e-4 s at the 0.1 s period)
 # names of the override latch in events and of 0/1 in the trace CSV's mode
 _MODE_NAME = {False: GsblMode.CRUISE.value, True: GsblMode.OVERRIDE.value}
 
@@ -213,6 +214,14 @@ def whole_periods(span: float, period: float, name: str, unit: str = "control pe
     return n
 
 
+def substeps(control_dt: float, dt: float) -> int:
+    """Dynamics steps per control period: a whole number, at most :data:`MAX_SUBSTEPS`."""
+    sub = whole_periods(control_dt, dt, "control_dt", "dynamics dt")
+    if sub > MAX_SUBSTEPS:
+        raise UsageError(f"control_dt holds {sub} dynamics steps; at most {MAX_SUBSTEPS} may")
+    return sub
+
+
 def _timeline(scn: SingleScenario) -> tuple:
     """Every scenario field except the platoon and its start offsets."""
     return tuple(
@@ -263,7 +272,7 @@ def run_platoon_batch(
     """
     dyn = dyn or DynamicsParams()
     ctrl = ctrl or ControllerSet()
-    sub = whole_periods(control_dt, dyn.dt, "control_dt", "dynamics dt")
+    sub = substeps(control_dt, dyn.dt)
 
     results: list = [None] * len(scns)
     # (sort key, input row, config, leaders) per accepted row: the key puts the

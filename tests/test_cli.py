@@ -353,13 +353,55 @@ def test_unusable_ring_grid_settings_are_config_errors(tmp_path, capsys, mobilit
     assert not (tmp_path / "ring").exists()
 
 
-def test_ring_step_mismatch_is_a_config_error(tmp_path, capsys):
+SMALL_RING_SWEEP = ["sweep-ring", "--density", "10", "--repetitions", "1", "--duration", "2",
+                    "--warmup", "0"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["ring", "--density", "5", "--duration", "30", "--warmup", "15"],
+    ["single", "--", "-PP"],
+    ["sweep-single", "-n", "3"],
+    SMALL_RING_SWEEP,
+    [*SMALL_RING_SWEEP, "--dry-run"],
+], ids=["ring", "single", "sweep-single", "sweep-ring", "sweep-ring-dry-run"])
+def test_ring_step_mismatch_is_a_config_error(tmp_path, capsys, argv):
+    """A control period that is not a whole number of dynamics steps fails
+    every command before any run or folder: ``sweep-single`` used to leave
+    its empty folders, and ``sweep-ring`` ran all of its runs to fail each."""
     params = tmp_path / "dt.ini"
     params.write_text("[dynamics]\ndt = 0.03\n")
-    code = main(["--params", str(params), "--out", str(tmp_path),
-                 "ring", "--density", "5", "--duration", "30", "--warmup", "15"])
-    assert code == EXIT_CONFIG
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["--params", str(params), "--out", str(out), *argv]) == EXIT_CONFIG
     assert "multiple of the dynamics dt" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("params,argv,message", [
+    ("[dynamics]\ndt = 1e-9\n", ["ring", "--density", "10", "--penetration", "0.5",
+                                  "--policy", "L", "--duration", "10", "--warmup", "0"],
+     "100000000 dynamics steps"),
+    ("[dynamics]\ndt = 1e-9\n", ["single", "--", "-PP"], "100000000 dynamics steps"),
+    ("[dynamics]\ndt = 1e-9\n", SMALL_RING_SWEEP, "100000000 dynamics steps"),
+    ("[mobility]\ncircumference = 1e300\n",
+     ["ring", "--density", "10", "--duration", "10", "--warmup", "0"], "1e+298 cars"),
+    ("[mobility]\ncircumference = 1e9\n",
+     ["ring", "--density", "10", "--duration", "10", "--warmup", "0"], "1e+07 cars"),
+], ids=["ring-substeps", "single-substeps", "sweep-ring-substeps", "ring-cars-1e300",
+        "ring-cars-1e9"])
+def test_params_beyond_the_run_bounds_are_config_errors(tmp_path, capsys, params, argv,
+                                                        message):
+    """Values inside their domains that a run cannot hold: a dynamics step
+    that makes 1e8 substeps a control period (the ring once tried to
+    allocate 31.3 GiB, and a single ran on past 20 s), and a road with more
+    cars than a ring may hold (1e300 m failed the spawn with exit 1)."""
+    path = tmp_path / "bound.ini"
+    path.write_text(params)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["--params", str(path), "--out", str(out), *argv]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 @pytest.mark.parametrize("make", [
@@ -466,6 +508,24 @@ def test_report_without_sweep_output_fails(tmp_path, capsys):
     assert "no sweep output" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("summaries,named", [
+    ({"single": "{not json"}, "single"),
+    ({"ring": '{"spec_hash": "x"}'}, "ring"),
+    ({"single": json.dumps({"n": 2, "scenarios": {}, "failed": []}),
+      "ring": '{"spec_hash": "x", "cells": NaN}'}, "ring"),
+], ids=["single-not-json", "ring-without-cells", "ring-not-strict-beside-valid-single"])
+def test_report_on_a_malformed_summary_is_a_config_error(tmp_path, capsys, summaries, named):
+    """A summary that is not strict JSON, or lacks a field its table needs,
+    exits 2 naming the file (it used to exit 1 with a traceback), and no
+    table is written, not even from a valid summary beside it."""
+    for sweep, text in summaries.items():
+        (tmp_path / sweep).mkdir()
+        (tmp_path / sweep / "summary.json").write_text(text)
+    assert main(["--out", str(tmp_path), "report"]) == EXIT_CONFIG
+    assert str(tmp_path / named / "summary.json") in capsys.readouterr().err
+    assert list(tmp_path.rglob("table.txt")) == []
+
+
 def test_sweep_ring_dry_run_lists_the_grid(tmp_path, capsys):
     assert main(["--out", str(tmp_path), "sweep-ring", "--dry-run"]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
@@ -486,6 +546,7 @@ def test_sweep_ring_reports_partial_failure(tmp_path, capsys):
         assert "runs failed" in capsys.readouterr().out
         summary = json.loads((out / "ring" / "summary.json").read_text())
         assert len(summary["failed"]) == summary["cell_count"] == 38
+        assert [p.name for p in (out / "ring").iterdir()] == ["summary.json"]
         failed[jobs] = summary["failed"]
     assert failed["2"] == failed["1"]
 
