@@ -34,7 +34,7 @@ from .experiments import (
     sweep_ring,
     sweep_single,
 )
-from .metrics import min_gap, peak_abs_accel
+from .metrics import BRAKE_DETECT_U, min_gap, peak_abs_accel
 from .ring import BASELINES, PLATOON_POLICIES, run_ring
 from .scenarios import BRAKING, CONTROL_DT, SINUSOIDAL, events_csv, run_single_platoon
 from .topology import connectivity_matrix, extended_connectivity_matrix, parse_config
@@ -53,23 +53,28 @@ def cmd_single(args) -> int:
                                control_dt=args.control_dt)
     h = spec_hash(cfg, {"command": "single", "config": args.config, "scenario": args.scenario,
                         "duration": args.duration, "control_dt": args.control_dt})
-    stem = os.path.join(args.out, "single_run", f"{args.config}_{args.scenario}")
-    _atomic_write(stem + ".csv", trace.rows_csv_chunks(header_comment=f"spec_hash={h}"))
-    _atomic_write(stem + "_events.csv", [events_csv(trace.events)])
-
     facts = {"spec_hash": h, "config": args.config, "scenario": args.scenario,
              "collided": trace.terminated_by_collision}
-    if not trace.terminated_by_collision:
+    # a spring-damper head follows its own law, which may never brake that hard
+    no_onset = args.scenario == BRAKING and not (trace.ctrl_input[:, 0] <= BRAKE_DETECT_U).any()
+    if no_onset:
+        facts["window"] = None
+    elif not trace.terminated_by_collision:
         window = analysis_window(trace)
         facts["window"] = [round(t, 6) for t in window]
         for name, per in (("min_gap", min_gap), ("peak_abs_accel", peak_abs_accel)):
             facts[name] = {str(i): round(x, 6)
                            for i, x in enumerate(per(trace, window).tolist(), 1)}
+    stem = os.path.join(args.out, "single_run", f"{args.config}_{args.scenario}")
+    _atomic_write(stem + ".csv", trace.rows_csv_chunks(header_comment=f"spec_hash={h}"))
+    _atomic_write(stem + "_events.csv", [events_csv(trace.events)])
     _atomic_write_json(stem + ".json", facts)
     print(f"wrote {stem}.csv ({trace.times.size * trace.n_vehicles} rows)")
     if trace.terminated_by_collision:
         print("run terminated by collision")
         return EXIT_COLLISION
+    if no_onset:
+        print(f"the head never commanded the braking onset ({BRAKE_DETECT_U:g} m/s^2): no metrics")
     return EXIT_OK
 
 
@@ -236,6 +241,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if os.path.exists(args.out) and not os.path.isdir(args.out) and args.func != cmd_matrix:
+            raise UsageError(f"--out {args.out} exists and is not a folder")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -156,9 +156,11 @@ class PathParams:
     gains: tuple[float, float, float, float, float] = field(init=False)
 
     def __post_init__(self):
-        from .config import check
+        from .config import UsageError, check
         check(self, "path")
         self.gains = path_gains(self.c1, self.xi, self.omega_n)
+        if not all(map(math.isfinite, self.gains)):
+            raise UsageError(f"[path] xi and omega_n give non-finite gains {self.gains}")
 
 
 def path_accel(u_pred, u_lead, v, v_pred, v_lead, gap, dd, gains):

@@ -34,7 +34,7 @@ from .controllers import (
 )
 from .config import UsageError
 from .dynamics import DynamicsParams, VEHICLE_LENGTH, advance
-from .topology import EXTERNAL_REF, elect_ego_leaders, parse_config
+from .topology import EXTERNAL_REF, elect_ego_leaders
 
 # The engine calls none of these per-vehicle names; they are bound here only
 # for perfbench's layer tracer, until the tracer reads spans from the package.
@@ -191,32 +191,25 @@ class Trace:
         return (self.rows_csv() + events_csv(self.events)).encode()
 
 
-def _validate_supported(cfg: str, leaders: dict[int, int | None]) -> None:
-    for i in range(1, len(cfg)):
-        if cfg[i] == "P" and leaders[i] is EXTERNAL_REF:
-            raise UsageError(
-                f"follower {i} in {cfg} runs the constant-spacing controller "
-                "without any leader to elect"
-            )
-
-
-def whole_periods(span: float, period: float, name: str, unit: str = "control period",
-                  positive: bool = True) -> int:
-    """The number of ``period``s in ``span``.  The period must be positive
-    and finite, and the span a whole number of periods to within 1e-9 s,
-    positive (or else not negative) and below :data:`MAX_SPAN`."""
+def whole_periods(span: float, period: float, name: str, positive: bool = True) -> int:
+    """The number of control ``period``s in ``span``.  The period must be
+    positive and finite, and the span a whole number of periods to within
+    1e-9 s, positive (or else not negative) and below :data:`MAX_SPAN`."""
     if not 0.0 < period < math.inf:
-        raise UsageError(f"the {unit} must be positive and finite, got {period:g}")
+        raise UsageError(f"the control period must be positive and finite, got {period:g}")
     n = round(span / period) if 0.0 <= span < MAX_SPAN else -1
     if abs(n * period - span) > 1e-9 or n < positive:
         raise UsageError(f"{name} must be a {'positive' if positive else 'non-negative'} "
-                         f"multiple of the {unit} below 2**23 s")
+                         "multiple of the control period below 2**23 s")
     return n
 
 
 def substeps(control_dt: float, dt: float) -> int:
     """Dynamics steps per control period: a whole number, at most :data:`MAX_SUBSTEPS`."""
-    sub = whole_periods(control_dt, dt, "control_dt", "dynamics dt")
+    sub = round(control_dt / dt) if dt > 0.0 and math.isfinite(control_dt / dt) else 0
+    if sub < 1 or abs(sub * dt - control_dt) > 1e-9:
+        raise UsageError(f"the control period ({control_dt:g} s) must be a whole multiple of "
+                         f"the dynamics dt ([dynamics] dt = {dt:g} s)")
     if sub > MAX_SUBSTEPS:
         raise UsageError(f"control_dt holds {sub} dynamics steps; at most {MAX_SUBSTEPS} may")
     return sub
@@ -259,10 +252,10 @@ def run_platoon_batch(
     the platoon size; composition, timeline (kind, duration and profile)
     and initial gap offsets are per row.  Vehicles start at their own
     controller's equilibrium gap at their base speed, and a row ends at its
-    first collision or at its last tick.  A row whose setup is rejected, or
-    whose control command goes non-finite, gets the exception in place of
-    its trace; no row reads another's state, so the other rows run on
-    unchanged.
+    first collision or at its last tick.  Every row's settings are checked
+    before the first tick: the first rejected row raises its ``UsageError``.
+    A row whose control command goes non-finite gets the exception in place
+    of its trace; no row reads another's state, so the others run on.
 
     The state holds the rows longest timeline first.  When the shortest
     live timeline ends, the state shrinks to the rows still running, as
@@ -274,23 +267,20 @@ def run_platoon_batch(
     ctrl = ctrl or ControllerSet()
     sub = substeps(control_dt, dyn.dt)
 
-    results: list = [None] * len(scns)
-    # (sort key, input row, config, leaders) per accepted row: the key puts the
-    # longest timeline first (minus its last tick) and each timeline's rows side by side
-    accepted = []
+    # (sort key, input row, config, leaders) per row: the key puts the longest
+    # timeline first (minus its last tick) and each timeline's rows side by side
+    table = []
     for r, scn in enumerate(scns):
-        try:
-            cfg = parse_config(scn.config)
-            leaders = elect_ego_leaders(cfg)
-            _validate_supported(cfg, leaders)
-            last = whole_periods(scn.duration, control_dt, "duration")
-        except UsageError as exc:
-            results[r] = exc
-        else:
-            accepted.append(((-last, _timeline(scn)), r, cfg, leaders))
-    if not accepted:
-        return results
-    keys, rows, cfgs, leaders_of = zip(*sorted(accepted, key=lambda row: row[0]))
+        leaders = elect_ego_leaders(scn.config)
+        for i, leader in leaders.items():
+            if scn.config[i] == "P" and leader is EXTERNAL_REF:
+                raise UsageError(f"follower {i} in {scn.config} runs the constant-spacing "
+                                 "controller without any leader to elect")
+        last = whole_periods(scn.duration, control_dt, "duration")
+        table.append(((-last, _timeline(scn)), r, scn.config, leaders))
+    if not table:
+        return []
+    keys, rows, cfgs, leaders_of = zip(*sorted(table, key=lambda row: row[0]))
     n = len(cfgs[0])
     if any(len(cfg) != n for cfg in cfgs):
         raise RuntimeError("a batch runs one platoon size")   # the caller's grouping is at fault
@@ -306,6 +296,7 @@ def run_platoon_batch(
         blocks = [np.empty(shape) for _ in range(4)] + [np.empty(shape, np.int8)]
         groups.append((lo, m, scns[rows[lo]], -neg_last, blocks))
     running = groups                          # the groups whose timeline goes on
+    results: list = [None] * len(scns)        # a failed run's exception, then every trace
     events: list[list[TraceEvent]] = [[] for _ in rows]
     collided = {}                             # state row -> the tick its collision ended it
 

@@ -134,6 +134,33 @@ def test_single_collision_sets_exit_code(tmp_path, capsys):
     assert "min_gap" not in facts
 
 
+def test_braking_head_that_never_reaches_the_onset_has_no_window(tmp_path, capsys):
+    """A spring-damper head follows its own law, not the braking profile, so
+    it may never command the onset: the run writes its three files with a
+    null window and no metrics.  It used to exit 1 after two of them."""
+    code = main(["--out", str(tmp_path), "single", "--scenario", "braking", "--", "GGLP"])
+    assert code == EXIT_OK
+    assert "never commanded the braking onset" in capsys.readouterr().out
+    stem = tmp_path / "single_run" / "GGLP_braking"
+    facts = json.loads(stem.with_suffix(".json").read_text())
+    assert facts["window"] is None and facts["collided"] is False
+    assert "min_gap" not in facts and "peak_abs_accel" not in facts
+    assert (stem.parent / "GGLP_braking_events.csv").exists()
+    assert stem.with_suffix(".csv").exists()
+
+
+@pytest.mark.parametrize("argv", [["single", "--", "-PP"], ["sweep-single", "-n", "3"]],
+                         ids=["single", "sweep-single"])
+def test_out_naming_a_file_is_a_config_error(tmp_path, capsys, argv):
+    """An ``--out`` that is a file is rejected before any run; ``single``
+    used to run the whole simulation and then exit 1."""
+    out = tmp_path / "afile"
+    out.write_text("keep me\n")
+    assert main(["--out", str(out), *argv]) == EXIT_CONFIG
+    assert f"--out {out} exists and is not a folder" in capsys.readouterr().err
+    assert out.read_text() == "keep me\n"
+
+
 def test_sweep_single_with_a_colliding_reference_is_a_config_error(tmp_path, capsys):
     """Parameters under which a homogeneous reference crashes leave nothing
     to score the mixes against."""
@@ -373,7 +400,9 @@ def test_ring_step_mismatch_is_a_config_error(tmp_path, capsys, argv):
     out = tmp_path / "out"
     out.mkdir()
     assert main(["--params", str(params), "--out", str(out), *argv]) == EXIT_CONFIG
-    assert "multiple of the dynamics dt" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "multiple of the dynamics dt" in err
+    assert "[dynamics] dt = 0.03" in err
     assert not any(out.iterdir())
 
 
@@ -387,14 +416,17 @@ def test_ring_step_mismatch_is_a_config_error(tmp_path, capsys, argv):
      ["ring", "--density", "10", "--duration", "10", "--warmup", "0"], "1e+298 cars"),
     ("[mobility]\ncircumference = 1e9\n",
      ["ring", "--density", "10", "--duration", "10", "--warmup", "0"], "1e+07 cars"),
+    ("[path]\nxi = 1e300\n", ["single", "--", "-PP"], "[path] xi and omega_n"),
+    ("[path]\nomega_n = 1e200\n", ["single", "--", "-PP"], "[path] xi and omega_n"),
 ], ids=["ring-substeps", "single-substeps", "sweep-ring-substeps", "ring-cars-1e300",
-        "ring-cars-1e9"])
+        "ring-cars-1e9", "path-xi-1e300", "path-omega-n-1e200"])
 def test_params_beyond_the_run_bounds_are_config_errors(tmp_path, capsys, params, argv,
                                                         message):
     """Values inside their domains that a run cannot hold: a dynamics step
     that makes 1e8 substeps a control period (the ring once tried to
-    allocate 31.3 GiB, and a single ran on past 20 s), and a road with more
-    cars than a ring may hold (1e300 m failed the spawn with exit 1)."""
+    allocate 31.3 GiB, and a single ran on past 20 s), a road with more
+    cars than a ring may hold (1e300 m failed the spawn with exit 1), and
+    PATH gains that overflow (a single ended in a NaN command, exit 1)."""
     path = tmp_path / "bound.ini"
     path.write_text(params)
     out = tmp_path / "out"

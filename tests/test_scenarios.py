@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mixcacc import scenarios
 from mixcacc.config import UsageError
 from mixcacc.controllers import ControllerSet
 from mixcacc.metrics import sinusoidal_window
@@ -189,22 +190,24 @@ def test_control_period_must_divide_into_physics_steps():
 # batches
 # ---------------------------------------------------------------------------
 
-def test_batch_row_with_a_rejected_setup_leaves_the_others_running():
-    scns = [SingleScenario(kind=SINUSOIDAL, config=c, duration=5.0)
-            for c in ("-PL", "PPP", "-LL")]
-    got = run_platoon_batch(scns)
-    assert isinstance(got[1], UsageError)
-    for scn, trace in zip(scns[::2], got[::2]):
-        assert trace.serialize() == run_single_platoon(scn).serialize()
-
-
-def test_batch_row_ending_between_ticks_is_a_setup_error():
-    """A row whose duration is not a whole number of control periods gets
-    a ``UsageError``; it used to run to the nearest tick."""
-    scns = [SingleScenario(kind=SINUSOIDAL, config="-PL", duration=d) for d in (5.04, 5.0)]
-    got = run_platoon_batch(scns)
-    assert isinstance(got[0], UsageError)
-    assert got[1].serialize() == run_single_platoon(scns[1]).serialize()
+@pytest.mark.parametrize("bad,message", [
+    (SingleScenario(kind=SINUSOIDAL, config="PPP", duration=5.0),
+     "follower 1 in PPP runs the constant-spacing controller without any leader to elect"),
+    (SingleScenario(kind=SINUSOIDAL, config="-PL", duration=5.04),
+     "duration must be a positive multiple of the control period"),
+], ids=["no-leader-to-elect", "ends-between-ticks"])
+def test_batch_with_a_rejected_row_raises_before_its_first_tick(monkeypatch, bad, message):
+    """A row whose settings are rejected, placed between good rows, fails
+    the whole batch with its ``UsageError`` before any row is stepped; it
+    used to get the error in place of its trace."""
+    calls = []
+    for name in ("advance", "control_tick"):
+        monkeypatch.setattr(scenarios, name,
+                            lambda *a, name=name, **kw: calls.append(name))
+    good = [SingleScenario(kind=kind, config="-PL", duration=5.0) for kind in (SINUSOIDAL, BRAKING)]
+    with pytest.raises(UsageError, match=message):
+        run_platoon_batch([good[0], bad, good[1]])
+    assert calls == []
 
 
 def test_batch_needs_one_platoon_size():
