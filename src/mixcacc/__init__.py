@@ -1,6 +1,6 @@
 """Simulator and analysis toolkit for mixed cooperative platoons."""
 
-from .config import Config, UsageError, load_config_file, spec_hash
+from .config import Config, RunError, UsageError, load_config_file, spec_hash
 from .controllers import (
     AccParams,
     Beacon,
@@ -53,6 +53,7 @@ __all__ = [
     "PloegParams",
     "RingSpec",
     "RingTrace",
+    "RunError",
     "SingleScenario",
     "Trace",
     "UsageError",

@@ -10,9 +10,9 @@ matrix       print the communication matrix of a platoon configuration
 report       render text tables from persisted sweep output
 
 Exit codes: 0 success, 2 bad configuration (a ``UsageError``), 3 single run
-ended in a collision, 4 sweep finished with failed runs.  Any other exception,
-even a ``ValueError`` raised while loading a config, is an internal error: it
-escapes with its traceback and exits 1.
+ended in a collision, 4 a run failed (a ``RunError``) or a sweep finished with
+failed runs.  Any other exception, even a ``ValueError`` raised while loading a
+config, is an internal error: it escapes with its traceback and exits 1.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import argparse
 import os
 import sys
 
-from .config import UsageError, load_config_file, spec_hash
+from .config import RunError, UsageError, load_config_file, spec_hash
 from .experiments import (
     SUMMARY_PICKS,
     _atomic_write,
@@ -240,13 +240,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    near = args.out                 # the nearest existing path of --out
+    while not os.path.exists(near) and os.path.dirname(near) not in ("", near):
+        near = os.path.dirname(near)
     try:
-        if os.path.exists(args.out) and not os.path.isdir(args.out) and args.func != cmd_matrix:
-            raise UsageError(f"--out {args.out} exists and is not a folder")
+        if os.path.exists(near) and not os.path.isdir(near) and args.func != cmd_matrix:
+            below = "" if near == args.out else f"{args.out}: "
+            raise UsageError(f"--out {below}{near} exists and is not a folder")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except RunError as exc:
+        print(f"error: run failed: {exc}", file=sys.stderr)
+        return EXIT_PARTIAL
 
 
 if __name__ == "__main__":

@@ -25,6 +25,10 @@ class UsageError(ValueError):
     that cannot be run.  The command line maps it, and only it, to exit 2."""
 
 
+class RunError(ValueError):
+    """A run that failed: a command went non-finite.  The command line maps it to exit 4."""
+
+
 @dataclass
 class MobilitySpec:
     """Road and experiment-grid defaults for the ring experiments, and the

@@ -24,7 +24,6 @@ from .config import Config, MobilitySpec, UsageError, spec_hash
 from .dynamics import DynamicsParams
 from .metrics import (
     BRAKE_DETECT_U,
-    SPEED_FLOOR,
     braking_window,
     delta_a,
     delta_d,
@@ -127,10 +126,6 @@ def analysis_window(trace) -> tuple[float, float]:
     return braking_window(trace)
 
 
-def _speed_floor(trace) -> float | None:
-    return SPEED_FLOOR if trace.scenario_kind == BRAKING else None
-
-
 def build_reference(baselines: dict) -> tuple[np.ndarray, float, dict[str, np.ndarray]]:
     """Reference values of one scenario from its four homogeneous platoons:
     the all-ACC platoon's ``peak_abs_accel`` and ``max_platoon_occupancy``,
@@ -147,7 +142,7 @@ def build_reference(baselines: dict) -> tuple[np.ndarray, float, dict[str, np.nd
             raise UsageError(f"homogeneous {letter} reference platoon collided")
     acc = baselines["A"]
     window = analysis_window(acc)
-    return (peak_abs_accel(acc, window, _speed_floor(acc)), max_platoon_occupancy(acc, window),
+    return (peak_abs_accel(acc, window), max_platoon_occupancy(acc, window),
             {letter: min_gap(t, analysis_window(t)) for letter, t in baselines.items()})
 
 
@@ -168,7 +163,7 @@ def build_report(trace, ref: tuple) -> dict:
                 "delta_d_vehicle": -1, "eta": None, "window": None}
     acc_peaks, acc_occupancy, min_gaps = ref
     window = analysis_window(trace)
-    da, da_vehicle = delta_a(trace, window, acc_peaks, _speed_floor(trace))
+    da, da_vehicle = delta_a(trace, window, acc_peaks)
     dd, dd_vehicle = delta_d(trace, window, min_gaps)
     return {**report, "delta_a": _rounded(da), "delta_a_vehicle": da_vehicle,
             "delta_d": _rounded(dd), "delta_d_vehicle": dd_vehicle,

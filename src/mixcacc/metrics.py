@@ -53,18 +53,15 @@ def _window_slice(trace, window: tuple[float, float]) -> np.ndarray:
     return mask
 
 
-def peak_abs_accel(trace, window: tuple[float, float],
-                   speed_floor: float | None = None) -> np.ndarray:
+def peak_abs_accel(trace, window: tuple[float, float]) -> np.ndarray:
     """Largest absolute realized acceleration of each follower inside the
     window, follower 1 first.
 
-    With ``speed_floor`` set, ticks where the vehicle is slower than the floor
-    are ignored (jerky standstill samples are not representative).
+    Ticks where the vehicle is slower than :data:`SPEED_FLOOR` are ignored
+    (jerky standstill samples are not representative).
     """
     mask = _window_slice(trace, window)
-    a = np.abs(trace.accel[mask, 1:])
-    if speed_floor is not None:
-        a = np.where(trace.speed[mask, 1:] >= speed_floor, a, -np.inf)
+    a = np.where(trace.speed[mask, 1:] >= SPEED_FLOOR, np.abs(trace.accel[mask, 1:]), -np.inf)
     peaks = a.max(axis=0)
     empty = np.flatnonzero(np.isneginf(peaks))
     if empty.size:
@@ -78,9 +75,7 @@ def _worst(per: np.ndarray) -> tuple[float, int]:
     return float(per[i]), i + 1
 
 
-def delta_a(
-    trace, window: tuple[float, float], ref_peaks: np.ndarray, speed_floor: float | None = None
-) -> tuple[float, int]:
+def delta_a(trace, window: tuple[float, float], ref_peaks: np.ndarray) -> tuple[float, int]:
     """Acceleration margin of a platoon against the all-ACC reference.
 
     ``ref_peaks`` are the :func:`peak_abs_accel` values of the all-ACC
@@ -88,7 +83,7 @@ def delta_a(
     accelerations than ACC in the same seat; returns the worst (smallest)
     follower margin and its vehicle.
     """
-    own = peak_abs_accel(trace, window, speed_floor)
+    own = peak_abs_accel(trace, window)
     if len(ref_peaks) != len(own):
         raise MetricsError("platoon size mismatch between trace and reference")
     return _worst(ref_peaks - own)

@@ -49,7 +49,7 @@ from .controllers import (
     family_indices,
 )
 from .dynamics import DynamicsParams, VEHICLE_LENGTH, advance
-from .config import MobilitySpec, UsageError, check
+from .config import MobilitySpec, RunError, UsageError, check
 from .scenarios import CONTROL_DT, Trace, TraceEvent, events_csv, substeps, whole_periods
 from .topology import elect_ego_leaders
 
@@ -648,7 +648,7 @@ def run_ring(
         _lane_change_pass(world, L, t, ctrl.acc.H, events)
         u, hold = _control_tick(world, L, ctrl, families)
         if not np.isfinite(u).all():
-            raise ValueError(f"non-finite control input: {float(u[~np.isfinite(u)][0])!r}")
+            raise RunError(f"non-finite control input: {float(u[~np.isfinite(u)][0])!r}")
         pos_before = world.pos.copy()
         world.u_cmd = advance(world.pos, world.speed, world.accel, u, dyn, sub, hold,
                               ploeg, world.ploeg_u, ctrl.ploeg.H, tau)

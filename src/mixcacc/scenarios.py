@@ -32,7 +32,7 @@ from .controllers import (
     control_tick,
     family_indices,
 )
-from .config import UsageError
+from .config import RunError, UsageError
 from .dynamics import DynamicsParams, VEHICLE_LENGTH, advance
 from .topology import EXTERNAL_REF, elect_ego_leaders
 
@@ -254,7 +254,7 @@ def run_platoon_batch(
     controller's equilibrium gap at their base speed, and a row ends at its
     first collision or at its last tick.  Every row's settings are checked
     before the first tick: the first rejected row raises its ``UsageError``.
-    A row whose control command goes non-finite gets the exception in place
+    A row whose control command goes non-finite gets a ``RunError`` in place
     of its trace; no row reads another's state, so the others run on.
 
     The state holds the rows longest timeline first.  When the shortest
@@ -368,7 +368,7 @@ def run_platoon_batch(
         # a row whose command is not finite ends with the error
         for j in np.flatnonzero(~np.isfinite(u).all(axis=1) & ~done):
             bad = float(u[j, np.argmin(np.isfinite(u[j]))])
-            results[rows[j]] = ValueError(f"non-finite control input: {bad!r}")
+            results[rows[j]] = RunError(f"non-finite control input: {bad!r}")
             done[j] = True
         if done.all():
             break

@@ -16,9 +16,11 @@ import pytest
 
 from mixcacc import cli
 from mixcacc.config import Config, UsageError, load_config
-from mixcacc.experiments import ring_spec, scenario_for
+from mixcacc.experiments import analysis_window, ring_spec, scenario_for
+from mixcacc.metrics import peak_abs_accel
 from mixcacc.ring import RingSpec, run_ring
-from mixcacc.scenarios import CONTROL_DT, SingleScenario, Trace, run_single_platoon
+from mixcacc.scenarios import (BRAKING, CONTROL_DT, SINUSOIDAL, SingleScenario, Trace,
+                               run_single_platoon)
 from mixcacc.cli import (
     EXIT_COLLISION,
     EXIT_CONFIG,
@@ -149,16 +151,37 @@ def test_braking_head_that_never_reaches_the_onset_has_no_window(tmp_path, capsy
     assert stem.with_suffix(".csv").exists()
 
 
-@pytest.mark.parametrize("argv", [["single", "--", "-PP"], ["sweep-single", "-n", "3"]],
-                         ids=["single", "sweep-single"])
-def test_out_naming_a_file_is_a_config_error(tmp_path, capsys, argv):
-    """An ``--out`` that is a file is rejected before any run; ``single``
-    used to run the whole simulation and then exit 1."""
-    out = tmp_path / "afile"
-    out.write_text("keep me\n")
+@pytest.mark.parametrize("argv,below", [
+    (["single", "--", "-PP"], ""),
+    (["sweep-single", "-n", "3"], ""),
+    (["single", "--", "-PP"], "sub"),
+    (["sweep-single", "-n", "3"], "sub"),
+], ids=["single", "sweep-single", "single-below-it", "sweep-single-below-it"])
+def test_out_naming_a_file_is_a_config_error(tmp_path, capsys, argv, below):
+    """An ``--out`` that is a file, or lies below one, is rejected before
+    any run and names the file; ``single`` used to run the whole simulation
+    and then exit 1."""
+    afile = tmp_path / "afile"
+    afile.write_text("keep me\n")
+    out = afile / below if below else afile
     assert main(["--out", str(out), *argv]) == EXIT_CONFIG
-    assert f"--out {out} exists and is not a folder" in capsys.readouterr().err
-    assert out.read_text() == "keep me\n"
+    named = f"{out}: {afile}" if below else out
+    assert f"--out {named} exists and is not a folder" in capsys.readouterr().err
+    assert afile.read_text() == "keep me\n"
+    assert list(tmp_path.iterdir()) == [afile]
+
+
+def test_single_braking_peaks_are_the_peaks_delta_a_compares(tmp_path):
+    """``single`` leaves out the ticks below the speed floor, as the sweeps'
+    delta_a does: follower 4 of -PGPG crawls below 5 km/h inside its window,
+    where its peak was once 8.991842."""
+    code = main(["--out", str(tmp_path), "single", "--scenario", "braking", "--", "-PGPG"])
+    assert code == EXIT_OK
+    facts = json.loads((tmp_path / "single_run" / "-PGPG_braking.json").read_text())
+    trace = run_single_platoon(SingleScenario(kind=BRAKING, config="-PGPG"))
+    peaks = peak_abs_accel(trace, analysis_window(trace)).tolist()
+    assert facts["peak_abs_accel"] == {str(i): round(x, 6) for i, x in enumerate(peaks, 1)}
+    assert facts["peak_abs_accel"]["4"] == 8.990016
 
 
 def test_sweep_single_with_a_colliding_reference_is_a_config_error(tmp_path, capsys):
@@ -308,6 +331,28 @@ def test_non_finite_params_are_config_errors(tmp_path, capsys, params, argv, nam
     assert not (tmp_path / "ring_run").exists() and not (tmp_path / "single_run").exists()
 
 
+IDM_RING = ["ring", "--baseline", "IDM", "--density", "10", "--duration", "5", "--warmup", "0"]
+
+
+@pytest.mark.parametrize("params,argv", [
+    ("[idm]\nT = 1e300\n", IDM_RING),
+    ("[idm]\ndelta = 1e9\n", IDM_RING),
+    *((params, ["single", "--scenario", kind, "--", "-PLGA"])
+      for params in ("[acc]\nlambda = 1e308\n", "[ploeg]\nkp = 1e308\n", "[gsbl]\nh = 1e308\n")
+      for kind in (SINUSOIDAL, BRAKING)),
+], ids=["idm-T", "idm-delta", *(f"{name}-{kind}" for name in ("acc-lambda", "ploeg-kp", "gsbl-h")
+                                for kind in (SINUSOIDAL, BRAKING))])
+def test_non_finite_command_is_a_failed_run(tmp_path, capsys, params, argv):
+    """In-domain values that overflow a law fail the run as a sweep counts
+    it: exit 4, not 1 with a traceback, and nothing written."""
+    path = tmp_path / "huge.ini"
+    path.write_text(params)
+    out = tmp_path / "out"
+    assert main(["--params", str(path), "--out", str(out), *argv]) == EXIT_PARTIAL
+    assert capsys.readouterr().err.startswith("error: run failed: non-finite control input: ")
+    assert not out.exists()
+
+
 PROBE_RING = ["ring", "--density", "20", "--baseline", "IDM", "--penetration", "0.5",
               "--policy", "MIX", "--duration", "5", "--warmup", "0"]
 
@@ -449,8 +494,9 @@ def test_every_configuration_error_is_exactly_a_usage_error(make):
 
 
 def test_usage_error_is_the_only_configuration_error_class():
-    """The package defines one exception for bad configuration and one for
-    an undefined score; a new class would split the exit-2 decision again."""
+    """The package defines one exception for bad configuration, one for a
+    failed run and one for an undefined score; a new class would split the
+    exit-2 or exit-4 decision again."""
     found = set()
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -458,7 +504,7 @@ def test_usage_error_is_the_only_configuration_error_class():
                     getattr(base, "id", getattr(base, "attr", "")).endswith(("Error", "Exception"))
                     for base in node.bases):
                 found.add(node.name)
-    assert found == {"UsageError", "MetricsError"}
+    assert found == {"UsageError", "MetricsError", "RunError"}
 
 
 def test_internal_value_error_is_not_reported_as_bad_configuration(tmp_path, monkeypatch):

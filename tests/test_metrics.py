@@ -105,17 +105,14 @@ def test_peak_abs_accel_speed_floor_drops_crawl_samples():
     tr.speed[:5, 1] = 0.5
     tr.accel[:5, 1] = -5.0
     tr.accel[5:, 1] = -1.5
-    with_floor = peak_abs_accel(tr, (0.0, 1.0), speed_floor=SPEED_FLOOR)
-    without = peak_abs_accel(tr, (0.0, 1.0))
-    assert without[0] == 5.0
-    assert with_floor[0] == 1.5
+    assert peak_abs_accel(tr, (0.0, 1.0))[0] == 1.5
 
 
 def test_peak_abs_accel_names_a_follower_with_no_sample_above_the_floor():
     tr = flat_trace()
     tr.speed[:, 2] = 0.5
     with pytest.raises(MetricsError, match="no usable acceleration samples for vehicle 2"):
-        peak_abs_accel(tr, (0.0, 1.0), speed_floor=SPEED_FLOOR)
+        peak_abs_accel(tr, (0.0, 1.0))
 
 
 def test_delta_a_self_comparison_is_zero():

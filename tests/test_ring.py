@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixcacc import ring
-from mixcacc.config import UsageError
+from mixcacc.config import RunError, UsageError
 from mixcacc.controllers import (
     CODE_ACC,
     CODE_GSBL,
@@ -646,8 +646,17 @@ def test_non_finite_command_fails_the_run():
     of carrying NaN positions past collision detection."""
     ctrl = ControllerSet()
     ctrl.acc.lam = float("nan")   # assigned past the parameter check
-    with pytest.raises(ValueError, match="non-finite control input: nan"):
+    with pytest.raises(RunError, match="non-finite control input: nan"):
         run_ring(RingSpec(density=10, duration=5.0, warmup=0.0), ctrl=ctrl)
+
+
+def test_ring_ignores_the_service_clamp():
+    """``[dynamics] u_min`` floors only a single platoon's profile-driven
+    head; every ring car brakes down to ``emergency u_min``."""
+    spec = RingSpec(density=60, penetration=0.5, platoon_size=8, platoon_policy="MIX",
+                    duration=30.0, warmup=0.0, seed=1)
+    assert (run_ring(spec, DynamicsParams(u_min=-1.0)).serialize()
+            == run_ring(spec).serialize())
 
 
 def test_ring_is_byte_deterministic():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mixcacc import scenarios
-from mixcacc.config import UsageError
+from mixcacc.config import RunError, UsageError
 from mixcacc.controllers import ControllerSet
 from mixcacc.metrics import sinusoidal_window
 from mixcacc.scenarios import (
@@ -84,6 +84,25 @@ def test_equilibrium_start_is_a_fixed_point(config):
     drift = np.nanmax(np.abs(tr.gap - tr.gap[0]))
     assert drift < 1e-9
     assert np.all(np.abs(tr.speed - 27.78) < 1e-9)
+
+
+def test_mixed_starts_hold_still_unless_a_spring_damper_car_leads_a_time_gap_car():
+    """Behind a constant-speed head, every follower starts at its own law's
+    equilibrium gap.  A G car is balanced only when its front and rear gaps
+    match, so one directly ahead of an A or L car (whose gaps are longer)
+    starts off balance, and so does every G car of an unbroken G run ahead
+    of it; every other mix holds still."""
+    still, moving = [], []
+    for n in range(2, 6):
+        configs = ["-" + "".join(p) for p in itertools.product("AGLP", repeat=n - 1)]
+        traces = run_platoon_batch([SingleScenario(kind=SINUSOIDAL, config=c, duration=30.0,
+                                                   amplitude=0.0) for c in configs])
+        for config, tr in zip(configs, traces):
+            peak = float(np.abs(tr.accel[:, 1:]).max())
+            (moving if "GA" in config or "GL" in config else still).append(peak)
+    assert (len(still), len(moving)) == (230, 110)
+    assert max(still) <= 1e-9
+    assert min(moving) > 1.0
 
 
 @pytest.mark.parametrize("letter,target", [
@@ -224,7 +243,7 @@ def test_non_finite_command_fails_its_row_and_a_single_run_raises():
                          initial_gap_offsets={2: float("nan")})
     good = SingleScenario(kind=BRAKING, config="-LA", duration=5.0)
     failed, trace = run_platoon_batch([bad, good])
-    assert isinstance(failed, ValueError)
+    assert isinstance(failed, RunError)
     assert str(failed) == "non-finite control input: nan"
     assert trace.serialize() == run_single_platoon(good).serialize()
     with pytest.raises(ValueError, match="non-finite control input"):
@@ -245,13 +264,13 @@ def test_batch_ends_every_row_its_own_way():
         SingleScenario(kind=BRAKING, config="-GGGGGGG"),
     ]
     alone = [run_single_platoon(scn) for scn in scns[:2] + scns[3:]]
-    with pytest.raises(ValueError) as error:
+    with pytest.raises(RunError) as error:
         run_single_platoon(scns[2])
     assert [(tr.terminated_by_collision, round(tr.times[-1], 6)) for tr in alone] == [
         (True, 34.6), (True, 0.1), (False, 100.0), (False, 60.0)]
     for order in (slice(None), slice(None, None, -1)):
         crash, first, failed, sine, brake = run_platoon_batch(scns[order])[order]
-        assert type(failed) is ValueError and str(failed) == str(error.value)
+        assert type(failed) is RunError and str(failed) == str(error.value)
         for trace, want in zip((crash, first, sine, brake), alone):
             assert trace.serialize() == want.serialize()
 
