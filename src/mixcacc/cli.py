@@ -23,9 +23,9 @@ import sys
 
 from .config import RunError, UsageError, load_config_file, spec_hash
 from .experiments import (
-    SUMMARY_PICKS,
     _atomic_write,
     _atomic_write_json,
+    _single_table,
     analysis_window,
     emit_reports,
     ring_run_metrics,
@@ -37,7 +37,7 @@ from .experiments import (
 from .metrics import BRAKE_DETECT_U, min_gap, peak_abs_accel
 from .ring import BASELINES, PLATOON_POLICIES, run_ring
 from .scenarios import BRAKING, CONTROL_DT, SINUSOIDAL, events_csv, run_single_platoon
-from .topology import connectivity_matrix, extended_connectivity_matrix, parse_config
+from .topology import connectivity_matrix, extended_connectivity_matrix
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -45,8 +45,7 @@ EXIT_COLLISION = 3
 EXIT_PARTIAL = 4
 
 
-def cmd_single(args) -> int:
-    cfg = load_config_file(args.params)
+def cmd_single(args, cfg) -> int:
     scn = scenario_for(args.scenario, args.config, args.duration, args.control_dt,
                        cfg.dynamics.u_min)
     trace = run_single_platoon(scn, cfg.dynamics, cfg.controllers,
@@ -78,8 +77,7 @@ def cmd_single(args) -> int:
     return EXIT_OK
 
 
-def cmd_ring(args) -> int:
-    cfg = load_config_file(args.params)
+def cmd_ring(args, cfg) -> int:
     spec = ring_spec(
         cfg.mobility, args.duration, args.warmup,
         density=args.density, penetration=args.penetration,
@@ -112,27 +110,19 @@ def cmd_ring(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep_single(args) -> int:
-    cfg = load_config_file(args.params)
+def cmd_sweep_single(args, cfg) -> int:
     kinds = (SINUSOIDAL, BRAKING) if args.scenario == "both" else (args.scenario,)
     summary = sweep_single(args.platoon_size, args.out, kinds=kinds, cfg=cfg,
                            jobs=args.jobs, seed=args.seed,
                            duration=args.duration)
-    for kind, info in summary["scenarios"].items():
-        print(f"{kind}: {info['mixed_reports']} mixed"
-              f" + {info['baseline_reports']} baseline reports")
-        for key, _, _ in SUMMARY_PICKS:
-            if key in info:
-                e = info[key]
-                print(f"  {key}: {e['config']} = {e['value']:.3f}")
+    print(_single_table(summary), end="")
     if summary["failed"]:
         print(f"{len(summary['failed'])} runs failed")
         return EXIT_PARTIAL
     return EXIT_OK
 
 
-def cmd_sweep_ring(args) -> int:
-    cfg = load_config_file(args.params)
+def cmd_sweep_ring(args, cfg) -> int:
     summary = sweep_ring(
         args.out, cfg=cfg, repetitions=args.repetitions, jobs=args.jobs,
         seed=args.seed, dry_run=args.dry_run,
@@ -153,17 +143,16 @@ def cmd_sweep_ring(args) -> int:
     return EXIT_OK
 
 
-def cmd_matrix(args) -> int:
-    cfg = parse_config(args.config)
+def cmd_matrix(args, cfg) -> int:
     if args.extended:
-        m = extended_connectivity_matrix(cfg, head_externally_guided=args.head_guided)
+        m = extended_connectivity_matrix(args.config, head_externally_guided=args.head_guided)
     else:
-        m = connectivity_matrix(cfg)
+        m = connectivity_matrix(args.config)
     print(m.to_text())
     return EXIT_OK
 
 
-def cmd_report(args) -> int:
+def cmd_report(args, cfg) -> int:
     written = emit_reports(args.out)
     if not written:
         print(f"no sweep output found under {args.out}", file=sys.stderr)
@@ -247,7 +236,7 @@ def main(argv=None) -> int:
         if os.path.exists(near) and not os.path.isdir(near) and args.func != cmd_matrix:
             below = "" if near == args.out else f"{args.out}: "
             raise UsageError(f"--out {below}{near} exists and is not a folder")
-        return args.func(args)
+        return args.func(args, load_config_file(args.params))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -42,13 +42,16 @@ from .scenarios import (BRAKING, CONTROL_DT, FREQUENCY, SINUSOIDAL, WARMUP, Sing
 # Not called here since sweeps run batches; bound here only for perfbench's
 # layer tracer, until the tracer reads spans from the package.
 from .scenarios import run_single_platoon  # noqa: E402,F401
+from .topology import check_platoon_size
 
 MIX_LETTERS = "GLP"          # follower alphabet, kept in lexicographic order
 BASELINE_LETTERS = "AGLP"
 FULL_ENUMERATION_MAX = 8     # platoon sizes enumerated exhaustively
 SAMPLED_CONFIG_COUNT = 1000  # mixes drawn for a platoon size too large to enumerate
 CONFIDENCE_LEVEL = 0.95      # of the ring summary's throughput intervals
-BATCH_ROWS = 256             # mixes per scenario per batch; bounds record memory
+BATCH_ROWS = 256             # mixes per scenario per batch
+BATCH_VEHICLES = 2048        # their vehicles at most, which bounds record memory
+MAX_JOBS = 64                # worker processes of a sweep
 # a single sweep's summary entries per scenario: (name, report field, pick of the mixes)
 SUMMARY_PICKS = (("worst_delta_a", "delta_a", min), ("worst_delta_d", "delta_d", min),
                  ("best_eta", "eta", max))
@@ -85,8 +88,7 @@ def sampled_configs(n: int, seed: int = 0) -> list[str]:
 
 
 def configs_for_sweep(n: int, seed: int = 0) -> list[str]:
-    if n - 1 <= 0:
-        raise UsageError("platoon size must be at least 2")
+    check_platoon_size(n)
     if seed < 0:
         raise UsageError("seed must not be negative")
     if n <= FULL_ENUMERATION_MAX:
@@ -245,20 +247,21 @@ def _run_store(files: dict, plan, run_batch, jobs: int) -> tuple[dict, list]:
 
     ``files`` maps each key to its file's ``(path, spec hash)``.  Current
     files are read; ``plan`` groups the other keys it can run into batches, and
-    ``run_batch`` maps a batch to ``key -> (payload, error)``, in ``jobs``
-    worker processes when there is more than one batch.  Each payload asked
-    for is written, stamped with its hash, as its batch returns.  Returns the
-    payloads and the ``(key, error)`` failures, both in the order of ``files``.
+    ``run_batch`` maps a batch to ``key -> (payload, error)``, in one worker
+    process per batch up to ``jobs`` when that makes more than one.  Each
+    payload asked for is written, stamped with its hash, as its batch
+    returns.  Returns the payloads and the ``(key, error)`` failures, both in
+    the order of ``files``.
     """
-    if jobs < 1:
-        raise UsageError("jobs must be at least 1")
+    if not 1 <= jobs <= MAX_JOBS:
+        raise UsageError(f"jobs must be 1 to {MAX_JOBS}, got {jobs}")
     done = {key: payload for key, (path, h) in files.items()
             if (payload := _load_if_current(path, h)) is not None}
     pending = [key for key in files if key not in done]
     batches, errors = plan(pending) if pending else [], {}
-    parallel = jobs > 1 and len(batches) > 1
-    with multiprocessing.Pool(jobs) if parallel else contextlib.nullcontext() as pool:
-        for part in (pool.imap if parallel else map)(run_batch, batches):
+    workers = min(jobs, len(batches))
+    with multiprocessing.Pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        for part in (pool.imap if workers > 1 else map)(run_batch, batches):
             for key, (payload, error) in part.items():
                 if key not in files or key in done or key in errors:
                     continue  # not asked for, or answered by an earlier batch
@@ -300,15 +303,15 @@ def sweep_single(
 
     def plan(keys):
         """Batch i runs chunk i of every kind's uncached mixes, each kind with
-        the baselines its reference needs."""
-        chunks = {}
+        the baselines its reference needs, which answer for their mixes too."""
+        chunks, base = {}, baseline_configs(n)
         for kind in dict.fromkeys(k for k, _, _ in keys):
-            names = [c for k, role, c in keys if k == kind and role == "mixed"]
-            size = max(1, min(BATCH_ROWS, -(-len(names) // jobs)))
+            names = [c for k, role, c in keys if k == kind and role == "mixed" and c not in base]
+            size = max(1, min(BATCH_ROWS, BATCH_VEHICLES // n, -(-len(names) // jobs)))
             chunks[kind] = [names[i:i + size] for i in range(0, max(len(names), 1), size)]
         return [
             ([(kind, [scenario_for(kind, c, duration, u_min=cfg.dynamics.u_min)
-                      for c in dict.fromkeys(baseline_configs(n) + parts[i])])
+                      for c in base + parts[i]])
               for kind, parts in chunks.items() if i < len(parts)], cfg)
             for i in range(max(map(len, chunks.values())))
         ]

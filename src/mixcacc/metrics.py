@@ -107,7 +107,7 @@ def delta_d(trace, window: tuple[float, float],
     """
     own = min_gap(trace, window)
     ref = np.empty_like(own)
-    for i, letter in enumerate(trace.controllers[1:], 1):
+    for i, letter in enumerate(trace.config[1:], 1):
         if letter not in ref_gaps:
             raise MetricsError(f"missing homogeneous reference for controller {letter!r}")
         if i > len(ref_gaps[letter]):

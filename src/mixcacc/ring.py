@@ -51,7 +51,7 @@ from .controllers import (
 from .dynamics import DynamicsParams, VEHICLE_LENGTH, advance
 from .config import MobilitySpec, RunError, UsageError, check
 from .scenarios import CONTROL_DT, Trace, TraceEvent, events_csv, substeps, whole_periods
-from .topology import elect_ego_leaders
+from .topology import check_platoon_size, elect_ego_leaders
 
 # Integration goes through dynamics.advance; this name stays bound here only
 # for perfbench's layer tracer, until the tracer reads spans from the package.
@@ -116,6 +116,7 @@ class RingSpec:
         check(self, "mobility")
         MobilitySpec(densities=(self.density,), platoon_sizes=(self.platoon_size,),
                      penetration_rates=(self.penetration,))
+        check_platoon_size(self.platoon_size)
         if len(self.speed_classes_kmh) != self.lanes:
             raise UsageError("need one speed class per lane")
         # a spawn draws each desired speed from class ± jitter, which must stay above zero
@@ -582,6 +583,7 @@ class RingTrace:
             yield from self.full.rows_csv_chunks()
 
 
+@np.errstate(over="ignore", invalid="ignore")   # a non-finite command raises a RunError
 def run_ring(
     spec: RingSpec,
     dyn: DynamicsParams | None = None,
@@ -667,11 +669,10 @@ def run_ring(
     full = None
     if rec:
         full = Trace(
-            np.arange(rec_rows) * spec.control_dt, tuple(LETTER_BY_CODE[c] for c in world.code),
-            *(block[:rec_rows] for block in rec),
+            np.arange(rec_rows) * spec.control_dt, *(block[:rec_rows] for block in rec),
             events=events,
             scenario_kind="ring",
-            config=f"ring-d{spec.density:g}-{spec.platoon_policy}",
+            config="".join(LETTER_BY_CODE[c] for c in world.code),
             terminated_by_collision=collided,
         )
     return RingTrace(

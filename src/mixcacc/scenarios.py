@@ -135,7 +135,6 @@ class Trace:
     """
 
     times: np.ndarray
-    controllers: tuple[str, ...]
     position: np.ndarray
     speed: np.ndarray
     accel: np.ndarray
@@ -145,7 +144,7 @@ class Trace:
     mode: np.ndarray
     events: list[TraceEvent] = field(default_factory=list)
     scenario_kind: str = ""
-    config: str = ""
+    config: str = ""                # the composition: one letter per vehicle, head first
     terminated_by_collision: bool = False
 
     def __post_init__(self):
@@ -163,7 +162,7 @@ class Trace:
 
     @property
     def n_vehicles(self) -> int:
-        return len(self.controllers)
+        return len(self.config)
 
     def window_mask(self, t0: float, t1: float) -> np.ndarray:
         return (self.times >= t0 - 1e-9) & (self.times <= t1 + 1e-9)
@@ -177,7 +176,7 @@ class Trace:
         # one template per tick; a vehicle's index and controller letter
         # are the same on every tick, so they sit in it as text
         row = "".join(f"%s,{i},%d,%.6f,%.6f,%.6f,%.6f,%.6f,{c},%s\n"
-                      for i, c in enumerate(self.controllers))
+                      for i, c in enumerate(self.config))
         blocks = (self.lane, self.position, self.speed, self.accel, self.ctrl_input, self.gap)
         for k, t in enumerate(self.times.tolist()):
             modes = [_MODE_NAME.get(m, "") for m in self.mode[k].tolist()]
@@ -240,6 +239,7 @@ def _row_masks(code: np.ndarray) -> tuple:
     return family_indices(code), gsbl, np.flatnonzero(code == CODE_PLOEG), ~gsbl[:, 0]
 
 
+@np.errstate(over="ignore", invalid="ignore")   # a non-finite command ends its row
 def run_platoon_batch(
     scns: list[SingleScenario],
     dyn: DynamicsParams | None = None,
@@ -384,7 +384,7 @@ def run_platoon_batch(
                 k = collided.get(j, last)
                 *floats, mode = (block[j - lo, :k + 1] for block in blocks)
                 results[rows[j]] = Trace(   # a platoon drives in lane 0
-                    times[:k + 1], tuple(cfgs[j]), *floats, None,
+                    times[:k + 1], *floats, None,
                     np.broadcast_to(np.int8(0), mode.shape), mode, events=events[j],
                     scenario_kind=scn.kind, config=cfgs[j], terminated_by_collision=j in collided)
     return results

@@ -23,18 +23,25 @@ from .config import UsageError
 INDEPENDENT = "-"
 CONTROLLER_LETTERS = "APLG"
 ALPHABET = INDEPENDENT + CONTROLLER_LETTERS
+MAX_PLATOON = 1000     # vehicles of one platoon; a run's record grows with it
 
 #: Election result of a vehicle that tracks an external reference instead of
 #: a platoon member.
 EXTERNAL_REF = None
 
 
+def check_platoon_size(n: int) -> None:
+    """Raise :class:`UsageError` unless a platoon of ``n`` vehicles is 2 to
+    :data:`MAX_PLATOON` long."""
+    if not 2 <= n <= MAX_PLATOON:
+        raise UsageError(f"a platoon holds 2 to {MAX_PLATOON} vehicles, got {n}")
+
+
 def parse_config(text: str) -> str:
     """Return the composition string ``text``, such as ``-PLG``, once it is
-    checked: at least two vehicles, letters from ``-APLG``, ``-`` only at
-    the head.  Raises :class:`UsageError` naming the first fault."""
-    if len(text) < 2:
-        raise UsageError(f"platoon needs at least 2 vehicles, got {text!r}")
+    checked: 2 to :data:`MAX_PLATOON` vehicles, letters from ``-APLG``, ``-``
+    only at the head.  Raises :class:`UsageError` naming the first fault."""
+    check_platoon_size(len(text))
     for pos, letter in enumerate(text):
         if letter not in ALPHABET:
             raise UsageError(

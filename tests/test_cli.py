@@ -14,9 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from mixcacc import cli
+from mixcacc import cli, experiments
 from mixcacc.config import Config, UsageError, load_config
-from mixcacc.experiments import analysis_window, ring_spec, scenario_for
+from mixcacc.experiments import MAX_JOBS, analysis_window, ring_spec, scenario_for
 from mixcacc.metrics import peak_abs_accel
 from mixcacc.ring import RingSpec, run_ring
 from mixcacc.scenarios import (BRAKING, CONTROL_DT, SINUSOIDAL, SingleScenario, Trace,
@@ -29,6 +29,7 @@ from mixcacc.cli import (
     main,
 )
 from mixcacc.topology import (
+    MAX_PLATOON,
     connectivity_matrix,
     extended_connectivity_matrix,
     parse_config,
@@ -463,15 +464,17 @@ def test_ring_step_mismatch_is_a_config_error(tmp_path, capsys, argv):
      ["ring", "--density", "10", "--duration", "10", "--warmup", "0"], "1e+07 cars"),
     ("[path]\nxi = 1e300\n", ["single", "--", "-PP"], "[path] xi and omega_n"),
     ("[path]\nomega_n = 1e200\n", ["single", "--", "-PP"], "[path] xi and omega_n"),
+    ("[mobility]\nplatoon sizes = 4, 1001\n", SMALL_RING_SWEEP, "2 to 1000 vehicles"),
 ], ids=["ring-substeps", "single-substeps", "sweep-ring-substeps", "ring-cars-1e300",
-        "ring-cars-1e9", "path-xi-1e300", "path-omega-n-1e200"])
+        "ring-cars-1e9", "path-xi-1e300", "path-omega-n-1e200", "sweep-ring-platoon-size"])
 def test_params_beyond_the_run_bounds_are_config_errors(tmp_path, capsys, params, argv,
                                                         message):
     """Values inside their domains that a run cannot hold: a dynamics step
     that makes 1e8 substeps a control period (the ring once tried to
     allocate 31.3 GiB, and a single ran on past 20 s), a road with more
-    cars than a ring may hold (1e300 m failed the spawn with exit 1), and
-    PATH gains that overflow (a single ended in a NaN command, exit 1)."""
+    cars than a ring may hold (1e300 m failed the spawn with exit 1),
+    PATH gains that overflow (a single ended in a NaN command, exit 1),
+    and a grid platoon above the platoon bound."""
     path = tmp_path / "bound.ini"
     path.write_text(params)
     out = tmp_path / "out"
@@ -479,6 +482,58 @@ def test_params_beyond_the_run_bounds_are_config_errors(tmp_path, capsys, params
     assert main(["--params", str(path), "--out", str(out), *argv]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["single", "--", "-" + "P" * MAX_PLATOON],
+    ["single", "--", "-" + "P" * 60_000],
+    ["matrix", "--", "-" + "P" * MAX_PLATOON],
+    ["sweep-single", "-n", str(MAX_PLATOON + 1)],
+    ["ring", "--density", "10", "--penetration", "0.5", "--platoon-size", str(MAX_PLATOON + 1),
+     "--duration", "10", "--warmup", "0"],
+], ids=["single", "single-60001", "matrix", "sweep-single", "ring"])
+def test_platoons_above_the_bound_are_config_errors(tmp_path, capsys, argv):
+    """A platoon's record grows with its size: a 60,001-car single once
+    failed to allocate 458 MiB under a 1.5 GB address-space cap (exit 1).
+    Above the bound, every command exits 2 naming it, before any file."""
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["--out", str(out), *argv]) == EXIT_CONFIG
+    assert f"2 to {MAX_PLATOON} vehicles, got " in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-single", "-n", "3"],
+    SMALL_RING_SWEEP,
+], ids=["sweep-single", "sweep-ring"])
+def test_jobs_above_the_bound_start_nothing(tmp_path, capsys, monkeypatch, argv):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("no worker may start")
+
+    monkeypatch.setattr(experiments.multiprocessing, "Pool", no_pool)
+    out = tmp_path / "out"
+    code = main(["--out", str(out), *argv, "--jobs", str(MAX_JOBS + 1)])
+    assert code == EXIT_CONFIG
+    assert f"jobs must be 1 to {MAX_JOBS}, got {MAX_JOBS + 1}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["single", "--", "-PP"],
+    ["ring", "--density", "10"],
+    ["sweep-single", "-n", "2"],
+    ["sweep-ring", "--dry-run"],
+    ["matrix", "--", "-PL"],
+    ["report"],
+], ids=["single", "ring", "sweep-single", "sweep-ring", "matrix", "report"])
+def test_unreadable_params_exit_2_in_every_command(tmp_path, capsys, argv):
+    """``main`` reads ``--params`` once, before any command runs."""
+    missing = tmp_path / "nope.ini"
+    out = tmp_path / "out"
+    assert main(["--params", str(missing), "--out", str(out), *argv]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: cannot read parameter file {missing}: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("make", [
@@ -574,11 +629,12 @@ def test_sweep_single_then_report(tmp_path, capsys):
     code = main(["--out", str(tmp_path), "sweep-single", "-n", "2",
                  "--scenario", "braking"])
     assert code == EXIT_OK
-    assert "3 mixed + 4 baseline reports" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "reports: 3 mixed + 4 baseline" in printed
 
     assert main(["--out", str(tmp_path), "report"]) == EXIT_OK
     assert "wrote" in capsys.readouterr().out
-    assert (tmp_path / "single" / "table.txt").exists()
+    assert (tmp_path / "single" / "table.txt").read_text() == printed
 
 
 def test_report_without_sweep_output_fails(tmp_path, capsys):

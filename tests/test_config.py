@@ -1,5 +1,6 @@
 """INI parameter files: one schema drives loading, writing and hashing."""
 
+import ast
 import configparser
 import math
 import re
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from mixcacc import ring
 from mixcacc.config import (
     SCHEMA,
     Config,
@@ -222,6 +224,20 @@ def test_readme_key_table_lists_the_schema():
     readme = README.read_text(encoding="utf-8")
     rows = re.findall(r"^\| `\[(\w+)\]` \| `([^`]+)`[^|]* \| ([^|]+?) \|", readme, re.M)
     assert rows == [(section, key, domain) for section, key, _, domain in SCHEMA]
+
+
+def test_readme_gap_acceptance_table_lists_the_ring_constants():
+    """The README's gap-acceptance table is ``ring``'s constants from
+    ``LC_COOLDOWN`` to ``FREE_GAP``, in source order, with their values."""
+    rows = re.findall(r"^\| `(\w+)` \| ([\d.]+)(?: \w+)? \|",
+                      README.read_text(encoding="utf-8"), re.M)
+    body = ast.parse(Path(ring.__file__).read_text(encoding="utf-8")).body
+    names = [node.targets[0].id for node in body
+             if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)]
+    names = names[names.index("LC_COOLDOWN"):names.index("FREE_GAP") + 1]
+    assert len(names) == 8
+    assert [(name, float(value)) for name, value in rows] == [
+        (name, getattr(ring, name)) for name in names]
 
 
 def test_readme_python_examples_run():

@@ -16,6 +16,7 @@ from mixcacc import experiments
 from mixcacc.config import Config, MobilitySpec, spec_hash
 from mixcacc.controllers import ControllerSet
 from mixcacc.experiments import (
+    BASELINE_LETTERS,
     baseline_configs,
     confidence_halfwidth,
     configs_for_sweep,
@@ -641,6 +642,36 @@ def test_sweep_single_batches_are_chunked_by_jobs(tmp_path, monkeypatch):
     os.remove(tmp_path / "serial" / "single" / BRAKING / "mixed" / "-LP.json")
     assert sweep_single(3, str(tmp_path / "serial"), jobs=2) == serial
     assert seen == [{BRAKING: ["-LP"]}]
+
+
+def test_sweep_single_starts_at_most_one_worker_per_batch(tmp_path, monkeypatch):
+    """``jobs=12`` on the six batches of n = 3 asks the pool for six
+    workers: it used to start twelve."""
+    asked, batches = [], []
+
+    class CountingPool(_SerialPool):
+        def __init__(self, jobs):
+            asked.append(jobs)
+
+    monkeypatch.setattr(experiments, "_sweep_batch", lambda args: batches.append(args) or {})
+    monkeypatch.setattr(experiments.multiprocessing, "Pool", CountingPool)
+    sweep_single(3, str(tmp_path), jobs=12)
+    assert asked == [len(batches)] == [6]
+
+
+def test_sweep_single_chunks_bound_the_vehicles_of_a_batch(tmp_path, monkeypatch):
+    """A chunk holds at most ``BATCH_VEHICLES // n`` mixes, so a batch's
+    record does not grow with the platoon size; every enumerated size is
+    chunked by ``BATCH_ROWS`` alone."""
+    assert experiments.BATCH_VEHICLES // experiments.FULL_ENUMERATION_MAX >= \
+        experiments.BATCH_ROWS
+    seen = []
+    monkeypatch.setattr(experiments, "SAMPLED_CONFIG_COUNT", 5)
+    monkeypatch.setattr(experiments, "BATCH_VEHICLES", 18)
+    monkeypatch.setattr(experiments, "_sweep_batch", lambda args: seen.append(
+        {kind: len(scns) - len(BASELINE_LETTERS) for kind, scns in args[0]}) or {})
+    sweep_single(9, str(tmp_path), kinds=(BRAKING,))
+    assert seen == [{BRAKING: 2}, {BRAKING: 2}, {BRAKING: 1}]
 
 
 class _SerialPool:

@@ -26,7 +26,6 @@ def make_trace(times, speed, accel, gap, controllers=("-", "A", "A")):
     shape = (times.size, len(controllers))
     return Trace(
         times=times,
-        controllers=controllers,
         position=np.zeros(shape),
         speed=np.asarray(speed, dtype=float),
         accel=np.asarray(accel, dtype=float),

@@ -39,7 +39,7 @@ def reference_rows_csv(trace: Trace, header_comment: str | None = None) -> str:
                 f"{trace.accel[k, i]:.6f}",
                 f"{trace.ctrl_input[k, i]:.6f}",
                 f"{trace.gap[k, i]:.6f}",
-                trace.controllers[i],
+                trace.config[i],
                 mode_names.get(int(trace.mode[k, i]), ""),
             ])
     return buf.getvalue()
@@ -82,7 +82,7 @@ def traces(draw):
     floats = [draw(float_block(ticks, n)) for _ in range(5)]
     lane = draw(hnp.arrays(np.int8, (ticks, n), elements=st.integers(0, 2)))
     mode = draw(hnp.arrays(np.int8, (ticks, n), elements=st.integers(-1, 1)))
-    return Trace(times, controllers, *floats, lane, mode, scenario_kind="ring")
+    return Trace(times, *floats, lane, mode, scenario_kind="ring", config="".join(controllers))
 
 
 @st.composite
