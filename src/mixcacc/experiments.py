@@ -50,7 +50,7 @@ FULL_ENUMERATION_MAX = 8     # platoon sizes enumerated exhaustively
 SAMPLED_CONFIG_COUNT = 1000  # mixes drawn for a platoon size too large to enumerate
 CONFIDENCE_LEVEL = 0.95      # of the ring summary's throughput intervals
 BATCH_ROWS = 256             # mixes per scenario per batch
-BATCH_VEHICLES = 2048        # their vehicles at most, which bounds record memory
+BATCH_VEHICLES = 2048        # their vehicles at most, which bounds a batch's state
 MAX_JOBS = 64                # worker processes of a sweep
 # a single sweep's summary entries per scenario: (name, report field, pick of the mixes)
 SUMMARY_PICKS = (("worst_delta_a", "delta_a", min), ("worst_delta_d", "delta_d", min),
@@ -134,8 +134,9 @@ def build_reference(baselines: dict) -> tuple[np.ndarray, float, dict[str, np.nd
     and each platoon's ``min_gap`` keyed by its letter.
 
     ``baselines`` maps each letter of :data:`BASELINE_LETTERS` to the trace
-    of its homogeneous run, or to the exception its row failed with.  A
-    reference that failed or collided leaves nothing to score against.
+    (or ``WindowScores``) of its homogeneous run, or to the exception its
+    row failed with.  A reference that failed or collided leaves nothing to
+    score against.
     """
     for letter in BASELINE_LETTERS:
         if isinstance(trace := baselines[letter], Exception):
@@ -155,9 +156,9 @@ def _rounded(x: float) -> float | None:
 
 
 def build_report(trace, ref: tuple) -> dict:
-    """Score one platoon trace against the reference values of its
-    scenario, as the JSON record of its report; a collided run leaves its
-    metrics and window ``None``."""
+    """Score one platoon trace, or its ``WindowScores``, against the
+    reference values of its scenario, as the JSON record of its report; a
+    collided run leaves its metrics and window ``None``."""
     report = {"config": trace.config, "scenario": trace.scenario_kind,
               "collided": trace.terminated_by_collision}
     if trace.terminated_by_collision:
@@ -174,7 +175,7 @@ def build_report(trace, ref: tuple) -> dict:
 
 
 def _sweep_batch(args) -> dict[tuple[str, str, str], tuple[dict | None, str | None]]:
-    """Simulate one batch of a sweep and score each of its rows.
+    """Simulate one batch of a sweep, recording no trace, and score each row.
 
     The batch holds one group of rows per scenario kind, each starting with
     the four baseline scenarios in the order of :data:`BASELINE_LETTERS`.
@@ -186,7 +187,7 @@ def _sweep_batch(args) -> dict[tuple[str, str, str], tuple[dict | None, str | No
     """
     groups, cfg = args
     traces = iter(run_platoon_batch([scn for _, scns in groups for scn in scns],
-                                    cfg.dynamics, cfg.controllers))
+                                    cfg.dynamics, cfg.controllers, record=False))
     out = {}
     for kind, scns in groups:
         rows = list(zip(scns, traces))
@@ -242,6 +243,12 @@ def _load_if_current(path: str, expect_hash: str):
     return payload if current else None
 
 
+def _check_jobs(jobs: int) -> None:
+    """Reject a worker count out of bounds, before a sweep lists or writes anything."""
+    if not 1 <= jobs <= MAX_JOBS:
+        raise UsageError(f"jobs must be 1 to {MAX_JOBS}, got {jobs}")
+
+
 def _run_store(files: dict, plan, run_batch, jobs: int) -> tuple[dict, list]:
     """Read, compute and write one JSON result file per key.
 
@@ -253,8 +260,6 @@ def _run_store(files: dict, plan, run_batch, jobs: int) -> tuple[dict, list]:
     returns.  Returns the payloads and the ``(key, error)`` failures, both in
     the order of ``files``.
     """
-    if not 1 <= jobs <= MAX_JOBS:
-        raise UsageError(f"jobs must be 1 to {MAX_JOBS}, got {jobs}")
     done = {key: payload for key, (path, h) in files.items()
             if (payload := _load_if_current(path, h)) is not None}
     pending = [key for key in files if key not in done]
@@ -292,6 +297,7 @@ def sweep_single(
     """
     cfg = cfg or Config()
     configs = configs_for_sweep(n, seed)
+    _check_jobs(jobs)
     hashes = {kind: spec_hash(cfg, {"sweep": "single", "n": n, "kind": kind,
                                     "duration": duration, "seed": seed})
               for kind in kinds}
@@ -462,6 +468,7 @@ def sweep_ring(
                                     **fields)
              for cell, fields in cells.items() for rep in range(repetitions)}
     substeps(CONTROL_DT, cfg.dynamics.dt)   # every spec's control period
+    _check_jobs(jobs)
     if dry_run:
         return {
             "cells": list(cells),

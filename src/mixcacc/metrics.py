@@ -4,19 +4,23 @@ Single-platoon metrics compare a mixed platoon against reference runs over
 one analysis window, a ``(t0, t1)`` pair of times: the acceleration margin
 against the all-ACC platoon, the gap margin against the homogeneous platoon
 of each follower's own controller, and the occupancy gain as the ratio of
-maximum platoon footprints.  Ring metrics are the road throughput from
-roadside counters, one float in veh/h, and per-vehicle speed volatility.
+maximum platoon footprints.  A sweep reduces each run to what these read of
+it while its batch runs (:class:`WindowReduction`).  Ring metrics are the
+road throughput from roadside counters, one float in veh/h, and per-vehicle
+speed volatility.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 SPEED_FLOOR = 5.0 / 3.6          # m/s, samples below this are near-standstill
 BRAKE_DETECT_U = -7.2            # m/s^2, commanded input marking emergency onset
 SINUSOIDAL_PERIODS = 5           # leader periods in a sinusoidal analysis window
+NO_ONSET = "no emergency braking onset in trace"
 
 
 class MetricsError(ValueError):
@@ -36,9 +40,11 @@ def braking_window(trace) -> tuple[float, float]:
     vehicle is slower than 5 km/h; if the platoon never gets that slow the
     window runs to the end of the trace.
     """
+    if isinstance(trace, WindowScores):
+        return trace.checked().window
     onset = np.flatnonzero(trace.ctrl_input[:, 0] <= BRAKE_DETECT_U)
     if onset.size == 0:
-        raise MetricsError("no emergency braking onset in trace")
+        raise MetricsError(NO_ONSET)
     k0 = int(onset[0])
     slow = np.all(trace.speed[k0:] < SPEED_FLOOR, axis=1)
     stopped = np.flatnonzero(slow)
@@ -60,9 +66,12 @@ def peak_abs_accel(trace, window: tuple[float, float]) -> np.ndarray:
     Ticks where the vehicle is slower than :data:`SPEED_FLOOR` are ignored
     (jerky standstill samples are not representative).
     """
-    mask = _window_slice(trace, window)
-    a = np.where(trace.speed[mask, 1:] >= SPEED_FLOOR, np.abs(trace.accel[mask, 1:]), -np.inf)
-    peaks = a.max(axis=0)
+    if isinstance(trace, WindowScores):
+        peaks = trace.checked().peaks
+    else:
+        mask = _window_slice(trace, window)
+        peaks = np.where(trace.speed[mask, 1:] >= SPEED_FLOOR, np.abs(trace.accel[mask, 1:]),
+                         -np.inf).max(axis=0)
     empty = np.flatnonzero(np.isneginf(peaks))
     if empty.size:
         raise MetricsError(f"no usable acceleration samples for vehicle {empty[0] + 1}")
@@ -91,6 +100,8 @@ def delta_a(trace, window: tuple[float, float], ref_peaks: np.ndarray) -> tuple[
 
 def min_gap(trace, window: tuple[float, float]) -> np.ndarray:
     """Smallest bumper gap of each follower inside the window, follower 1 first."""
+    if isinstance(trace, WindowScores):
+        return trace.checked().gaps
     # a platoon trace derives its gap on every read, so read it once
     return np.nanmin(trace.gap[_window_slice(trace, window), 1:], axis=0)
 
@@ -118,6 +129,8 @@ def delta_d(trace, window: tuple[float, float],
 
 def max_platoon_occupancy(trace, window: tuple[float, float]) -> float:
     """Largest total follower gap length inside the window (lengths excluded)."""
+    if isinstance(trace, WindowScores):
+        return float(trace.checked().occupancy)
     mask = _window_slice(trace, window)
     total = np.nansum(trace.gap[mask, 1:], axis=1)
     return float(total.max())
@@ -133,6 +146,64 @@ def eta(trace, window: tuple[float, float], ref_occupancy: float) -> float:
     if own <= 0.0:
         raise MetricsError("degenerate occupancy in studied trace")
     return ref_occupancy / own
+
+
+@dataclass
+class WindowScores:
+    """A platoon run reduced as it ran: the window reductions above take it
+    in place of its trace and give what they give for the trace."""
+
+    config: str
+    scenario_kind: str
+    terminated_by_collision: bool
+    window: tuple[float, float] | None   # None: no braking onset came
+    peaks: np.ndarray                    # -inf: no sample above the floor
+    gaps: np.ndarray
+    occupancy: float                     # -inf: no tick in the window
+
+    def checked(self) -> WindowScores:
+        """Itself, or the error the trace metrics raise for its window."""
+        if self.window is None:
+            raise MetricsError(NO_ONSET)
+        if self.occupancy == -np.inf:
+            raise MetricsError(f"empty analysis window {self.window}")
+        return self
+
+
+class WindowReduction:
+    """The :class:`WindowScores` of a batch of platoon rows, taken tick by tick.
+    A ``braking`` row's window opens at the first head command at most
+    :data:`BRAKE_DETECT_U` and closes after the first tick from there with
+    every vehicle below :data:`SPEED_FLOOR`; the others' is ``window``."""
+
+    def __init__(self, braking: list[bool], n: int, window: tuple[float, float]):
+        self.braking = np.array(braking, dtype=bool)
+        self.t0 = np.where(self.braking, np.inf, window[0])   # inf: not yet open
+        self.t1 = np.where(self.braking, np.inf, window[1])   # inf: not yet closed
+        self.peaks = np.full((len(braking), n - 1), -np.inf)
+        self.gaps = np.full((len(braking), n - 1), np.inf)
+        self.occupancy = np.full(len(braking), -np.inf)
+
+    def tick(self, t: float, live: np.ndarray, gap, speed, accel, ctrl_input) -> None:
+        """Reduce tick ``t`` of the rows ``live`` (a mask over the first rows)."""
+        t0, t1 = self.t0[:live.size], self.t1[:live.size]
+        t0[live & (t0 == np.inf) & (ctrl_input[:, 0] <= BRAKE_DETECT_U)] = t
+        w = np.flatnonzero(live & (t >= t0 - 1e-9) & (t <= t1 + 1e-9))   # as Trace.window_mask
+        if not w.size:
+            return
+        v, g = speed[w], gap[w, 1:]
+        t1[w[self.braking[w] & (v < SPEED_FLOOR).all(axis=1)]] = t
+        self.peaks[w] = np.maximum(self.peaks[w], np.where(
+            v[:, 1:] >= SPEED_FLOOR, np.abs(accel[w, 1:]), -np.inf))
+        self.gaps[w] = np.fmin(self.gaps[w], g)
+        self.occupancy[w] = np.maximum(self.occupancy[w], np.nansum(g, axis=1))
+
+    def scores(self, j: int, end: float, config: str, kind: str, collided: bool) -> WindowScores:
+        """Row ``j``'s record; its last tick ran at ``end``."""
+        t0, t1 = float(self.t0[j]), float(self.t1[j])
+        window = None if t0 == np.inf else (t0, float(end) if t1 == np.inf else t1)
+        return WindowScores(config, kind, collided, window, self.peaks[j], self.gaps[j],
+                            float(self.occupancy[j]))
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from .controllers import (
 )
 from .config import RunError, UsageError
 from .dynamics import DynamicsParams, VEHICLE_LENGTH, advance
+from .metrics import WindowReduction, WindowScores, sinusoidal_window
 from .topology import EXTERNAL_REF, elect_ego_leaders
 
 # The engine calls none of these per-vehicle names; they are bound here only
@@ -233,10 +234,11 @@ def _start_positions(cfg: str, scn: SingleScenario, ctrl: ControllerSet) -> list
 
 
 def _row_masks(code: np.ndarray) -> tuple:
-    """Family indices, the spring-damper mask, the Ploeg indices and the
-    profile-driven heads of the rows ``code``."""
+    """Family indices of the commanded vehicles, the spring-damper mask, the
+    Ploeg indices and the profile-driven heads of the rows ``code``."""
     gsbl = code == CODE_GSBL
-    return family_indices(code), gsbl, np.flatnonzero(code == CODE_PLOEG), ~gsbl[:, 0]
+    return ([(f, i) for f, i in family_indices(code) if f != _PROFILE_HEAD], gsbl,
+            np.flatnonzero(code == CODE_PLOEG), ~gsbl[:, 0])
 
 
 @np.errstate(over="ignore", invalid="ignore")   # a non-finite command ends its row
@@ -245,7 +247,8 @@ def run_platoon_batch(
     dyn: DynamicsParams | None = None,
     ctrl: ControllerSet | None = None,
     control_dt: float = CONTROL_DT,
-) -> list[Trace | Exception]:
+    record: bool = True,
+) -> list[Trace | WindowScores | Exception]:
     """Simulate platoons of one size in a single time loop.
 
     Row r of the (rows x vehicles) state runs ``scns[r]``.  All rows share
@@ -262,6 +265,7 @@ def run_platoon_batch(
     views of its prefix, so no finished timeline is stepped again.  A row
     that collided keeps stepping until its timeline ends and nothing reads
     it again: its trace is a view of the ticks before it ended.
+    With ``record`` False no tick is kept: a row ends as its WindowScores.
     """
     dyn = dyn or DynamicsParams()
     ctrl = ctrl or ControllerSet()
@@ -293,8 +297,10 @@ def run_platoon_batch(
     for (neg_last, _), same in itertools.groupby(keys):
         lo, m = m, m + sum(1 for _ in same)
         shape = (m - lo, 1 - neg_last, n)
-        blocks = [np.empty(shape) for _ in range(4)] + [np.empty(shape, np.int8)]
+        blocks = [np.empty(shape) for _ in range(4)] + [np.empty(shape, np.int8)] if record else ()
         groups.append((lo, m, scns[rows[lo]], -neg_last, blocks))
+    scores = WindowReduction([scns[r].kind == BRAKING for r in rows], n,
+                             sinusoidal_window(WARMUP, FREQUENCY))
     running = groups                          # the groups whose timeline goes on
     results: list = [None] * len(scns)        # a failed run's exception, then every trace
     events: list[list[TraceEvent]] = [[] for _ in rows]
@@ -328,10 +334,13 @@ def run_platoon_batch(
 
     for k, t in enumerate(times):
         gap = pos.take(pred) - VEHICLE_LENGTH - pos
-        now = (pos, spd, acc, uin, np.where(is_gsbl, over, -1))
-        for lo, hi, _, _, blocks in running:
-            for block, a in zip(blocks, now):
-                block[:, k] = a[lo:hi]
+        if record:
+            now = (pos, spd, acc, uin, np.where(is_gsbl, over, -1))
+            for lo, hi, _, _, blocks in running:
+                for block, a in zip(blocks, now):
+                    block[:, k] = a[lo:hi]
+        else:
+            scores.tick(t, ~done, gap, spd, acc, uin)
         hit = (gap <= 0.0) & has_pred
         if k > 0 and hit.any():
             for j in np.flatnonzero(hit.any(axis=1) & ~done):
@@ -380,8 +389,10 @@ def run_platoon_batch(
     # a trace views the ticks its row ran (to the end of its timeline unless it collided)
     for lo, hi, scn, last, blocks in groups:
         for j in range(lo, hi):
-            if results[rows[j]] is None:
-                k = collided.get(j, last)
+            k = collided.get(j, last)
+            if results[rows[j]] is None and not record:
+                results[rows[j]] = scores.scores(j, times[k], cfgs[j], scn.kind, j in collided)
+            elif results[rows[j]] is None:
                 *floats, mode = (block[j - lo, :k + 1] for block in blocks)
                 results[rows[j]] = Trace(   # a platoon drives in lane 0
                     times[:k + 1], *floats, None,

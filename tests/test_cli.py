@@ -503,19 +503,25 @@ def test_platoons_above_the_bound_are_config_errors(tmp_path, capsys, argv):
     assert not any(out.iterdir())
 
 
-@pytest.mark.parametrize("argv", [
-    ["sweep-single", "-n", "3"],
-    SMALL_RING_SWEEP,
-], ids=["sweep-single", "sweep-ring"])
-def test_jobs_above_the_bound_start_nothing(tmp_path, capsys, monkeypatch, argv):
+@pytest.mark.parametrize("argv,jobs", [
+    (["sweep-single", "-n", "3"], MAX_JOBS + 1),
+    (SMALL_RING_SWEEP, MAX_JOBS + 1),
+    ([*SMALL_RING_SWEEP, "--dry-run"], MAX_JOBS + 1),
+    ([*SMALL_RING_SWEEP, "--dry-run"], 0),
+], ids=["sweep-single", "sweep-ring", "sweep-ring-dry-run", "sweep-ring-dry-run-0"])
+def test_jobs_above_the_bound_start_nothing(tmp_path, capsys, monkeypatch, argv, jobs):
+    """A worker count out of bounds is rejected before anything starts, is
+    listed or is written, a dry run's listing included."""
     def no_pool(*args, **kwargs):
         raise AssertionError("no worker may start")
 
     monkeypatch.setattr(experiments.multiprocessing, "Pool", no_pool)
     out = tmp_path / "out"
-    code = main(["--out", str(out), *argv, "--jobs", str(MAX_JOBS + 1)])
+    code = main(["--out", str(out), *argv, "--jobs", str(jobs)])
     assert code == EXIT_CONFIG
-    assert f"jobs must be 1 to {MAX_JOBS}, got {MAX_JOBS + 1}" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert f"jobs must be 1 to {MAX_JOBS}, got {jobs}" in captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 

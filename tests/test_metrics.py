@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mixcacc.experiments import analysis_window, build_report
 from mixcacc.metrics import (
     MetricsError,
     SPEED_FLOOR,
+    WindowScores,
     braking_window,
     delta_a,
     delta_d,
@@ -17,7 +21,14 @@ from mixcacc.metrics import (
     sinusoidal_window,
     volatility,
 )
-from mixcacc.scenarios import SingleScenario, Trace, run_single_platoon
+from mixcacc.scenarios import (
+    BRAKING,
+    SINUSOIDAL,
+    SingleScenario,
+    Trace,
+    run_platoon_batch,
+    run_single_platoon,
+)
 
 
 def make_trace(times, speed, accel, gap, controllers=("-", "A", "A")):
@@ -216,6 +227,71 @@ def test_eta_rejects_degenerate_occupancy():
     broken = flat_trace(gap=0.0)
     with pytest.raises(MetricsError):
         eta(broken, w, max_platoon_occupancy(ref, w))
+
+
+# ---------------------------------------------------------------------------
+# reductions taken as a batch runs
+# ---------------------------------------------------------------------------
+
+def _outcome(fn, *args):
+    """What ``fn`` gives, as bytes where it is an array, or its error text."""
+    try:
+        value = fn(*args)
+    except MetricsError as exc:
+        return "error", str(exc)
+    return "value", value.tobytes() if isinstance(value, np.ndarray) else value
+
+
+_FOLLOWERS = "AGLP"
+
+
+@st.composite
+def _scored_batch(draw):
+    """2 to 6 vehicles; both scenarios, with timelines that end before, in
+    and after their windows (a braking run of 3 s never sees its onset);
+    one row with a ``G`` ahead of an ``A`` or ``L``, rows whose start offsets
+    make them collide, and the rows in random order."""
+    n = draw(st.integers(2, 6))
+    platoon = st.text(alphabet=_FOLLOWERS, min_size=n - 1, max_size=n - 1)
+
+    def row(followers):
+        if draw(st.booleans()):
+            timeline = dict(kind=SINUSOIDAL, duration=draw(st.sampled_from([20.0, 45.0, 85.0])))
+        else:
+            timeline = dict(kind=BRAKING, brake_onset=4.0,
+                            duration=draw(st.sampled_from([3.0, 6.0, 12.0])))
+        offsets = draw(st.dictionaries(st.integers(1, n - 1), st.sampled_from([-60.0, -12.0, 4.0]),
+                                       max_size=2))
+        return SingleScenario(config=draw(st.sampled_from("-G")) + followers,
+                              initial_gap_offsets=offsets or None, **timeline)
+
+    rows = [row(f) for f in draw(st.lists(platoon, min_size=1, max_size=5))]
+    if n > 2:
+        seat = draw(st.integers(0, n - 3))
+        mix = list(draw(platoon))
+        mix[seat:seat + 2] = "G", draw(st.sampled_from("AL"))
+        rows.append(row("".join(mix)))
+    return n, draw(st.permutations(rows))
+
+
+@settings(max_examples=15, deadline=None)
+@given(_scored_batch())
+def test_batch_reductions_equal_the_trace_metrics_bit_for_bit(batch):
+    """A batch run without a record gives, row by row, the window, the
+    follower peaks and least gaps, the peak occupancy, the collided flag
+    and the scoring errors of the same batch's traces."""
+    n, rows = batch
+    ref = (np.ones(n - 1), 1.0, {letter: np.zeros(n - 1) for letter in _FOLLOWERS})
+    for trace, scores in zip(run_platoon_batch(rows), run_platoon_batch(rows, record=False)):
+        assert isinstance(scores, WindowScores)
+        assert (scores.config, scores.scenario_kind, scores.terminated_by_collision) == \
+            (trace.config, trace.scenario_kind, trace.terminated_by_collision)
+        window = _outcome(analysis_window, trace)
+        assert _outcome(analysis_window, scores) == window
+        if window[0] == "value":
+            for metric in (peak_abs_accel, min_gap, max_platoon_occupancy):
+                assert _outcome(metric, scores, window[1]) == _outcome(metric, trace, window[1])
+        assert _outcome(build_report, scores, ref) == _outcome(build_report, trace, ref)
 
 
 # ---------------------------------------------------------------------------
