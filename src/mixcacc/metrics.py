@@ -5,9 +5,9 @@ one analysis window, a ``(t0, t1)`` pair of times: the acceleration margin
 against the all-ACC platoon, the gap margin against the homogeneous platoon
 of each follower's own controller, and the occupancy gain as the ratio of
 maximum platoon footprints.  A sweep reduces each run to what these read of
-it while its batch runs (:class:`WindowReduction`).  Ring metrics are the
-road throughput from roadside counters, one float in veh/h, and per-vehicle
-speed volatility.
+it while its batch runs, in blocks of 16 ticks (:class:`WindowReduction`).
+Ring metrics are the road throughput from roadside counters, one float in
+veh/h, and per-vehicle speed volatility.
 """
 
 from __future__ import annotations
@@ -171,10 +171,11 @@ class WindowScores:
 
 
 class WindowReduction:
-    """The :class:`WindowScores` of a batch of platoon rows, taken tick by tick.
-    A ``braking`` row's window opens at the first head command at most
-    :data:`BRAKE_DETECT_U` and closes after the first tick from there with
-    every vehicle below :data:`SPEED_FLOOR`; the others' is ``window``."""
+    """The :class:`WindowScores` of a batch of platoon rows, taken a block of
+    ticks at a time.  A ``braking`` row's window opens at the first head
+    command at most :data:`BRAKE_DETECT_U` and closes after the first tick
+    from there with every vehicle below :data:`SPEED_FLOOR`; the others' is
+    ``window``."""
 
     def __init__(self, braking: list[bool], n: int, window: tuple[float, float]):
         self.braking = np.array(braking, dtype=bool)
@@ -184,19 +185,29 @@ class WindowReduction:
         self.gaps = np.full((len(braking), n - 1), np.inf)
         self.occupancy = np.full(len(braking), -np.inf)
 
-    def tick(self, t: float, live: np.ndarray, gap, speed, accel, ctrl_input) -> None:
-        """Reduce tick ``t`` of the rows ``live`` (a mask over the first rows)."""
-        t0, t1 = self.t0[:live.size], self.t1[:live.size]
-        t0[live & (t0 == np.inf) & (ctrl_input[:, 0] <= BRAKE_DETECT_U)] = t
-        w = np.flatnonzero(live & (t >= t0 - 1e-9) & (t <= t1 + 1e-9))   # as Trace.window_mask
-        if not w.size:
-            return
-        v, g = speed[w], gap[w, 1:]
-        t1[w[self.braking[w] & (v < SPEED_FLOOR).all(axis=1)]] = t
-        self.peaks[w] = np.maximum(self.peaks[w], np.where(
-            v[:, 1:] >= SPEED_FLOOR, np.abs(accel[w, 1:]), -np.inf))
-        self.gaps[w] = np.fmin(self.gaps[w], g)
-        self.occupancy[w] = np.maximum(self.occupancy[w], np.nansum(g, axis=1))
+    def block(self, ts: np.ndarray, gap, speed, accel, head_u, live: np.ndarray) -> None:
+        """Reduce the ticks ``ts`` of the rows ``live`` (ticks x rows, a mask
+        over the first rows), with ``head_u`` each row's head command.  The
+        window edges are first ticks, so a block gives the bits its ticks
+        give one at a time."""
+        rows = live.shape[1]
+        t0, t1, ts = self.t0[:rows], self.t1[:rows], ts[:, None]
+        onset = live & (head_u <= BRAKE_DETECT_U)
+        opens = (t0 == np.inf) & onset.any(axis=0)
+        t0[opens] = ts[onset.argmax(axis=0)[opens], 0]
+        w = live & (ts >= t0 - 1e-9) & (ts <= t1 + 1e-9)   # as Trace.window_mask
+        stop = w & self.braking[:rows] & (speed < SPEED_FLOOR).all(axis=2)
+        closes = stop.any(axis=0)
+        t1[closes] = ts[stop.argmax(axis=0)[closes], 0]
+        w &= ts <= t1 + 1e-9
+        g = gap[:, :, 1:]
+        np.maximum(self.peaks[:rows], np.maximum.reduce(
+            np.abs(accel[:, :, 1:]), axis=0, initial=-np.inf,
+            where=w[:, :, None] & (speed[:, :, 1:] >= SPEED_FLOOR)), out=self.peaks[:rows])
+        np.fmin(self.gaps[:rows], np.fmin.reduce(g, axis=0, initial=np.inf, where=w[:, :, None]),
+                out=self.gaps[:rows])
+        np.maximum(self.occupancy[:rows], np.maximum.reduce(
+            np.nansum(g, axis=2), axis=0, initial=-np.inf, where=w), out=self.occupancy[:rows])
 
     def scores(self, j: int, end: float, config: str, kind: str, collided: bool) -> WindowScores:
         """Row ``j``'s record; its last tick ran at ``end``."""

@@ -62,6 +62,7 @@ FREQUENCY = 0.1        # Hz, sinusoidal speed swing
 BRAKE_DECEL = 8.0      # m/s^2, emergency ramp
 MAX_SPAN = 2.0 ** 23   # s; float64 spacing beyond it exceeds the 1e-9 s whole-period rule
 MAX_SUBSTEPS = 1000    # dynamics steps per control period (dt = 1e-4 s at the 0.1 s period)
+SCORE_BLOCK = 16       # ticks a batch without a record reduces in one WindowReduction.block
 # names of the override latch in events and of 0/1 in the trace CSV's mode
 _MODE_NAME = {False: GsblMode.CRUISE.value, True: GsblMode.OVERRIDE.value}
 
@@ -265,7 +266,9 @@ def run_platoon_batch(
     views of its prefix, so no finished timeline is stepped again.  A row
     that collided keeps stepping until its timeline ends and nothing reads
     it again: its trace is a view of the ticks before it ended.
-    With ``record`` False no tick is kept: a row ends as its WindowScores.
+    With ``record`` False no tick is kept and no event built: a row ends as
+    its WindowScores, reduced every :data:`SCORE_BLOCK` ticks and before
+    the state shrinks.
     """
     dyn = dyn or DynamicsParams()
     ctrl = ctrl or ControllerSet()
@@ -301,6 +304,10 @@ def run_platoon_batch(
         groups.append((lo, m, scns[rows[lo]], -neg_last, blocks))
     scores = WindowReduction([scns[r].kind == BRAKING for r in rows], n,
                              sinusoidal_window(WARMUP, FREQUENCY))
+    # with no record, the ticks not yet reduced: gap, speed, accel, head command, live
+    buf = [] if record else [np.empty((SCORE_BLOCK, m, n)) for _ in range(3)] + [
+        np.empty((SCORE_BLOCK, m)), np.empty((SCORE_BLOCK, m), bool)]
+    b = 0                                     # ticks in the buffer
     running = groups                          # the groups whose timeline goes on
     results: list = [None] * len(scns)        # a failed run's exception, then every trace
     events: list[list[TraceEvent]] = [[] for _ in rows]
@@ -340,20 +347,27 @@ def run_platoon_batch(
                 for block, a in zip(blocks, now):
                     block[:, k] = a[lo:hi]
         else:
-            scores.tick(t, ~done, gap, spd, acc, uin)
+            for a, now in zip(buf, (gap, spd, acc, uin[:, 0], ~done)):
+                a[b] = now
+            b += 1
         hit = (gap <= 0.0) & has_pred
         if k > 0 and hit.any():
             for j in np.flatnonzero(hit.any(axis=1) & ~done):
                 crash = int(np.argmax(hit[j]))
-                events[j].append(TraceEvent(t, "collision", crash, crash - 1,
-                                            f"gap={gap[j, crash]:.3f}"))
+                if record:
+                    events[j].append(TraceEvent(t, "collision", crash, crash - 1,
+                                                f"gap={gap[j, crash]:.3f}"))
                 collided[j], done[j] = k, True
         # the rows of the timelines that end here leave the state
         running = [g for g in running if g[3] > k]
         if not running:
             break
         live = running[-1][1]
+        if b == SCORE_BLOCK or b and live < len(done):   # reduce before rows leave
+            scores.block(times[k + 1 - b:k + 1], *(a[:b] for a in buf))
+            b = 0
         if live < len(done):
+            buf = [a[:, :live] for a in buf]
             (code, pred, has_pred, lead, succ, pos, spd, acc, uin, ufilt, over, gap, v_t, a_t,
              done, free) = (a[:live] for a in (code, pred, has_pred, lead, succ, pos, spd, acc,
                                                uin, ufilt, over, gap, v_t, a_t, done, free))
@@ -366,25 +380,27 @@ def run_platoon_batch(
                                     v_t, free, over, ctrl)
         np.copyto(u[:, 0], a_t + PROFILE_GAIN * (v_t[:, 0] - spd[:, 0]),
                   where=profile_head)
-        for j, c in zip(*np.nonzero(new != over)):
-            if not done[j]:
+        if record:
+            for j, c in zip(*np.nonzero((new != over) & ~done[:, None])):
                 events[j].append(TraceEvent(
                     t, "mode_switch", int(c), int(lead[j, c] % n),
                     f"{_MODE_NAME[over[j, c]]}->{_MODE_NAME[new[j, c]]}",
                 ))
         over = new
 
-        # a row whose command is not finite ends with the error
-        for j in np.flatnonzero(~np.isfinite(u).all(axis=1) & ~done):
-            bad = float(u[j, np.argmin(np.isfinite(u[j]))])
-            results[rows[j]] = RunError(f"non-finite control input: {bad!r}")
-            done[j] = True
+        if not np.isfinite(u).all():   # a row whose command is not finite ends with the error
+            for j in np.flatnonzero(~np.isfinite(u).all(axis=1) & ~done):
+                bad = float(u[j, np.argmin(np.isfinite(u[j]))])
+                results[rows[j]] = RunError(f"non-finite control input: {bad!r}")
+                done[j] = True
         if done.all():
             break
 
         # the head is never allowed the emergency floor
         np.maximum(u[:, 0], dyn.u_min, out=u[:, 0])
         uin = advance(pos, spd, acc, u, dyn, sub, hold, ploeg, ufilt, ctrl.ploeg.H)
+    if b:
+        scores.block(times[k + 1 - b:k + 1], *(a[:b] for a in buf))
 
     # a trace views the ticks its row ran (to the end of its timeline unless it collided)
     for lo, hi, scn, last, blocks in groups:

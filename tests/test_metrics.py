@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixcacc.experiments import analysis_window, build_report
@@ -276,6 +276,17 @@ def _scored_batch(draw):
 
 @settings(max_examples=15, deadline=None)
 @given(_scored_batch())
+# the block edges of a batch without a record, 16 ticks a block: a braking
+# window that opens at tick 41 (block 2) and closes at tick 98 (block 6)
+@example((3, [SingleScenario(kind=BRAKING, config="-AL", brake_onset=4.0, duration=12.0)]))
+# the state shrinks to the 85 s row after tick 450, in mid-block; the 45 s
+# row, unbalanced on a flat profile, keeps closing its least gap to the end
+@example((4, [SingleScenario(kind=SINUSOIDAL, config="-GAL", duration=45.0, amplitude=0.0),
+              SingleScenario(kind=SINUSOIDAL, config="-LPA", duration=85.0)]))
+# a row that collides at tick 1, in the first block, beside one that runs on
+@example((3, [SingleScenario(kind=BRAKING, config="-LA", brake_onset=4.0, duration=12.0,
+                             initial_gap_offsets={1: -20.0}),
+              SingleScenario(kind=BRAKING, config="-AL", brake_onset=4.0, duration=12.0)]))
 def test_batch_reductions_equal_the_trace_metrics_bit_for_bit(batch):
     """A batch run without a record gives, row by row, the window, the
     follower peaks and least gaps, the peak occupancy, the collided flag

@@ -275,6 +275,25 @@ def test_batch_ends_every_row_its_own_way():
             assert trace.serialize() == want.serialize()
 
 
+def test_a_batch_without_a_record_builds_no_event(monkeypatch):
+    """A batch run for its scores builds neither the mode-switch nor the
+    collision event that its record would hold, and still ends the
+    colliding row at its collision."""
+    inside = -ControllerSet().equilibrium_gap("A", 27.78) - 1.0   # 1 m into the head
+    scns = [SingleScenario(kind=BRAKING, config="-AG", duration=32.0),
+            SingleScenario(kind=BRAKING, config="-AA", duration=5.0,
+                           initial_gap_offsets={1: inside})]
+    traces = run_platoon_batch(scns)
+    assert [[ev.kind for ev in tr.events] for tr in traces] == [["mode_switch"], ["collision"]]
+
+    def no_event(*args, **kwargs):
+        raise AssertionError("a batch without a record built an event")
+
+    monkeypatch.setattr(scenarios, "TraceEvent", no_event)
+    switched, crashed = run_platoon_batch(scns, record=False)
+    assert (switched.terminated_by_collision, crashed.terminated_by_collision) == (False, True)
+
+
 def test_batch_record_holds_four_float_blocks():
     """A batch records position, speed, acceleration and command per
     vehicle-tick, plus one int8 block; the gap is derived from the
