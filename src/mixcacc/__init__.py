@@ -17,7 +17,6 @@ from .controllers import (
 )
 from .dynamics import DynamicsParams, VehicleState, step_vehicle
 from .metrics import (
-    braking_window,
     delta_a,
     delta_d,
     eta,
@@ -59,7 +58,6 @@ __all__ = [
     "UsageError",
     "VehicleState",
     "acc_accel",
-    "braking_window",
     "connectivity_matrix",
     "delta_a",
     "delta_d",

@@ -26,7 +26,6 @@ from .experiments import (
     _atomic_write,
     _atomic_write_json,
     _single_table,
-    analysis_window,
     emit_reports,
     ring_run_metrics,
     ring_spec,
@@ -54,16 +53,15 @@ def cmd_single(args, cfg) -> int:
                         "duration": args.duration, "control_dt": args.control_dt})
     facts = {"spec_hash": h, "config": args.config, "scenario": args.scenario,
              "collided": trace.terminated_by_collision}
+    scores = trace.scores()
     # a spring-damper head follows its own law, which may never brake that hard
-    no_onset = args.scenario == BRAKING and not (trace.ctrl_input[:, 0] <= BRAKE_DETECT_U).any()
+    no_onset = scores.window is None
     if no_onset:
         facts["window"] = None
     elif not trace.terminated_by_collision:
-        window = analysis_window(trace)
-        facts["window"] = [round(t, 6) for t in window]
+        facts["window"] = [round(t, 6) for t in scores.window]
         for name, per in (("min_gap", min_gap), ("peak_abs_accel", peak_abs_accel)):
-            facts[name] = {str(i): round(x, 6)
-                           for i, x in enumerate(per(trace, window).tolist(), 1)}
+            facts[name] = {str(i): round(x, 6) for i, x in enumerate(per(scores).tolist(), 1)}
     stem = os.path.join(args.out, "single_run", f"{args.config}_{args.scenario}")
     _atomic_write(stem + ".csv", trace.rows_csv_chunks(header_comment=f"spec_hash={h}"))
     _atomic_write(stem + "_events.csv", [events_csv(trace.events)])

@@ -24,7 +24,6 @@ from .config import Config, MobilitySpec, UsageError, spec_hash
 from .dynamics import DynamicsParams
 from .metrics import (
     BRAKE_DETECT_U,
-    braking_window,
     delta_a,
     delta_d,
     eta,
@@ -122,31 +121,24 @@ def scenario_for(kind: str, config: str, duration: float | None = None,
     return scn
 
 
-def analysis_window(trace) -> tuple[float, float]:
-    if trace.scenario_kind == SINUSOIDAL:
-        return sinusoidal_window(WARMUP, FREQUENCY)
-    return braking_window(trace)
-
-
 def build_reference(baselines: dict) -> tuple[np.ndarray, float, dict[str, np.ndarray]]:
     """Reference values of one scenario from its four homogeneous platoons:
     the all-ACC platoon's ``peak_abs_accel`` and ``max_platoon_occupancy``,
     and each platoon's ``min_gap`` keyed by its letter.
 
-    ``baselines`` maps each letter of :data:`BASELINE_LETTERS` to the trace
-    (or ``WindowScores``) of its homogeneous run, or to the exception its
-    row failed with.  A reference that failed or collided leaves nothing to
-    score against.
+    ``baselines`` maps each letter of :data:`BASELINE_LETTERS` to the
+    ``WindowScores`` of its homogeneous run (a sweep row's, or
+    ``Trace.scores()``), or to the exception its row failed with.  A
+    reference that failed or collided leaves nothing to score against.
     """
     for letter in BASELINE_LETTERS:
-        if isinstance(trace := baselines[letter], Exception):
-            raise UsageError(f"homogeneous {letter} reference platoon failed: {trace}")
-        if trace.terminated_by_collision:
+        if isinstance(scores := baselines[letter], Exception):
+            raise UsageError(f"homogeneous {letter} reference platoon failed: {scores}")
+        if scores.terminated_by_collision:
             raise UsageError(f"homogeneous {letter} reference platoon collided")
     acc = baselines["A"]
-    window = analysis_window(acc)
-    return (peak_abs_accel(acc, window), max_platoon_occupancy(acc, window),
-            {letter: min_gap(t, analysis_window(t)) for letter, t in baselines.items()})
+    return (peak_abs_accel(acc), max_platoon_occupancy(acc),
+            {letter: min_gap(scores) for letter, scores in baselines.items()})
 
 
 def _rounded(x: float) -> float | None:
@@ -155,23 +147,22 @@ def _rounded(x: float) -> float | None:
     return None if math.isnan(x) else round(x, 6)
 
 
-def build_report(trace, ref: tuple) -> dict:
-    """Score one platoon trace, or its ``WindowScores``, against the
-    reference values of its scenario, as the JSON record of its report; a
-    collided run leaves its metrics and window ``None``."""
-    report = {"config": trace.config, "scenario": trace.scenario_kind,
-              "collided": trace.terminated_by_collision}
-    if trace.terminated_by_collision:
+def build_report(scores, ref: tuple) -> dict:
+    """Score one platoon run's ``WindowScores`` against the reference values
+    of its scenario, as the JSON record of its report; a collided run leaves
+    its metrics and window ``None``."""
+    report = {"config": scores.config, "scenario": scores.scenario_kind,
+              "collided": scores.terminated_by_collision}
+    if scores.terminated_by_collision:
         return {**report, "delta_a": None, "delta_a_vehicle": -1, "delta_d": None,
                 "delta_d_vehicle": -1, "eta": None, "window": None}
     acc_peaks, acc_occupancy, min_gaps = ref
-    window = analysis_window(trace)
-    da, da_vehicle = delta_a(trace, window, acc_peaks)
-    dd, dd_vehicle = delta_d(trace, window, min_gaps)
+    da, da_vehicle = delta_a(scores, acc_peaks)
+    dd, dd_vehicle = delta_d(scores, min_gaps)
     return {**report, "delta_a": _rounded(da), "delta_a_vehicle": da_vehicle,
             "delta_d": _rounded(dd), "delta_d_vehicle": dd_vehicle,
-            "eta": _rounded(eta(trace, window, acc_occupancy)),
-            "window": [round(t, 6) for t in window]}
+            "eta": _rounded(eta(scores, acc_occupancy)),
+            "window": [round(t, 6) for t in scores.window]}
 
 
 def _sweep_batch(args) -> dict[tuple[str, str, str], tuple[dict | None, str | None]]:
@@ -186,17 +177,17 @@ def _sweep_batch(args) -> dict[tuple[str, str, str], tuple[dict | None, str | No
     for its config as a mix too, since a chunk leaves such mixes out.
     """
     groups, cfg = args
-    traces = iter(run_platoon_batch([scn for _, scns in groups for scn in scns],
-                                    cfg.dynamics, cfg.controllers, record=False))
+    results = iter(run_platoon_batch([scn for _, scns in groups for scn in scns],
+                                     cfg.dynamics, cfg.controllers, record=False))
     out = {}
     for kind, scns in groups:
-        rows = list(zip(scns, traces))
-        ref = build_reference(dict(zip(BASELINE_LETTERS, (trace for _, trace in rows))))
-        for i, (scn, trace) in enumerate(rows):
+        rows = list(zip(scns, results))
+        ref = build_reference(dict(zip(BASELINE_LETTERS, (scores for _, scores in rows))))
+        for i, (scn, scores) in enumerate(rows):
             try:
-                if isinstance(trace, Exception):
-                    raise trace
-                report, error = build_report(trace, ref), None
+                if isinstance(scores, Exception):
+                    raise scores
+                report, error = build_report(scores, ref), None
             except Exception as exc:  # keep scoring the other rows
                 report, error = None, str(exc)
             for role in ("baseline", "mixed") if i < len(BASELINE_LETTERS) else ("mixed",):

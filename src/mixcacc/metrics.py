@@ -4,8 +4,10 @@ Single-platoon metrics compare a mixed platoon against reference runs over
 one analysis window, a ``(t0, t1)`` pair of times: the acceleration margin
 against the all-ACC platoon, the gap margin against the homogeneous platoon
 of each follower's own controller, and the occupancy gain as the ratio of
-maximum platoon footprints.  A sweep reduces each run to what these read of
-it while its batch runs, in blocks of 16 ticks (:class:`WindowReduction`).
+maximum platoon footprints.  They read a run only through its
+:class:`WindowScores`, which one :class:`WindowReduction` takes: a sweep's
+batch while it runs, in blocks of 16 ticks, and ``Trace.scores`` over a
+recorded trace as one block.
 Ring metrics are the road throughput from roadside counters, one float in
 veh/h, and per-vehicle speed volatility.
 """
@@ -32,46 +34,14 @@ def sinusoidal_window(warmup: float, frequency: float) -> tuple[float, float]:
     return warmup, warmup + SINUSOIDAL_PERIODS / frequency
 
 
-def braking_window(trace) -> tuple[float, float]:
-    """Analysis window from the head's emergency onset until the platoon has stopped.
-
-    The window opens at the first tick where the head commands at most
-    :data:`BRAKE_DETECT_U` and closes at the first subsequent tick where every
-    vehicle is slower than 5 km/h; if the platoon never gets that slow the
-    window runs to the end of the trace.
-    """
-    if isinstance(trace, WindowScores):
-        return trace.checked().window
-    onset = np.flatnonzero(trace.ctrl_input[:, 0] <= BRAKE_DETECT_U)
-    if onset.size == 0:
-        raise MetricsError(NO_ONSET)
-    k0 = int(onset[0])
-    slow = np.all(trace.speed[k0:] < SPEED_FLOOR, axis=1)
-    stopped = np.flatnonzero(slow)
-    k1 = k0 + int(stopped[0]) if stopped.size else len(trace.times) - 1
-    return float(trace.times[k0]), float(trace.times[k1])
-
-
-def _window_slice(trace, window: tuple[float, float]) -> np.ndarray:
-    mask = trace.window_mask(*window)
-    if not mask.any():
-        raise MetricsError(f"empty analysis window {window}")
-    return mask
-
-
-def peak_abs_accel(trace, window: tuple[float, float]) -> np.ndarray:
+def peak_abs_accel(scores: WindowScores) -> np.ndarray:
     """Largest absolute realized acceleration of each follower inside the
     window, follower 1 first.
 
     Ticks where the vehicle is slower than :data:`SPEED_FLOOR` are ignored
     (jerky standstill samples are not representative).
     """
-    if isinstance(trace, WindowScores):
-        peaks = trace.checked().peaks
-    else:
-        mask = _window_slice(trace, window)
-        peaks = np.where(trace.speed[mask, 1:] >= SPEED_FLOOR, np.abs(trace.accel[mask, 1:]),
-                         -np.inf).max(axis=0)
+    peaks = scores.checked().peaks
     empty = np.flatnonzero(np.isneginf(peaks))
     if empty.size:
         raise MetricsError(f"no usable acceleration samples for vehicle {empty[0] + 1}")
@@ -84,7 +54,7 @@ def _worst(per: np.ndarray) -> tuple[float, int]:
     return float(per[i]), i + 1
 
 
-def delta_a(trace, window: tuple[float, float], ref_peaks: np.ndarray) -> tuple[float, int]:
+def delta_a(scores: WindowScores, ref_peaks: np.ndarray) -> tuple[float, int]:
     """Acceleration margin of a platoon against the all-ACC reference.
 
     ``ref_peaks`` are the :func:`peak_abs_accel` values of the all-ACC
@@ -92,22 +62,18 @@ def delta_a(trace, window: tuple[float, float], ref_peaks: np.ndarray) -> tuple[
     accelerations than ACC in the same seat; returns the worst (smallest)
     follower margin and its vehicle.
     """
-    own = peak_abs_accel(trace, window)
+    own = peak_abs_accel(scores)
     if len(ref_peaks) != len(own):
         raise MetricsError("platoon size mismatch between trace and reference")
     return _worst(ref_peaks - own)
 
 
-def min_gap(trace, window: tuple[float, float]) -> np.ndarray:
+def min_gap(scores: WindowScores) -> np.ndarray:
     """Smallest bumper gap of each follower inside the window, follower 1 first."""
-    if isinstance(trace, WindowScores):
-        return trace.checked().gaps
-    # a platoon trace derives its gap on every read, so read it once
-    return np.nanmin(trace.gap[_window_slice(trace, window), 1:], axis=0)
+    return scores.checked().gaps
 
 
-def delta_d(trace, window: tuple[float, float],
-            ref_gaps: dict[str, np.ndarray]) -> tuple[float, int]:
+def delta_d(scores: WindowScores, ref_gaps: dict[str, np.ndarray]) -> tuple[float, int]:
     """Gap margin of each follower against its own-controller homogeneous run.
 
     ``ref_gaps`` maps a controller letter to the :func:`min_gap` values of
@@ -116,9 +82,9 @@ def delta_d(trace, window: tuple[float, float],
     its own kind; returns the worst (smallest) follower margin and its
     vehicle.
     """
-    own = min_gap(trace, window)
+    own = min_gap(scores)
     ref = np.empty_like(own)
-    for i, letter in enumerate(trace.config[1:], 1):
+    for i, letter in enumerate(scores.config[1:], 1):
         if letter not in ref_gaps:
             raise MetricsError(f"missing homogeneous reference for controller {letter!r}")
         if i > len(ref_gaps[letter]):
@@ -127,22 +93,18 @@ def delta_d(trace, window: tuple[float, float],
     return _worst(own - ref)
 
 
-def max_platoon_occupancy(trace, window: tuple[float, float]) -> float:
+def max_platoon_occupancy(scores: WindowScores) -> float:
     """Largest total follower gap length inside the window (lengths excluded)."""
-    if isinstance(trace, WindowScores):
-        return float(trace.checked().occupancy)
-    mask = _window_slice(trace, window)
-    total = np.nansum(trace.gap[mask, 1:], axis=1)
-    return float(total.max())
+    return float(scores.checked().occupancy)
 
 
-def eta(trace, window: tuple[float, float], ref_occupancy: float) -> float:
+def eta(scores: WindowScores, ref_occupancy: float) -> float:
     """Occupancy gain: maximum ACC footprint over maximum studied footprint.
 
     ``ref_occupancy`` is the :func:`max_platoon_occupancy` of the all-ACC
     platoon.
     """
-    own = max_platoon_occupancy(trace, window)
+    own = max_platoon_occupancy(scores)
     if own <= 0.0:
         raise MetricsError("degenerate occupancy in studied trace")
     return ref_occupancy / own
@@ -150,8 +112,11 @@ def eta(trace, window: tuple[float, float], ref_occupancy: float) -> float:
 
 @dataclass
 class WindowScores:
-    """A platoon run reduced as it ran: the window reductions above take it
-    in place of its trace and give what they give for the trace."""
+    """A platoon run reduced to what the metrics above read of it: its
+    analysis window and, inside it, each follower's peak |a| above
+    :data:`SPEED_FLOOR` and least gap, and the peak occupancy.  A sweep's
+    batch reduces its rows as they run; ``Trace.scores`` reduces a trace
+    the same way."""
 
     config: str
     scenario_kind: str
@@ -162,7 +127,7 @@ class WindowScores:
     occupancy: float                     # -inf: no tick in the window
 
     def checked(self) -> WindowScores:
-        """Itself, or the error the trace metrics raise for its window."""
+        """Itself, or the error that leaves it nothing to score."""
         if self.window is None:
             raise MetricsError(NO_ONSET)
         if self.occupancy == -np.inf:
@@ -195,7 +160,7 @@ class WindowReduction:
         onset = live & (head_u <= BRAKE_DETECT_U)
         opens = (t0 == np.inf) & onset.any(axis=0)
         t0[opens] = ts[onset.argmax(axis=0)[opens], 0]
-        w = live & (ts >= t0 - 1e-9) & (ts <= t1 + 1e-9)   # as Trace.window_mask
+        w = live & (ts >= t0 - 1e-9) & (ts <= t1 + 1e-9)
         stop = w & self.braking[:rows] & (speed < SPEED_FLOOR).all(axis=2)
         closes = stop.any(axis=0)
         t1[closes] = ts[stop.argmax(axis=0)[closes], 0]

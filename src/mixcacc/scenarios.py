@@ -166,8 +166,15 @@ class Trace:
     def n_vehicles(self) -> int:
         return len(self.config)
 
-    def window_mask(self, t0: float, t1: float) -> np.ndarray:
-        return (self.times >= t0 - 1e-9) & (self.times <= t1 + 1e-9)
+    def scores(self) -> WindowScores:
+        """What the metrics read of this run: a sweep's reduction of its row,
+        taken over every tick as one block."""
+        reduction = WindowReduction([self.scenario_kind == BRAKING], self.n_vehicles,
+                                    sinusoidal_window(WARMUP, FREQUENCY))
+        reduction.block(self.times, self.gap[:, None], self.speed[:, None], self.accel[:, None],
+                        self.ctrl_input[:, :1], np.ones((self.times.size, 1), bool))
+        return reduction.scores(0, self.times[-1], self.config, self.scenario_kind,
+                                self.terminated_by_collision)
 
     def rows_csv_chunks(self, header_comment: str | None = None):
         """The text of :meth:`rows_csv`: its header lines, then one string

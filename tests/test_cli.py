@@ -16,7 +16,7 @@ import pytest
 
 from mixcacc import cli, experiments
 from mixcacc.config import Config, UsageError, load_config
-from mixcacc.experiments import MAX_JOBS, analysis_window, ring_spec, scenario_for
+from mixcacc.experiments import MAX_JOBS, ring_spec, scenario_for
 from mixcacc.metrics import peak_abs_accel
 from mixcacc.ring import RingSpec, run_ring
 from mixcacc.scenarios import (BRAKING, CONTROL_DT, SINUSOIDAL, SingleScenario, Trace,
@@ -180,7 +180,7 @@ def test_single_braking_peaks_are_the_peaks_delta_a_compares(tmp_path):
     assert code == EXIT_OK
     facts = json.loads((tmp_path / "single_run" / "-PGPG_braking.json").read_text())
     trace = run_single_platoon(SingleScenario(kind=BRAKING, config="-PGPG"))
-    peaks = peak_abs_accel(trace, analysis_window(trace)).tolist()
+    peaks = peak_abs_accel(trace.scores()).tolist()
     assert facts["peak_abs_accel"] == {str(i): round(x, 6) for i, x in enumerate(peaks, 1)}
     assert facts["peak_abs_accel"]["4"] == 8.990016
 

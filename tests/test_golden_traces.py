@@ -9,7 +9,12 @@ and ``-GGPGGPG``, whose spring-damper members are the ones that tell two
 summation orders of the spring-damper field apart.  Its ``gap`` entry holds
 the sha256 of the raw ``Trace.gap`` bytes of the direct cases and of one
 n=4 sweep batch that runs both scenarios' rows: the CSV rounds to 6
-decimals, the raw bytes pin every last bit.  ``golden_ring.json`` holds
+decimals, the raw bytes pin every last bit.  Its ``facts`` entry holds the
+sha256 of the facts JSON that ``mixcacc single`` writes for a few runs: both
+scenarios of ``-PLG`` and ``-GPGPGPL`` (whose braking run collides), the
+``-PGPG`` braking run (its follower 4 crawls below the speed floor inside
+the window) and the ``GGLP`` braking run (its head never commands the onset,
+so its window is null).  ``golden_ring.json`` holds
 the sha256 of ``RingTrace.serialize()`` for short full-trace ring runs of the
 PATH and Ploeg policies and both baselines, with lane changes and without any
 car under auto-hold, of a mixed-policy run whose spring-damper cars enter
@@ -22,9 +27,12 @@ and each way a spawn fails.  ``python tests/test_golden_traces.py --record``
 rewrites both files from whatever engine is current.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +40,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mixcacc import cli
 from mixcacc.config import UsageError
 from mixcacc.experiments import baseline_configs, mixed_configs
 from mixcacc.ring import RingSpec, run_ring, spawn_ring_traffic
@@ -58,6 +67,16 @@ DIRECT = {
     "-AA-braking-overlap": (BRAKING, "-AA", {"initial_gap_offsets": {1: -34.4}}, CONTROL_DT),
     "-PL-sinusoidal-dt0.2": (SINUSOIDAL, "-PL", {}, 0.2),
     "-GGPGGPG-sinusoidal": (SINUSOIDAL, "-GGPGGPG", {}, CONTROL_DT),
+}
+
+# name -> (scenario kind, config) of a ``mixcacc single`` run whose facts are pinned
+FACTS = {
+    "-PLG-sinusoidal": (SINUSOIDAL, "-PLG"),
+    "-PLG-braking": (BRAKING, "-PLG"),
+    "-GPGPGPL-sinusoidal": (SINUSOIDAL, "-GPGPGPL"),
+    "-GPGPGPL-braking": (BRAKING, "-GPGPGPL"),
+    "-PGPG-braking": (BRAKING, "-PGPG"),
+    "GGLP-braking": (BRAKING, "GGLP"),
 }
 
 # name -> RingSpec fields of a 40 s full-trace run on a 2 km ring
@@ -115,6 +134,15 @@ def direct_trace(name: str):
     return run_single_platoon(scn, control_dt=control_dt)
 
 
+def facts_digest(name: str, out_dir) -> str:
+    """The sha256 of the facts JSON that ``mixcacc single`` writes for ``name``."""
+    kind, config = FACTS[name]
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["--out", str(out_dir), "single", "--scenario", kind, "--", config])
+    facts = Path(out_dir, "single_run", f"{config}_{kind}.json")
+    return hashlib.sha256(facts.read_bytes()).hexdigest()
+
+
 def ring_trace(name: str):
     return run_ring(RingSpec(circumference=2000.0, duration=30.0, warmup=10.0, seed=0,
                              record_full_trace=True, **RING[name]))
@@ -146,6 +174,8 @@ def record() -> dict:
             "sweep": sweep_gap_digests(),
         },
     }
+    with tempfile.TemporaryDirectory() as out:
+        golden["facts"] = {name: facts_digest(name, out) for name in FACTS}
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     rings = {name: digest(ring_trace(name)) for name in RING}
     rings["spawn"] = {name: spawn_digest(name) for name in SPAWN}
@@ -177,6 +207,11 @@ def test_sweep_batch_reproduces_golden_gap_bytes(golden):
 @pytest.mark.parametrize("name", sorted(DIRECT))
 def test_direct_run_reproduces_golden_gap_bytes(golden, name):
     assert gap_digest(direct_trace(name)) == golden["gap"]["direct"][name]
+
+
+@pytest.mark.parametrize("name", sorted(FACTS))
+def test_single_writes_golden_facts(golden, name, tmp_path):
+    assert facts_digest(name, tmp_path) == golden["facts"][name]
 
 
 @pytest.mark.parametrize("name", sorted(RING))

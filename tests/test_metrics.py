@@ -1,16 +1,24 @@
-"""Analysis window extraction and the disturbance / traffic metrics."""
+"""Analysis window extraction and the disturbance / traffic metrics.
+
+The metrics read a run only through its ``WindowScores``.  The
+``reference_*`` functions below score a recorded trace straight from its
+arrays, with masks over its ticks, and are the oracle the reductions are
+checked against.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mixcacc.experiments import analysis_window, build_report
+from mixcacc.experiments import build_report
 from mixcacc.metrics import (
+    BRAKE_DETECT_U,
+    NO_ONSET,
     MetricsError,
     SPEED_FLOOR,
+    WindowReduction,
     WindowScores,
-    braking_window,
     delta_a,
     delta_d,
     eta,
@@ -23,7 +31,9 @@ from mixcacc.metrics import (
 )
 from mixcacc.scenarios import (
     BRAKING,
+    FREQUENCY,
     SINUSOIDAL,
+    WARMUP,
     SingleScenario,
     Trace,
     run_platoon_batch,
@@ -56,6 +66,64 @@ def flat_trace(ticks=11, n=3, speed=20.0, accel=1.0, gap=30.0, controllers=("-",
     return make_trace(times, np.full(shape, speed), np.full(shape, accel), g, controllers)
 
 
+def window_scores(trace, window=(0.0, 1.0)) -> WindowScores:
+    """A hand-built trace reduced over ``window``, every tick live, as
+    ``Trace.scores`` reduces a sinusoidal run over its own window."""
+    reduction = WindowReduction([False], trace.n_vehicles, window)
+    reduction.block(trace.times, trace.gap[:, None], trace.speed[:, None], trace.accel[:, None],
+                    trace.ctrl_input[:, :1], np.ones((trace.times.size, 1), bool))
+    return reduction.scores(0, trace.times[-1], trace.config, trace.scenario_kind,
+                            trace.terminated_by_collision)
+
+
+# ---------------------------------------------------------------------------
+# the reference: a trace scored from its arrays
+# ---------------------------------------------------------------------------
+
+def reference_window(trace) -> tuple[float, float]:
+    """The sinusoidal window, or a braking trace's: from the first tick whose
+    head command is at most BRAKE_DETECT_U to the first tick from there with
+    every vehicle below SPEED_FLOOR, or to the trace's last tick."""
+    if trace.scenario_kind != BRAKING:
+        return sinusoidal_window(WARMUP, FREQUENCY)
+    onset = np.flatnonzero(trace.ctrl_input[:, 0] <= BRAKE_DETECT_U)
+    if onset.size == 0:
+        raise MetricsError(NO_ONSET)
+    k0 = int(onset[0])
+    stopped = np.flatnonzero(np.all(trace.speed[k0:] < SPEED_FLOOR, axis=1))
+    k1 = k0 + int(stopped[0]) if stopped.size else len(trace.times) - 1
+    return float(trace.times[k0]), float(trace.times[k1])
+
+
+def reference_mask(trace, window) -> np.ndarray:
+    """The ticks inside ``window``, to within 1e-9 s."""
+    mask = (trace.times >= window[0] - 1e-9) & (trace.times <= window[1] + 1e-9)
+    if not mask.any():
+        raise MetricsError(f"empty analysis window {window}")
+    return mask
+
+
+def reference_peaks(trace, window) -> np.ndarray:
+    """Each follower's peak |a| inside the window, at SPEED_FLOOR or faster."""
+    mask = reference_mask(trace, window)
+    peaks = np.where(trace.speed[mask, 1:] >= SPEED_FLOOR, np.abs(trace.accel[mask, 1:]),
+                     -np.inf).max(axis=0)
+    empty = np.flatnonzero(np.isneginf(peaks))
+    if empty.size:
+        raise MetricsError(f"no usable acceleration samples for vehicle {empty[0] + 1}")
+    return peaks
+
+
+def reference_min_gap(trace, window) -> np.ndarray:
+    """Each follower's least gap inside the window."""
+    return np.nanmin(trace.gap[reference_mask(trace, window), 1:], axis=0)
+
+
+def reference_occupancy(trace, window) -> float:
+    """The largest total follower gap of one tick inside the window."""
+    return float(np.nansum(trace.gap[reference_mask(trace, window), 1:], axis=1).max())
+
+
 # ---------------------------------------------------------------------------
 # windows
 # ---------------------------------------------------------------------------
@@ -73,12 +141,12 @@ def braking_trace():
 
 def test_braking_window_opens_one_tick_after_onset(braking_trace):
     """The recorded command trails the tick that computed it by one period."""
-    t0, _ = braking_window(braking_trace)
+    t0, _ = braking_trace.scores().window
     assert t0 == pytest.approx(30.1)
 
 
 def test_braking_window_closes_when_platoon_is_slow(braking_trace):
-    _, t1 = braking_window(braking_trace)
+    _, t1 = braking_trace.scores().window
     # profile reaches zero at 30 + 27.78/8 = 33.47 s; the lagged vehicles
     # drop below the 5 km/h floor a little later
     assert 33.3 <= t1 <= 34.2
@@ -89,14 +157,32 @@ def test_braking_window_closes_when_platoon_is_slow(braking_trace):
 
 def test_braking_window_requires_onset():
     tr = flat_trace()
-    with pytest.raises(MetricsError):
-        braking_window(tr)
+    tr.scenario_kind = BRAKING
+    scores = tr.scores()
+    assert scores.window is None
+    with pytest.raises(MetricsError, match=NO_ONSET):
+        min_gap(scores)
+
+
+def test_braking_window_edges_follow_the_onset_and_floor_rules():
+    """The window opens at a head command equal to BRAKE_DETECT_U and does
+    not close on a tick where a vehicle drives at exactly SPEED_FLOOR; a
+    sample at exactly SPEED_FLOOR counts towards its follower's peak."""
+    tr = flat_trace()
+    tr.scenario_kind = BRAKING
+    tr.ctrl_input[3, 0] = BRAKE_DETECT_U
+    tr.speed[6:] = 1.0
+    tr.speed[6, 2] = SPEED_FLOOR
+    tr.accel[6, 2] = 4.0
+    scores = tr.scores()
+    assert scores.window == (tr.times[3], tr.times[7]) == reference_window(tr)
+    assert peak_abs_accel(scores).tolist() == [1.0, 4.0]
 
 
 def test_empty_window_rejected():
     tr = flat_trace()
     with pytest.raises(MetricsError):
-        peak_abs_accel(tr, (5.0, 6.0))
+        peak_abs_accel(window_scores(tr, (5.0, 6.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +192,7 @@ def test_empty_window_rejected():
 def test_peak_abs_accel_takes_magnitude():
     tr = flat_trace()
     tr.accel[:, 1] = -2.0
-    peaks = peak_abs_accel(tr, (0.0, 1.0))
+    peaks = peak_abs_accel(window_scores(tr))
     assert peaks.tolist() == [2.0, 1.0]
 
 
@@ -115,56 +201,55 @@ def test_peak_abs_accel_speed_floor_drops_crawl_samples():
     tr.speed[:5, 1] = 0.5
     tr.accel[:5, 1] = -5.0
     tr.accel[5:, 1] = -1.5
-    assert peak_abs_accel(tr, (0.0, 1.0))[0] == 1.5
+    assert peak_abs_accel(window_scores(tr))[0] == 1.5
 
 
 def test_peak_abs_accel_names_a_follower_with_no_sample_above_the_floor():
     tr = flat_trace()
     tr.speed[:, 2] = 0.5
     with pytest.raises(MetricsError, match="no usable acceleration samples for vehicle 2"):
-        peak_abs_accel(tr, (0.0, 1.0))
+        peak_abs_accel(window_scores(tr))
 
 
 def test_delta_a_self_comparison_is_zero():
-    tr = flat_trace()
-    w = (0.0, 1.0)
-    peaks = peak_abs_accel(tr, w)
-    assert delta_a(tr, w, peaks) == (0.0, 1)    # every follower ties at zero
-    assert (peaks - peak_abs_accel(tr, w) == 0.0).all()
+    scores = window_scores(flat_trace())
+    peaks = peak_abs_accel(scores)
+    assert delta_a(scores, peaks) == (0.0, 1)    # every follower ties at zero
+    assert (peaks - peak_abs_accel(scores) == 0.0).all()
 
 
 def test_delta_a_negative_when_mix_shakes_harder():
     ref = flat_trace(accel=1.0)
     worse = flat_trace(accel=1.0)
     worse.accel[:, 2] = 1.5
-    w = (0.0, 1.0)
-    ref_peaks = peak_abs_accel(ref, w)
-    value, vehicle = delta_a(worse, w, ref_peaks)
+    ref_peaks = peak_abs_accel(window_scores(ref))
+    value, vehicle = delta_a(window_scores(worse), ref_peaks)
     assert value == pytest.approx(-0.5)
     assert vehicle == 2
-    assert (ref_peaks - peak_abs_accel(worse, w))[0] == 0.0
+    assert (ref_peaks - peak_abs_accel(window_scores(worse)))[0] == 0.0
 
 
 def test_delta_a_rejects_a_reference_of_another_size():
-    tr = flat_trace()
-    w = (0.0, 1.0)
+    scores = window_scores(flat_trace())
+    other = window_scores(flat_trace(n=4, controllers=("-", "A", "A", "A")))
     with pytest.raises(MetricsError, match="platoon size mismatch"):
-        delta_a(tr, w, peak_abs_accel(flat_trace(n=4, controllers=("-", "A", "A", "A")), w))
+        delta_a(scores, peak_abs_accel(other))
 
 
 def test_min_gap_per_follower():
     tr = flat_trace(gap=30.0)
     tr.gap[4, 2] = 7.5
-    gaps = min_gap(tr, (0.0, 1.0))
+    gaps = min_gap(window_scores(tr))
     assert gaps.tolist() == [30.0, 7.5]
 
 
 def test_min_gap_reads_a_derived_gap_once(monkeypatch):
-    """A platoon trace derives its whole gap array on every read, so one
-    call reads it once; the values are those of one read per follower."""
-    tr = run_single_platoon(SingleScenario(kind="sinusoidal", config="-PLGA", duration=10.0))
-    w = (2.0, 8.0)
-    mask = tr.window_mask(*w)
+    """A platoon trace derives its whole gap array on every read, so
+    ``Trace.scores`` reads it once; the least gaps are those of one read
+    per follower over the window's ticks."""
+    tr = run_single_platoon(SingleScenario(kind="sinusoidal", config="-PLGA", duration=40.0))
+    w = sinusoidal_window(WARMUP, FREQUENCY)
+    mask = (tr.times >= w[0] - 1e-9) & (tr.times <= w[1] + 1e-9)
     per_column = [float(np.nanmin(tr.gap[mask, i])) for i in range(1, tr.n_vehicles)]
     reads = []
     derive = Trace.__getattr__
@@ -174,59 +259,54 @@ def test_min_gap_reads_a_derived_gap_once(monkeypatch):
         return derive(self, name)
 
     monkeypatch.setattr(Trace, "__getattr__", counted)
-    assert min_gap(tr, w).tolist() == per_column
+    assert min_gap(tr.scores()).tolist() == per_column
     assert reads == ["gap"]
 
 
 def test_delta_d_self_comparison_is_zero():
-    tr = flat_trace(controllers=("-", "L", "L"))
-    w = (0.0, 1.0)
-    value, _ = delta_d(tr, w, {"L": min_gap(tr, w)})
+    scores = window_scores(flat_trace(controllers=("-", "L", "L")))
+    value, _ = delta_d(scores, {"L": min_gap(scores)})
     assert value == 0.0
 
 
 def test_delta_d_flags_compressed_follower():
-    w = (0.0, 1.0)
     ref = flat_trace(controllers=("-", "L", "L"), gap=30.0)
     mixed = flat_trace(controllers=("-", "L", "L"), gap=30.0)
     mixed.gap[3, 1] = 26.0
-    value, vehicle = delta_d(mixed, w, {"L": min_gap(ref, w)})
+    value, vehicle = delta_d(window_scores(mixed), {"L": min_gap(window_scores(ref))})
     assert value == pytest.approx(-4.0)
     assert vehicle == 1
 
 
 def test_delta_d_requires_matching_reference():
-    tr = flat_trace(controllers=("-", "G", "G"))
-    w = (0.0, 1.0)
+    scores = window_scores(flat_trace(controllers=("-", "G", "G")))
     with pytest.raises(MetricsError):
-        delta_d(tr, w, {"L": min_gap(tr, w)})
+        delta_d(scores, {"L": min_gap(scores)})
 
 
 def test_delta_d_rejects_a_reference_shorter_than_the_platoon():
-    w = (0.0, 1.0)
-    tr = flat_trace(n=4, controllers=("-", "L", "L", "L"))
+    scores = window_scores(flat_trace(n=4, controllers=("-", "L", "L", "L")))
+    shorter = window_scores(flat_trace(controllers=("-", "L", "L")))
     with pytest.raises(MetricsError, match="shorter than platoon at vehicle 3"):
-        delta_d(tr, w, {"L": min_gap(flat_trace(controllers=("-", "L", "L")), w)})
+        delta_d(scores, {"L": min_gap(shorter)})
 
 
 def test_occupancy_and_eta():
-    w = (0.0, 1.0)
-    ref = flat_trace(gap=30.0)
-    own = flat_trace(gap=10.0)
-    assert max_platoon_occupancy(ref, w) == pytest.approx(60.0)
-    assert max_platoon_occupancy(own, w) == pytest.approx(20.0)
+    ref = window_scores(flat_trace(gap=30.0))
+    own = window_scores(flat_trace(gap=10.0))
+    assert max_platoon_occupancy(ref) == pytest.approx(60.0)
+    assert max_platoon_occupancy(own) == pytest.approx(20.0)
     # shorter road footprint scores a proportionally larger efficiency
-    ref_occupancy = max_platoon_occupancy(ref, w)
-    assert eta(own, w, ref_occupancy) == pytest.approx(3.0)
-    assert eta(ref, w, ref_occupancy) == pytest.approx(1.0)
+    ref_occupancy = max_platoon_occupancy(ref)
+    assert eta(own, ref_occupancy) == pytest.approx(3.0)
+    assert eta(ref, ref_occupancy) == pytest.approx(1.0)
 
 
 def test_eta_rejects_degenerate_occupancy():
-    w = (0.0, 1.0)
-    ref = flat_trace(gap=30.0)
-    broken = flat_trace(gap=0.0)
+    ref = window_scores(flat_trace(gap=30.0))
+    broken = window_scores(flat_trace(gap=0.0))
     with pytest.raises(MetricsError):
-        eta(broken, w, max_platoon_occupancy(ref, w))
+        eta(broken, max_platoon_occupancy(ref))
 
 
 # ---------------------------------------------------------------------------
@@ -288,21 +368,26 @@ def _scored_batch(draw):
                              initial_gap_offsets={1: -20.0}),
               SingleScenario(kind=BRAKING, config="-AL", brake_onset=4.0, duration=12.0)]))
 def test_batch_reductions_equal_the_trace_metrics_bit_for_bit(batch):
-    """A batch run without a record gives, row by row, the window, the
-    follower peaks and least gaps, the peak occupancy, the collided flag
-    and the scoring errors of the same batch's traces."""
+    """A batch run without a record and ``Trace.scores`` of the same batch's
+    traces give, row by row, the window, the follower peaks and least gaps,
+    the peak occupancy, the collided flag and the scoring errors that the
+    reference functions give for the traces, and the same reports."""
     n, rows = batch
     ref = (np.ones(n - 1), 1.0, {letter: np.zeros(n - 1) for letter in _FOLLOWERS})
-    for trace, scores in zip(run_platoon_batch(rows), run_platoon_batch(rows, record=False)):
-        assert isinstance(scores, WindowScores)
-        assert (scores.config, scores.scenario_kind, scores.terminated_by_collision) == \
-            (trace.config, trace.scenario_kind, trace.terminated_by_collision)
-        window = _outcome(analysis_window, trace)
-        assert _outcome(analysis_window, scores) == window
-        if window[0] == "value":
-            for metric in (peak_abs_accel, min_gap, max_platoon_occupancy):
-                assert _outcome(metric, scores, window[1]) == _outcome(metric, trace, window[1])
-        assert _outcome(build_report, scores, ref) == _outcome(build_report, trace, ref)
+    for trace, row in zip(run_platoon_batch(rows), run_platoon_batch(rows, record=False)):
+        assert isinstance(row, WindowScores)
+        window = _outcome(reference_window, trace)
+        for scores in (trace.scores(), row):
+            assert (scores.config, scores.scenario_kind, scores.terminated_by_collision) == \
+                (trace.config, trace.scenario_kind, trace.terminated_by_collision)
+            assert (("error", NO_ONSET) if scores.window is None else ("value", scores.window)) \
+                == window
+            if window[0] == "value":
+                for metric, reference in ((peak_abs_accel, reference_peaks),
+                                          (min_gap, reference_min_gap),
+                                          (max_platoon_occupancy, reference_occupancy)):
+                    assert _outcome(metric, scores) == _outcome(reference, trace, window[1])
+        assert _outcome(build_report, row, ref) == _outcome(build_report, trace.scores(), ref)
 
 
 # ---------------------------------------------------------------------------
