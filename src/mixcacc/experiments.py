@@ -48,8 +48,7 @@ BASELINE_LETTERS = "AGLP"
 FULL_ENUMERATION_MAX = 8     # platoon sizes enumerated exhaustively
 SAMPLED_CONFIG_COUNT = 1000  # mixes drawn for a platoon size too large to enumerate
 CONFIDENCE_LEVEL = 0.95      # of the ring summary's throughput intervals
-BATCH_ROWS = 256             # mixes per scenario per batch
-BATCH_VEHICLES = 2048        # their vehicles at most, which bounds a batch's state
+BATCH_VEHICLES = 16384       # mix vehicles of one batch over its scenarios: its state bound
 MAX_JOBS = 64                # worker processes of a sweep
 # a single sweep's summary entries per scenario: (name, report field, pick of the mixes)
 SUMMARY_PICKS = (("worst_delta_a", "delta_a", min), ("worst_delta_d", "delta_d", min),
@@ -302,9 +301,10 @@ def sweep_single(
         """Batch i runs chunk i of every kind's uncached mixes, each kind with
         the baselines its reference needs, which answer for their mixes too."""
         chunks, base = {}, baseline_configs(n)
-        for kind in dict.fromkeys(k for k, _, _ in keys):
+        todo = dict.fromkeys(k for k, _, _ in keys)
+        for kind in todo:
             names = [c for k, role, c in keys if k == kind and role == "mixed" and c not in base]
-            size = max(1, min(BATCH_ROWS, BATCH_VEHICLES // n, -(-len(names) // jobs)))
+            size = max(1, min(BATCH_VEHICLES // (n * len(todo)), -(-len(names) // jobs)))
             chunks[kind] = [names[i:i + size] for i in range(0, max(len(names), 1), size)]
         return [
             ([(kind, [scenario_for(kind, c, duration, u_min=cfg.dynamics.u_min)

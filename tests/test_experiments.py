@@ -34,6 +34,7 @@ from mixcacc.experiments import (
 )
 from mixcacc.ring import RingSpec
 from mixcacc.scenarios import BRAKING, SINUSOIDAL
+from mixcacc.topology import MAX_PLATOON
 
 
 def _strict_json(text):
@@ -355,10 +356,11 @@ def _single_files(root):
             for p in sorted((root / "single").rglob("*.json"))}
 
 
-def test_single_sweep_bytes_do_not_depend_on_how_it_ran(tmp_path):
+def test_single_sweep_bytes_do_not_depend_on_how_it_ran(tmp_path, monkeypatch):
     """At n=3: a serial sweep, two workers, one scenario followed by both,
-    and a sweep interrupted (some reports and the summary lost) then resumed
-    all write the same report files and summary, byte for byte."""
+    batches of one mix per kind (serial and on two workers), and a sweep
+    interrupted (some reports and the summary lost) then resumed all write
+    the same report files and summary, byte for byte."""
     serial, parallel, subset = (tmp_path / name for name in ("serial", "jobs2", "subset"))
     sweep_single(3, str(serial))
     want = _single_files(serial)
@@ -366,12 +368,17 @@ def test_single_sweep_bytes_do_not_depend_on_how_it_ran(tmp_path):
     sweep_single(3, str(parallel), jobs=2)
     sweep_single(3, str(subset), kinds=(BRAKING,))
     sweep_single(3, str(subset))
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "BATCH_VEHICLES", 2 * 3)   # one mix per kind per batch
+        narrow = [tmp_path / f"narrow{jobs}" for jobs in (1, 2)]
+        for jobs, root in enumerate(narrow, 1):
+            sweep_single(3, str(root), jobs=jobs)
     lost = sorted((serial / "single").rglob("-G*.json"))[::2] + [serial / "single" / "summary.json"]
     assert len(lost) > 3
     for path in lost:
         path.unlink()
     sweep_single(3, str(serial))
-    for root in (parallel, subset, serial):
+    for root in (parallel, subset, *narrow, serial):
         assert _single_files(root) == want, root.name
 
 
@@ -661,18 +668,22 @@ def test_sweep_single_starts_at_most_one_worker_per_batch(tmp_path, monkeypatch)
 
 
 def test_sweep_single_chunks_bound_the_vehicles_of_a_batch(tmp_path, monkeypatch):
-    """A chunk holds at most ``BATCH_VEHICLES // n`` mixes, so a batch's
-    record does not grow with the platoon size; every enumerated size is
-    chunked by ``BATCH_ROWS`` alone."""
-    assert experiments.BATCH_VEHICLES // experiments.FULL_ENUMERATION_MAX >= \
-        experiments.BATCH_ROWS
+    """The mix vehicles of a batch, over all the kinds it runs, stay within
+    ``BATCH_VEHICLES``; a budget below ``n`` per kind still runs one mix of
+    each kind, and the real budget holds that much at every platoon size."""
+    assert experiments.BATCH_VEHICLES >= 2 * MAX_PLATOON
     seen = []
     monkeypatch.setattr(experiments, "SAMPLED_CONFIG_COUNT", 5)
-    monkeypatch.setattr(experiments, "BATCH_VEHICLES", 18)
     monkeypatch.setattr(experiments, "_sweep_batch", lambda args: seen.append(
         {kind: len(scns) - len(BASELINE_LETTERS) for kind, scns in args[0]}) or {})
-    sweep_single(9, str(tmp_path), kinds=(BRAKING,))
-    assert seen == [{BRAKING: 2}, {BRAKING: 2}, {BRAKING: 1}]
+    both = (SINUSOIDAL, BRAKING)
+    for budget, kinds, sizes in ((36, both, [2, 2, 1]), (36, (BRAKING,), [4, 1]),
+                                 (17, both, [1] * 5)):
+        monkeypatch.setattr(experiments, "BATCH_VEHICLES", budget)
+        seen.clear()
+        sweep_single(9, str(tmp_path / f"{budget}-{len(kinds)}"), kinds=kinds)
+        assert seen == [dict.fromkeys(kinds, size) for size in sizes]
+        assert all(9 * sum(batch.values()) <= max(budget, 9 * len(kinds)) for batch in seen)
 
 
 def test_a_sweep_keeps_no_per_tick_record(tmp_path):
