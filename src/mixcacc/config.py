@@ -8,7 +8,6 @@ result files can be matched to the exact parameter set that produced them.
 
 from __future__ import annotations
 
-import configparser
 import functools
 import hashlib
 import itertools
@@ -176,6 +175,7 @@ def load_config(text: str) -> Config:
     An unknown section or key is an error, so a misspelt name cannot
     silently leave its default in place.
     """
+    import configparser  # only a parameter file needs it
     parser = configparser.ConfigParser()
     parser.optionxform = str
     try:

@@ -325,7 +325,9 @@ def idm_accel(v, gap, v_pred, p: IdmParams, v0):
 
 def family_indices(code):
     """``(family, flat indices)`` of every family in ``code``, of any shape."""
-    return [(family, np.flatnonzero(code.ravel() == family)) for family in np.unique(code)]
+    # ascending like np.unique, which would also import numpy.ma
+    return [(family, np.flatnonzero(code.ravel() == family))
+            for family in sorted(set(code.ravel().tolist()))]
 
 
 def control_tick(families, v, a, u, gap, pred, has_pred, lead, succ, v_ref, desired,

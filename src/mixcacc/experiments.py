@@ -14,7 +14,6 @@ import contextlib
 import itertools
 import json
 import math
-import multiprocessing
 import os
 from dataclasses import fields
 
@@ -255,6 +254,8 @@ def _run_store(files: dict, plan, run_batch, jobs: int) -> tuple[dict, list]:
     pending = [key for key in files if key not in done]
     batches, errors = plan(pending) if pending else [], {}
     workers = min(jobs, len(batches))
+    if workers > 1:
+        import multiprocessing  # only a pool needs it, and it imports socket
     with multiprocessing.Pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
         for part in (pool.imap if workers > 1 else map)(run_batch, batches):
             for key, (payload, error) in part.items():

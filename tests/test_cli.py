@@ -7,6 +7,7 @@ dash, so they are passed after a ``--`` separator exactly as a user would.
 
 import ast
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -515,7 +516,7 @@ def test_jobs_above_the_bound_start_nothing(tmp_path, capsys, monkeypatch, argv,
     def no_pool(*args, **kwargs):
         raise AssertionError("no worker may start")
 
-    monkeypatch.setattr(experiments.multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     out = tmp_path / "out"
     code = main(["--out", str(out), *argv, "--jobs", str(jobs)])
     assert code == EXIT_CONFIG
@@ -723,12 +724,45 @@ def test_sweep_single_with_a_failing_config_exits_partial(tmp_path, capsys, pois
     assert [f["config"] for f in summary["failed"]] == [poisoned_config]
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    """scipy.stats dominates import time; only the ring summary needs it."""
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this package."""
     import mixcacc
 
     src = os.path.dirname(os.path.dirname(mixcacc.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    """scipy.stats dominates import time; only the ring summary needs it."""
     code = "import sys, mixcacc.cli; sys.exit('scipy.stats' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert _fresh_python(code).returncode == 0
+
+
+def test_platoon_runs_leave_unused_modules_unloaded(tmp_path):
+    """Importing the command line loads neither ``multiprocessing`` (only a
+    pool needs it) nor ``configparser`` (only a parameter file does); a
+    serial sweep and a platoon run then load neither it nor ``numpy.ma``,
+    which ``np.unique`` would import.  A parameter file still parses."""
+    params = tmp_path / "params.ini"
+    params.write_text("[acc]\nlambda = 0.2\n")
+    code = f"""
+import json, sys
+watched = ("multiprocessing", "configparser", "numpy.ma")
+loaded = lambda: [name for name in watched if name in sys.modules]
+import mixcacc.cli
+after_import = loaded()
+from mixcacc.config import load_config_file
+from mixcacc.experiments import sweep_single
+from mixcacc.scenarios import BRAKING, SINUSOIDAL, SingleScenario, run_single_platoon
+sweep_single(3, {str(tmp_path / "out")!r})
+for kind in (SINUSOIDAL, BRAKING):
+    run_single_platoon(SingleScenario(kind=kind, config="-PLG"))
+after_runs = loaded()
+lam = load_config_file({str(params)!r}).controllers.acc.lam
+print(json.dumps([after_import, after_runs, lam]))
+"""
+    run = _fresh_python(code)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == [[], [], 0.2]

@@ -599,6 +599,21 @@ def test_control_tick_on_rows_equals_the_one_dimensional_tick(cases, layout):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()    # bit for bit, in row order
 
 
+@given(st.sampled_from([(1,), (12,), (1, 7), (6, 1), (3, 5)]),
+       st.sets(st.integers(-1, 4), min_size=1).flatmap(
+           lambda present: st.lists(st.sampled_from(sorted(present)), min_size=15, max_size=15)))
+def test_family_indices_equal_the_np_unique_listing(shape, draw):
+    """The families of any code layout, 1-D or 2-D, come out as
+    ``np.unique`` would list them: the same codes in ascending order, each
+    with the same flat indices, byte for byte; an absent family is left out."""
+    code = np.array(draw[:math.prod(shape)], dtype=np.int8).reshape(shape)
+    want = [(f, np.flatnonzero(code.ravel() == f)) for f in np.unique(code)]
+    got = family_indices(code)
+    assert [int(f) for f, _ in got] == [int(f) for f, _ in want]
+    for (_, g), (_, w) in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
 @given(st.sampled_from("AI"), _speed, st.floats(10.0, 40.0), st.floats(10.0, 5000.0))
 def test_a_lone_ring_car_follows_itself(letter, v, desired, circumference):
     """A car alone in its lane is its own predecessor, at the gap the lane

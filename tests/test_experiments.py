@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import tracemalloc
 import types
@@ -635,7 +636,7 @@ def test_sweep_single_batches_are_chunked_by_jobs(tmp_path, monkeypatch):
         return real(args)
 
     monkeypatch.setattr(experiments, "_sweep_batch", spy)
-    monkeypatch.setattr(experiments.multiprocessing, "Pool", _SerialPool)
+    monkeypatch.setattr(multiprocessing, "Pool", _SerialPool)
     serial = sweep_single(3, str(tmp_path / "serial"))
     # -GG, -LL and -PP are baseline rows too and run once per batch
     mixes = ["-GL", "-GP", "-LG", "-LP", "-PG", "-PL"]
@@ -662,7 +663,7 @@ def test_sweep_single_starts_at_most_one_worker_per_batch(tmp_path, monkeypatch)
             asked.append(jobs)
 
     monkeypatch.setattr(experiments, "_sweep_batch", lambda args: batches.append(args) or {})
-    monkeypatch.setattr(experiments.multiprocessing, "Pool", CountingPool)
+    monkeypatch.setattr(multiprocessing, "Pool", CountingPool)
     sweep_single(3, str(tmp_path), jobs=12)
     assert asked == [len(batches)] == [6]
 

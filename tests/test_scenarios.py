@@ -301,7 +301,7 @@ def test_batch_record_holds_four_float_blocks():
     configs = ["-" + "".join(p) for p in itertools.islice(itertools.product("AGLP", repeat=7), 64)]
     scns = [SingleScenario(kind=SINUSOIDAL, config=c) for c in configs]
     ticks = round(scns[0].duration / 0.1) + 1
-    # a first tiny run takes the one-off lazy imports (np.unique loads numpy.ma)
+    # a first tiny run keeps any one-off lazy import out of the traced peak
     run_platoon_batch([SingleScenario(kind=SINUSOIDAL, config=configs[0], duration=0.1)])
     tracemalloc.start()
     try:
