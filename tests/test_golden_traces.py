@@ -20,7 +20,10 @@ PATH and Ploeg policies and both baselines, with lane changes and without any
 car under auto-hold, of a mixed-policy run whose spring-damper cars enter
 override, and of a mixed-policy run under a coarse control period that ends
 in two collisions on one tick (which pins collision events and their
-order).  Its ``spawn`` entry holds, for spawns on the default ring, the
+order).  Its ``raw`` entry holds, for each of those runs, the sha256 of the
+dtype and bytes of every full-trace block, ``position`` to ``mode``: the
+text rounds to 6 decimals, the raw blocks pin every last bit.  Its
+``spawn`` entry holds, for spawns on the default ring, the
 sha256 of every ``RingWorld`` array or the ``UsageError`` text: together they
 reach comfortable placement, overflow at jam spacing, mixed-policy letters
 and each way a spawn fails.  ``python tests/test_golden_traces.py --record``
@@ -148,15 +151,26 @@ def ring_trace(name: str):
                              record_full_trace=True, **RING[name]))
 
 
+def array_digest(v: np.ndarray) -> str:
+    return hashlib.sha256(v.dtype.str.encode() + v.tobytes()).hexdigest()
+
+
+# the full-trace blocks of a ring run, as Trace names them
+RAW_BLOCKS = ("position", "speed", "accel", "ctrl_input", "gap", "lane", "mode")
+
+
+def raw_digest(trace) -> dict:
+    """The digest of every raw full-trace block of a ring run."""
+    return {block: array_digest(getattr(trace.full, block)) for block in RAW_BLOCKS}
+
+
 def spawn_digest(name: str) -> dict | str:
     try:
         world = spawn_ring_traffic(RingSpec(seed=0, **SPAWN[name]))
     except UsageError as exc:
         return str(exc)
-    return {
-        field: hashlib.sha256(v.dtype.str.encode() + v.tobytes()).hexdigest()
-        for field, v in vars(world).items() if isinstance(v, np.ndarray)
-    }
+    return {field: array_digest(v) for field, v in vars(world).items()
+            if isinstance(v, np.ndarray)}
 
 
 def record() -> dict:
@@ -177,7 +191,9 @@ def record() -> dict:
     with tempfile.TemporaryDirectory() as out:
         golden["facts"] = {name: facts_digest(name, out) for name in FACTS}
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
-    rings = {name: digest(ring_trace(name)) for name in RING}
+    traces = {name: ring_trace(name) for name in RING}
+    rings = {name: digest(trace) for name, trace in traces.items()}
+    rings["raw"] = {name: raw_digest(trace) for name, trace in traces.items()}
     rings["spawn"] = {name: spawn_digest(name) for name in SPAWN}
     GOLDEN_RING.write_text(json.dumps(rings, indent=1, sort_keys=True) + "\n")
     return golden
@@ -217,6 +233,11 @@ def test_single_writes_golden_facts(golden, name, tmp_path):
 @pytest.mark.parametrize("name", sorted(RING))
 def test_ring_run_reproduces_golden_trace(name):
     assert digest(ring_trace(name)) == json.loads(GOLDEN_RING.read_text())[name]
+
+
+@pytest.mark.parametrize("name", sorted(RING))
+def test_ring_run_reproduces_golden_raw_state(name):
+    assert raw_digest(ring_trace(name)) == json.loads(GOLDEN_RING.read_text())["raw"][name]
 
 
 @pytest.mark.parametrize("name", sorted(SPAWN))
