@@ -1,5 +1,6 @@
 """Ring-road spawning, lane changes and full-run bookkeeping."""
 
+import bisect
 import dataclasses
 import math
 import re
@@ -21,7 +22,7 @@ from mixcacc.controllers import (
     PloegParams,
     ploeg_target,
 )
-from mixcacc.dynamics import STANDSTILL_BRAKE, DynamicsParams
+from mixcacc.dynamics import STANDSTILL_BRAKE, VEHICLE_LENGTH, DynamicsParams
 from mixcacc.experiments import ring_run_metrics
 from mixcacc.ring import (
     RingSpec,
@@ -484,6 +485,120 @@ def test_one_prefilter_call_equals_the_per_pair_calls(seed, lone, pairs):
                                        np.full(cand.size, right))
                 for cand, target, right in checks]
     assert np.array_equal(one, np.concatenate(per_pair))
+
+
+def _reference_check(world, L, i, target, acc_headway, want_right):
+    """One candidate's gap check, from README's rules, in Python floats.
+
+    The front car is the first car of the target lane, in lane order, at or
+    ahead of the candidate; the rear car is the one before it, cyclically.
+    An empty target lane takes the candidate."""
+    positions, idxs = L.lanes[target]
+    if not idxs.size:
+        return True
+    C = world.spec.circumference
+    pos, speed, length, pid, desired = (a.tolist() for a in (
+        world.pos, world.speed, world.length, world.platoon_id, world.desired))
+    x, v = pos[i], speed[i]
+    j = bisect.bisect_left(positions.tolist(), x)
+    front, rear = int(idxs[j % idxs.size]), int(idxs[j - 1])
+    front_gap = (pos[front] - x) % C - length[front]
+    rear_gap = (x - pos[rear]) % C - length[i]
+    vf, vr = speed[front], speed[rear]
+    if front_gap < ring.LC_MARGIN + ring.LC_HEADWAY * v + ring.CLOSING_TIME * max(0.0, v - vf):
+        return False
+    if rear_gap < ring.LC_MARGIN + ring.LC_HEADWAY * vr + ring.CLOSING_TIME * max(0.0, vr - v):
+        return False
+    if front != rear and pid[front] >= 0 and pid[front] == pid[rear]:
+        return False        # never between two members of one platoon
+    vd = desired[i]
+    return not want_right or front_gap >= ring.FREE_GAP or (
+        front_gap >= ring.LC_MARGIN + acc_headway * vd
+        and vf >= ring.RIGHT_SPEED_FACTOR * vd)
+
+
+# the lane layouts a gap-check case draws from
+LAYOUTS = ("empty", "one car", "one platoon", "mixed")
+
+
+@st.composite
+def _gap_check_case(draw):
+    """A three-lane ring and the (car, adjacent lane) checks of one call.
+
+    Positions come from the ring's edges, 0.0 and the last double below
+    the circumference, or anywhere on it; a check's car may sit exactly
+    at a car of its target lane.  Each lane is empty, holds one car, holds
+    one platoon only, or holds singles and members of two platoons."""
+    C = draw(st.sampled_from([150.0, 1000.0, 2345.6]))
+    position = st.one_of(st.sampled_from([0.0, float(np.nextafter(C, 0.0))]),
+                         st.floats(0.0, C, exclude_max=True))
+    cars = []
+    for lane in range(3):
+        layout = draw(st.sampled_from(LAYOUTS))
+        size = {"empty": 0, "one car": 1}.get(layout) or draw(st.integers(2, 6))
+        for _ in range(size):
+            pid = 10 * lane if layout == "one platoon" else draw(
+                st.sampled_from([-1, 10 * lane, 10 * lane + 1]))
+            cars.append([draw(position), lane, pid, draw(st.floats(0.0, 40.0)),
+                         draw(st.floats(20.0, 40.0))])
+    if not cars:
+        cars.append([0.0, 1, -1, 30.0, 30.0])
+    checks = []
+    for i, align in draw(st.lists(st.tuples(st.integers(0, len(cars) - 1), st.booleans()),
+                                  min_size=1, max_size=12)):
+        lane = cars[i][1]
+        target = draw(st.sampled_from([l for l in (lane - 1, lane + 1) if 0 <= l < 3]))
+        others = [car[0] for car in cars if car[1] == target]
+        if align and others:     # the car exactly at one of the target lane's
+            cars[i][0] = draw(st.sampled_from(others))
+        checks.append((i, target))
+    return C, cars, checks
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gap_check_case())
+@example((1000.0, [     # the seam, a car at 0.0, keep right and overtake in one call
+    [0.0, 0, -1, 30.0, 30.0], [500.0, 0, -1, 30.0, 30.0],
+    [float(np.nextafter(1000.0, 0.0)), 1, -1, 30.0, 30.0], [0.0, 1, -1, 30.0, 30.0],
+    [250.0, 1, -1, 30.0, 30.0], [990.0, 1, -1, 20.0, 30.0],
+    [20.0, 2, -1, 30.0, 30.0], [600.0, 2, -1, 30.0, 30.0]],
+    [(2, 0), (3, 0), (4, 0), (5, 2), (2, 2), (4, 0), (5, 0)]))
+@example((1000.0, [     # an empty and a one-car target lane
+    [300.0, 1, -1, 30.0, 30.0], [990.0, 1, -1, 30.0, 30.0], [400.0, 2, -1, 10.0, 30.0]],
+    [(0, 0), (0, 2), (1, 2), (1, 0)]))
+@example((1000.0, [     # a lane of one platoon: its wrap slot is bracketed too
+    [950.0, 1, -1, 30.0, 30.0], [500.0, 1, -1, 30.0, 30.0],
+    [100.0, 2, 7, 30.0, 30.0], [300.0, 2, 7, 30.0, 30.0], [800.0, 2, 7, 30.0, 30.0]],
+    [(0, 2), (1, 2)]))
+def test_the_gap_check_equals_a_per_candidate_reference(case):
+    """One call of the gap check accepts exactly the checks that a plain
+    per-candidate reference, in Python floats and ``% C``, accepts."""
+    C, cars, checks = case
+    w = sandbox_world()
+    n = len(cars)
+    pos, lane, pid, speed, desired = map(np.array, zip(*cars))
+    w = dataclasses.replace(
+        w, spec=dataclasses.replace(w.spec, circumference=C, density=10_000.0 / C),
+        n=n, pos=pos.astype(float), lane=lane.astype(np.int64),
+        platoon_id=pid.astype(np.int64), speed=speed.astype(float),
+        desired=desired.astype(float), length=np.full(n, VEHICLE_LENGTH), ids=np.arange(n))
+    L = _lane_sort(w)
+    cand, target = (np.array(col, dtype=np.int64) for col in zip(*checks))
+    right = target < w.lane[cand]
+    got = ring._vec_target_check(w, L, cand, target, ACC_H, right)
+    assert got.tolist() == [_reference_check(w, L, i, t, ACC_H, r)
+                            for i, t, r in zip(cand.tolist(), target.tolist(), right.tolist())]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(1.0, 1e6), st.lists(st.floats(-1.0, 1.0, exclude_min=True), max_size=40))
+def test_wrap_equals_the_remainder_on_the_gap_domain(C, fracs):
+    """Less a car's length, a position difference wrapped by ``_wrap`` has
+    the bytes of the same difference taken ``% C``."""
+    d = np.array([-C, np.nextafter(-C, 0.0), 5e-324, -5e-324, 0.0, -0.0,
+                  np.nextafter(C, 0.0), C] + [f * C for f in fracs])
+    expected = (d % C - VEHICLE_LENGTH).tobytes()
+    assert (ring._wrap(d, C) - VEHICLE_LENGTH).tobytes() == expected
 
 
 def test_competing_candidates_move_in_index_order():
