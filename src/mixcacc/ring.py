@@ -25,9 +25,11 @@ The lane-change pass skips a target lane that no car fits into, by necessary
 conditions of the gap check only, so it accepts exactly the cars the check
 alone would.  It then prefilters the candidates of every surviving (lane,
 target) pair in one call of the gap check, which searches each target lane
-for its run of candidates and does the arithmetic once, and moves the
-accepted ones one by one, in vehicle-index order.  The first sees the index
-the prefilter saw and takes its verdict; each later one is re-checked.
+once for the candidates of both its neighbours, gathers every neighbour
+through one (front, candidate, rear) index and does the arithmetic once.
+It moves the accepted ones one by one, in vehicle-index order.  The first
+sees the index the prefilter saw and takes its verdict; each later one is
+re-checked.
 """
 
 from __future__ import annotations
@@ -81,7 +83,9 @@ _ROAD = MobilitySpec()      # the road and run defaults of every ring run
 
 
 def _wrap(x, C):
-    """``x %= C`` in place, computed only outside [0, C), where it is not x."""
+    """``x %= C`` in place, computed only outside [0, C), where it is not x.
+    The one difference from ``x % C`` is that -0.0 stays -0.0, where ``%``
+    gives +0.0; a gap less a car's length has the same bytes either way."""
     np.remainder(x, C, out=x, where=(x < 0.0) | (x >= C))
     return x
 
@@ -182,11 +186,13 @@ class _LaneIndex:
 def _link(world, L, srt, ks):
     """Point the cars at places ``ks`` of lane order ``srt`` at the next car,
     cyclically, and gap them as :func:`_lane_sort` does."""
-    ks = np.asarray(ks) % srt.size
-    car, ahead = srt[ks], srt[(ks + 1) % srt.size]
-    g = world.pos[ahead] - world.length[ahead] - world.pos[car]
-    g[ks == srt.size - 1] += world.spec.circumference
-    L.pred[car], L.gap[car] = ahead, g
+    for k in ks:
+        k %= srt.size
+        car, ahead = srt[k], srt[(k + 1) % srt.size]
+        g = world.pos[ahead] - world.length[ahead] - world.pos[car]
+        if k == srt.size - 1:
+            g += world.spec.circumference
+        L.pred[car], L.gap[car] = ahead, g
 
 
 def _lane_sort(world: RingWorld, prev: _LaneIndex | None = None) -> _LaneIndex:
@@ -208,10 +214,11 @@ def _lane_sort(world: RingWorld, prev: _LaneIndex | None = None) -> _LaneIndex:
         pred = prev.pred
         for _, srt in prev.lanes:
             p = world.pos[srt]
-            down = np.flatnonzero(p[1:] < p[:-1])
-            if down.size > 1 or down.size and p[-1] > p[0]:
-                return _lane_sort(world)
-            if down.size:
+            down = p[1:] < p[:-1]
+            if down.any():
+                down = down.nonzero()[0]
+                if down.size > 1 or p[-1] > p[0]:
+                    return _lane_sort(world)
                 k = down[0] + 1
                 srt, p = np.concatenate((srt[k:], srt[:k])), np.concatenate((p[k:], p[:k]))
             lanes.append((p, srt))
@@ -228,14 +235,14 @@ def _change_lane(world, L, i, old, new):
     the cars at its position with a lower index, as a stable sort puts it,
     and re-link only the car and its old and new followers."""
     p, srt = L.lanes[old]
-    j = int(np.flatnonzero(srt == i)[0])
+    j = int((srt == i).nonzero()[0][0])
     L.lanes[old] = p, srt = (np.concatenate((p[:j], p[j + 1:])),
                              np.concatenate((srt[:j], srt[j + 1:])))
     if srt.size:
         _link(world, L, srt, [j - 1])
     p, srt, x = *L.lanes[new], world.pos[i]
-    k = np.searchsorted(p, x)
-    k += np.count_nonzero(srt[k:np.searchsorted(p, x, "right")] < i)
+    k = p.searchsorted(x)
+    k += np.count_nonzero(srt[k:p.searchsorted(x, "right")] < i)
     L.lanes[new] = p, srt = (np.concatenate((p[:k], [x], p[k:])),
                              np.concatenate((srt[:k], [i], srt[k:])))
     _link(world, L, srt, [k - 1, k])
@@ -415,32 +422,33 @@ def _vec_target_check(world, L, cand, target, acc_headway, want_right):
     Run once per tick over a snapshot to prefilter candidates, then for each
     of them against the current lane index by :func:`lane_change_decision`.
     """
-    C = world.spec.circumference
     x = world.pos[cand]
-    v = world.speed[cand]
-    cut = (np.flatnonzero(target[1:] != target[:-1]) + 1).tolist()
-    front, rear, empty = [], [], []
+    cut = ((target[1:] != target[:-1]).nonzero()[0] + 1).tolist()
+    # rows front, candidate, rear: the neighbours each candidate would have
+    nb = np.empty((3, cand.size), dtype=cand.dtype)
+    nb[1] = cand
+    empty = []
     for lo, hi in zip([0, *cut], [*cut, cand.size]):
         positions, idxs = L.lanes[target[lo]]
         if idxs.size:
-            j = np.searchsorted(positions, x[lo:hi])
-            front.append(idxs.take(j, mode="wrap"))
-            rear.append(idxs.take(j - 1, mode="wrap"))
+            j = positions.searchsorted(x[lo:hi])
+            idxs.take(j, out=nb[0, lo:hi], mode="wrap")
+            idxs.take(j - 1, out=nb[2, lo:hi], mode="wrap")
         else:                   # no neighbours: each candidate stands in for them
-            front.append(cand[lo:hi])
-            rear.append(cand[lo:hi])
+            nb[::2, lo:hi] = cand[lo:hi]
             empty.append(slice(lo, hi))
-    front, rear = map(np.concatenate, (front, rear))
-    front_gap = (world.pos[front] - x) % C - world.length[front]
-    rear_gap = (x - world.pos[rear]) % C - world.length[cand]
-    vf = world.speed[front]
-    vr = world.speed[rear]
-    ok = front_gap >= LC_MARGIN + LC_HEADWAY * v + CLOSING_TIME * np.maximum(0.0, v - vf)
-    ok &= rear_gap >= LC_MARGIN + LC_HEADWAY * vr + CLOSING_TIME * np.maximum(0.0, vr - v)
-    pf = world.platoon_id[front]
-    ok &= ~((front != rear) & (pf >= 0) & (pf == world.platoon_id[rear]))
+    # front and rear gaps; only a pair that straddles the seam is negative
+    P = world.pos[nb]
+    gap = _wrap(P[:2] - P[1:], world.spec.circumference)
+    gap -= world.length[nb[:2]]
+    V = world.speed[nb]
+    own, other = V[1:], V[:2]       # followers (v, vr) behind leaders (vf, v)
+    ok = gap >= LC_MARGIN + LC_HEADWAY * own + CLOSING_TIME * np.maximum(0.0, own - other)
+    ok = ok[0] & ok[1]
+    pf, pr = world.platoon_id[nb[::2]]
+    ok &= (pf != pr) | (pf < 0) | (nb[0] == nb[2])
     if want_right.any():    # keep-right terms, needed only if some candidate keeps right
-        vd = world.desired[cand]
+        front_gap, vf, vd = gap[0], V[0], world.desired[cand]
         ok &= ~want_right | (front_gap >= FREE_GAP) | (
             (front_gap >= LC_MARGIN + acc_headway * vd) & (vf >= RIGHT_SPEED_FACTOR * vd))
     for run in empty:
@@ -475,11 +483,12 @@ def _lane_change_pass(world, L, t, acc_headway, events):
     room, least = _slot_screens(world, L, acc_headway)
     widest = [room[slots].max() if slots.size else np.inf for _, slots in L.lanes]
     pairs = []
-    for l, (_, members) in enumerate(L.lanes):
-        for target, right in ((l - 1, True), (l + 1, False)):
+    for target in range(world.spec.lanes):
+        for l, right in ((target + 1, True), (target - 1, False)):
             # a lane whose widest slot fits no car is skipped
-            if not 0 <= target < world.spec.lanes or widest[target] < least[right]:
+            if not 0 <= l < world.spec.lanes or widest[target] < least[right]:
                 continue
+            members = L.lanes[l][1]
             cand = members[movers[right][members]]
             if cand.size:
                 pairs.append((cand, target, right))
@@ -488,11 +497,13 @@ def _lane_change_pass(world, L, t, acc_headway, events):
     cands, targets, rights = zip(*pairs)    # one call, in runs of one target lane
     sizes = [c.size for c in cands]
     cand = np.concatenate(cands)
-    right = np.repeat(rights, sizes)
-    ok = _vec_target_check(world, L, cand, np.repeat(targets, sizes), acc_headway, right)
+    right = np.array(rights).repeat(sizes)
+    ok = _vec_target_check(world, L, cand, np.array(targets).repeat(sizes), acc_headway, right)
+    if not ok.any():
+        return
     accepted = sorted(set(cand[ok].tolist()))
     # until the first move the index is the prefilter's, so its verdict stands
-    first = [accepted[0] in cand[ok & right]] if accepted else []
+    first = [accepted[0] in cand[ok & right]]
     for i, keep_right in itertools.zip_longest(accepted, first):
         decision = lane_change_decision(world, i, L, acc_headway, keep_right)
         if decision == "stay":
@@ -658,8 +669,8 @@ def run_ring(
         dist = _wrap(world.pos - pos_before, C)
         # only cars that end up within reach of a device can pass it
         y = pos_before * (len(DEVICES) / C)
-        near = np.flatnonzero(np.ceil(y) - y < (dist.max() + ROUNDING_TOL) * len(DEVICES) / C)
-        dev, hit = np.nonzero((device_pos - pos_before[near]) % C < dist[near])
+        near = (np.ceil(y) - y < (dist.max() + ROUNDING_TOL) * len(DEVICES) / C).nonzero()[0]
+        dev, hit = ((device_pos - pos_before[near]) % C < dist[near]).nonzero()
         hit = near[hit]
         if hit.size:
             crossings.append((np.full(hit.size, t + spec.control_dt), device_names[dev],
