@@ -424,9 +424,9 @@ def _vec_target_check(world, L, cand, target, acc_headway, want_right):
     """
     x = world.pos[cand]
     cut = ((target[1:] != target[:-1]).nonzero()[0] + 1).tolist()
-    # rows front, candidate, rear: the neighbours each candidate would have
-    nb = np.empty((3, cand.size), dtype=cand.dtype)
-    nb[1] = cand
+    # rows front, candidate, rear: the neighbours each candidate would have;
+    # in an empty lane each candidate stands in for them
+    nb = cand[None].repeat(3, axis=0)
     empty = []
     for lo, hi in zip([0, *cut], [*cut, cand.size]):
         positions, idxs = L.lanes[target[lo]]
@@ -434,8 +434,7 @@ def _vec_target_check(world, L, cand, target, acc_headway, want_right):
             j = positions.searchsorted(x[lo:hi])
             idxs.take(j, out=nb[0, lo:hi], mode="wrap")
             idxs.take(j - 1, out=nb[2, lo:hi], mode="wrap")
-        else:                   # no neighbours: each candidate stands in for them
-            nb[::2, lo:hi] = cand[lo:hi]
+        else:
             empty.append(slice(lo, hi))
     # front and rear gaps; only a pair that straddles the seam is negative
     P = world.pos[nb]
