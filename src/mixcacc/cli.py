@@ -53,9 +53,8 @@ def cmd_single(args, cfg) -> int:
                         "duration": args.duration, "control_dt": args.control_dt})
     facts = {"spec_hash": h, "config": args.config, "scenario": args.scenario,
              "collided": trace.terminated_by_collision}
-    scores = trace.scores()
-    # a spring-damper head follows its own law, which may never brake that hard
-    no_onset = scores.window is None
+    scores = trace.scores
+    no_onset = scores.window is None   # a spring-damper head may never brake that hard
     if no_onset:
         facts["window"] = None
     elif not trace.terminated_by_collision:

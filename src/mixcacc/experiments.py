@@ -126,7 +126,7 @@ def build_reference(baselines: dict) -> tuple[np.ndarray, float, dict[str, np.nd
 
     ``baselines`` maps each letter of :data:`BASELINE_LETTERS` to the
     ``WindowScores`` of its homogeneous run (a sweep row's, or
-    ``Trace.scores()``), or to the exception its row failed with.  A
+    ``Trace.scores``), or to the exception its row failed with.  A
     reference that failed or collided leaves nothing to score against.
     """
     for letter in BASELINE_LETTERS:

@@ -5,9 +5,9 @@ one analysis window, a ``(t0, t1)`` pair of times: the acceleration margin
 against the all-ACC platoon, the gap margin against the homogeneous platoon
 of each follower's own controller, and the occupancy gain as the ratio of
 maximum platoon footprints.  They read a run only through its
-:class:`WindowScores`, which one :class:`WindowReduction` takes: a sweep's
-batch while it runs, in blocks of 16 ticks, and ``Trace.scores`` over a
-recorded trace as one block.
+:class:`WindowScores`, which one :class:`WindowReduction` takes while its
+batch runs, in blocks of 16 ticks, whether or not the batch keeps a
+trace; a trace carries them as ``Trace.scores``.
 Ring metrics are the road throughput from roadside counters, one float in
 veh/h, and per-vehicle speed volatility.
 """
@@ -114,9 +114,9 @@ def eta(scores: WindowScores, ref_occupancy: float) -> float:
 class WindowScores:
     """A platoon run reduced to what the metrics above read of it: its
     analysis window and, inside it, each follower's peak |a| above
-    :data:`SPEED_FLOOR` and least gap, and the peak occupancy.  A sweep's
-    batch reduces its rows as they run; ``Trace.scores`` reduces a trace
-    the same way."""
+    :data:`SPEED_FLOOR` and least gap, and the peak occupancy.  A batch
+    reduces its rows as they run; a trace carries its row's as
+    ``Trace.scores``."""
 
     config: str
     scenario_kind: str
@@ -152,7 +152,8 @@ class WindowReduction:
 
     def block(self, ts: np.ndarray, gap, speed, accel, head_u, live: np.ndarray) -> None:
         """Reduce the ticks ``ts`` of the rows ``live`` (ticks x rows, a mask
-        over the first rows), with ``head_u`` each row's head command.  The
+        over the first rows), with ``gap`` the followers' gaps (ticks x rows
+        x followers) and ``head_u`` each row's head command.  The
         window edges are first ticks, so a block gives the bits its ticks
         give one at a time."""
         rows = live.shape[1]
@@ -165,14 +166,13 @@ class WindowReduction:
         closes = stop.any(axis=0)
         t1[closes] = ts[stop.argmax(axis=0)[closes], 0]
         w &= ts <= t1 + 1e-9
-        g = gap[:, :, 1:]
         np.maximum(self.peaks[:rows], np.maximum.reduce(
             np.abs(accel[:, :, 1:]), axis=0, initial=-np.inf,
             where=w[:, :, None] & (speed[:, :, 1:] >= SPEED_FLOOR)), out=self.peaks[:rows])
-        np.fmin(self.gaps[:rows], np.fmin.reduce(g, axis=0, initial=np.inf, where=w[:, :, None]),
+        np.fmin(self.gaps[:rows], np.fmin.reduce(gap, axis=0, initial=np.inf, where=w[:, :, None]),
                 out=self.gaps[:rows])
         np.maximum(self.occupancy[:rows], np.maximum.reduce(
-            np.nansum(g, axis=2), axis=0, initial=-np.inf, where=w), out=self.occupancy[:rows])
+            np.nansum(gap, axis=2), axis=0, initial=-np.inf, where=w), out=self.occupancy[:rows])
 
     def scores(self, j: int, end: float, config: str, kind: str, collided: bool) -> WindowScores:
         """Row ``j``'s record; its last tick ran at ``end``."""

@@ -37,6 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -171,6 +172,10 @@ class RingWorld:
     gsbl_override: np.ndarray
     lc_last: np.ndarray
     ids: np.ndarray                  # arange(n), to test pred != i
+
+    @cached_property
+    def _least(self) -> tuple[float, float]:   # no tick changes a length or desired speed
+        return self.length.min(), self.desired.min()
 
 
 @dataclass
@@ -465,9 +470,10 @@ def _slot_screens(world, L, acc_headway):
     the slot it enters; the terms dropped from those gaps are >= 0 while
     ``CLOSING_TIME`` is."""
     hv = LC_HEADWAY * world.speed
-    least = world.length.min() + LC_MARGIN - ROUNDING_TOL
+    length, desired = world._least
+    least = length + LC_MARGIN - ROUNDING_TOL
     return L.gap - hv, {
-        True: least + min(FREE_GAP, LC_MARGIN + acc_headway * world.desired.min()),
+        True: least + min(FREE_GAP, LC_MARGIN + acc_headway * desired),
         False: least + LC_MARGIN + hv.min(),
     }
 

@@ -11,8 +11,9 @@ single run is a batch of one.  It keeps only the platoon's topology, as
 flat neighbour index arrays, and the profile-driven heads: the control
 decisions, which gather the neighbours, and the physics substeps are
 :func:`controllers.control_tick` and :func:`dynamics.advance`, the core the
-ring engine runs too.  No float operation of a row reads another row, so
-a row's trace does not depend on the batch it ran in.
+ring engine runs too.  Each tick is copied once onto a tape that the rows'
+scores, traces and events are read from.  No float operation of a row
+reads another row, so a row's trace does not depend on the batch it ran in.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ FREQUENCY = 0.1        # Hz, sinusoidal speed swing
 BRAKE_DECEL = 8.0      # m/s^2, emergency ramp
 MAX_SPAN = 2.0 ** 23   # s; float64 spacing beyond it exceeds the 1e-9 s whole-period rule
 MAX_SUBSTEPS = 1000    # dynamics steps per control period (dt = 1e-4 s at the 0.1 s period)
-SCORE_BLOCK = 16       # ticks a batch without a record reduces in one WindowReduction.block
+SCORE_BLOCK = 16       # ticks a batch reduces in one WindowReduction.block
 # names of the override latch in events and of 0/1 in the trace CSV's mode
 _MODE_NAME = {False: GsblMode.CRUISE.value, True: GsblMode.OVERRIDE.value}
 
@@ -148,6 +149,7 @@ class Trace:
     scenario_kind: str = ""
     config: str = ""                # the composition: one letter per vehicle, head first
     terminated_by_collision: bool = False
+    scores: WindowScores | None = None     # what its batch reduced; None on a ring trace
 
     def __post_init__(self):
         if self.gap is None:
@@ -165,16 +167,6 @@ class Trace:
     @property
     def n_vehicles(self) -> int:
         return len(self.config)
-
-    def scores(self) -> WindowScores:
-        """What the metrics read of this run: a sweep's reduction of its row,
-        taken over every tick as one block."""
-        reduction = WindowReduction([self.scenario_kind == BRAKING], self.n_vehicles,
-                                    sinusoidal_window(WARMUP, FREQUENCY))
-        reduction.block(self.times, self.gap[:, None], self.speed[:, None], self.accel[:, None],
-                        self.ctrl_input[:, :1], np.ones((self.times.size, 1), bool))
-        return reduction.scores(0, self.times[-1], self.config, self.scenario_kind,
-                                self.terminated_by_collision)
 
     def rows_csv_chunks(self, header_comment: str | None = None):
         """The text of :meth:`rows_csv`: its header lines, then one string
@@ -272,10 +264,11 @@ def run_platoon_batch(
     live timeline ends, the state shrinks to the rows still running, as
     views of its prefix, so no finished timeline is stepped again.  A row
     that collided keeps stepping until its timeline ends and nothing reads
-    it again: its trace is a view of the ticks before it ended.
-    With ``record`` False no tick is kept and no event built: a row ends as
-    its WindowScores, reduced every :data:`SCORE_BLOCK` ticks and before
-    the state shrinks.
+    it again.  Each tick is written once onto a tape, reduced into the rows'
+    WindowScores every :data:`SCORE_BLOCK` ticks, before the state shrinks
+    and after the last tick.  With ``record`` the tape keeps every tick and
+    a row ends as its trace, a view of the tape with events read from it;
+    without, it keeps :data:`SCORE_BLOCK` ticks and a row ends as its scores.
     """
     dyn = dyn or DynamicsParams()
     ctrl = ctrl or ControllerSet()
@@ -300,24 +293,20 @@ def run_platoon_batch(
         raise RuntimeError("a batch runs one platoon size")   # the caller's grouping is at fault
 
     times = np.arange(1 - keys[0][0]) * control_dt
-    # each timeline's rows get their own (rows, ticks, vehicles) record
-    # blocks: a row's trace is a view, and no block holds ticks its rows
-    # never run
-    groups, m = [], 0                         # (first row, end row, scenario, last tick, blocks)
+    groups, m = [], 0                         # (first row, end row, scenario, last tick)
     for (neg_last, _), same in itertools.groupby(keys):
         lo, m = m, m + sum(1 for _ in same)
-        shape = (m - lo, 1 - neg_last, n)
-        blocks = [np.empty(shape) for _ in range(4)] + [np.empty(shape, np.int8)] if record else ()
-        groups.append((lo, m, scns[rows[lo]], -neg_last, blocks))
+        groups.append((lo, m, scns[rows[lo]], -neg_last))
+    # the tape: each state row's position, speed, acceleration, command, mode
+    # and live flag; a row that leaves the state keeps the ticks written
+    tape = [np.empty((times.size if record else SCORE_BLOCK, m, n), dtype)
+            for dtype in (float,) * 4 + (np.int8,)]
+    tape.append(np.empty(tape[0].shape[:2], bool))
     scores = WindowReduction([scns[r].kind == BRAKING for r in rows], n,
                              sinusoidal_window(WARMUP, FREQUENCY))
-    # with no record, the ticks not yet reduced: gap, speed, accel, head command, live
-    buf = [] if record else [np.empty((SCORE_BLOCK, m, n)) for _ in range(3)] + [
-        np.empty((SCORE_BLOCK, m)), np.empty((SCORE_BLOCK, m), bool)]
-    b = 0                                     # ticks in the buffer
+    b = 0                                     # ticks on the tape not yet reduced
     running = groups                          # the groups whose timeline goes on
-    results: list = [None] * len(scns)        # a failed run's exception, then every trace
-    events: list[list[TraceEvent]] = [[] for _ in rows]
+    results: list = [None] * len(scns)        # a failed run's exception, then every result
     collided = {}                             # state row -> the tick its collision ended it
 
     # the head follows the speed profile unless it runs the spring-damper law
@@ -348,80 +337,75 @@ def run_platoon_batch(
 
     for k, t in enumerate(times):
         gap = pos.take(pred) - VEHICLE_LENGTH - pos
-        if record:
-            now = (pos, spd, acc, uin, np.where(is_gsbl, over, -1))
-            for lo, hi, _, _, blocks in running:
-                for block, a in zip(blocks, now):
-                    block[:, k] = a[lo:hi]
-        else:
-            for a, now in zip(buf, (gap, spd, acc, uin[:, 0], ~done)):
-                a[b] = now
-            b += 1
+        i = k if record else b                # the tick's place on the tape
+        for col, now in zip(tape, (pos, spd, acc, uin, np.where(is_gsbl, over, -1), ~done)):
+            col[i, :len(done)] = now
+        b += 1
         hit = (gap <= 0.0) & has_pred
         if k > 0 and hit.any():
             for j in np.flatnonzero(hit.any(axis=1) & ~done):
-                crash = int(np.argmax(hit[j]))
-                if record:
-                    events[j].append(TraceEvent(t, "collision", crash, crash - 1,
-                                                f"gap={gap[j, crash]:.3f}"))
                 collided[j], done[j] = k, True
-        # the rows of the timelines that end here leave the state
+        # rows whose timeline ends leave the state, all once all are settled; reduce first
         running = [g for g in running if g[3] > k]
-        if not running:
-            break
-        live = running[-1][1]
-        if b == SCORE_BLOCK or b and live < len(done):   # reduce before rows leave
-            scores.block(times[k + 1 - b:k + 1], *(a[:b] for a in buf))
+        live = running[-1][1] if running and not done.all() else 0
+        if b == SCORE_BLOCK or live < len(done):
+            x, v, a, u, _, on = (col[i + 1 - b:i + 1, :len(done)] for col in tape)
+            scores.block(times[k + 1 - b:k + 1], (x[..., :-1] - VEHICLE_LENGTH) - x[..., 1:],
+                         v, a, u[..., 0], on)
             b = 0
+        if not live:
+            break
         if live < len(done):
-            buf = [a[:, :live] for a in buf]
             (code, pred, has_pred, lead, succ, pos, spd, acc, uin, ufilt, over, gap, v_t, a_t,
              done, free) = (a[:live] for a in (code, pred, has_pred, lead, succ, pos, spd, acc,
                                                uin, ufilt, over, gap, v_t, a_t, done, free))
             families, is_gsbl, ploeg, profile_head = _row_masks(code)
 
-        for lo, hi, scn, _, _ in running:
+        for lo, hi, scn, _ in running:
             v_t[lo:hi] = leader_target_speed(scn, t)
             a_t[lo:hi] = leader_target_accel(scn, t)
-        u, hold, new = control_tick(families, spd, acc, uin, gap, pred, has_pred, lead, succ,
-                                    v_t, free, over, ctrl)
+        u, hold, over = control_tick(families, spd, acc, uin, gap, pred, has_pred, lead, succ,
+                                     v_t, free, over, ctrl)
         np.copyto(u[:, 0], a_t + PROFILE_GAIN * (v_t[:, 0] - spd[:, 0]),
                   where=profile_head)
-        if record:
-            for j, c in zip(*np.nonzero((new != over) & ~done[:, None])):
-                events[j].append(TraceEvent(
-                    t, "mode_switch", int(c), int(lead[j, c] % n),
-                    f"{_MODE_NAME[over[j, c]]}->{_MODE_NAME[new[j, c]]}",
-                ))
-        over = new
 
         if not np.isfinite(u).all():   # a row whose command is not finite ends with the error
             for j in np.flatnonzero(~np.isfinite(u).all(axis=1) & ~done):
                 bad = float(u[j, np.argmin(np.isfinite(u[j]))])
                 results[rows[j]] = RunError(f"non-finite control input: {bad!r}")
                 done[j] = True
-        if done.all():
-            break
 
         # the head is never allowed the emergency floor
         np.maximum(u[:, 0], dyn.u_min, out=u[:, 0])
         uin = advance(pos, spd, acc, u, dyn, sub, hold, ploeg, ufilt, ctrl.ploeg.H)
-    if b:
-        scores.block(times[k + 1 - b:k + 1], *(a[:b] for a in buf))
 
-    # a trace views the ticks its row ran (to the end of its timeline unless it collided)
-    for lo, hi, scn, last, blocks in groups:
-        for j in range(lo, hi):
-            k = collided.get(j, last)
-            if results[rows[j]] is None and not record:
-                results[rows[j]] = scores.scores(j, times[k], cfgs[j], scn.kind, j in collided)
-            elif results[rows[j]] is None:
-                *floats, mode = (block[j - lo, :k + 1] for block in blocks)
-                results[rows[j]] = Trace(   # a platoon drives in lane 0
-                    times[:k + 1], *floats, None,
-                    np.broadcast_to(np.int8(0), mode.shape), mode, events=events[j],
-                    scenario_kind=scn.kind, config=cfgs[j], terminated_by_collision=j in collided)
+    # a row ends as its scores, or with a record as its trace, which views
+    # the ticks it ran (to the end of its timeline unless it collided)
+    for j, r in enumerate(rows):
+        if results[r] is None:
+            k, crashed, kind = collided.get(j, -keys[j][0]), j in collided, scns[r].kind
+            results[r] = scores.scores(j, times[k], cfgs[j], kind, crashed)
+            if record:
+                *floats, mode, _ = (col[:k + 1, j] for col in tape)
+                results[r] = Trace(   # a platoon drives in lane 0
+                    times[:k + 1], *floats, None, np.broadcast_to(np.int8(0), mode.shape), mode,
+                    _recorded_events(times[:k + 1], floats[0], mode, leaders_of[j], crashed),
+                    scenario_kind=kind, config=cfgs[j], terminated_by_collision=crashed,
+                    scores=results[r])
     return results
+
+
+def _recorded_events(times, pos, mode, leaders, collided: bool) -> list[TraceEvent]:
+    """A recorded row's events: each mode switch, at the tick before the mode
+    changes, then its collision, the first follower with gap <= 0 at the end."""
+    events = [TraceEvent(times[k], "mode_switch", c, leaders[c],
+                         f"{_MODE_NAME[mode[k, c]]}->{_MODE_NAME[mode[k + 1, c]]}")
+              for k, c in np.argwhere(mode[:-1] != mode[1:]).tolist()]
+    if collided:
+        gap = (pos[-1, :-1] - VEHICLE_LENGTH) - pos[-1, 1:]
+        i = int(np.argmax(gap <= 0.0))
+        events.append(TraceEvent(times[-1], "collision", i + 1, i, f"gap={gap[i]:.3f}"))
+    return events
 
 
 def run_single_platoon(

@@ -66,12 +66,14 @@ def flat_trace(ticks=11, n=3, speed=20.0, accel=1.0, gap=30.0, controllers=("-",
     return make_trace(times, np.full(shape, speed), np.full(shape, accel), g, controllers)
 
 
-def window_scores(trace, window=(0.0, 1.0)) -> WindowScores:
-    """A hand-built trace reduced over ``window``, every tick live, as
-    ``Trace.scores`` reduces a sinusoidal run over its own window."""
-    reduction = WindowReduction([False], trace.n_vehicles, window)
-    reduction.block(trace.times, trace.gap[:, None], trace.speed[:, None], trace.accel[:, None],
-                    trace.ctrl_input[:, :1], np.ones((trace.times.size, 1), bool))
+def window_scores(trace, window=(0.0, 1.0), braking=False) -> WindowScores:
+    """A hand-built trace reduced as one block, every tick live, over
+    ``window``, or with ``braking`` over the window its head command and
+    speeds open and close."""
+    reduction = WindowReduction([braking], trace.n_vehicles, window)
+    reduction.block(trace.times, trace.gap[:, None, 1:], trace.speed[:, None],
+                    trace.accel[:, None], trace.ctrl_input[:, :1],
+                    np.ones((trace.times.size, 1), bool))
     return reduction.scores(0, trace.times[-1], trace.config, trace.scenario_kind,
                             trace.terminated_by_collision)
 
@@ -141,12 +143,12 @@ def braking_trace():
 
 def test_braking_window_opens_one_tick_after_onset(braking_trace):
     """The recorded command trails the tick that computed it by one period."""
-    t0, _ = braking_trace.scores().window
+    t0, _ = braking_trace.scores.window
     assert t0 == pytest.approx(30.1)
 
 
 def test_braking_window_closes_when_platoon_is_slow(braking_trace):
-    _, t1 = braking_trace.scores().window
+    _, t1 = braking_trace.scores.window
     # profile reaches zero at 30 + 27.78/8 = 33.47 s; the lagged vehicles
     # drop below the 5 km/h floor a little later
     assert 33.3 <= t1 <= 34.2
@@ -156,9 +158,7 @@ def test_braking_window_closes_when_platoon_is_slow(braking_trace):
 
 
 def test_braking_window_requires_onset():
-    tr = flat_trace()
-    tr.scenario_kind = BRAKING
-    scores = tr.scores()
+    scores = window_scores(flat_trace(), braking=True)
     assert scores.window is None
     with pytest.raises(MetricsError, match=NO_ONSET):
         min_gap(scores)
@@ -174,7 +174,7 @@ def test_braking_window_edges_follow_the_onset_and_floor_rules():
     tr.speed[6:] = 1.0
     tr.speed[6, 2] = SPEED_FLOOR
     tr.accel[6, 2] = 4.0
-    scores = tr.scores()
+    scores = window_scores(tr, braking=True)
     assert scores.window == (tr.times[3], tr.times[7]) == reference_window(tr)
     assert peak_abs_accel(scores).tolist() == [1.0, 4.0]
 
@@ -243,14 +243,11 @@ def test_min_gap_per_follower():
     assert gaps.tolist() == [30.0, 7.5]
 
 
-def test_min_gap_reads_a_derived_gap_once(monkeypatch):
-    """A platoon trace derives its whole gap array on every read, so
-    ``Trace.scores`` reads it once; the least gaps are those of one read
-    per follower over the window's ticks."""
-    tr = run_single_platoon(SingleScenario(kind="sinusoidal", config="-PLGA", duration=40.0))
-    w = sinusoidal_window(WARMUP, FREQUENCY)
-    mask = (tr.times >= w[0] - 1e-9) & (tr.times <= w[1] + 1e-9)
-    per_column = [float(np.nanmin(tr.gap[mask, i])) for i in range(1, tr.n_vehicles)]
+def test_scoring_a_recorded_run_reads_no_derived_gap(monkeypatch):
+    """A platoon trace derives its whole gap array on every read; its batch
+    scores it from the tape's positions, so neither the run nor its scoring
+    reads ``Trace.gap``, and the least gaps are those of a read per follower
+    over the window's ticks."""
     reads = []
     derive = Trace.__getattr__
 
@@ -259,8 +256,12 @@ def test_min_gap_reads_a_derived_gap_once(monkeypatch):
         return derive(self, name)
 
     monkeypatch.setattr(Trace, "__getattr__", counted)
-    assert min_gap(tr.scores()).tolist() == per_column
-    assert reads == ["gap"]
+    tr = run_single_platoon(SingleScenario(kind="sinusoidal", config="-PLGA", duration=40.0))
+    gaps = min_gap(tr.scores).tolist()
+    assert reads == []
+    w = sinusoidal_window(WARMUP, FREQUENCY)
+    mask = (tr.times >= w[0] - 1e-9) & (tr.times <= w[1] + 1e-9)
+    assert gaps == [float(np.nanmin(tr.gap[mask, i])) for i in range(1, tr.n_vehicles)]
 
 
 def test_delta_d_self_comparison_is_zero():
@@ -368,16 +369,16 @@ def _scored_batch(draw):
                              initial_gap_offsets={1: -20.0}),
               SingleScenario(kind=BRAKING, config="-AL", brake_onset=4.0, duration=12.0)]))
 def test_batch_reductions_equal_the_trace_metrics_bit_for_bit(batch):
-    """A batch run without a record and ``Trace.scores`` of the same batch's
-    traces give, row by row, the window, the follower peaks and least gaps,
-    the peak occupancy, the collided flag and the scoring errors that the
-    reference functions give for the traces, and the same reports."""
+    """The scores of a recorded batch's traces and the rows of the same batch
+    run without a record give, row by row, the window, the follower peaks and
+    least gaps, the peak occupancy, the collided flag and the scoring errors
+    that the reference functions give for the traces, and the same reports."""
     n, rows = batch
     ref = (np.ones(n - 1), 1.0, {letter: np.zeros(n - 1) for letter in _FOLLOWERS})
     for trace, row in zip(run_platoon_batch(rows), run_platoon_batch(rows, record=False)):
         assert isinstance(row, WindowScores)
         window = _outcome(reference_window, trace)
-        for scores in (trace.scores(), row):
+        for scores in (trace.scores, row):
             assert (scores.config, scores.scenario_kind, scores.terminated_by_collision) == \
                 (trace.config, trace.scenario_kind, trace.terminated_by_collision)
             assert (("error", NO_ONSET) if scores.window is None else ("value", scores.window)) \
@@ -387,7 +388,7 @@ def test_batch_reductions_equal_the_trace_metrics_bit_for_bit(batch):
                                           (min_gap, reference_min_gap),
                                           (max_platoon_occupancy, reference_occupancy)):
                     assert _outcome(metric, scores) == _outcome(reference, trace, window[1])
-        assert _outcome(build_report, row, ref) == _outcome(build_report, trace.scores(), ref)
+        assert _outcome(build_report, row, ref) == _outcome(build_report, trace.scores, ref)
 
 
 # ---------------------------------------------------------------------------
